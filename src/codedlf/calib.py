@@ -15,6 +15,26 @@ normalized to sum to one, so log-uniformly spaced exposure ladders
 contribute evenly.  The scale ambiguity (c * v, r / c) is fixed by
 rescaling so that mean(v) = 1 over the recoverable pixels.
 
+The model is linear in a = v[i, j] * r[k, bayer(i, j)] for each entry
+(i, j, k), so the fit never needs the (I, J, K, L) stack after one pass
+over it.  With resid_l the dark-corrected mean, keep_l = 1 for unmasked
+measurements and w_l the exposure weight, that pass accumulates per entry
+
+    num   = sum_l keep_l * w_l * t_l * resid_l
+    den   = sum_l keep_l * w_l * t_l**2
+    a*    = num / den  (0 where den = 0)
+    S_min = sum_l keep_l * w_l * (resid_l - a* * t_l)**2,
+
+and the entry's share of the objective is, exactly,
+
+    sum_l keep_l * w_l * (resid_l - a * t_l)**2  =  S_min + den * (a - a*)**2,
+
+a sum of two non-negative terms.  The half-sweep updates need only num and
+den, and the objective after each half sweep costs O(I * J * K).  S_min is
+accumulated directly as a weighted running sum of squared deviations, not
+as sum(keep * w * resid**2) - num**2 / den, which would cancel to rounding
+noise when the data fit the model exactly.
+
 Saturation handling: a measurement is excluded when its value exceeds the
 threshold (0.985, the top four codes of a 10-bit sensor), when any of its
 eight spatial neighbors does, or when a saturated pixel sits within
@@ -30,6 +50,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,13 +76,14 @@ class ExposureSeries:
             raise ValueError(f"series must be (I, J, K, L), got {self.mu.shape}")
         if self.times.shape != (self.mu.shape[3],):
             raise ValueError("exposure times do not match the series")
-        if np.any(self.times <= 0) or np.any(np.diff(self.times) <= 0):
-            raise ValueError("exposure times must be positive and increasing")
+        t = self.times
+        if not (np.isfinite(t).all() and (t > 0).all() and (np.diff(t) > 0).all()):
+            raise ValueError("exposure times must be finite, positive and increasing")
         if self.bayer.shape != self.mu.shape[:2]:
             raise ValueError("Bayer map does not match the spatial dims")
         if self.bayer.min() < 0 or self.bayer.max() >= BAYER_TYPES:
             raise ValueError("Bayer indices must be in {0, 1, 2}")
-        if self.mu.min() < 0 or self.mu.max() > 1:
+        if not (self.mu.min() >= 0 and self.mu.max() <= 1):  # False for NaN too
             raise ValueError("grey means must lie in [0, 1]")
 
 
@@ -136,38 +158,96 @@ def saturation_mask(
     if line_axis not in ("row", "col"):
         raise ValueError(f"line_axis must be 'row' or 'col', got {line_axis!r}")
     sat = series.mu > threshold
-    masked = sat.copy()
+    masked = sat.copy(order="K")  # keep the layout of sat for the in-place ORs
     # 8-connected spatial neighbors.
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            masked |= _shift2(sat, di, dj)
+            _or_shifted(masked, sat, di, dj)
     # Readout line: line_reach additional pixels beyond the direct neighbor.
     for d in range(2, line_reach + 2):
         for sgn in (-1, 1):
             if line_axis == "row":
-                masked |= _shift2(sat, 0, sgn * d)
+                _or_shifted(masked, sat, 0, sgn * d)
             else:
-                masked |= _shift2(sat, sgn * d, 0)
+                _or_shifted(masked, sat, sgn * d, 0)
     return masked
 
 
-def _shift2(x: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Shift along the two leading axes, zero-filling the border."""
-    out = np.zeros_like(x)
-    src_i = slice(max(0, -di), x.shape[0] - max(0, di))
-    dst_i = slice(max(0, di), x.shape[0] - max(0, -di))
-    src_j = slice(max(0, -dj), x.shape[1] - max(0, dj))
-    dst_j = slice(max(0, dj), x.shape[1] - max(0, -dj))
-    out[dst_i, dst_j] = x[src_i, src_j]
-    return out
+def _or_shifted(dst: np.ndarray, src: np.ndarray, di: int, dj: int) -> None:
+    """dst |= src shifted by (di, dj) along the two leading axes, zero-filled.
+
+    A shift at least as long as its axis moves everything out and does
+    nothing.
+    """
+    n_i, n_j = src.shape[:2]
+    if abs(di) >= n_i or abs(dj) >= n_j:
+        return
+    dst[max(0, di) : n_i + min(0, di), max(0, dj) : n_j + min(0, dj)] |= src[
+        max(0, -di) : n_i - max(0, di), max(0, -dj) : n_j - max(0, dj)
+    ]
 
 
 def exposure_weights(times: np.ndarray) -> np.ndarray:
     """Inverse-exposure weights normalized to sum to one."""
     w = 1.0 / np.asarray(times, dtype=np.float64)
     return w / w.sum()
+
+
+class _EntryStats(NamedTuple):
+    """Per-entry (I, J, K) sufficient statistics of the masked fit."""
+
+    num: np.ndarray  # sum_l keep * w_l * t_l * resid_l
+    den: np.ndarray  # sum_l keep * w_l * t_l**2
+    a_star: np.ndarray  # num / den, the per-entry optimum of a = v * r; 0 if den = 0
+    s_min: np.ndarray  # sum_l keep * w_l * (resid_l - a_star * t_l)**2
+
+    def tile(self, rows: slice, cols: slice) -> "_EntryStats":
+        return _EntryStats(*(x[rows, cols] for x in self))
+
+
+def _entry_statistics(
+    series: ExposureSeries, dark: DarkModel, mask: np.ndarray
+) -> _EntryStats:
+    """Sufficient statistics from one pass over the exposures, a slice at a time.
+
+    a_star and s_min follow the weighted running mean and sum of squared
+    deviations of resid_l / t_l with weights keep * w_l * t_l**2 (West 1979),
+    so s_min is a sum of non-negative terms, never a difference of large
+    sums, and does not cancel on noiseless data.  A masked measurement adds
+    exactly zero to every statistic.
+    """
+    if mask.shape != series.mu.shape:
+        raise ValueError("mask does not match the series")
+    n_i, n_j, n_k, _ = series.mu.shape
+    w = exposure_weights(series.times)
+    wt = w * series.times
+    wt2 = w * series.times**2
+    num, den, a_star, s_min = (np.zeros((n_i, n_j, n_k)) for _ in range(4))
+    for l, t in enumerate(series.times):
+        keep = ~mask[..., l]
+        resid = series.mu[..., l] - dark.evaluate(t)
+        num += keep * resid * wt[l]
+        q = keep * wt2[l]
+        den += q
+        frac = np.divide(q, den, out=np.zeros_like(den), where=den > 0)
+        delta = resid / t - a_star
+        a_star += frac * delta
+        s_min += q * (1.0 - frac) * delta * delta
+    return _EntryStats(num, den, a_star, s_min)
+
+
+def _objective(stats: _EntryStats, v: np.ndarray, r: np.ndarray, bayer) -> float:
+    """Fit objective over the entries whose v and r are both recoverable.
+
+    Per entry the objective is quadratic in a = v * r with its minimum
+    s_min at a_star, so it equals s_min + den * (a - a_star)**2 exactly.
+    """
+    rmap = r.T[bayer]
+    ok = np.isfinite(v)[:, :, None] & np.isfinite(rmap)
+    a = v[:, :, None] * rmap
+    return float(np.sum((stats.s_min + stats.den * (a - stats.a_star) ** 2)[ok]))
 
 
 def fit_vignetting_responsivity(
@@ -184,68 +264,42 @@ def fit_vignetting_responsivity(
     entries without any usable measurement are reported as unrecoverable
     and excluded; the fit proceeds on the rest.
     """
-    mu = series.mu
-    n_i, n_j, n_k, n_l = mu.shape
-    if mask.shape != mu.shape:
-        raise ValueError("mask does not match the series")
-    resid = mu - dark.evaluate(series.times)[:, :, None, :]
-    w = exposure_weights(series.times)
+    stats = _entry_statistics(series, dark, mask)
+    return _alternating_fit(stats, series.bayer, max_sweeps, rel_tol)
 
-    keep = (~mask).astype(np.float64)
-    bayer_onehot = np.zeros((n_i, n_j, BAYER_TYPES))
-    bayer_onehot[np.arange(n_i)[:, None], np.arange(n_j)[None, :], series.bayer] = 1.0
 
-    wt = w * series.times  # (L,)
-    wt2 = w * series.times**2
+def _alternating_fit(
+    stats: _EntryStats, bayer: np.ndarray, max_sweeps: int = 200, rel_tol: float = 1e-8
+) -> CalibResult:
+    n_i, n_j, n_k = stats.den.shape
+    bayer_onehot = np.eye(BAYER_TYPES)[bayer]
 
     v = np.ones((n_i, n_j))
     r = np.ones((n_k, BAYER_TYPES))
     valid_v = np.ones((n_i, n_j), dtype=bool)
     valid_r = np.ones((n_k, BAYER_TYPES), dtype=bool)
 
-    # Per-measurement sufficient statistics against t, masked.
-    num_tl = (keep * resid * wt).sum(axis=3)  # (I, J, K)
-    den_tl = (keep * wt2[None, None, None, :]).sum(axis=3)  # (I, J, K)
-
-    def objective() -> float:
-        rmap = np.nan_to_num(_r_map(), nan=0.0)
-        vv = np.nan_to_num(v, nan=0.0)
-        model = vv[:, :, None, None] * rmap[..., None] * series.times
-        diff = resid - model
-        return float((keep * _validity()[..., None] * w * diff * diff).sum())
-
-    def _r_map() -> np.ndarray:
-        # r expanded to (I, J, K) through the Bayer map.
-        return r[:, series.bayer].transpose(1, 2, 0)
-
-    def _validity() -> np.ndarray:
-        # (I, J, K) of jointly recoverable entries.
-        return (
-            valid_v[:, :, None] & valid_r[:, series.bayer].transpose(1, 2, 0)
-        ).astype(np.float64)
-
-    trace = [objective()]
+    trace = [_objective(stats, v, r, bayer)]
     for _ in range(max_sweeps):
         # r update: exact minimizer per (k, bayer type).
         vmap = v.copy()
         vmap[~valid_v] = 0.0
-        num = np.einsum("ijk,ijn,ij->kn", num_tl, bayer_onehot, vmap)
-        den = np.einsum("ijk,ijn,ij->kn", den_tl, bayer_onehot, vmap * vmap)
+        num = np.einsum("ijk,ijn,ij->kn", stats.num, bayer_onehot, vmap)
+        den = np.einsum("ijk,ijn,ij->kn", stats.den, bayer_onehot, vmap * vmap)
         bad_r = den <= 0
         new_r = np.where(bad_r, np.nan, num / np.where(bad_r, 1.0, den))
         valid_r &= ~bad_r
         r = np.where(valid_r, new_r, np.nan)
-        trace.append(objective())
+        trace.append(_objective(stats, v, r, bayer))
 
         # v update: exact minimizer per pixel.
-        rmap = _r_map().copy()
-        rmap[~valid_r[:, series.bayer].transpose(1, 2, 0)] = 0.0
-        num = (num_tl * rmap).sum(axis=2)
-        den = (den_tl * rmap * rmap).sum(axis=2)
+        rmap = np.where(valid_r, r, 0.0).T[bayer]
+        num = (stats.num * rmap).sum(axis=2)
+        den = (stats.den * rmap * rmap).sum(axis=2)
         bad_v = den <= 0
         v = np.where(bad_v, np.nan, num / np.where(bad_v, 1.0, den))
         valid_v &= ~bad_v
-        trace.append(objective())
+        trace.append(_objective(stats, v, r, bayer))
 
         if len(trace) >= 3:
             prev, cur = trace[-3], trace[-1]
@@ -265,7 +319,7 @@ def fit_vignetting_responsivity(
     return CalibResult(
         vignetting=v,
         responsivity=r,
-        bayer=series.bayer.copy(),
+        bayer=bayer.copy(),
         residual=trace[-1],
         unrecoverable_pixels=unrecoverable_px,
         unrecoverable_responsivities=unrecoverable_r,
@@ -304,32 +358,18 @@ def fit_vignetting_responsivity_tiled(
     tiles_i = _axis_tiles(n_i, tile[0], stride_i)
     tiles_j = _axis_tiles(n_j, tile[1], stride_j)
 
+    stats = _entry_statistics(series, dark, mask)
     v_sum = np.zeros((n_i, n_j))
     v_cnt = np.zeros((n_i, n_j))
     r_sum = np.zeros((n_k, BAYER_TYPES))
     r_cnt = np.zeros((n_k, BAYER_TYPES))
     ref_r = np.full((n_k, BAYER_TYPES), np.nan)
-    dark_is_array = dark.per_pixel and np.ndim(dark.offset) == 2
 
     for i0, i1 in tiles_i:
         for j0, j1 in tiles_j:
-            sub = ExposureSeries(
-                mu=series.mu[i0:i1, j0:j1],
-                times=series.times,
-                bayer=series.bayer[i0:i1, j0:j1],
-            )
-            sub_dark = (
-                DarkModel(
-                    offset=np.asarray(dark.offset)[i0:i1, j0:j1],
-                    current=np.asarray(dark.current)[i0:i1, j0:j1],
-                    per_pixel=True,
-                )
-                if dark_is_array
-                else dark
-            )
-            res = fit_vignetting_responsivity(
-                sub, sub_dark, mask[i0:i1, j0:j1], **fit_kwargs
-            )
+            rows, cols = slice(i0, i1), slice(j0, j1)
+            bayer_t = series.bayer[rows, cols]
+            res = _alternating_fit(stats.tile(rows, cols), bayer_t, **fit_kwargs)
             v_t = res.vignetting.copy()
             r_t = res.responsivity.copy()
             for n in range(BAYER_TYPES):
@@ -344,14 +384,14 @@ def fit_vignetting_responsivity_tiled(
                     if not both.any():
                         continue
                     c = float(np.mean(ref_r[both, n] / r_t[both, n]))
-                sel = sub.bayer == n
+                sel = bayer_t == n
                 v_t[sel] /= c
                 aligned = c * r_t[:, n]
                 r_sum[col_ok, n] += aligned[col_ok]
                 r_cnt[col_ok, n] += 1
             good = np.isfinite(v_t)
-            v_sum[i0:i1, j0:j1][good] += v_t[good]
-            v_cnt[i0:i1, j0:j1][good] += 1
+            v_sum[rows, cols][good] += v_t[good]
+            v_cnt[rows, cols][good] += 1
 
     v = np.where(v_cnt > 0, v_sum / np.maximum(v_cnt, 1), np.nan)
     r = np.where(r_cnt > 0, r_sum / np.maximum(r_cnt, 1), np.nan)
@@ -360,27 +400,14 @@ def fit_vignetting_responsivity_tiled(
     if scale > 0:
         v = v / scale
         r = r * scale
-    resid = _model_residual(series, dark, mask, v, r)
     return CalibResult(
         vignetting=v,
         responsivity=r,
         bayer=series.bayer.copy(),
-        residual=resid,
+        residual=_objective(stats, v, r, series.bayer),
         unrecoverable_pixels=[tuple(idx) for idx in np.argwhere(~valid_v)],
         unrecoverable_responsivities=[tuple(idx) for idx in np.argwhere(r_cnt == 0)],
     )
-
-
-def _model_residual(series, dark, mask, v, r) -> float:
-    resid = series.mu - dark.evaluate(series.times)[:, :, None, :]
-    w = exposure_weights(series.times)
-    rmap = np.nan_to_num(r[:, series.bayer].transpose(1, 2, 0), nan=0.0)
-    vv = np.nan_to_num(v, nan=0.0)
-    model = vv[:, :, None, None] * rmap[..., None] * series.times
-    keep = (~mask).astype(np.float64)
-    ok = (np.isfinite(v)[:, :, None] & np.isfinite(r)[:, series.bayer].transpose(1, 2, 0))
-    diff = resid - model
-    return float((keep * ok[..., None] * w * diff * diff).sum())
 
 
 def apply_calibration(

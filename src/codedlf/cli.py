@@ -418,7 +418,19 @@ def _cmd_calibrate(args) -> int:
     # Containers: bright (L, 1, I, J, K), dark (L, 1, I, J, 1), bayer (1, 1, I, J, 1).
     bright = tensor.read_lf5d(args.bright)
     dark_t = tensor.read_lf5d(args.dark)
-    bayer = tensor.read_lf5d(args.bayer)[0, 0, :, :, 0].astype(int)
+    bayer_t = tensor.read_lf5d(args.bayer)
+    if bright.shape[1] != 1:
+        raise ValidationError(f"bright series must be (L, 1, I, J, K), got {bright.shape}")
+    n_i, n_j = bright.shape[2:4]
+    if dark_t.shape[1:] != (1, n_i, n_j, 1):
+        raise ValidationError(
+            f"dark series must be (L, 1, {n_i}, {n_j}, 1), got {dark_t.shape}"
+        )
+    if bayer_t.shape != (1, 1, n_i, n_j, 1):
+        raise ValidationError(f"Bayer map must be (1, 1, {n_i}, {n_j}, 1), got {bayer_t.shape}")
+    if not np.isin(bayer_t, (0, 1, 2)).all():
+        raise ValidationError("Bayer map values must be the integers 0, 1 or 2")
+    bayer = bayer_t[0, 0, :, :, 0].astype(int)
     with open(args.times) as fh:
         times = np.array([float(line) for line in fh if line.strip()])
     if bright.shape[0] != times.size or dark_t.shape[0] != times.size:
@@ -650,7 +662,7 @@ def main(argv=None) -> int:
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
         ):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
     try:
         return args.fn(args)
     except ValidationError as exc:

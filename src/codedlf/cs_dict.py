@@ -27,10 +27,8 @@ from .tensor import as_tensor5
 DICT_MAGIC = b"LFDC"
 _DICT_HEADER = struct.Struct("<4s2I")
 
-# Desk-scale default atom shape; overlaps follow the same spatial/angular split
-# as the production-scale preset below.
+# Desk-scale default atom shape and its spatial/angular overlaps.
 DEFAULT_ATOM_SHAPE = (3, 3, 6, 6, 5)
-PRODUCTION_ATOM_SHAPE = (5, 5, 8, 8, 13)
 DEFAULT_SPATIAL_OVERLAP = (4, 4)
 DEFAULT_ANGULAR_OVERLAP = (1, 1)
 

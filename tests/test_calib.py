@@ -1,5 +1,7 @@
 """Radiometric calibration: dark fit, blooming mask, factorized fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,52 @@ def synth_setup(seed, i_dim=12, j_dim=12, k_dim=5, n_exp=8, noise=0.0):
     }
 
 
+def full_stack_objective(series, dark, mask, v, r):
+    """The fit objective summed over the full (I, J, K, L) stack (test oracle)."""
+    n_i, n_j, _, n_l = series.mu.shape
+    dark_stack = np.broadcast_to(dark.evaluate(series.times), (n_i, n_j, n_l))
+    resid = series.mu - dark_stack[:, :, None, :]
+    w = calib.exposure_weights(series.times)
+    rmap = r[:, series.bayer].transpose(1, 2, 0)
+    ok = np.isfinite(v)[:, :, None] & np.isfinite(rmap)
+    model = np.nan_to_num(v[:, :, None] * rmap)[..., None] * series.times
+    return float((~mask * ok[..., None] * w * (resid - model) ** 2).sum())
+
+
+def reference_fit(series, dark, mask, max_sweeps=200, rel_tol=1e-8):
+    """The alternating fit with every sum taken over the full stack (test oracle).
+
+    Returns v and r before the gauge is applied, and the objective trace.
+    """
+    times, bayer = series.times, series.bayer
+    n_i, n_j, n_k, n_l = series.mu.shape
+    dark_stack = np.broadcast_to(dark.evaluate(times), (n_i, n_j, n_l))
+    resid = series.mu - dark_stack[:, :, None, :]
+    w = calib.exposure_weights(times)
+    keep = ~mask
+    num_tl = (keep * resid * (w * times)).sum(axis=3)
+    den_tl = (keep * (w * times**2)).sum(axis=3)
+    onehot = np.eye(calib.BAYER_TYPES)[bayer]
+    v = np.ones((n_i, n_j))
+    r = np.ones((n_k, calib.BAYER_TYPES))
+    trace = [full_stack_objective(series, dark, mask, v, r)]
+    for _ in range(max_sweeps):
+        vmap = np.nan_to_num(v)
+        num = np.einsum("ijk,ijn,ij->kn", num_tl, onehot, vmap)
+        den = np.einsum("ijk,ijn,ij->kn", den_tl, onehot, vmap * vmap)
+        r = np.where(np.isfinite(r) & (den > 0), num / np.where(den > 0, den, 1.0), np.nan)
+        trace.append(full_stack_objective(series, dark, mask, v, r))
+        rmap = np.nan_to_num(r)[:, bayer].transpose(1, 2, 0)
+        num = (num_tl * rmap).sum(axis=2)
+        den = (den_tl * rmap * rmap).sum(axis=2)
+        v = np.where(np.isfinite(v) & (den > 0), num / np.where(den > 0, den, 1.0), np.nan)
+        trace.append(full_stack_objective(series, dark, mask, v, r))
+        prev, cur = trace[-3], trace[-1]
+        if prev <= 0 or (prev - cur) / max(prev, 1e-30) < rel_tol:
+            break
+    return v, r, trace
+
+
 def align_gauge(result, v_true, bayer):
     """Remove the per-Bayer-type scale freedom before comparing factors.
 
@@ -47,6 +95,18 @@ def align_gauge(result, v_true, bayer):
         v[sel] *= c
         r[:, n] /= c
     return v, r
+
+
+@pytest.mark.parametrize("bad", ["nan-mean", "nan-time", "inf-time"])
+def test_series_rejects_non_finite_values(bad):
+    mu = np.full((2, 2, 1, 3), 0.5)
+    times = np.array([0.1, 0.2, 0.4])
+    if bad == "nan-mean":
+        mu[1, 0, 0, 2] = np.nan
+    else:
+        times[2] = np.nan if bad == "nan-time" else np.inf
+    with pytest.raises(ValueError):
+        calib.ExposureSeries(mu=mu, times=times, bayer=np.zeros((2, 2), dtype=int))
 
 
 class TestFitDark:
@@ -117,6 +177,27 @@ class TestSaturationMask:
         assert int(mask.sum()) == 19
         with pytest.raises(ValueError):
             calib.saturation_mask(self.make_series(mu), line_axis="diag")
+
+    @pytest.mark.parametrize("line_axis", ["row", "col"])
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_narrow_sensor_matches_per_pixel_reference(self, width, line_axis):
+        # Sensors no wider than line_reach along the readout line used to
+        # fail with a broadcast error.
+        rng = np.random.default_rng(width)
+        shape = (5, width) if line_axis == "row" else (width, 5)
+        mu = rng.uniform(0.5, 0.9, size=shape + (2, 2))
+        mu[rng.uniform(size=mu.shape) < 0.1] = 0.99
+        mask = calib.saturation_mask(self.make_series(mu), line_axis=line_axis)
+        sat = mu > calib.SATURATION_THRESHOLD
+        expected = np.zeros_like(sat)
+        for i, j, k, l in np.argwhere(sat):
+            for ii in range(shape[0]):
+                for jj in range(shape[1]):
+                    along, across = (jj - j, ii - i) if line_axis == "row" else (ii - i, jj - j)
+                    near = max(abs(along), abs(across)) <= 1
+                    on_line = across == 0 and abs(along) <= 1 + calib.LINE_REACH
+                    expected[ii, jj, k, l] |= near or on_line
+        assert np.array_equal(mask, expected)
 
     def test_mask_is_per_channel_and_exposure(self):
         mu = np.full((6, 6, 2, 3), 0.5)
@@ -214,6 +295,85 @@ class TestVignettingResponsivityFit:
         res = calib.fit_vignetting_responsivity(series, dm, mask)
         assert (2, 3) in res.unrecoverable_pixels
         assert not np.isfinite(res.vignetting[2, 3])
+
+
+def _mask_one_entry(mask, bayer):
+    mask[5, 5, 2, 3] = True
+
+
+def _mask_unrecoverable(mask, bayer):
+    mask[2, 3] = True  # no usable measurement for this pixel
+    mask[bayer == 0, 1] = True  # nor for responsivity entry (1, 0)
+
+
+# name: (synth_setup arguments, mask edit, per-pixel dark model)
+FIT_CASES = {
+    "noisy": (dict(seed=3, noise=0.05), None, True),
+    # On exact data the last sweeps run at the objective's rounding floor
+    # (about 1e-31), where the relative-decrease test compares rounding
+    # noise.  The half-sweep count matches the oracle's on these two exact
+    # cases but not on every one: the "unrecoverable" mask on exact data
+    # runs 25 half sweeps against the oracle's 23, so that case is noisy.
+    "noiseless": (dict(seed=1), None, True),
+    "force-masked": (dict(seed=4), _mask_one_entry, True),
+    "unrecoverable": (dict(seed=6, i_dim=8, j_dim=8, noise=0.01), _mask_unrecoverable, True),
+    "global-dark": (dict(seed=9, noise=0.01), None, False),
+}
+
+
+def fit_case(name):
+    setup, edit_mask, per_pixel = FIT_CASES[name]
+    data = synth_setup(**setup)
+    dm = calib.fit_dark(data["dark_stack"], data["times"], per_pixel=per_pixel)
+    series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
+    mask = calib.saturation_mask(series)
+    if edit_mask is not None:
+        edit_mask(mask, data["bayer"])
+    return series, dm, mask
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit_matches_full_stack_oracle(case):
+    series, dm, mask = fit_case(case)
+    res = calib.fit_vignetting_responsivity(series, dm, mask)
+    v_ref, r_ref, trace_ref = reference_fit(series, dm, mask)
+    # Same number of half sweeps, and the same objective at every one.
+    assert len(res.objective_trace) == len(trace_ref)
+    np.testing.assert_allclose(res.objective_trace, trace_ref, rtol=1e-12, atol=1e-12)
+    assert res.residual == res.objective_trace[-1]
+    assert res.unrecoverable_pixels == [tuple(ix) for ix in np.argwhere(np.isnan(v_ref))]
+    assert res.unrecoverable_responsivities == [
+        tuple(ix) for ix in np.argwhere(np.isnan(r_ref))
+    ]
+    if case == "unrecoverable":
+        assert (2, 3) in res.unrecoverable_pixels
+        assert (1, 0) in res.unrecoverable_responsivities
+    # The model product v * r is gauge invariant.
+    rmap = res.responsivity[:, series.bayer].transpose(1, 2, 0)
+    rmap_ref = r_ref[:, series.bayer].transpose(1, 2, 0)
+    np.testing.assert_allclose(
+        res.vignetting[:, :, None] * rmap, v_ref[:, :, None] * rmap_ref, rtol=1e-9
+    )
+    # The tiled variant reports the same objective at its own factors.
+    tiled = calib.fit_vignetting_responsivity_tiled(series, dm, mask, tile=(8, 8))
+    expected = full_stack_objective(series, dm, mask, tiled.vignetting, tiled.responsivity)
+    assert tiled.residual == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_fit_allocates_no_full_size_stack():
+    data = synth_setup(seed=2, i_dim=64, j_dim=64, k_dim=8, n_exp=8, noise=0.01)
+    dm = calib.fit_dark(data["dark_stack"], data["times"])
+    series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
+    mask = calib.saturation_mask(series)
+    for fit in (calib.fit_vignetting_responsivity, calib.fit_vignetting_responsivity_tiled):
+        tracemalloc.start()
+        try:
+            fit(series, dm, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Any (I, J, K, L) float64 temporary is series.mu.nbytes on its own.
+        assert peak <= 2 * series.mu.nbytes, (fit.__name__, peak / series.mu.nbytes)
 
 
 def test_tiled_fit_matches_full_fit():

@@ -1,6 +1,7 @@
 """CLI contract tests: files, reports, exit codes, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +158,59 @@ def test_calibrate_cli(tmp_path):
     assert data["unrecoverable"]["pixels"] == []
     v = tensor.read_lf5d(tmp_path / data["vignetting"])[0, 0, :, :, 0]
     assert abs(v.mean() - 1.0) <= 1e-5
+
+
+def test_calibrate_cli_global_dark(tmp_path):
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    out = str(tmp_path / "calib.json")
+    assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
+                times, "--bayer", bayer, "--dark-mode", "global", "--out", out,
+                "--no-timestamp"]) == 0
+    data = json.loads(open(out).read())
+    assert data["dark"]["mode"] == "global"
+    assert data["unrecoverable"]["pixels"] == []
+
+
+def _double_axis(path, axis):
+    x = tensor.read_lf5d(path)
+    tensor.write_lf5d(np.concatenate([x, x], axis=axis), path)
+
+
+def _set_bayer_value(path, value):
+    x = tensor.read_lf5d(path).copy()
+    x[0, 0, 1, 2, 0] = value
+    tensor.write_lf5d(x, path)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("bayer-fraction", "Bayer map values"),
+    ("bayer-range", "Bayer map values"),
+    ("bright-v", "bright series must be"),
+    ("dark-v", "dark series must be"),
+    ("dark-k", "dark series must be"),
+])
+def test_calibrate_rejects_malformed_containers(tmp_path, capsys, bad, message):
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    if bad == "bayer-fraction":
+        _set_bayer_value(bayer, 1.7)  # used to be truncated to 1
+    elif bad == "bayer-range":
+        _set_bayer_value(bayer, 3.0)
+    else:  # extra slices used to be dropped silently
+        _double_axis(bright if bad == "bright-v" else dark, 4 if bad == "dark-k" else 1)
+    assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
+                times, "--bayer", bayer, "--out", str(tmp_path / "c.json")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_threads_flag_overrides_preset_variables(tmp_path, monkeypatch):
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS")
+    for var in thread_vars:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    assert run(["--threads", "2", "mask-gen", "--dims", "4,4,3", "--out",
+                str(tmp_path / "m.lf5d")]) == 0
+    assert {var: os.environ[var] for var in thread_vars} == dict.fromkeys(thread_vars, "2")
 
 
 def test_train_and_predict_toy(tmp_path):
