@@ -267,25 +267,41 @@ def save_net(net: ToyNet, path) -> None:
 
 
 def load_net(path) -> ToyNet:
+    """Read an LFNN file; rejects short, oversized or non-finite payloads."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _LFNN_HEADER.size or raw[:4] != LFNN_MAGIC:
         raise ValueError(f"{path}: not an LFNN file")
     _, blob_len = _LFNN_HEADER.unpack_from(raw)
-    spec = json.loads(raw[_LFNN_HEADER.size : _LFNN_HEADER.size + blob_len])
-    net = ToyNet(
-        dims=tuple(spec["dims"]),
-        hidden=spec["hidden"],
-        head_hidden=spec["head_hidden"],
-    )
     offset = _LFNN_HEADER.size + blob_len
-    for group in ("shared", "cv", "disp"):
-        for p, shape in zip(net.params[group], spec["groups"][group]):
-            n = int(np.prod(shape))
-            vals = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-            p.value = vals.astype(np.float64).reshape(shape)
-            p.grad = np.zeros_like(p.value)
-            offset += 4 * n
-    if offset != len(raw):
-        raise ValueError(f"{path}: payload size mismatch")
+    if len(raw) < offset:
+        raise ValueError(f"{path}: incomplete header ({len(raw)} bytes, need {offset})")
+    try:
+        spec = json.loads(raw[_LFNN_HEADER.size : offset])
+        net = ToyNet(
+            dims=tuple(spec["dims"]),
+            hidden=spec["hidden"],
+            head_hidden=spec["head_hidden"],
+        )
+        shapes = [tuple(shape) for g in ("shared", "cv", "disp") for shape in spec["groups"][g]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed network spec ({exc})") from exc
+    params = net.all_params()
+    if shapes != [p.value.shape for p in params]:
+        raise ValueError(f"{path}: parameter shapes {shapes} do not match the network")
+    n = sum(int(np.prod(shape)) for shape in shapes)
+    payload = len(raw) - offset
+    if payload < 4 * n:
+        raise ValueError(f"{path}: payload holds {payload} bytes, need {4 * n}")
+    if payload > 4 * n:
+        raise ValueError(f"{path}: {payload - 4 * n} trailing bytes")
+    vals = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}: payload contains non-finite values")
+    start = 0
+    for p in params:
+        size = p.value.size
+        p.value = vals[start : start + size].astype(np.float64).reshape(p.value.shape)
+        p.grad = np.zeros_like(p.value)
+        start += size
     return net

@@ -58,6 +58,12 @@ SATURATION_THRESHOLD = 0.985  # 1008/1023 of a 10-bit range
 LINE_REACH = 5
 
 BAYER_TYPES = 3  # R, G, B
+# The fit also stops once the objective is below this fraction of its
+# starting value.  On exact data the objective otherwise reaches its
+# rounding floor (about 1e-30 of the start), where the relative-decrease
+# test compares rounding noise and the sweep count depends on summation
+# order; at 1e-20 the objective is still ten orders above that floor.
+EXACT_FIT_FLOOR = 1e-20
 
 
 @dataclass
@@ -260,9 +266,11 @@ def fit_vignetting_responsivity(
     """Alternating weighted least squares for the vignetting and responsivity.
 
     Each half sweep solves one factor exactly with the other frozen, so the
-    objective is non-increasing per half sweep.  Pixels or (filter, Bayer)
-    entries without any usable measurement are reported as unrecoverable
-    and excluded; the fit proceeds on the rest.
+    objective is non-increasing per half sweep.  The fit stops when a full
+    sweep lowers the objective by less than rel_tol (relative), or once it
+    falls to EXACT_FIT_FLOOR times its starting value.  Pixels or (filter,
+    Bayer) entries without any usable measurement are reported as
+    unrecoverable and excluded; the fit proceeds on the rest.
     """
     stats = _entry_statistics(series, dark, mask)
     return _alternating_fit(stats, series.bayer, max_sweeps, rel_tol)
@@ -303,7 +311,11 @@ def _alternating_fit(
 
         if len(trace) >= 3:
             prev, cur = trace[-3], trace[-1]
-            if prev <= 0 or (prev - cur) / max(prev, 1e-30) < rel_tol:
+            if (
+                prev <= 0
+                or cur <= EXACT_FIT_FLOOR * trace[0]
+                or (prev - cur) / max(prev, 1e-30) < rel_tol
+            ):
                 break
 
     # Gauge: mean vignetting of recoverable pixels is one.

@@ -1,6 +1,7 @@
 """Command-line interface: the full pipeline as deterministic subcommands.
 
-Exit codes: 0 success, 1 validation / usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation / usage error, 2 numerical failure,
+3 internal error (a fault in the program; the traceback goes to stderr).
 All randomness derives from explicit --seed flags.  JSON reports carry a
 timestamp unless --no-timestamp is given, so re-runs with identical flags
 and --no-timestamp are byte-identical.
@@ -205,13 +206,13 @@ def _cmd_reconstruct_dct(args) -> int:
     _require_files(args.infile, args.mask)
     lp = tensor.read_lf5d(args.infile)
     mask = tensor.read_lf5d(args.mask)[0, 0]
-    opts = cs_dct.OwlqnOptions(
-        lam=args.lam,
-        max_iters=args.max_iters,
-        memory=args.memory,
-        grad_tol=args.grad_tol,
-    )
     try:
+        opts = cs_dct.OwlqnOptions(
+            lam=args.lam,
+            max_iters=args.max_iters,
+            memory=args.memory,
+            grad_tol=args.grad_tol,
+        )
         rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -304,10 +305,6 @@ def _cmd_train_toy(args) -> int:
     from . import autodiff, multitask
 
     dims = _parse_dims(args.dims)
-    dataset = multitask.make_toy_dataset(args.scenes, dims, args.data_seed)
-    net = autodiff.ToyNet(
-        dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
-    )
     try:
         config = multitask.TrainConfig(
             strategy=args.strategy,
@@ -322,6 +319,10 @@ def _cmd_train_toy(args) -> int:
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    dataset = multitask.make_toy_dataset(args.scenes, dims, args.data_seed)
+    net = autodiff.ToyNet(
+        dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
+    )
     net, logs = multitask.train(net, dataset, config)
     if not all(
         l.loss_cv == l.loss_cv and l.loss_disp == l.loss_disp for l in logs
@@ -585,20 +586,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_reconstruct_dict)
 
     sp = add_common(sub.add_parser("train-toy", help="train the two-head network"))
-    sp.add_argument(
-        "--strategy",
-        required=True,
-        choices=[
-            "st-cv",
-            "st-disp",
-            "naive",
-            "mtu",
-            "gradnorm",
-            "gradsim",
-            "normgradsim",
-            "mtu+al",
-        ],
-    )
+    # Checked against multitask.STRATEGIES by TrainConfig: importing it here
+    # would load numpy before --threads is applied.
+    sp.add_argument("--strategy", required=True, help="one of multitask.STRATEGIES")
     sp.add_argument("--epochs", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--data-seed", type=int, default=99)
@@ -674,14 +664,22 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # anything numeric and unexpected
+    except Exception as exc:
+        import traceback
+
+        import numpy as np
+
         from . import tensor
 
-        if isinstance(exc, tensor.LF5DError) or isinstance(exc, ValueError):
+        if isinstance(exc, (ArithmeticError, np.linalg.LinAlgError)):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (tensor.LF5DError, ValueError)):
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

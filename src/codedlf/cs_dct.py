@@ -11,10 +11,19 @@ projected onto the orthant chosen at the start of the step so coordinate
 signs never flip mid-step.  The line search backtracks until the full
 objective satisfies an Armijo decrease along the projected step, which
 makes the recorded objective sequence non-increasing by construction.
+
+The smooth term and its gradient come from transforms.CodedFidelity.  Each
+line-search trial synthesizes its point once; the synthesis of the accepted
+point is kept and gives the gradient and, at the end, the reconstruction,
+so a step costs one inverse transform per trial and one forward transform.
+Iterates, gradients and the L-BFGS history are C-contiguous float64 arrays,
+and each history pair carries the s.y computed when it was accepted.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +45,21 @@ class OwlqnOptions:
     max_linesearch: int = 50
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        for name in ("max_iters", "memory", "max_linesearch"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None and not (
+            math.isfinite(self.grad_tol) and self.grad_tol > 0
+        ):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        if self.max_linesearch < 1:
+            raise ValueError(f"max_linesearch must be >= 1, got {self.max_linesearch}")
         if not (0 < self.c1 < 1) or not (0 < self.backtrack < 1):
             raise ValueError("invalid line-search parameters")
 
@@ -55,33 +73,45 @@ class SolveReport:
 
 
 def _pseudo_gradient(x: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """Pseudo-gradient of f(x) + lam*||x||_1 (zero inside the subdifferential)."""
+    """Pseudo-gradient of f(x) + lam*||x||_1 (zero inside the subdifferential).
+
+    At x == 0 it is g + lam where that is negative, g - lam where that is
+    positive and 0 otherwise; with lam >= 0 that is
+    min(g + lam, 0) + max(g - lam, 0).
+    """
     if lam == 0.0:
         return g.copy()
-    pg = np.where(x > 0, g + lam, np.where(x < 0, g - lam, 0.0))
-    at_zero = x == 0
     right = g + lam
     left = g - lam
-    pg = np.where(at_zero & (right < 0), right, pg)
-    pg = np.where(at_zero & (left > 0), left, pg)
+    pg = np.minimum(right, 0.0)
+    pg += np.maximum(left, 0.0)
+    np.copyto(pg, right, where=x > 0)
+    np.copyto(pg, left, where=x < 0)
     return pg
 
 
-def _two_loop(pg: np.ndarray, history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion; returns the ascent direction H*pg."""
+def _two_loop(
+    pg: np.ndarray,
+    history: list[tuple[np.ndarray, np.ndarray, float]],
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """L-BFGS two-loop recursion; returns the ascent direction H*pg.
+
+    History entries are (s, y, s.y); `scratch` is a buffer of pg's shape.
+    """
     q = pg.copy()
     alphas = []
-    for s, y in reversed(history):
-        rho = 1.0 / float(np.vdot(y, s))
+    for s, y, sy in reversed(history):
+        rho = 1.0 / sy
         a = rho * float(np.vdot(s, q))
-        q -= a * y
+        q -= np.multiply(a, y, out=scratch)
         alphas.append((a, rho))
     if history:
-        s, y = history[-1]
-        q *= float(np.vdot(s, y)) / float(np.vdot(y, y))
-    for (a, rho), (s, y) in zip(reversed(alphas), history):
+        s, y, sy = history[-1]
+        q *= sy / float(np.vdot(y, y))
+    for (a, rho), (s, y, _) in zip(reversed(alphas), history):
         b = rho * float(np.vdot(y, q))
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=scratch)
     return q
 
 
@@ -99,33 +129,19 @@ def owlqn_reconstruct(
     failure terminates the solve with a report entry, never an exception.
     """
     l_star_p = as_tensor5(l_star_p, "projected measurement")
-    l_star = coding.lift(l_star_p, m).astype(np.float64)
-    mb = np.asarray(m, dtype=np.float64)[None, None]
+    fid = transforms.CodedFidelity(coding.lift(l_star_p, m), m)
     lam = float(opts.lam)
 
-    # analysis(m * l_star) is constant across iterations; l_star is already
-    # coded, so m * l_star == l_star.
-    b = transforms.dct5_forward(l_star)
-    x = b.copy()  # warm start consistent with the measurement
-
+    x = fid.analysis_target.copy()  # warm start consistent with the measurement
     n = x.size
     tol = opts.grad_tol if opts.grad_tol is not None else 1e-5 * np.sqrt(n)
 
-    def smooth_grad(xx: np.ndarray) -> tuple[float, np.ndarray]:
-        masked = mb * transforms.dct5_inverse(xx)
-        resid = masked - l_star
-        f = float(np.vdot(resid, resid).real)
-        g = 2.0 * (transforms.dct5_forward(masked) - b)
-        return f, g
-
-    def full_objective(xx: np.ndarray) -> float:
-        resid = mb * transforms.dct5_inverse(xx) - l_star
-        return float(np.vdot(resid, resid).real) + lam * float(np.abs(xx).sum())
-
-    f, g = smooth_grad(x)
-    obj = f + lam * float(np.abs(x).sum())
+    z = fid.synthesize(x)
+    g = fid.gradient(z)
+    obj = fid.value(z) + lam * float(np.abs(x).sum())
     report = SolveReport(iterations=0, objectives=[obj])
-    history: list[tuple[np.ndarray, np.ndarray]] = []
+    history: list[tuple[np.ndarray, np.ndarray, float]] = []
+    scratch = np.empty_like(x)
 
     for it in range(opts.max_iters):
         pg = _pseudo_gradient(x, g, lam)
@@ -133,22 +149,29 @@ def owlqn_reconstruct(
             report.termination = "converged"
             break
 
-        d = -_two_loop(pg, history)
+        d = _two_loop(pg, history, scratch)
+        np.negative(d, out=d)
         # Constrain the direction to the descent orthant of the pseudo-gradient.
-        d[d * (-pg) <= 0] = 0.0
+        # Masks are applied by multiplication, which is cheaper than a masked
+        # store; it leaves -0.0 where a negative entry is zeroed, and no step
+        # reads the sign of a zero.
+        d *= np.multiply(d, pg, out=scratch) < 0
         if float(np.vdot(pg, d)) >= 0:
             d = -pg
-        xi = np.where(x != 0, np.sign(x), np.sign(-pg))
+        # Orthant of the step: sign(x), or sign(-pg) where x == 0.
+        xi = np.sign(x - pg * (x == 0))
 
         step = 1.0 if history else 1.0 / max(float(np.linalg.norm(pg)), 1e-30)
         accepted = False
         for _ in range(opts.max_linesearch):
             x_new = x + step * d
-            x_new[np.sign(x_new) != xi] = 0.0
+            # Zero the coordinates that left the orthant: sign(x_new) != xi.
+            x_new *= (np.multiply(x_new, xi, out=scratch) > 0) | (x_new == xi)
             dx = x_new - x
             decrease = float(np.vdot(pg, dx))
             if decrease < 0:
-                obj_new = full_objective(x_new)
+                z_new = fid.synthesize(x_new)
+                obj_new = fid.value(z_new) + lam * float(np.abs(x_new).sum())
                 if obj_new <= obj + opts.c1 * decrease:
                     accepted = True
                     break
@@ -157,14 +180,14 @@ def owlqn_reconstruct(
             report.termination = "line_search_failed"
             break
 
-        f_new, g_new = smooth_grad(x_new)
-        s = x_new - x
+        g_new = fid.gradient(z_new)
         y = g_new - g
-        if float(np.vdot(s, y)) > 1e-12:
-            history.append((s, y))
+        sy = float(np.vdot(dx, y))
+        if sy > 1e-12:
+            history.append((dx, y, sy))
             if len(history) > opts.memory:
                 history.pop(0)
-        x, g, obj = x_new, g_new, obj_new
+        x, z, g, obj = x_new, z_new, g_new, obj_new
         report.iterations = it + 1
         report.objectives.append(obj)
         if _iterate_hook is not None:
@@ -173,5 +196,4 @@ def owlqn_reconstruct(
         report.termination = "max_iters"
 
     report.final_objective = obj
-    rec = transforms.dct5_inverse(x).astype(np.float32)
-    return rec, report
+    return z.astype(np.float32), report

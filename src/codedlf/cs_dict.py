@@ -174,20 +174,28 @@ def write_dictionary(d: Dictionary, path) -> None:
 
 
 def read_dictionary(path) -> Dictionary:
+    """Read an LFDC file; rejects short, oversized or non-finite payloads."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _DICT_HEADER.size or raw[:4] != DICT_MAGIC:
+    if len(raw) < _DICT_HEADER.size:
+        if raw[: len(DICT_MAGIC)] != DICT_MAGIC[: len(raw)]:
+            raise ValueError(f"{path}: not an LFDC dictionary file")
+        raise ValueError(f"{path}: incomplete header ({len(raw)} bytes)")
+    magic, atom_len, n_atoms = _DICT_HEADER.unpack_from(raw)
+    if magic != DICT_MAGIC:
         raise ValueError(f"{path}: not an LFDC dictionary file")
-    _, atom_len, n_atoms = _DICT_HEADER.unpack_from(raw)
+    if min(atom_len, n_atoms) < 1:
+        raise ValueError(f"{path}: zero-sized dictionary ({atom_len} x {n_atoms})")
     n = atom_len * n_atoms
     payload = raw[_DICT_HEADER.size :]
-    if len(payload) != 4 * n:
-        raise ValueError(f"{path}: payload size mismatch")
-    atoms = (
-        np.frombuffer(payload, dtype="<f4", count=n)
-        .astype(np.float64)
-        .reshape((atom_len, n_atoms), order="F")
-    )
+    if len(payload) < 4 * n:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, need {4 * n}")
+    if len(payload) > 4 * n:
+        raise ValueError(f"{path}: {len(payload) - 4 * n} trailing bytes")
+    atoms = np.frombuffer(payload, dtype="<f4", count=n)
+    if not np.all(np.isfinite(atoms)):
+        raise ValueError(f"{path}: payload contains non-finite values")
+    atoms = atoms.astype(np.float64).reshape((atom_len, n_atoms), order="F")
     return Dictionary(atoms=np.ascontiguousarray(atoms))
 
 

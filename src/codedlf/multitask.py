@@ -314,7 +314,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; expected one of {', '.join(STRATEGIES)}"
+            )
         if self.grad_subset not in ("shared", "all"):
             raise ValueError("grad_subset must be 'shared' or 'all'")
 

@@ -1,10 +1,17 @@
-"""Separable orthonormal 5D DCT and the coded data-fidelity gradient.
+"""Separable orthonormal 5D DCT and the coded data-fidelity operator.
 
 The synthesis basis is the Kronecker product of five orthonormal DCT-II
 matrices, one per tensor axis, but it is never materialized; both
 transforms are applied axis by axis.  dct5_forward is the analysis
 transform (basis transposed applied to a signal), dct5_inverse the
 synthesis transform, and the pair is an exact inverse up to rounding.
+
+Layout: each axis is one GEMM on a C-contiguous operand.  The leading axis
+is contracted and comes out last, so the product is again C-contiguous with
+the axes rotated by one; after five products the axes are back in order.
+Both transforms return C-contiguous float64 arrays of the input's shape, and
+every coefficient is summed in the same order as a tensordot along each
+axis in turn, so the values do not depend on the memory layout of the input.
 
 The data-fidelity term of coded reconstruction is
 
@@ -15,13 +22,18 @@ orthogonal projection (m * m = m), the gradient takes the closed form
 
     grad f(alpha) = 2 * (analysis(m * synth(alpha)) - analysis(m * l_star)).
 
+CodedFidelity holds one measurement: it computes analysis(m * l_star) once
+and evaluates f and its gradient from a synthesis the caller passes in, so a
+solver that has synthesized a point for f reuses it for the gradient.
+fidelity_objective, fidelity_gradient and the OWL-QN solver all use it.
+
 Transforms compute in float64 regardless of input dtype; persisted tensors
 stay float32 at the file boundary.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,54 +53,78 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _apply_axis(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+def _apply_separable(t, synthesis: bool) -> np.ndarray:
+    x = np.asarray(t, dtype=np.float64)
+    if x.ndim != 5:
+        raise ValueError(f"expected a 5D tensor, got shape {x.shape}")
+    x = np.ascontiguousarray(x)
+    for n in x.shape:
+        mat = _dct_matrix(n)
+        # (rest, n) @ (n, n): contracts the leading axis and moves it last.
+        x = (x.reshape(n, -1).T @ (mat if synthesis else mat.T)).reshape(
+            x.shape[1:] + (n,)
+        )
+    return x
 
 
 def dct5_forward(l: np.ndarray) -> np.ndarray:
     """Analysis transform: orthonormal DCT-II along each of the five axes."""
-    x = np.asarray(l, dtype=np.float64)
-    if x.ndim != 5:
-        raise ValueError(f"expected a 5D tensor, got shape {x.shape}")
-    for axis, n in enumerate(x.shape):
-        x = _apply_axis(x, _dct_matrix(n), axis)
-    return x
+    return _apply_separable(l, synthesis=False)
 
 
 def dct5_inverse(a: np.ndarray) -> np.ndarray:
     """Synthesis transform, the exact adjoint/inverse of dct5_forward."""
-    x = np.asarray(a, dtype=np.float64)
-    if x.ndim != 5:
-        raise ValueError(f"expected a 5D tensor, got shape {x.shape}")
-    for axis, n in enumerate(x.shape):
-        x = _apply_axis(x, _dct_matrix(n).T, axis)
-    return x
+    return _apply_separable(a, synthesis=True)
 
 
-def _broadcast_mask(m: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != shape[2:]:
-        raise ValueError(
-            f"mask shape {m.shape} does not match tensor dims {shape[2:]}"
-        )
-    return m[None, None]
+class CodedFidelity:
+    """f(a) = || l_star - m * z ||^2 with z = synth(a), for one measurement.
+
+    `value` and `gradient` take the synthesis z = synthesize(a), so a
+    caller that needs f and its gradient at one point synthesizes it once.
+    """
+
+    def __init__(self, l_star: np.ndarray, m: np.ndarray):
+        self.l_star = np.asarray(l_star, dtype=np.float64)
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape != self.l_star.shape[2:]:
+            raise ValueError(
+                f"mask shape {m.shape} does not match tensor dims {self.l_star.shape[2:]}"
+            )
+        self.mask = m[None, None]
+
+    @cached_property
+    def analysis_target(self) -> np.ndarray:
+        """analysis(m * l_star), the constant part of the gradient."""
+        return dct5_forward(self.mask * self.l_star)
+
+    def synthesize(self, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != self.l_star.shape:
+            raise ValueError(
+                f"coefficients {a.shape} and measurement {self.l_star.shape} disagree"
+            )
+        return dct5_inverse(a)
+
+    def value(self, z: np.ndarray) -> float:
+        resid = self.mask * z
+        resid -= self.l_star
+        return float(np.vdot(resid, resid))
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        g = dct5_forward(self.mask * z)
+        g -= self.analysis_target
+        g *= 2.0
+        return g
 
 
 def fidelity_objective(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> float:
     """Squared residual || l_star - m * synth(a) ||_2^2."""
-    l_star = np.asarray(l_star, dtype=np.float64)
-    mb = _broadcast_mask(m, l_star.shape)
-    resid = l_star - mb * dct5_inverse(a)
-    return float(np.vdot(resid, resid).real)
+    fid = CodedFidelity(l_star, m)
+    return fid.value(fid.synthesize(a))
 
 
 def fidelity_gradient(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gradient of the coded data-fidelity term with respect to a."""
-    a = np.asarray(a, dtype=np.float64)
-    l_star = np.asarray(l_star, dtype=np.float64)
-    if a.shape != l_star.shape:
-        raise ValueError(
-            f"coefficients {a.shape} and measurement {l_star.shape} disagree"
-        )
-    mb = _broadcast_mask(m, l_star.shape)
-    return 2.0 * (dct5_forward(mb * dct5_inverse(a)) - dct5_forward(mb * l_star))
+    fid = CodedFidelity(l_star, m)
+    return fid.gradient(fid.synthesize(a))

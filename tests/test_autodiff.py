@@ -192,6 +192,21 @@ def test_losses_wired_through_autodiff_match_fd():
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-6), fn.__name__
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:-4], "payload holds"),
+    (lambda raw: raw + b"\x00\x00", "2 trailing bytes"),
+    (lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(), "non-finite"),
+    (lambda raw: raw[:20], "incomplete header"),
+    (lambda raw: raw.replace(b'"hidden"', b'"hiddeN"'), "malformed network spec"),
+], ids=["truncated", "trailing", "nan", "short-spec", "bad-spec"])
+def test_lfnn_malformed_file_rejected(tmp_path, edit, message):
+    path = tmp_path / "n.lfnn"
+    ad.save_net(make_net(seed=5), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        ad.load_net(path)
+
+
 def test_lfnn_round_trip(tmp_path):
     net = make_net(seed=5)
     path = tmp_path / "n.lfnn"

@@ -73,7 +73,11 @@ def reference_fit(series, dark, mask, max_sweeps=200, rel_tol=1e-8):
         v = np.where(np.isfinite(v) & (den > 0), num / np.where(den > 0, den, 1.0), np.nan)
         trace.append(full_stack_objective(series, dark, mask, v, r))
         prev, cur = trace[-3], trace[-1]
-        if prev <= 0 or (prev - cur) / max(prev, 1e-30) < rel_tol:
+        if (
+            prev <= 0
+            or cur <= calib.EXACT_FIT_FLOOR * trace[0]
+            or (prev - cur) / max(prev, 1e-30) < rel_tol
+        ):
             break
     return v, r, trace
 
@@ -309,11 +313,6 @@ def _mask_unrecoverable(mask, bayer):
 # name: (synth_setup arguments, mask edit, per-pixel dark model)
 FIT_CASES = {
     "noisy": (dict(seed=3, noise=0.05), None, True),
-    # On exact data the last sweeps run at the objective's rounding floor
-    # (about 1e-31), where the relative-decrease test compares rounding
-    # noise.  The half-sweep count matches the oracle's on these two exact
-    # cases but not on every one: the "unrecoverable" mask on exact data
-    # runs 25 half sweeps against the oracle's 23, so that case is noisy.
     "noiseless": (dict(seed=1), None, True),
     "force-masked": (dict(seed=4), _mask_one_entry, True),
     "unrecoverable": (dict(seed=6, i_dim=8, j_dim=8, noise=0.01), _mask_unrecoverable, True),
@@ -358,6 +357,25 @@ def test_fit_matches_full_stack_oracle(case):
     tiled = calib.fit_vignetting_responsivity_tiled(series, dm, mask, tile=(8, 8))
     expected = full_stack_objective(series, dm, mask, tiled.vignetting, tiled.responsivity)
     assert tiled.residual == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6])
+def test_exact_data_sweep_count_independent_of_summation_order(seed):
+    # The sufficient statistics and the oracle's full-stack sums round
+    # differently.  On exact data the objective decays toward its rounding
+    # floor, and the fit must stop on EXACT_FIT_FLOOR before rounding noise
+    # decides the relative-decrease test.  Seed 6 is the 8x8 sensor with a
+    # fully masked pixel.
+    data = synth_setup(seed) if seed < 6 else synth_setup(seed, i_dim=8, j_dim=8)
+    dm = calib.fit_dark(data["dark_stack"], data["times"])
+    series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
+    mask = calib.saturation_mask(series)
+    if seed == 6:
+        mask[2, 3] = True
+    res = calib.fit_vignetting_responsivity(series, dm, mask)
+    _, _, trace_ref = reference_fit(series, dm, mask)
+    assert len(res.objective_trace) == len(trace_ref)
+    assert res.residual <= calib.EXACT_FIT_FLOOR * res.objective_trace[0]
 
 
 def test_fit_allocates_no_full_size_stack():

@@ -255,6 +255,55 @@ def test_reconstruct_dct_cli(tmp_path, scene):
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda", "nan", "lam must be finite"),
+    ("--lambda", "inf", "lam must be finite"),
+    ("--max-iters", "-3", "max_iters must be >= 0"),
+    ("--grad-tol", "nan", "grad_tol must be finite"),
+    ("--grad-tol", "inf", "grad_tol must be finite"),
+])
+def test_reconstruct_dct_rejects_bad_knobs(tmp_path, scene, capsys, flag, value, message):
+    mask = str(tmp_path / "m.lf5d")
+    proj = str(tmp_path / "p.lf5d")
+    run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
+         "--out-coded", str(tmp_path / "c.lf5d"), "--out-mask", mask])
+    run(["project", "--in", str(tmp_path / "c.lf5d"), "--out", proj])
+    argv = {"--lambda": "0.001", "--max-iters": "5"}
+    argv[flag] = value
+    rec = tmp_path / "rec.lf5d"
+    rep = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run(["reconstruct-dct", "--in", proj, "--mask", mask, "--out", str(rec),
+                "--report", str(rep), *[x for kv in argv.items() for x in kv]]) == 1
+    assert message in capsys.readouterr().err
+    assert not rec.exists() and not rep.exists()
+
+
+def test_train_toy_unknown_strategy(capsys):
+    assert run(["train-toy", "--strategy", "bogus", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown strategy 'bogus'" in err and "mtu+al" in err
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (TypeError("boom"), 3, "internal error: TypeError: boom"),
+    (KeyError("boom"), 3, "internal error: KeyError: 'boom'"),
+    (ZeroDivisionError("boom"), 2, "numerical failure: boom"),
+    (np.linalg.LinAlgError("boom"), 2, "numerical failure: boom"),
+    (ValueError("boom"), 1, "error: boom"),
+])
+def test_exit_code_by_exception_kind(tmp_path, monkeypatch, capsys, exc, code, prefix):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_mask_gen", broken)
+    assert run(["mask-gen", "--dims", "4,4,3", "--out", str(tmp_path / "m.lf5d")]) == code
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == prefix
+    # Only a fault in the program prints its traceback.
+    assert ("Traceback (most recent call last)" in err) == (code == 3)
+
+
 def test_dict_cli_round_trip(tmp_path, scene):
     dict_p = str(tmp_path / "d.lfdc")
     assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom",

@@ -8,7 +8,7 @@ the recovery bound was frozen from long-run solves over several seeds.
 import numpy as np
 import pytest
 
-from codedlf import coding, cs_dct, transforms
+from codedlf import coding, cs_dct, scenegen, transforms
 
 
 def freq_envelope(shape, decay):
@@ -36,6 +36,170 @@ def objectives_non_increasing(report):
         b <= a + 1e-9 * max(1.0, abs(a))
         for a, b in zip(report.objectives, report.objectives[1:])
     )
+
+
+def reference_pseudo_gradient(x, g, lam):
+    """The four-`where` pseudo-gradient (test oracle)."""
+    if lam == 0.0:
+        return g.copy()
+    pg = np.where(x > 0, g + lam, np.where(x < 0, g - lam, 0.0))
+    at_zero = x == 0
+    right = g + lam
+    left = g - lam
+    pg = np.where(at_zero & (right < 0), right, pg)
+    pg = np.where(at_zero & (left > 0), left, pg)
+    return pg
+
+
+def reference_owlqn(l_star_p, m, opts, dct5):
+    """OWL-QN with inline fidelity terms and the tensordot transforms (test oracle).
+
+    The loop the solver ran before the shared fidelity operator: it
+    synthesizes the accepted point again for the gradient and once more for
+    the reconstruction, recomputes s.y in the two-loop, and its arrays carry
+    the oracle transforms' non-contiguous layout.
+    """
+    l_star = coding.lift(l_star_p, m).astype(np.float64)
+    mb = np.asarray(m, dtype=np.float64)[None, None]
+    lam = float(opts.lam)
+    b = dct5(l_star, synthesis=False)
+    x = b.copy()
+    tol = opts.grad_tol if opts.grad_tol is not None else 1e-5 * np.sqrt(x.size)
+
+    def smooth_grad(xx):
+        masked = mb * dct5(xx, synthesis=True)
+        resid = masked - l_star
+        return float(np.vdot(resid, resid).real), 2.0 * (dct5(masked, synthesis=False) - b)
+
+    def full_objective(xx):
+        resid = mb * dct5(xx, synthesis=True) - l_star
+        return float(np.vdot(resid, resid).real) + lam * float(np.abs(xx).sum())
+
+    def two_loop(pg, history):
+        q = pg.copy()
+        alphas = []
+        for s, y in reversed(history):
+            rho = 1.0 / float(np.vdot(y, s))
+            a = rho * float(np.vdot(s, q))
+            q -= a * y
+            alphas.append((a, rho))
+        if history:
+            s, y = history[-1]
+            q *= float(np.vdot(s, y)) / float(np.vdot(y, y))
+        for (a, rho), (s, y) in zip(reversed(alphas), history):
+            q += (a - rho * float(np.vdot(y, q))) * s
+        return q
+
+    f, g = smooth_grad(x)
+    obj = f + lam * float(np.abs(x).sum())
+    report = cs_dct.SolveReport(iterations=0, objectives=[obj])
+    history = []
+    for it in range(opts.max_iters):
+        pg = reference_pseudo_gradient(x, g, lam)
+        if float(np.abs(pg).max()) <= tol:
+            report.termination = "converged"
+            break
+        d = -two_loop(pg, history)
+        d[d * (-pg) <= 0] = 0.0
+        if float(np.vdot(pg, d)) >= 0:
+            d = -pg
+        xi = np.where(x != 0, np.sign(x), np.sign(-pg))
+        step = 1.0 if history else 1.0 / max(float(np.linalg.norm(pg)), 1e-30)
+        accepted = False
+        for _ in range(opts.max_linesearch):
+            x_new = x + step * d
+            x_new[np.sign(x_new) != xi] = 0.0
+            decrease = float(np.vdot(pg, x_new - x))
+            if decrease < 0:
+                obj_new = full_objective(x_new)
+                if obj_new <= obj + opts.c1 * decrease:
+                    accepted = True
+                    break
+            step *= opts.backtrack
+        if not accepted:
+            report.termination = "line_search_failed"
+            break
+        _, g_new = smooth_grad(x_new)
+        s, y = x_new - x, g_new - g
+        if float(np.vdot(s, y)) > 1e-12:
+            history.append((s, y))
+            if len(history) > opts.memory:
+                history.pop(0)
+        x, g, obj = x_new, g_new, obj_new
+        report.iterations = it + 1
+        report.objectives.append(obj)
+    else:
+        report.termination = "max_iters"
+    report.final_objective = obj
+    return dct5(x, synthesis=True).astype(np.float32), report
+
+
+def smooth_scene_case(dims, seed):
+    """A coded random-smooth scene, as the benchmark makes them."""
+    spec = scenegen.SceneSpec(
+        dims=dims, pattern="random-smooth", disparity_profile="constant",
+        disparity_params=(0.8,), seed=100 + seed,
+    )
+    cv, disp = scenegen.make_scene(spec)
+    lf = scenegen.render_lightfield(cv, disp, dims[0], dims[1])
+    m = coding.random_mask(dims[2], dims[3], dims[4], seed)
+    return coding.project(coding.encode(lf, m)), m
+
+
+def sparse_case(shape, seed):
+    alpha = sparse_truth(shape, 0.1, 2.0, seed=seed)
+    l = transforms.dct5_inverse(alpha).astype(np.float32)
+    m = coding.random_mask(*shape[2:], seed=seed + 1)
+    return coding.project(coding.encode(l, m)), m
+
+
+# name: (problem, solver options; without lam, the benchmark's
+# lam = 1e-3 * max|DCT(lift)|)
+ORACLE_CASES = {
+    "bench-shape": (lambda: smooth_scene_case((5, 5, 32, 32, 8), 3), dict(max_iters=25)),
+    "memory-1": (lambda: sparse_case((3, 3, 8, 8, 4), 1), dict(lam=3e-4, max_iters=80, memory=1)),
+    "lam-0": (lambda: sparse_case((2, 2, 8, 8, 3), 5), dict(lam=0.0, max_iters=60)),
+    # No solve reaches this tolerance; the line search fails first.
+    "line-search-failed": (
+        lambda: sparse_case((2, 2, 8, 8, 3), 5),
+        dict(lam=1e-3, max_iters=2000, grad_tol=1e-300),
+    ),
+    "converged": (
+        lambda: sparse_case((3, 3, 6, 6, 2), 2), dict(lam=1e-2, max_iters=500, grad_tol=1e-4)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_solve_equals_reference_loop(case, tensordot_dct5):
+    make_problem, kwargs = ORACLE_CASES[case]
+    lp, m = make_problem()
+    if "lam" not in kwargs:
+        b = transforms.dct5_forward(coding.lift(lp, m))
+        kwargs = dict(kwargs, lam=1e-3 * float(np.abs(b).max()))
+    opts = cs_dct.OwlqnOptions(**kwargs)
+    rec, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
+    rec_ref, rep_ref = reference_owlqn(lp, m, opts, tensordot_dct5)
+    assert rep.termination == rep_ref.termination
+    assert rep.iterations == rep_ref.iterations
+    assert rep.objectives == rep_ref.objectives
+    assert rep.final_objective == rep_ref.final_objective
+    assert np.array_equal(rec, rec_ref)
+    if case in ("line-search-failed", "converged"):
+        assert rep.termination == case.replace("-", "_")
+
+
+def test_pseudo_gradient_matches_reference_bitwise():
+    rng = np.random.default_rng(8)
+    lam = 0.25
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=4000) * rng.uniform(0.5, 2.0, size=4000)
+    # Gradients on both sides of +-lam, exactly at them and at zero.
+    g = rng.choice([-lam, lam, 0.0, -0.0, 0.1, -0.1, 0.3, -0.3, 2.0, -2.0], size=4000)
+    for lam_ in (lam, 0.0):
+        pg = cs_dct._pseudo_gradient(x, g, lam_)
+        ref = reference_pseudo_gradient(x, g, lam_)
+        assert np.array_equal(pg, ref)
+        assert np.array_equal(np.signbit(pg), np.signbit(ref))
 
 
 def test_lambda_zero_full_observation():
@@ -124,12 +288,25 @@ def test_orthant_consistency_no_sign_flips():
 
 
 def test_option_validation():
-    with pytest.raises(ValueError):
-        cs_dct.OwlqnOptions(lam=-1.0)
-    with pytest.raises(ValueError):
-        cs_dct.OwlqnOptions(lam=0.0, memory=0)
-    with pytest.raises(ValueError):
-        cs_dct.OwlqnOptions(lam=0.0, grad_tol=0.0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in (
+        dict(lam=-1.0),
+        dict(lam=nan),
+        dict(lam=inf),
+        dict(lam=0.0, memory=0),
+        dict(lam=0.0, max_iters=-3),
+        dict(lam=0.0, grad_tol=0.0),
+        dict(lam=0.0, grad_tol=nan),
+        dict(lam=0.0, grad_tol=inf),
+        dict(lam=0.0, max_linesearch=0),
+        dict(lam=0.0, max_iters=2.5),
+        dict(lam=0.0, memory=1.5),
+        dict(lam=0.0, c1=nan),
+    ):
+        with pytest.raises(ValueError):
+            cs_dct.OwlqnOptions(**kwargs)
+    # The boundary values are valid.
+    cs_dct.OwlqnOptions(lam=0.0, max_iters=0, max_linesearch=1)
 
 
 def test_dim_mismatch_rejected():

@@ -1,5 +1,7 @@
 """Patching, FISTA sparse coding and dictionary-learning tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,21 @@ class TestDictionaryIO:
         p.write_bytes(b"XXXX\x00\x00\x00\x00")
         with pytest.raises(ValueError):
             cs_dict.read_dictionary(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:6], "incomplete header (6 bytes)"),
+        (lambda raw: raw[:-4], "payload holds 380 bytes, need 384"),
+        (lambda raw: raw + b"\x00", "1 trailing bytes"),
+        (lambda raw: raw[:12] + np.full(96, np.nan, "<f4").tobytes(), "non-finite"),
+        (lambda raw: raw[:-4] + np.array([np.inf], "<f4").tobytes(), "non-finite"),
+        (lambda raw: raw[:4] + bytes(8), "zero-sized dictionary"),
+    ], ids=["short-header", "truncated", "trailing", "all-nan", "one-inf", "zero-sized"])
+    def test_malformed_file_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "d.lfdc"
+        cs_dict.write_dictionary(cs_dict.Dictionary(atoms=np.ones((8, 12))), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs_dict.read_dictionary(path)
 
 
 class TestReconstruct:

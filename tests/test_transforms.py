@@ -17,6 +17,23 @@ def dense_dct_matrix(n):
     return mat
 
 
+@pytest.mark.parametrize("shape", [
+    (5, 5, 32, 32, 8), (3, 3, 8, 8, 4), (2, 3, 4, 5, 6), (1, 1, 7, 5, 3), (7, 1, 1, 1, 2),
+    (1, 1, 1, 1, 1),
+])
+def test_gemm_transforms_equal_tensordot_oracle(shape, tensordot_dct5):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    # Also a float32, non-contiguous input: the oracle's own output layout.
+    a32 = tensordot_dct5(a, synthesis=False).astype(np.float32)
+    for x in (a, a32):
+        for synthesis, fn in ((False, transforms.dct5_forward), (True, transforms.dct5_inverse)):
+            out = fn(x)
+            assert out.dtype == np.float64 and out.shape == shape
+            assert out.flags.c_contiguous
+            assert np.abs(out - tensordot_dct5(x, synthesis)).max() == 0.0
+
+
 def test_constant_tensor_dc_coefficient():
     t = np.full((2, 3, 4, 5, 6), 1.25, dtype=np.float32)
     a = transforms.dct5_forward(t)
@@ -130,6 +147,31 @@ class TestFidelityGradient:
             mb * transforms.dct5_inverse(self.alpha)
         )
         np.testing.assert_allclose(g, expected, atol=1e-12)
+
+    def test_matches_closed_form(self):
+        # f = ||l_star - m * synth(a)||^2 and the gradient formula of the
+        # module docstring, spelled out.
+        mb = np.asarray(self.mask, dtype=np.float64)[None, None]
+        synth = transforms.dct5_inverse(self.alpha)
+        resid = self.l_star - mb * synth
+        assert transforms.fidelity_objective(self.alpha, self.l_star, self.mask) == float(
+            np.vdot(resid, resid)
+        )
+        expected = 2.0 * (
+            transforms.dct5_forward(mb * synth) - transforms.dct5_forward(mb * self.l_star)
+        )
+        g = transforms.fidelity_gradient(self.alpha, self.l_star, self.mask)
+        assert np.array_equal(g, expected)
+
+    def test_operator_reuses_one_synthesis(self):
+        fid = transforms.CodedFidelity(self.l_star, self.mask)
+        z = fid.synthesize(self.alpha)
+        assert fid.value(z) == transforms.fidelity_objective(self.alpha, self.l_star, self.mask)
+        assert np.array_equal(
+            fid.gradient(z), transforms.fidelity_gradient(self.alpha, self.l_star, self.mask)
+        )
+        with pytest.raises(ValueError):
+            fid.synthesize(self.alpha[:, :, :3])
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
