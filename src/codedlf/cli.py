@@ -317,12 +317,12 @@ def _cmd_train_toy(args) -> int:
             gradnorm_gamma=args.gradnorm_gamma,
             normgradsim_step=args.normgradsim_step,
         )
+        net = autodiff.ToyNet(
+            dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
+        )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     dataset = multitask.make_toy_dataset(args.scenes, dims, args.data_seed)
-    net = autodiff.ToyNet(
-        dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
-    )
     net, logs = multitask.train(net, dataset, config)
     if not all(
         l.loss_cv == l.loss_cv and l.loss_disp == l.loss_disp for l in logs

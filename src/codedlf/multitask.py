@@ -26,10 +26,21 @@ normal similarity for disparity.  Strategies:
 All similarity and norm computations use the shared-trunk gradient by
 default (configurable to all parameters).  The alpha, beta and task
 weights are treated as constants in the network update itself.
+
+Each batch takes one forward pass.  Every active loss then gets its value
+and head-output gradient from `autodiff.batched_loss`, and its parameter
+gradient from one `autodiff.collect_gradients` pass.  The update is the
+linear combination of these per-loss gradients with the strategy's
+coefficients: task weight w_i times c_main,i for the main loss and times
+c_aux,ij for each auxiliary loss.  Because the backward is linear in its
+seed, this equals the gradient of the combined loss
+sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -62,19 +73,6 @@ AUX_LOSSES = {
         ("normal", losses_metrics.normal_similarity),
     ),
 }
-
-
-@dataclass
-class TaskWeights:
-    """Static or adapted per-task weights, always positive."""
-
-    values: np.ndarray  # shape (n_tasks,)
-    mode: str = "static"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0):
-            raise ValueError("task weights must be non-negative")
 
 
 @dataclass
@@ -117,14 +115,6 @@ class GradNormState:
         return cls(weights=np.ones(n_tasks), gamma=gamma, lr=lr)
 
 
-def combine_naive(losses: np.ndarray, w: TaskWeights) -> float:
-    """Weighted sum of per-task losses (regularization lives in the optimizer)."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.shape != w.values.shape:
-        raise ValueError(f"{losses.shape} losses vs {w.values.shape} weights")
-    return float(w.values @ losses)
-
-
 def mtu_loss(losses: np.ndarray, state: MtuState) -> tuple[float, np.ndarray]:
     """Uncertainty-weighted total and its gradient with respect to s.
 
@@ -143,19 +133,19 @@ def mtu_effective_weights(state: MtuState) -> np.ndarray:
 
 def gradnorm_update(
     grad_norms: np.ndarray, losses: np.ndarray, state: GradNormState
-) -> TaskWeights:
+) -> np.ndarray:
     """One subgradient step on the GradNorm balancing objective.
 
     Targets per task: mean_i(w_i |G_i|) * r_i^gamma with r_i the relative
     inverse training rate (L_i / L_i(0), normalized); targets are treated
     as constants.  Weights are clamped positive and renormalized to sum to
-    the number of tasks.
+    the number of tasks.  Returns a copy of the new weights.
     """
     grad_norms = np.asarray(grad_norms, dtype=np.float64)
     losses = np.asarray(losses, dtype=np.float64)
     if np.all(grad_norms == 0.0):
         warnings.warn("all task gradient norms are zero; skipping gradnorm update")
-        return TaskWeights(values=state.weights.copy(), mode="gradnorm")
+        return state.weights.copy()
     if state.initial_losses is None:
         state.initial_losses = np.maximum(losses.copy(), 1e-12)
     ratios = losses / state.initial_losses
@@ -167,7 +157,7 @@ def gradnorm_update(
     w = np.maximum(w, 1e-4)
     w *= len(w) / w.sum()
     state.weights = w
-    return TaskWeights(values=w.copy(), mode="gradnorm")
+    return w.copy()
 
 
 def _truncated_cosine(g_main: np.ndarray, g_aux: np.ndarray) -> float:
@@ -236,26 +226,6 @@ def normgradsim_coefficients(
     return 1.0 / denom, (alpha * beta) / denom
 
 
-def combined_loss(
-    main_losses: np.ndarray,
-    aux_losses: dict[str, np.ndarray],
-    tw: TaskWeights,
-    aw: AuxWeights,
-) -> float:
-    """Overall loss: task-weighted sum of per-task normalized combinations."""
-    main_losses = np.asarray(main_losses, dtype=np.float64)
-    if main_losses.shape != tw.values.shape:
-        raise ValueError("per-task losses and weights disagree")
-    total = 0.0
-    for i, task in enumerate(TASKS[: len(main_losses)]):
-        la = aux_losses.get(task, np.zeros(0))
-        total += tw.values[i] * normgradsim_loss(
-            float(main_losses[i]), la, aw.alpha.get(task, np.zeros(0)),
-            aw.beta.get(task, np.zeros(0)),
-        )
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # dataset and training loop
 
@@ -319,6 +289,16 @@ class TrainConfig:
             )
         if self.grad_subset not in ("shared", "all"):
             raise ValueError("grad_subset must be 'shared' or 'all'")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in (
+            "lr", "momentum", "weight_decay", "val_fraction", "gradnorm_gamma",
+            "gradnorm_lr", "normgradsim_step",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _static_weights(strategy: str) -> np.ndarray:
@@ -378,7 +358,7 @@ def _flatten_subset(grads: dict[str, list[np.ndarray]], subset: str) -> np.ndarr
 
 def _zero_grads_like(net: ad.ToyNet) -> dict[str, list[np.ndarray]]:
     return {
-        g: [np.zeros_like(p.value) for p in ps] for g, ps in net.params.items()
+        g: [np.zeros_like(p) for p in ps] for g, ps in net.params.items()
     }
 
 
@@ -438,7 +418,7 @@ def train(
     static_w = _static_weights(strategy)
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
     params = net.all_params()
-    velocity = [np.zeros_like(p.value) for p in params] if config.momentum else None
+    velocity = [np.zeros_like(p) for p in params] if config.momentum else None
     velocity_s = np.zeros_like(mtu_state.s)
     logs: list[EpochLog] = []
 
@@ -460,8 +440,8 @@ def train(
             cv_truth = [train_set[i].cv for i in idxs]
             disp_truth = [train_set[i].disp for i in idxs]
 
-            cv_node, disp_node = net.forward_batch(coded)
-            pred = {"cv": cv_node, "disp": disp_node}
+            cv_pred, disp_pred, acts = net.forward_batch(coded)
+            pred = {"cv": cv_pred, "disp": disp_pred}
             truth = {"cv": cv_truth, "disp": disp_truth}
 
             # Per-loss values and parameter gradients (main, then auxiliaries).
@@ -472,14 +452,14 @@ def train(
             for ti, task in enumerate(TASKS):
                 if not active[ti]:
                     continue
-                node = ad.batched_loss(pred[task], losses_metrics.huber, truth[task])
-                main_vals[ti] = float(node.value)
-                main_grads[task] = ad.collect_gradients(net, node)
+                main_vals[ti], seed = ad.batched_loss(
+                    pred[task], losses_metrics.huber, truth[task]
+                )
+                main_grads[task] = ad.collect_gradients(net, acts, task, seed)
                 if use_aux:
                     for j, (_, fn) in enumerate(AUX_LOSSES[task]):
-                        anode = ad.batched_loss(pred[task], fn, truth[task])
-                        aux_vals[task][j] = float(anode.value)
-                        aux_grads[task].append(ad.collect_gradients(net, anode))
+                        aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
+                        aux_grads[task].append(ad.collect_gradients(net, acts, task, seed))
 
             # Strategy: derive task weights and per-task aux coefficients.
             task_coeffs = static_w.copy()
@@ -522,7 +502,7 @@ def train(
                         for t in TASKS
                     ]
                 )
-                task_coeffs = gradnorm_update(norms, task_losses, gn_state).values
+                task_coeffs = gradnorm_update(norms, task_losses, gn_state)
             elif strategy in ("mtu", "mtu+al"):
                 _, ds = mtu_loss(task_losses, mtu_state)
                 task_coeffs = mtu_effective_weights(mtu_state)

@@ -301,13 +301,13 @@ def test_criterion_08_strategy_sanity():
         # single-task runs leave the inactive head bit-identical
         for strategy, frozen in (("st-cv", "disp"), ("st-disp", "cv")):
             net = ad.ToyNet(dims=DIMS, seed=2)
-            before = [p.value.copy() for p in net.params[frozen]]
+            before = [p.copy() for p in net.params[frozen]]
             cfg = mt.TrainConfig(
                 strategy=strategy, epochs=2, lr=0.1, momentum=0.9, seed=4
             )
             net, _ = mt.train(net, dataset[:40], cfg)
             for p, b in zip(net.params[frozen], before):
-                assert np.array_equal(p.value, b)
+                assert np.array_equal(p, b)
 
 
 def test_criterion_09_gradnorm_mtu_fixed_points():

@@ -1,4 +1,4 @@
-"""Autodiff primitives, network forward/backward, and LFNN persistence."""
+"""Network forward/backward against the closure-graph oracle, and LFNN persistence."""
 
 import numpy as np
 import pytest
@@ -15,68 +15,14 @@ def make_net(seed=1):
 
 
 def full_loss(net, coded, cv_t, d_t):
-    cv, disp = net.forward_batch(coded)
-    return ad.add(
-        ad.batched_loss(cv, lm.huber, cv_t), ad.batched_loss(disp, lm.huber, d_t)
-    )
-
-
-class TestPrimitives:
-    def test_matmul_analytic(self):
-        w = ad.parameter(RNG.normal(size=(3, 4)))
-        x = ad.Node(RNG.normal(size=(4, 1)))
-        y = ad.matmul(w, x)
-        loss = ad.mean(ad.mul(y, y))  # ||Wx||^2 / 3
-        ad.backward(loss)
-        expected = (2.0 / 3.0) * (w.value @ x.value) @ x.value.T
-        np.testing.assert_allclose(w.grad, expected, atol=1e-12)
-
-    def test_primitive_gradients_match_fd(self):
-        # One composite expression through every primitive.
-        a = ad.parameter(RNG.normal(size=(3, 5)))
-        b = ad.parameter(RNG.normal(size=(5, 4)))
-        bias = ad.parameter(RNG.normal(size=4))
-
-        def build():
-            z = ad.add(ad.matmul(a, b), bias)
-            z = ad.relu(z)
-            z = ad.mul(z, z)
-            z = ad.reshape(z, (12, 1))
-            return ad.mean(z)
-
-        loss = build()
-        ad.zero_grads([a, b, bias])
-        ad.backward(loss)
-        h = 1e-6
-        for p in (a, b, bias):
-            flat = p.value.ravel()
-            for i in RNG.choice(flat.size, size=4, replace=False):
-                orig = flat[i]
-                flat[i] = orig + h
-                f1 = build().value
-                flat[i] = orig - h
-                f2 = build().value
-                flat[i] = orig
-                fd = (f1 - f2) / (2 * h)
-                an = p.grad.ravel()[i]
-                assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd))
-
-    def test_backward_requires_scalar(self):
-        x = ad.Node(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            ad.backward(x)
-
-    def test_double_backward_accumulates(self):
-        w = ad.parameter(RNG.normal(size=(2, 2)))
-        x = ad.Node(RNG.normal(size=(2, 1)))
-        loss = ad.mean(ad.mul(ad.matmul(w, x), ad.matmul(w, x)))
-        ad.backward(loss)
-        g1 = w.grad.copy()
-        ad.backward(loss)
-        np.testing.assert_allclose(w.grad, 2 * g1, atol=1e-14)
-        ad.zero_grads([w])
-        ad.backward(loss)
-        np.testing.assert_allclose(w.grad, g1, atol=1e-14)
+    """Huber loss of both heads and its per-group gradients."""
+    cv, disp, acts = net.forward_batch(coded)
+    cv_val, cv_seed = ad.batched_loss(cv, lm.huber, cv_t)
+    d_val, d_seed = ad.batched_loss(disp, lm.huber, d_t)
+    g_cv = ad.collect_gradients(net, acts, "cv", cv_seed)
+    g_d = ad.collect_gradients(net, acts, "disp", d_seed)
+    grads = {g: [a + b for a, b in zip(g_cv[g], g_d[g])] for g in g_cv}
+    return cv_val + d_val, grads
 
 
 class TestToyNet:
@@ -89,7 +35,7 @@ class TestToyNet:
     def test_zero_weights_zero_outputs(self):
         net = make_net()
         for p in net.all_params():
-            p.value[:] = 0.0
+            p[:] = 0.0
         cv, disp = ad.forward(net, RNG.normal(size=DIMS))
         assert np.all(cv == 0.0) and np.all(disp == 0.0)
 
@@ -99,6 +45,16 @@ class TestToyNet:
         a = ad.forward(net, x)
         b = ad.forward(net, x)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_nan_preactivation_relu_gives_zero(self):
+        # One NaN input makes every first-layer pre-activation NaN; relu is
+        # np.where(z > 0, z, 0), so they become 0 and the zero-bias net
+        # outputs zeros instead of NaN.
+        net = make_net()
+        coded = RNG.normal(size=DIMS)
+        coded[0, 0, 0, 0, 0] = np.nan
+        cv, disp = ad.forward(net, coded)
+        assert np.all(cv == 0.0) and np.all(disp == 0.0)
 
     def test_dim_mismatch(self):
         net = make_net()
@@ -110,17 +66,17 @@ class TestToyNet:
         coded = RNG.normal(size=(2,) + DIMS)
         cv_t = [RNG.uniform(0.2, 0.8, size=(4, 4, 2)) for _ in range(2)]
         d_t = [RNG.uniform(-1, 1, size=(4, 4)) for _ in range(2)]
-        grads = ad.collect_gradients(net, full_loss(net, coded, cv_t, d_t))
+        _, grads = full_loss(net, coded, cv_t, d_t)
         h = 1e-3
         for group in ("shared", "cv", "disp"):
             for pi, p in enumerate(net.params[group]):
-                flat = p.value.ravel()
+                flat = p.ravel()
                 for i in RNG.choice(flat.size, size=min(10, flat.size), replace=False):
                     orig = flat[i]
                     flat[i] = orig + h
-                    f1 = full_loss(net, coded, cv_t, d_t).value
+                    f1, _ = full_loss(net, coded, cv_t, d_t)
                     flat[i] = orig - h
-                    f2 = full_loss(net, coded, cv_t, d_t).value
+                    f2, _ = full_loss(net, coded, cv_t, d_t)
                     flat[i] = orig
                     fd = (f1 - f2) / (2 * h)
                     an = grads[group][pi].ravel()[i]
@@ -129,38 +85,77 @@ class TestToyNet:
     def test_unreached_parameters_get_zero(self):
         net = make_net()
         coded = RNG.normal(size=(1,) + DIMS)
-        cv, _ = net.forward_batch(coded)
-        loss = ad.batched_loss(cv, lm.huber, [RNG.uniform(size=(4, 4, 2))])
-        grads = ad.collect_gradients(net, loss)
+        cv, _, acts = net.forward_batch(coded)
+        _, seed = ad.batched_loss(cv, lm.huber, [RNG.uniform(size=(4, 4, 2))])
+        grads = ad.collect_gradients(net, acts, "cv", seed)
         for g in grads["disp"]:
             assert np.all(g == 0.0)
 
 
+ORACLE_DIMS = (2, 2, 8, 8, 3)
+HEAD_LOSSES = {
+    "cv": (lm.huber, lm.ssim_loss, lm.spectral_cos_loss),
+    "disp": (lm.huber, lm.tv_smoothness, lm.normal_similarity),
+}
+
+
+@pytest.mark.parametrize("n_b", [1, 3])
+@pytest.mark.parametrize("dead_units", [False, True], ids=["live", "dead-units"])
+def test_gradients_equal_graph_oracle(graph_gradients, n_b, dead_units):
+    # Every training loss on both heads: the hand-written backward must give
+    # the closure graph's loss value and gradients bit for bit, per group.
+    net = ad.ToyNet(dims=ORACLE_DIMS, hidden=8, head_hidden=8, seed=3)
+    if dead_units:
+        for group, k in (("shared", 1), ("shared", 3), ("cv", 1), ("disp", 1)):
+            net.params[group][k][:3] = -1e3
+    coded = RNG.normal(size=(n_b,) + ORACLE_DIMS)
+    truths = {
+        "cv": [RNG.uniform(0.2, 0.8, size=(8, 8, 3)) for _ in range(n_b)],
+        "disp": [RNG.uniform(-1, 1, size=(8, 8)) for _ in range(n_b)],
+    }
+    cv, disp, acts = net.forward_batch(coded)
+    if dead_units:
+        for group in ad.GROUPS:
+            assert not acts.blocks[group][1][:, :3].any()
+        assert not acts.trunk_mask[:, :3].any()
+    pred = {"cv": cv, "disp": disp}
+    for task, fns in HEAD_LOSSES.items():
+        for fn in fns:
+            value, seed = ad.batched_loss(pred[task], fn, truths[task])
+            grads = ad.collect_gradients(net, acts, task, seed)
+            ref_value, ref = graph_gradients(net, coded, task, fn, truths[task])
+            assert value == ref_value, (task, fn.__name__)
+            for group in ad.GROUPS:
+                assert len(grads[group]) == len(ref[group]) == 4
+                for k, (a, b) in enumerate(zip(grads[group], ref[group])):
+                    assert np.array_equal(a, b), (task, fn.__name__, group, k)
+
+
 class TestSgdStep:
     def test_zero_lr(self):
-        p = ad.parameter(np.array([1.0, 2.0]))
+        p = np.array([1.0, 2.0])
         ad.sgd_step([p], [np.array([5.0, 5.0])], lr=0.0)
-        np.testing.assert_array_equal(p.value, [1.0, 2.0])
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_weight_decay_scalar(self):
-        p = ad.parameter(np.array([1.0]))
+        p = np.array([1.0])
         ad.sgd_step([p], [np.array([0.0])], lr=1.0, weight_decay=0.1)
-        assert p.value[0] == pytest.approx(0.9)
+        assert p[0] == pytest.approx(0.9)
 
     def test_plain_sgd(self):
-        p = ad.parameter(np.array([1.0]))
+        p = np.array([1.0])
         ad.sgd_step([p], [np.array([0.5])], lr=0.2, weight_decay=0.0)
-        assert p.value[0] == pytest.approx(0.9)
+        assert p[0] == pytest.approx(0.9)
 
     def test_shape_mismatch(self):
-        p = ad.parameter(np.zeros(3))
+        p = np.zeros(3)
         with pytest.raises(ValueError):
             ad.sgd_step([p], [np.zeros(4)], lr=0.1)
 
 
 def test_losses_wired_through_autodiff_match_fd():
-    # Each training loss as a graph node: the seeded backward gradient must
-    # match central differences of the node value end to end.
+    # Each training loss through batched_loss on a batch of one: the seed
+    # gradient must match central differences of the loss value.
     from codedlf import losses_metrics
 
     cv_truth = RNG.uniform(0.2, 0.8, size=(8, 8, 3))
@@ -177,10 +172,7 @@ def test_losses_wired_through_autodiff_match_fd():
     ]
     h = 1e-4
     for fn, pred_val, truth in cases:
-        pred = ad.parameter(pred_val)
-        node = ad.attach_loss(pred, fn, truth)
-        ad.zero_grads([pred])
-        ad.backward(node)
+        _, seed = ad.batched_loss(pred_val[None], fn, [truth])
         for i in RNG.choice(pred_val.size, size=6, replace=False):
             p = pred_val.ravel().copy()
             p[i] += h
@@ -188,7 +180,7 @@ def test_losses_wired_through_autodiff_match_fd():
             p[i] -= 2 * h
             f2 = fn(p.reshape(pred_val.shape), truth, with_grad=False).value
             fd = (f1 - f2) / (2 * h)
-            an = pred.grad.ravel()[i]
+            an = seed[0].ravel()[i]
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-6), fn.__name__
 
 

@@ -1,0 +1,74 @@
+"""The benchmark's span tracer still finds every function it patches.
+
+`bench/tracing.py` wraps public functions of the package by name from
+outside `src/`.  A rename or a signature change there would otherwise show
+only in a traced benchmark run; these tests make it fail here.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from codedlf import autodiff as ad
+from codedlf import multitask as mt
+
+_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _current(owner, key):
+    return owner[key] if isinstance(owner, dict) else getattr(owner, key)
+
+
+def test_install_wraps_every_hook_and_restore_puts_originals_back(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        hooks = list(tracer._restore)
+        assert hooks
+        for owner, key, original in hooks:
+            current = _current(owner, key)
+            if isinstance(owner, dict):  # multitask.AUX_LOSSES entries
+                assert [fn.__wrapped__ for _, fn in current] == [fn for _, fn in original]
+            else:
+                assert current.__wrapped__ is original, key
+    finally:
+        tracer.restore()
+    for owner, key, original in hooks:
+        assert _current(owner, key) is original, key
+
+
+def test_training_under_tracer_records_autodiff_spans(tracing):
+    dims = (3, 3, 8, 8, 3)
+    dataset = mt.make_toy_dataset(10, dims, seed=3)
+    cfg = mt.TrainConfig(strategy="mtu+al", epochs=1, batch_size=4, lr=0.05, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "op-0"
+        _, logs = mt.train(ad.ToyNet(dims=dims, hidden=8, head_hidden=8, seed=1), dataset, cfg)
+    finally:
+        tracer.restore()
+    assert len(logs) == 1 and np.isfinite(logs[0].loss_cv)
+    names = [span["name"] for span in tracer.spans]
+    # 8 training samples in batches of 4; per batch one forward, six losses
+    # (two main, four auxiliary) and one backward pass per loss.  Validation
+    # forwards each of the 2 held-out samples once.
+    n_batches = 2
+    assert names.count("autodiff.forward_batch") == n_batches + 2
+    assert names.count("autodiff.batched_loss") == 6 * n_batches
+    assert names.count("autodiff.collect_gradients") == 6 * n_batches
+    assert names.count("autodiff.sgd_step") == n_batches
+    assert names.count("losses_metrics.ssim_loss") == 4 * n_batches
+    layers = tracer.per_layer(n_ops=1, n_setups=1)
+    assert layers["autodiff.collect_gradients.calls"] == 6 * n_batches
+    assert layers["multitask.epochs"] == 1

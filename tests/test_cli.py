@@ -285,6 +285,36 @@ def test_train_toy_unknown_strategy(capsys):
     assert "unknown strategy 'bogus'" in err and "mtu+al" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "-2", "batch_size must be an integer >= 1"),
+    ("--batch-size", "0", "batch_size must be an integer >= 1"),
+    ("--epochs", "0", "epochs must be an integer >= 1"),
+    ("--epochs", "-1", "epochs must be an integer >= 1"),
+    ("--lr", "nan", "lr must be finite"),
+    ("--lr", "inf", "lr must be finite"),
+    ("--momentum", "nan", "momentum must be finite"),
+    ("--weight-decay", "inf", "weight_decay must be finite"),
+    ("--normgradsim-step", "nan", "normgradsim_step must be finite"),
+    ("--gradnorm-gamma", "nan", "gradnorm_gamma must be finite"),
+    ("--hidden", "0", "hidden must be >= 1"),
+    ("--head-hidden", "0", "head_hidden must be >= 1"),
+])
+def test_train_toy_rejects_bad_knobs(tmp_path, monkeypatch, capsys, flag, value, message):
+    from codedlf import multitask
+
+    def no_dataset(*args):
+        raise AssertionError("the data set was rendered")
+
+    monkeypatch.setattr(multitask, "make_toy_dataset", no_dataset)
+    log = tmp_path / "log.json"
+    net = tmp_path / "net.lfnn"
+    capsys.readouterr()
+    assert run(["train-toy", "--strategy", "naive", "--scenes", "10", flag, value,
+                "--log", str(log), "--out", str(net)]) == 1
+    assert message in capsys.readouterr().err
+    assert not log.exists() and not net.exists()
+
+
 @pytest.mark.parametrize("exc, code, prefix", [
     (TypeError("boom"), 3, "internal error: TypeError: boom"),
     (KeyError("boom"), 3, "internal error: KeyError: 'boom'"),

@@ -10,22 +10,20 @@ RNG = np.random.default_rng(31)
 
 
 class TestCombineNaive:
+    """Static task weights: train scales each task's gradients by these."""
+
     def test_baseline_half_half(self):
-        w = mt.TaskWeights(values=np.array([0.5, 0.5]))
-        assert mt.combine_naive(np.array([2.0, 4.0]), w) == pytest.approx(3.0)
+        w = mt._static_weights("naive")
+        assert w @ np.array([2.0, 4.0]) == pytest.approx(3.0)
 
     def test_single_task_weights(self):
-        w = mt.TaskWeights(values=np.array([1.0, 0.0]))
-        assert mt.combine_naive(np.array([2.0, 100.0]), w) == pytest.approx(2.0)
+        assert mt._static_weights("st-cv") @ np.array([2.0, 100.0]) == pytest.approx(2.0)
+        assert mt._static_weights("st-disp") @ np.array([100.0, 2.0]) == pytest.approx(2.0)
 
     def test_convex_weights_preserve_equal_losses(self):
-        w = mt.TaskWeights(values=np.array([0.3, 0.7]))
-        assert mt.combine_naive(np.array([5.0, 5.0]), w) == pytest.approx(5.0)
-
-    def test_size_mismatch(self):
-        w = mt.TaskWeights(values=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            mt.combine_naive(np.array([1.0]), w)
+        for strategy in ("naive", "st-cv", "st-disp"):
+            w = mt._static_weights(strategy)
+            assert w @ np.array([5.0, 5.0]) == pytest.approx(5.0)
 
 
 class TestMtu:
@@ -61,7 +59,7 @@ class TestGradNorm:
     def test_identical_tasks_fixed_point(self):
         state = mt.GradNormState.initial(gamma=1.5, lr=0.1)
         tw = mt.gradnorm_update(np.array([3.0, 3.0]), np.array([1.0, 1.0]), state)
-        np.testing.assert_allclose(tw.values, 1.0, atol=1e-12)
+        np.testing.assert_allclose(tw, 1.0, atol=1e-12)
 
     def test_gamma_zero_static_norms_fixed_point(self):
         # norms (2, 1), equal loss ratios: fixed point (2/3, 4/3).
@@ -77,7 +75,7 @@ class TestGradNorm:
         state = mt.GradNormState.initial()
         with pytest.warns(UserWarning):
             tw = mt.gradnorm_update(np.zeros(2), np.ones(2), state)
-        np.testing.assert_allclose(tw.values, 1.0)
+        np.testing.assert_allclose(tw, 1.0)
 
 
 class TestGradSim:
@@ -168,22 +166,31 @@ class TestNormGradSim:
 
 
 class TestCombinedLoss:
+    """The per-loss linear assembly train uses for the normalized strategies:
+    task weight times (c_main L_main + c_aux . L_aux) per task."""
+
     def test_collapses_to_naive_when_alpha_zero(self):
-        tw = mt.TaskWeights(values=np.array([0.5, 0.5]))
-        aw = mt.AuxWeights.initial({"cv": 2, "disp": 2})
         mains = np.array([2.0, 4.0])
-        aux = {"cv": np.array([9.0, 9.0]), "disp": np.array([9.0, 9.0])}
-        assert mt.combined_loss(mains, aux, tw, aw) == pytest.approx(3.0)
+        aux = np.array([9.0, 9.0])
+        c_main, c_aux = mt.normgradsim_coefficients(np.zeros(2), np.array([3.0, 0.5]))
+        assert c_main == 1.0
+        np.testing.assert_array_equal(c_aux, [0.0, 0.0])
+        total = sum(0.5 * (c_main * l_main + c_aux @ aux) for l_main in mains)
+        assert total == pytest.approx(3.0)
 
     def test_single_task_single_aux_reduces_to_task_form(self):
-        tw = mt.TaskWeights(values=np.array([1.0]))
-        aw = mt.AuxWeights(
-            alpha={"cv": np.array([1.0])}, beta={"cv": np.array([2.0])}
-        )
-        val = mt.combined_loss(
-            np.array([3.0]), {"cv": np.array([1.0])}, tw, aw
-        )
-        assert val == pytest.approx((3.0 + 2.0) / 2.0)
+        cases = [
+            (3.0, [1.0], [1.0], [2.0], (3.0 + 2.0) / 2.0),
+            (2.0, [9.0, 9.0], [0.0, 0.0], [1.0, 1.0], 2.0),
+            (1.3, [0.4, 2.2], [0.25, 0.8], [1.7, 0.3], None),
+        ]
+        for l_main, l_aux, alpha, beta, expect in cases:
+            l_aux, alpha, beta = map(np.array, (l_aux, alpha, beta))
+            c_main, c_aux = mt.normgradsim_coefficients(alpha, beta)
+            task_loss = mt.normgradsim_loss(l_main, l_aux, alpha, beta)
+            assert c_main * l_main + c_aux @ l_aux == pytest.approx(task_loss, rel=1e-14)
+            if expect is not None:
+                assert task_loss == pytest.approx(expect)
 
 
 DIMS = (3, 3, 8, 8, 5)
@@ -203,18 +210,18 @@ class TestTrain:
 
     def test_single_task_leaves_other_head_untouched(self, toy_dataset):
         net = ad.ToyNet(dims=DIMS, seed=2)
-        before = [p.value.copy() for p in net.params["disp"]]
+        before = [p.copy() for p in net.params["disp"]]
         cfg = mt.TrainConfig(strategy="st-cv", epochs=2, lr=0.1, momentum=0.9, seed=4)
         net, _ = mt.train(net, toy_dataset, cfg)
         for p, b in zip(net.params["disp"], before):
-            assert np.array_equal(p.value, b)
+            assert np.array_equal(p, b)
 
         net = ad.ToyNet(dims=DIMS, seed=2)
-        before = [p.value.copy() for p in net.params["cv"]]
+        before = [p.copy() for p in net.params["cv"]]
         cfg = mt.TrainConfig(strategy="st-disp", epochs=2, lr=0.1, momentum=0.9, seed=4)
         net, _ = mt.train(net, toy_dataset, cfg)
         for p, b in zip(net.params["cv"], before):
-            assert np.array_equal(p.value, b)
+            assert np.array_equal(p, b)
 
     def test_log_schema(self, toy_dataset):
         cfg = mt.TrainConfig(strategy="normgradsim", epochs=1, lr=0.1, seed=4)
@@ -229,6 +236,12 @@ class TestTrain:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             mt.TrainConfig(strategy="bogus")
+
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            mt.TrainConfig(epochs=2.5)
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            mt.TrainConfig(batch_size=8.0)
 
     def test_combined_loss_finite_for_all_strategies(self, toy_dataset):
         for strategy in mt.STRATEGIES:
