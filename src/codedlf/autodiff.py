@@ -10,14 +10,21 @@ initialization from the given seed.
 `ToyNet.forward_batch` returns both heads' outputs together with the
 activations the backward needs: each block's input, its hidden layer's
 relu mask and output, and the trunk's output mask.  `batched_loss` gives a
-per-sample loss's batch mean and its gradient with respect to one head's
-output; `collect_gradients` back-propagates such a head-output gradient
-(the seed) through that head and the trunk.  With the relu masks fixed by
-the forward pass, the backward is linear in the seed, so the gradient of a
-weighted sum of losses is the same weighted sum of their per-loss
-gradients.  The inactive head gets zero gradients, and no gradient is
-formed for the network input.  Relu is `np.where(z > 0, z, 0.0)`, so a NaN
-pre-activation gives 0 (and a zero gradient) rather than NaN.
+loss's batch mean and its gradient with respect to one head's output from
+one call of the loss on the whole batch (B, ...); see `losses_metrics`.
+`collect_gradients` back-propagates such a head-output gradient (the seed)
+through that head and the trunk.  With the relu masks fixed by the forward
+pass, the backward is linear in the seed, so the gradient of a weighted sum
+of losses is the same weighted sum of their per-loss gradients.
+
+Gradients are written into a flat parameter-length vector: the groups in
+GROUPS order, each `[w0, b0, w1, b1]` raveled (`param_views` gives the
+per-parameter views, `group_slice` one group's range).  The GEMMs and bias
+sums write straight into its views, and a caller can reuse one vector per
+loss.  The inactive head's entries are never written: they hold zeros.  No
+gradient is formed for the network input.  Relu is `np.where(z > 0, z,
+0.0)`, so a NaN pre-activation gives 0 (and a zero gradient) rather than
+NaN.
 
 Values are float64 internally; the LFNN parameter container stores float32.
 """
@@ -124,44 +131,65 @@ def forward(net: ToyNet, coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batched_loss(pred: np.ndarray, loss_fn, truths) -> tuple[float, np.ndarray]:
-    """Mean of a per-sample loss over the leading batch axis of pred, and
-    its gradient with respect to pred."""
-    n_b = pred.shape[0]
-    vals = []
-    grad = np.zeros_like(pred)
-    for i in range(n_b):
-        lv = loss_fn(pred[i], truths[i])
-        vals.append(lv.value)
-        grad[i] = lv.grad
-    grad /= n_b
-    return float(np.mean(vals)), grad
+    """Mean of a loss over the leading batch axis of pred, and its gradient
+    with respect to pred, from one batched call of loss_fn."""
+    lv = loss_fn(pred, truths, batched=True)
+    return lv.value, lv.grad
 
 
-def _block_backward(params, block, g_out):
-    """Parameter gradients [w0, b0, w1, b1] of one dense-relu-dense block
-    from the gradient of its pre-activation output, and the gradient of its
-    hidden pre-activation."""
+def param_views(net: ToyNet, flat: np.ndarray) -> dict[str, list[np.ndarray]]:
+    """Per-group views of a flat parameter-length vector, shaped like
+    net.params: the groups in GROUPS order, each [w0, b0, w1, b1] raveled."""
+    views, start = {}, 0
+    for group in GROUPS:
+        views[group] = []
+        for p in net.params[group]:
+            views[group].append(flat[start : start + p.size].reshape(p.shape))
+            start += p.size
+    return views
+
+
+def group_slice(net: ToyNet, group: str) -> slice:
+    """Where one group's parameters sit in a flat parameter-length vector."""
+    sizes = [sum(p.size for p in net.params[g]) for g in GROUPS]
+    k = GROUPS.index(group)
+    return slice(sum(sizes[:k]), sum(sizes[: k + 1]))
+
+
+def _block_backward(params, block, g_out, out):
+    """Parameter gradients [w0, b0, w1, b1] of one dense-relu-dense block,
+    written into `out`, from the gradient of its pre-activation output;
+    returns the gradient of its hidden pre-activation."""
     inp, mask, h = block
     g_hidden = (g_out @ params[2].T) * mask
-    grads = [inp.T @ g_hidden, g_hidden.sum(axis=0), h.T @ g_out, g_out.sum(axis=0)]
-    return grads, g_hidden
+    np.matmul(inp.T, g_hidden, out=out[0])
+    np.sum(g_hidden, axis=0, out=out[1])
+    np.matmul(h.T, g_out, out=out[2])
+    np.sum(g_out, axis=0, out=out[3])
+    return g_hidden
 
 
 def collect_gradients(
-    net: ToyNet, acts: Activations, task: str, seed: np.ndarray
+    net: ToyNet, acts: Activations, task: str, seed: np.ndarray, out=None
 ) -> dict[str, list[np.ndarray]]:
     """Per-group parameter gradients for the head-output gradient `seed`
-    of head `task`; the other head's gradients are zero."""
-    head, g_hidden = _block_backward(
-        net.params[task], acts.blocks[task], seed.reshape(seed.shape[0], -1)
+    of head `task`.
+
+    They are written into `out`, a flat parameter-length vector (see
+    `param_views`), and returned as views of it.  The other head's entries
+    are not written: they are the zeros of the fresh vector allocated when
+    `out` is None, and a caller that reuses `out` for the same head keeps
+    them zero.
+    """
+    if out is None:
+        out = np.zeros(sum(p.size for p in net.all_params()))
+    grads = param_views(net, out)
+    g_hidden = _block_backward(
+        net.params[task], acts.blocks[task], seed.reshape(seed.shape[0], -1), grads[task]
     )
     g_trunk = (g_hidden @ net.params[task][0].T) * acts.trunk_mask
-    shared, _ = _block_backward(net.params["shared"], acts.blocks["shared"], g_trunk)
-    grads = {"shared": shared, task: head}
-    return {
-        g: grads[g] if g in grads else [np.zeros_like(p) for p in net.params[g]]
-        for g in GROUPS
-    }
+    _block_backward(net.params["shared"], acts.blocks["shared"], g_trunk, grads["shared"])
+    return grads
 
 
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:
@@ -171,10 +199,6 @@ def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:
         if p.shape != g.shape:
             raise ValueError("parameter/gradient shape mismatch")
         p -= lr * (g + weight_decay * p)
-
-
-def flatten_group(grads: dict[str, list[np.ndarray]], group: str) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads[group]])
 
 
 def save_net(net: ToyNet, path) -> None:

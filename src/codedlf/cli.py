@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import zlib
@@ -28,17 +29,39 @@ class NumericalError(Exception):
     """Solver or numerical failure; maps to exit code 2."""
 
 
-def _parse_dims(text: str) -> tuple[int, int, int, int, int]:
+def _parse_ints(flag: str, text: str, names: str, minimum: int = 1) -> tuple[int, ...]:
+    """The comma-separated integers of a flag, one per entry of `names`
+    (such as "U,V,S,T,C"), each at least `minimum`."""
     parts = text.split(",")
-    if len(parts) != 5:
-        raise ValidationError(f"--dims needs five integers, got {text!r}")
+    arity = len(names.split(","))
     try:
-        dims = tuple(int(p) for p in parts)
+        if len(parts) != arity:
+            raise ValueError
+        values = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ValidationError(f"bad --dims {text!r}") from exc
-    if min(dims) < 1:
-        raise ValidationError(f"--dims must be positive, got {dims}")
-    return dims
+        raise ValidationError(
+            f"{flag} needs {arity} comma-separated integers {names}, got {text!r}"
+        ) from exc
+    if min(values) < minimum:
+        raise ValidationError(f"{flag} values must be >= {minimum}, got {text!r}")
+    return values
+
+
+def _parse_patching(args):
+    """Atom shape and (spatial, angular) overlaps of the dictionary commands."""
+    return (
+        _parse_ints("--atom", args.atom, "u,v,s,t,C"),
+        _parse_ints("--spatial-overlap", args.spatial_overlap, "s,t", minimum=0),
+        _parse_ints("--angular-overlap", args.angular_overlap, "u,v", minimum=0),
+    )
+
+
+def _validated(check, *values):
+    """Run a library knob check, reporting its ValueError as bad input."""
+    try:
+        return check(*values)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _parse_disparity(text: str):
@@ -125,7 +148,7 @@ def _cmd_gen_scene(args) -> int:
     profile, params = _parse_disparity(args.disparity)
     try:
         spec = scenegen.SceneSpec(
-            dims=_parse_dims(args.dims),
+            dims=_parse_ints("--dims", args.dims, "U,V,S,T,C"),
             pattern=args.pattern,
             disparity_profile=profile,
             disparity_params=params,
@@ -147,11 +170,8 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_mask_gen(args) -> int:
     from . import coding, tensor
 
-    parts = args.dims.split(",")
-    if len(parts) != 3:
-        raise ValidationError(f"--dims needs S,T,C, got {args.dims!r}")
+    s, t, c = _parse_ints("--dims", args.dims, "S,T,C")
     try:
-        s, t, c = (int(x) for x in parts)
         mask = coding.random_mask(s, t, c, args.seed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -238,20 +258,19 @@ def _cmd_reconstruct_dct(args) -> int:
 def _cmd_train_dict(args) -> int:
     from . import cs_dict, tensor
 
+    atom, spatial, angular = _parse_patching(args)
+    _validated(
+        cs_dict.check_training_knobs, math.prod(atom), args.k, args.lam, args.lr,
+        args.batch_size, args.fista_iters, args.epochs,
+    )
     paths = args.scenes
     _require_files(*paths)
     scenes = [tensor.read_lf5d(p) for p in paths]
     shapes = {s.shape for s in scenes}
     if len(shapes) != 1:
         raise ValidationError(f"scenes must share one shape, got {sorted(shapes)}")
-    atom = _parse_dims(args.atom)
     try:
-        grid = cs_dict.make_patch_grid(
-            scenes[0].shape,
-            atom,
-            tuple(int(x) for x in args.spatial_overlap.split(",")),
-            tuple(int(x) for x in args.angular_overlap.split(",")),
-        )
+        grid = cs_dict.make_patch_grid(scenes[0].shape, atom, spatial, angular)
         d, objs = cs_dict.train_dictionary(
             scenes,
             grid,
@@ -274,20 +293,16 @@ def _cmd_train_dict(args) -> int:
 def _cmd_reconstruct_dict(args) -> int:
     from . import cs_dict, tensor
 
+    atom, spatial, angular = _parse_patching(args)
+    _validated(cs_dict.check_reconstruct_knobs, args.lam, args.iters)
     _require_files(args.infile, args.mask, args.dictionary)
     lp = tensor.read_lf5d(args.infile)
     mask = tensor.read_lf5d(args.mask)[0, 0]
     d = cs_dict.read_dictionary(args.dictionary)
-    atom = _parse_dims(args.atom)
     u, v, s, t, _ = lp.shape
     source = (u, v, s, t, mask.shape[2])
     try:
-        grid = cs_dict.make_patch_grid(
-            source,
-            atom,
-            tuple(int(x) for x in args.spatial_overlap.split(",")),
-            tuple(int(x) for x in args.angular_overlap.split(",")),
-        )
+        grid = cs_dict.make_patch_grid(source, atom, spatial, angular)
         if grid.atom_len != d.atom_len:
             raise ValidationError(
                 f"dictionary atom length {d.atom_len} != grid {grid.atom_len}"
@@ -304,7 +319,7 @@ def _cmd_reconstruct_dict(args) -> int:
 def _cmd_train_toy(args) -> int:
     from . import autodiff, multitask
 
-    dims = _parse_dims(args.dims)
+    dims = _parse_ints("--dims", args.dims, "U,V,S,T,C")
     try:
         config = multitask.TrainConfig(
             strategy=args.strategy,
@@ -580,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spatial-overlap", default="4,4")
     sp.add_argument("--angular-overlap", default="1,1")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--iters", type=int, default=300)
+    sp.add_argument("--iters", type=int, default=300, help="FISTA iterations (0: zero codes)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--png-preview", action="store_true")
     sp.set_defaults(fn=_cmd_reconstruct_dict)

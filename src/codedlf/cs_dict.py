@@ -16,6 +16,8 @@ projection, the same Lipschitz bound applies and FISTA is reused as is.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -165,12 +167,20 @@ class Dictionary:
 
 def write_dictionary(d: Dictionary, path) -> None:
     """Write a dictionary: magic "LFDC", u32 atom_len, u32 n_atoms, then
-    float32 atoms in column-major order (atom after atom)."""
+    float32 atoms in column-major order (atom after atom).
+
+    Refuses, before opening the file, what `read_dictionary` would reject:
+    a zero-sized or oversized shape and atoms that are not finite in float32.
+    """
+    with np.errstate(over="ignore"):
+        atoms = np.asarray(d.atoms, dtype="<f4")
+    if atoms.ndim != 2 or min(atoms.shape) < 1 or max(atoms.shape) >= 2**32:
+        raise ValueError(f"cannot write a dictionary of shape {atoms.shape}")
+    if not np.all(np.isfinite(atoms)):
+        raise ValueError("cannot write a dictionary with non-finite float32 atoms")
     with open(path, "wb") as fh:
-        fh.write(_DICT_HEADER.pack(DICT_MAGIC, d.atom_len, d.n_atoms))
-        fh.write(
-            np.asarray(d.atoms, dtype="<f4").ravel(order="F").tobytes()
-        )
+        fh.write(_DICT_HEADER.pack(DICT_MAGIC, *atoms.shape))
+        fh.write(atoms.ravel(order="F").tobytes())
 
 
 def read_dictionary(path) -> Dictionary:
@@ -197,6 +207,42 @@ def read_dictionary(path) -> Dictionary:
         raise ValueError(f"{path}: payload contains non-finite values")
     atoms = atoms.astype(np.float64).reshape((atom_len, n_atoms), order="F")
     return Dictionary(atoms=np.ascontiguousarray(atoms))
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
+def check_training_knobs(
+    atom_len: int, k: float, lam: float, lr: float, batch_size: int, fista_iters: int,
+    epochs: int,
+) -> int:
+    """Validate the knobs of `train_dictionary`; returns the atom count
+    round(k * atom_len), which must be at least one."""
+    _require_lambda(lam)
+    if not math.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
+    for name, value in (("batch_size", batch_size), ("fista_iters", fista_iters),
+                        ("epochs", epochs)):
+        _require_count(name, value, 1)
+    n_atoms = int(round(k * atom_len)) if math.isfinite(k) else 0
+    if n_atoms < 1:
+        raise ValueError(f"k = {k} gives {n_atoms} atoms for atom length {atom_len}")
+    return n_atoms
+
+
+def check_reconstruct_knobs(lam: float, iters: int) -> None:
+    """Validate the knobs of `dict_reconstruct`.  Zero iterations are
+    allowed: the codes stay at zero, as an OWL-QN solve of zero iterations
+    returns its start."""
+    _require_lambda(lam)
+    _require_count("iters", iters, 0)
 
 
 def lipschitz_bound(d: Dictionary, n_power_iters: int = 30, seed: int = 0) -> float:
@@ -320,10 +366,10 @@ def train_dictionary(
     renormalizing atoms after every step.  Returns the dictionary and the
     per-epoch mean of the batch objectives.
     """
+    n_atoms = check_training_knobs(g.atom_len, k, lam, lr, batch_size, fista_iters, epochs)
     if not dataset:
         raise ValueError("dataset must not be empty")
     all_patches = np.concatenate([patch(as_tensor5(t), g) for t in dataset], axis=0)
-    n_atoms = int(round(k * g.atom_len))
     d = init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
     epoch_objectives: list[float] = []
@@ -360,6 +406,7 @@ def dict_reconstruct(
     per patch against the masked dictionary (mask folded into the FISTA
     residual), synthesized, and assembled with overlap averaging.
     """
+    check_reconstruct_knobs(lam, iters)
     l_star_p = as_tensor5(l_star_p, "projected measurement")
     lifted = coding.lift(l_star_p, m)
     if lifted.shape != g.source_dims:

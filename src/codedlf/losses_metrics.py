@@ -5,6 +5,17 @@ analytic gradient with respect to the prediction, so they can be used both
 standalone and as the seed of a backward pass.  Every gradient is checked
 against central finite differences in the test suite.
 
+Every loss takes one sample, or with batched=True a batch stacked on a
+leading axis B: (B, S, T, C) central views, (B, S, T) disparities.  The
+batched value is the mean of the per-sample values and its gradient is
+the per-sample gradient divided by B, bit for bit what a loop over the
+samples gives, because each sample is reduced over the same entries in the
+same order.  The single-sample form is the batch of one, so training,
+`ssim` and the finite-difference tests run one implementation.  SSIM takes
+its window sums for all samples, channels and moments at once, from
+cumulative sums in a zero-bordered buffer; its gradient scatters the
+per-window maps back through a second such buffer.
+
 Central-view losses: mean Huber (quadratic below delta, 2*delta*(e - delta/2)
 above), an SSIM-based loss (1 - SSIM)/2 computed channel-wise with a uniform
 window, and a spectral cosine loss averaged over pixels.  Disparity losses:
@@ -48,49 +59,102 @@ def _check_same_shape(pred, truth):
     return pred, truth
 
 
-# ---------------------------------------------------------------------------
-# losses
-
-
-def huber(pred, truth, delta: float = 1.0, with_grad: bool = True) -> LossValue:
-    """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2) above."""
+def _as_batch(pred, truth, batched: bool, sample_ndim=None, what: str = ""):
+    """pred and truth as float64 arrays with a leading batch axis; a single
+    sample becomes a batch of one."""
     pred, truth = _check_same_shape(pred, truth)
-    e = np.abs(pred - truth)
-    val = np.where(e < delta, e * e, 2.0 * delta * (e - 0.5 * delta))
-    out = LossValue(value=float(val.mean()))
-    if with_grad:
-        slope = 2.0 * np.minimum(e, delta)
-        out.grad = slope * np.sign(pred - truth) / pred.size
+    if not batched:
+        pred, truth = pred[None], truth[None]
+    elif pred.ndim == 0:
+        raise ValueError("a batch needs a leading batch axis")
+    if sample_ndim is not None and pred.ndim - 1 not in sample_ndim:
+        raise ValueError(f"expected {what}, got {pred.shape[1:]}")
+    return pred, truth
+
+
+def _per_sample(x: np.ndarray, reduce) -> np.ndarray:
+    """Reduce each sample of a batch over all its entries, in row-major order."""
+    return reduce(x.reshape(x.shape[0], -1), axis=1)
+
+
+def _batch_mean(vals: np.ndarray, grad, batched: bool) -> LossValue:
+    """The batch mean of per-sample values, and its gradient from the
+    per-sample gradients (divided by B); a single sample's own value and
+    gradient when not batched (B = 1 divides by one)."""
+    out = LossValue(value=float(np.mean(vals)))
+    if grad is not None:
+        grad /= vals.shape[0]
+        out.grad = grad if batched else grad[0]
     return out
 
 
-def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
-    """Sum of each w-by-w window (valid positions) of a 2D array."""
-    c = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+# ---------------------------------------------------------------------------
+# losses (one sample, or a batch on a leading axis with batched=True)
 
 
-def _scatter_windows(wmap: np.ndarray, shape: tuple[int, int], w: int) -> np.ndarray:
-    """Adjoint of _window_sums: spread per-window scalars back over pixels."""
-    padded = np.pad(wmap, ((w - 1, w - 1), (w - 1, w - 1)))
-    full = _window_sums(padded, w)
-    return full[: shape[0], : shape[1]]
+def huber(
+    pred, truth, delta: float = 1.0, with_grad: bool = True, batched: bool = False
+) -> LossValue:
+    """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2) above."""
+    pred, truth = _as_batch(pred, truth, batched)
+    e = np.abs(pred - truth)
+    val = np.where(e < delta, e * e, 2.0 * delta * (e - 0.5 * delta))
+    grad = None
+    if with_grad:
+        slope = 2.0 * np.minimum(e, delta)
+        grad = slope * np.sign(pred - truth) / pred[0].size
+    return _batch_mean(_per_sample(val, np.mean), grad, batched)
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray, w: int, c1: float, c2: float):
-    """Per-window SSIM statistics of one channel; biased window moments."""
+def _window_sums(buf: np.ndarray, w: int) -> np.ndarray:
+    """Sum of each w-by-w window (valid positions) over the last two axes of
+    buf[..., 1:, 1:].
+
+    buf carries one leading zero row and column on those axes.  The
+    cumulative sums overwrite its interior, so the zero border is what the
+    window differences at the top and left edge read.
+    """
+    inner = buf[..., 1:, 1:]
+    np.cumsum(inner, axis=-2, out=inner)
+    np.cumsum(inner, axis=-1, out=inner)
+    return buf[..., w:, w:] - buf[..., :-w, w:] - buf[..., w:, :-w] + buf[..., :-w, :-w]
+
+
+def _ssim_windows(x: np.ndarray, y: np.ndarray, w: int, c1: float, c2: float):
+    """Per-window SSIM of (..., S, T) images; biased window moments.
+
+    The five moment images (x, y, x^2, y^2, xy) share one zero-bordered
+    buffer and one pass of cumulative sums.
+    """
+    buf = np.zeros((5,) + x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
+    moments = buf[..., 1:, 1:]
+    moments[0] = x
+    moments[1] = y
+    np.multiply(x, x, out=moments[2])
+    np.multiply(y, y, out=moments[3])
+    np.multiply(x, y, out=moments[4])
+    sums = _window_sums(buf, w)
     n = float(w * w)
-    mu_a = _window_sums(a, w) / n
-    mu_b = _window_sums(b, w) / n
-    var_a = _window_sums(a * a, w) / n - mu_a * mu_a
-    var_b = _window_sums(b * b, w) / n - mu_b * mu_b
-    cov = _window_sums(a * b, w) / n - mu_a * mu_b
+    mu_a = sums[0] / n
+    mu_b = sums[1] / n
+    var_a = sums[2] / n - mu_a * mu_a
+    var_b = sums[3] / n - mu_b * mu_b
+    cov = sums[4] / n - mu_a * mu_b
     a1 = 2.0 * mu_a * mu_b + c1
     a2 = 2.0 * cov + c2
     b1 = mu_a * mu_a + mu_b * mu_b + c1
     b2 = var_a + var_b + c2
     return (a1 * a2) / (b1 * b2), (mu_a, mu_b, a1, a2, b1, b2)
+
+
+def _ssim_batch(pred, truth, window: int, batched: bool):
+    """Channels-first (B, C, S, T) views of 2D or channelled images."""
+    pred, truth = _as_batch(pred, truth, batched, (2, 3), "(S, T) or (S, T, C) images")
+    if pred.ndim == 3:
+        pred, truth = pred[..., None], truth[..., None]
+    if pred.shape[1] < window or pred.shape[2] < window:
+        raise ValueError(f"image {pred.shape[1:3]} smaller than window {window}")
+    return pred.transpose(0, 3, 1, 2), truth.transpose(0, 3, 1, 2)
 
 
 def ssim(
@@ -105,21 +169,9 @@ def ssim(
 
     Accepts (S, T) or (S, T, C) arrays with values on a [0, peak] scale.
     """
-    a, b = _check_same_shape(a, b)
-    if a.ndim == 2:
-        a = a[..., None]
-        b = b[..., None]
-    if a.ndim != 3:
-        raise ValueError(f"expected (S, T) or (S, T, C) images, got {a.shape}")
-    if a.shape[0] < window or a.shape[1] < window:
-        raise ValueError(f"image {a.shape[:2]} smaller than window {window}")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    vals = [
-        _ssim_channel(a[..., c], b[..., c], window, c1, c2)[0].mean()
-        for c in range(a.shape[2])
-    ]
-    return float(np.mean(vals))
+    x, y = _ssim_batch(a, b, window, batched=False)
+    s, _ = _ssim_windows(x, y, window, (k1 * peak) ** 2, (k2 * peak) ** 2)
+    return float(np.mean(_per_sample(s[0], np.mean)))
 
 
 def ssim_loss(
@@ -129,6 +181,7 @@ def ssim_loss(
     k1: float = SSIM_K1,
     k2: float = SSIM_K2,
     with_grad: bool = True,
+    batched: bool = False,
 ) -> LossValue:
     """(1 - SSIM)/2 with the analytic gradient with respect to pred.
 
@@ -136,129 +189,118 @@ def ssim_loss(
     its derivative with respect to an in-window prediction pixel p is an
     affine function of (pred_p, truth_p) with per-window coefficients, so
     the full gradient is assembled from three window-scalar maps scattered
-    back over the image.
+    back over the image.  All samples and channels go through one pass.
     """
-    pred, truth = _check_same_shape(pred, truth)
-    squeeze = pred.ndim == 2
-    if squeeze:
-        pred = pred[..., None]
-        truth = truth[..., None]
-    if pred.shape[0] < window or pred.shape[1] < window:
-        raise ValueError(f"image {pred.shape[:2]} smaller than window {window}")
+    squeeze = np.ndim(pred) == (3 if batched else 2)
+    x, y = _ssim_batch(pred, truth, window, batched)
     c1 = (k1 * 1.0) ** 2
     c2 = (k2 * 1.0) ** 2
     n = float(window * window)
-    n_ch = pred.shape[2]
+    n_b, n_ch = x.shape[:2]
+    s, (mu_x, mu_y, a1, a2, b1, b2) = _ssim_windows(x, y, window, c1, c2)
+    channel_means = s.reshape(n_b, n_ch, -1).mean(axis=-1)
     total = 0.0
-    grad = np.zeros_like(pred) if with_grad else None
-    n_windows = None
     for c in range(n_ch):
-        x = pred[..., c]
-        y = truth[..., c]
-        s, (mu_x, mu_y, a1, a2, b1, b2) = _ssim_channel(x, y, window, c1, c2)
-        n_windows = s.size
-        total += s.mean()
-        if not with_grad:
-            continue
+        total = total + channel_means[:, c]
+    vals = 0.5 * (1.0 - total / n_ch)
+    grad = None
+    if with_grad:
         # Quotient rule: dS = [a1'*a2 + a1*a2' - S*(b1'*b2 + b1*b2')] / (b1*b2)
         # with a1' = 2 mu_y / n, a2' = 2 (y_p - mu_y) / n,
         #      b1' = 2 mu_x / n, b2' = 2 (x_p - mu_x) / n,
         # which is affine in (x_p, y_p) per window:
         denom = n * b1 * b2
-        coef_y = 2.0 * a1 / denom
-        coef_x = -2.0 * s / (n * b2)
-        const = (
+        # Scatter (the adjoint of the window sums): window sums of the
+        # window maps zero-padded by window - 1 on every side.
+        buf = np.zeros((3, n_b, n_ch) + tuple(d + window for d in x.shape[2:]))
+        maps = buf[..., window : window + s.shape[2], window : window + s.shape[3]]
+        maps[0] = (
             2.0 * mu_y * (a2 - a1) / denom
             + 2.0 * s * mu_x * (1.0 / (n * b2) - 1.0 / (n * b1))
         )
-        shape2 = x.shape
-        g = (
-            _scatter_windows(const, shape2, window)
-            + y * _scatter_windows(coef_y, shape2, window)
-            + x * _scatter_windows(coef_x, shape2, window)
-        )
-        grad[..., c] = g
-    mean_ssim = total / n_ch
-    out = LossValue(value=float(0.5 * (1.0 - mean_ssim)))
-    if with_grad:
-        grad /= n_windows * n_ch  # d(mean SSIM); windows per channel are equal
-        out.grad = -0.5 * grad
+        maps[1] = 2.0 * a1 / denom
+        maps[2] = -2.0 * s / (n * b2)
+        spread = _window_sums(buf, window)
+        g = spread[0] + y * spread[1] + x * spread[2]
+        g /= s[0, 0].size * n_ch  # d(mean SSIM); windows per channel are equal
+        g = -0.5 * g
+        grad = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if squeeze:
-            out.grad = out.grad[..., 0]
-    return out
+            grad = grad[..., 0]
+    return _batch_mean(vals, grad, batched)
 
 
-def spectral_cos_loss(pred, truth, with_grad: bool = True) -> LossValue:
+def spectral_cos_loss(
+    pred, truth, with_grad: bool = True, batched: bool = False
+) -> LossValue:
     """(1 - cosine)/2 of per-pixel spectra, averaged over pixels."""
-    pred, truth = _check_same_shape(pred, truth)
-    if pred.ndim != 3:
-        raise ValueError(f"expected (S, T, C) spectra, got {pred.shape}")
+    pred, truth = _as_batch(pred, truth, batched, (3,), "(S, T, C) spectra")
     dot = (pred * truth).sum(axis=-1)
     np_ = np.sqrt((pred * pred).sum(axis=-1))
     nt = np.sqrt((truth * truth).sum(axis=-1))
     denom = np.maximum(np_ * nt, EPS)
     cos = dot / denom
-    n_px = cos.size
-    out = LossValue(value=float(0.5 * (1.0 - cos.mean())))
+    grad = None
     if with_grad:
         safe_np = np.maximum(np_, EPS)
         dcos = truth / denom[..., None] - (dot / (safe_np * safe_np * denom))[
             ..., None
         ] * pred
-        out.grad = -0.5 * dcos / n_px
-    return out
+        grad = -0.5 * dcos / cos[0].size
+    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad, batched)
 
 
 def _forward_diffs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences along rows (y, axis 0) and columns (x, axis 1)."""
-    gx = d[:, 1:] - d[:, :-1]
-    gy = d[1:, :] - d[:-1, :]
+    """Forward differences along columns (x, last axis) and rows (y)."""
+    gx = d[..., 1:] - d[..., :-1]
+    gy = d[..., 1:, :] - d[..., :-1, :]
     return gx, gy
 
 
-def tv_smoothness(pred_disp, truth_disp, with_grad: bool = True) -> LossValue:
+def tv_smoothness(
+    pred_disp, truth_disp, with_grad: bool = True, batched: bool = False
+) -> LossValue:
     """Edge-aware smoothness: |grad pred| weighted by exp(-|grad truth|).
 
     Averaged over all gradient sites (both directions pooled).
     """
-    pred, truth = _check_same_shape(pred_disp, truth_disp)
-    if pred.ndim != 2:
-        raise ValueError(f"expected (S, T) disparity maps, got {pred.shape}")
+    pred, truth = _as_batch(pred_disp, truth_disp, batched, (2,), "(S, T) disparity maps")
     gx_p, gy_p = _forward_diffs(pred)
     gx_t, gy_t = _forward_diffs(truth)
     wx = np.exp(-np.abs(gx_t))
     wy = np.exp(-np.abs(gy_t))
-    n_sites = gx_p.size + gy_p.size
+    n_sites = gx_p[0].size + gy_p[0].size
     if n_sites == 0:
-        return LossValue(value=0.0, grad=np.zeros_like(pred) if with_grad else None)
-    val = (np.abs(gx_p) * wx).sum() + (np.abs(gy_p) * wy).sum()
-    out = LossValue(value=float(val / n_sites))
+        return _batch_mean(
+            np.zeros(pred.shape[0]), np.zeros_like(pred) if with_grad else None, batched
+        )
+    val = _per_sample(np.abs(gx_p) * wx, np.sum) + _per_sample(np.abs(gy_p) * wy, np.sum)
+    grad = None
     if with_grad:
         grad = np.zeros_like(pred)
         sx = np.sign(gx_p) * wx / n_sites
-        grad[:, 1:] += sx
-        grad[:, :-1] -= sx
+        grad[..., 1:] += sx
+        grad[..., :-1] -= sx
         sy = np.sign(gy_p) * wy / n_sites
-        grad[1:, :] += sy
-        grad[:-1, :] -= sy
-        out.grad = grad
-    return out
+        grad[..., 1:, :] += sy
+        grad[..., :-1, :] -= sy
+    return _batch_mean(val / n_sites, grad, batched)
 
 
 def _pixel_grads(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel forward differences, zero at the far edges."""
     gx = np.zeros_like(d)
     gy = np.zeros_like(d)
-    gx[:, :-1] = d[:, 1:] - d[:, :-1]
-    gy[:-1, :] = d[1:, :] - d[:-1, :]
+    gx[..., :-1] = d[..., 1:] - d[..., :-1]
+    gy[..., :-1, :] = d[..., 1:, :] - d[..., :-1, :]
     return gx, gy
 
 
-def normal_similarity(pred_disp, truth_disp, with_grad: bool = True) -> LossValue:
+def normal_similarity(
+    pred_disp, truth_disp, with_grad: bool = True, batched: bool = False
+) -> LossValue:
     """(1 - cosine)/2 between surface normals (-dx, -dy, 1), pixel-averaged."""
-    pred, truth = _check_same_shape(pred_disp, truth_disp)
-    if pred.ndim != 2:
-        raise ValueError(f"expected (S, T) disparity maps, got {pred.shape}")
+    pred, truth = _as_batch(pred_disp, truth_disp, batched, (2,), "(S, T) disparity maps")
     gx_p, gy_p = _pixel_grads(pred)
     gx_t, gy_t = _pixel_grads(truth)
     # cos = (gx_p*gx_t + gy_p*gy_t + 1) / (|n_pred| * |n_truth|)
@@ -266,20 +308,19 @@ def normal_similarity(pred_disp, truth_disp, with_grad: bool = True) -> LossValu
     n_p = np.sqrt(gx_p * gx_p + gy_p * gy_p + 1.0)
     n_t = np.sqrt(gx_t * gx_t + gy_t * gy_t + 1.0)
     cos = dot / (n_p * n_t)
-    n_px = pred.size
-    out = LossValue(value=float(0.5 * (1.0 - cos.mean())))
+    grad = None
     if with_grad:
         # d cos / d gx_p, then scatter the forward-difference stencil.
         dgx = gx_t / (n_p * n_t) - dot * gx_p / (n_p**3 * n_t)
         dgy = gy_t / (n_p * n_t) - dot * gy_p / (n_p**3 * n_t)
         grad = np.zeros_like(pred)
         # gx[i, j] = d[i, j+1] - d[i, j] for j < T-1 (zero at the edge)
-        grad[:, 1:] += dgx[:, :-1]
-        grad[:, :-1] -= dgx[:, :-1]
-        grad[1:, :] += dgy[:-1, :]
-        grad[:-1, :] -= dgy[:-1, :]
-        out.grad = -0.5 * grad / n_px
-    return out
+        grad[..., 1:] += dgx[..., :-1]
+        grad[..., :-1] -= dgx[..., :-1]
+        grad[..., 1:, :] += dgy[..., :-1, :]
+        grad[..., :-1, :] -= dgy[..., :-1, :]
+        grad = -0.5 * grad / pred[0].size
+    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad, batched)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,19 @@ default (configurable to all parameters).  The alpha, beta and task
 weights are treated as constants in the network update itself.
 
 Each batch takes one forward pass.  Every active loss then gets its value
-and head-output gradient from `autodiff.batched_loss`, and its parameter
-gradient from one `autodiff.collect_gradients` pass.  The update is the
+and head-output gradient from one batched call through
+`autodiff.batched_loss`, and its parameter gradient from one
+`autodiff.collect_gradients` pass into that loss's flat gradient vector,
+allocated once per run.  The similarity and norm tests read the vectors'
+shared-trunk prefix (or the whole vector) in place.  The update is the
 linear combination of these per-loss gradients with the strategy's
 coefficients: task weight w_i times c_main,i for the main loss and times
 c_aux,ij for each auxiliary loss.  Because the backward is linear in its
 seed, this equals the gradient of the combined loss
-sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij).
+sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij).  It is summed
+onto +0.0 in a reused flat vector, loss after loss, over the trunk and the
+loss's own head only: the other head's entries are zeros, and adding
+scale * 0 (scale finite) to a sum that started at +0.0 changes no bit.
 """
 
 from __future__ import annotations
@@ -160,9 +166,8 @@ def gradnorm_update(
     return w.copy()
 
 
-def _truncated_cosine(g_main: np.ndarray, g_aux: np.ndarray) -> float:
-    nm = float(np.linalg.norm(g_main))
-    na = float(np.linalg.norm(g_aux))
+def _truncated_cosine(g_main: np.ndarray, g_aux: np.ndarray, nm: float, na: float) -> float:
+    """max(0, cosine) of two gradients whose norms nm and na are given."""
     if nm == 0.0 or na == 0.0:
         return 0.0
     return max(0.0, float(g_main @ g_aux) / (nm * na))
@@ -170,7 +175,10 @@ def _truncated_cosine(g_main: np.ndarray, g_aux: np.ndarray) -> float:
 
 def gradsim_weights(g_main: np.ndarray, g_aux: list[np.ndarray]) -> np.ndarray:
     """Truncated cosine similarity of each auxiliary gradient to the main one."""
-    return np.array([_truncated_cosine(g_main, g) for g in g_aux])
+    nm = float(np.linalg.norm(g_main))
+    return np.array(
+        [_truncated_cosine(g_main, g, nm, float(np.linalg.norm(g))) for g in g_aux]
+    )
 
 
 def normgradsim_update(
@@ -197,7 +205,7 @@ def normgradsim_update(
         if nm == 0.0 or na == 0.0:
             warnings.warn(f"degenerate gradient norm for auxiliary loss {j}; skipped")
             continue
-        a_target = _truncated_cosine(g_main, g)
+        a_target = _truncated_cosine(g_main, g, nm, na)
         b_target = nm / na
         alpha[j] += np.clip(a_target - alpha[j], -step, step)
         beta[j] += np.clip(b_target - beta[j], -step, step)
@@ -348,26 +356,18 @@ class EpochLog:
         }
 
 
-def _flatten_subset(grads: dict[str, list[np.ndarray]], subset: str) -> np.ndarray:
-    if subset == "shared":
-        return ad.flatten_group(grads, "shared")
-    return np.concatenate(
-        [ad.flatten_group(grads, g) for g in ("shared", "cv", "disp")]
-    )
+def _accumulate(total, grad, spans, scale, products):
+    """total += scale * grad over the index spans (the trunk and one head).
 
-
-def _zero_grads_like(net: ad.ToyNet) -> dict[str, list[np.ndarray]]:
-    return {
-        g: [np.zeros_like(p) for p in ps] for g, ps in net.params.items()
-    }
-
-
-def _accumulate(total, grads, groups, scale):
+    The other head's entries of grad are zeros; adding scale * 0 (scale
+    finite) to a sum that started at +0.0 changes nothing, so they are
+    skipped.
+    """
     if scale == 0.0:
         return
-    for g in groups:
-        for t, src in zip(total[g], grads[g]):
-            t += scale * src
+    for span in spans:
+        t = total[span]
+        t += np.multiply(grad[span], scale, out=products[span])
 
 
 def validate(
@@ -418,7 +418,26 @@ def train(
     static_w = _static_weights(strategy)
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
     params = net.all_params()
-    velocity = [np.zeros_like(p) for p in params] if config.momentum else None
+    n_params = sum(p.size for p in params)
+    # One flat gradient vector per loss (main, then auxiliaries) of each
+    # active task, reused every batch.  A vector always serves the same
+    # head, so the other head's entries stay zero.
+    loss_grads = {
+        task: [np.zeros(n_params) for _ in range(1 + (n_aux[task] if use_aux else 0))]
+        for ti, task in enumerate(TASKS)
+        if active[ti]
+    }
+    subset = (
+        ad.group_slice(net, "shared") if config.grad_subset == "shared" else slice(None)
+    )
+    spans = {task: (ad.group_slice(net, "shared"), ad.group_slice(net, task)) for task in TASKS}
+    total = np.empty(n_params)
+    products = np.empty(n_params)
+    velocity = np.zeros(n_params) if config.momentum else None
+    step_grads = [
+        g for grads in ad.param_views(net, total if velocity is None else velocity).values()
+        for g in grads
+    ]
     velocity_s = np.zeros_like(mtu_state.s)
     logs: list[EpochLog] = []
 
@@ -437,42 +456,34 @@ def train(
                     for i in idxs
                 ]
             ).astype(np.float64)
-            cv_truth = [train_set[i].cv for i in idxs]
-            disp_truth = [train_set[i].disp for i in idxs]
-
             cv_pred, disp_pred, acts = net.forward_batch(coded)
             pred = {"cv": cv_pred, "disp": disp_pred}
-            truth = {"cv": cv_truth, "disp": disp_truth}
+            truth = {
+                "cv": np.stack([train_set[i].cv for i in idxs]),
+                "disp": np.stack([train_set[i].disp for i in idxs]),
+            }
 
-            # Per-loss values and parameter gradients (main, then auxiliaries).
+            # Per-loss values and parameter gradients (main, then auxiliaries),
+            # one batched loss call and one backward pass each.
             main_vals = np.zeros(2)
-            main_grads: dict[str, dict] = {}
             aux_vals = {t: np.zeros(n_aux[t]) for t in TASKS}
-            aux_grads: dict[str, list[dict]] = {t: [] for t in TASKS}
-            for ti, task in enumerate(TASKS):
-                if not active[ti]:
-                    continue
+            for task, grads in loss_grads.items():
+                ti = TASKS.index(task)
                 main_vals[ti], seed = ad.batched_loss(
                     pred[task], losses_metrics.huber, truth[task]
                 )
-                main_grads[task] = ad.collect_gradients(net, acts, task, seed)
+                ad.collect_gradients(net, acts, task, seed, out=grads[0])
                 if use_aux:
                     for j, (_, fn) in enumerate(AUX_LOSSES[task]):
                         aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
-                        aux_grads[task].append(ad.collect_gradients(net, acts, task, seed))
+                        ad.collect_gradients(net, acts, task, seed, out=grads[1 + j])
 
             # Strategy: derive task weights and per-task aux coefficients.
             task_coeffs = static_w.copy()
             aux_coeffs = {t: np.zeros(n_aux[t]) for t in TASKS}
-            if strategy in ("gradsim", "normgradsim", "mtu+al") and use_aux:
-                for ti, task in enumerate(TASKS):
-                    if not active[ti]:
-                        continue
-                    g_main = _flatten_subset(main_grads[task], config.grad_subset)
-                    g_aux = [
-                        _flatten_subset(g, config.grad_subset)
-                        for g in aux_grads[task]
-                    ]
+            if use_aux:
+                for task, grads in loss_grads.items():
+                    g_main, *g_aux = (g[subset] for g in grads)
                     if strategy == "gradsim":
                         aux_coeffs[task] = gradsim_weights(g_main, g_aux)
                     else:
@@ -494,14 +505,7 @@ def train(
                         )
 
             if strategy == "gradnorm":
-                norms = np.array(
-                    [
-                        np.linalg.norm(
-                            _flatten_subset(main_grads[t], config.grad_subset)
-                        )
-                        for t in TASKS
-                    ]
-                )
+                norms = np.array([np.linalg.norm(loss_grads[t][0][subset]) for t in TASKS])
                 task_coeffs = gradnorm_update(norms, task_losses, gn_state)
             elif strategy in ("mtu", "mtu+al"):
                 _, ds = mtu_loss(task_losses, mtu_state)
@@ -510,11 +514,12 @@ def train(
                 velocity_s = config.momentum * velocity_s + ds
                 mtu_state.s -= config.lr * velocity_s
 
-            # Assemble the parameter gradient of the combined loss.
-            total_grads = _zero_grads_like(net)
-            groups = ("shared", "cv", "disp")
-            for ti, task in enumerate(TASKS):
-                if not active[ti] or task_coeffs[ti] == 0.0:
+            # Assemble the parameter gradient of the combined loss, in the
+            # order main, auxiliaries, task by task, onto +0.0.
+            total.fill(0.0)
+            for task, grads in loss_grads.items():
+                ti = TASKS.index(task)
+                if task_coeffs[ti] == 0.0:
                     continue
                 if strategy in ("normgradsim", "mtu+al"):
                     c_main, c_aux = normgradsim_coefficients(
@@ -524,21 +529,14 @@ def train(
                     c_main, c_aux = 1.0, aux_coeffs[task]
                 else:
                     c_main, c_aux = 1.0, np.zeros(n_aux[task])
-                _accumulate(
-                    total_grads, main_grads[task], groups, task_coeffs[ti] * c_main
-                )
-                for j, g in enumerate(aux_grads[task]):
-                    _accumulate(
-                        total_grads, g, groups, task_coeffs[ti] * float(c_aux[j])
-                    )
+                scales = [task_coeffs[ti] * c_main] + [task_coeffs[ti] * float(c) for c in c_aux]
+                for g, scale in zip(grads, scales):  # no aux gradients without use_aux
+                    _accumulate(total, g, spans[task], scale, products)
 
-            flat = [g for grp in groups for g in total_grads[grp]]
             if velocity is not None:
-                for vel, g in zip(velocity, flat):
-                    vel *= config.momentum
-                    vel += g
-                flat = velocity
-            ad.sgd_step(params, flat, config.lr, config.weight_decay)
+                velocity *= config.momentum
+                velocity += total
+            ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
 
         loss_cv, loss_disp = validate(net, val_set, config.seed)
         # gradsim has no persistent gates; log its last per-batch weights

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codedlf import losses_metrics as lm
 from codedlf import transforms
 
 
@@ -25,6 +26,271 @@ def tensordot_dct5():
     C-contiguous: the last axis transformed comes out with the largest stride.
     """
     return _tensordot_dct5
+
+
+# ---------------------------------------------------------------------------
+# The per-sample training losses as they were before they took a batch axis:
+# one sample at a time, SSIM one channel at a time on np.pad-ed cumulative
+# sums.  Test oracles for the batched losses in losses_metrics.
+
+
+def _ref_huber(pred, truth, delta: float = 1.0, with_grad: bool = True) -> lm.LossValue:
+    """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2) above."""
+    pred, truth = lm._check_same_shape(pred, truth)
+    e = np.abs(pred - truth)
+    val = np.where(e < delta, e * e, 2.0 * delta * (e - 0.5 * delta))
+    out = lm.LossValue(value=float(val.mean()))
+    if with_grad:
+        slope = 2.0 * np.minimum(e, delta)
+        out.grad = slope * np.sign(pred - truth) / pred.size
+    return out
+
+
+def _ref_window_sums(x: np.ndarray, w: int) -> np.ndarray:
+    """Sum of each w-by-w window (valid positions) of a 2D array."""
+    c = np.cumsum(np.cumsum(x, axis=0), axis=1)
+    c = np.pad(c, ((1, 0), (1, 0)))
+    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+
+
+def _ref_scatter_windows(wmap: np.ndarray, shape: tuple[int, int], w: int) -> np.ndarray:
+    """Adjoint of _window_sums: spread per-window scalars back over pixels."""
+    padded = np.pad(wmap, ((w - 1, w - 1), (w - 1, w - 1)))
+    full = _ref_window_sums(padded, w)
+    return full[: shape[0], : shape[1]]
+
+
+def _ref_ssim_channel(a: np.ndarray, b: np.ndarray, w: int, c1: float, c2: float):
+    """Per-window SSIM statistics of one channel; biased window moments."""
+    n = float(w * w)
+    mu_a = _ref_window_sums(a, w) / n
+    mu_b = _ref_window_sums(b, w) / n
+    var_a = _ref_window_sums(a * a, w) / n - mu_a * mu_a
+    var_b = _ref_window_sums(b * b, w) / n - mu_b * mu_b
+    cov = _ref_window_sums(a * b, w) / n - mu_a * mu_b
+    a1 = 2.0 * mu_a * mu_b + c1
+    a2 = 2.0 * cov + c2
+    b1 = mu_a * mu_a + mu_b * mu_b + c1
+    b2 = var_a + var_b + c2
+    return (a1 * a2) / (b1 * b2), (mu_a, mu_b, a1, a2, b1, b2)
+
+
+def _ref_ssim(
+    a,
+    b,
+    window: int = lm.SSIM_WINDOW,
+    k1: float = lm.SSIM_K1,
+    k2: float = lm.SSIM_K2,
+    peak: float = 1.0,
+) -> float:
+    """Mean SSIM over valid uniform windows, channel-wise and averaged.
+
+    Accepts (S, T) or (S, T, C) arrays with values on a [0, peak] scale.
+    """
+    a, b = lm._check_same_shape(a, b)
+    if a.ndim == 2:
+        a = a[..., None]
+        b = b[..., None]
+    if a.ndim != 3:
+        raise ValueError(f"expected (S, T) or (S, T, C) images, got {a.shape}")
+    if a.shape[0] < window or a.shape[1] < window:
+        raise ValueError(f"image {a.shape[:2]} smaller than window {window}")
+    c1 = (k1 * peak) ** 2
+    c2 = (k2 * peak) ** 2
+    vals = [
+        _ref_ssim_channel(a[..., c], b[..., c], window, c1, c2)[0].mean()
+        for c in range(a.shape[2])
+    ]
+    return float(np.mean(vals))
+
+
+def _ref_ssim_loss(
+    pred,
+    truth,
+    window: int = lm.SSIM_WINDOW,
+    k1: float = lm.SSIM_K1,
+    k2: float = lm.SSIM_K2,
+    with_grad: bool = True,
+) -> lm.LossValue:
+    """(1 - SSIM)/2 with the analytic gradient with respect to pred.
+
+    Per window the SSIM is a smooth rational function of window moments;
+    its derivative with respect to an in-window prediction pixel p is an
+    affine function of (pred_p, truth_p) with per-window coefficients, so
+    the full gradient is assembled from three window-scalar maps scattered
+    back over the image.
+    """
+    pred, truth = lm._check_same_shape(pred, truth)
+    squeeze = pred.ndim == 2
+    if squeeze:
+        pred = pred[..., None]
+        truth = truth[..., None]
+    if pred.shape[0] < window or pred.shape[1] < window:
+        raise ValueError(f"image {pred.shape[:2]} smaller than window {window}")
+    c1 = (k1 * 1.0) ** 2
+    c2 = (k2 * 1.0) ** 2
+    n = float(window * window)
+    n_ch = pred.shape[2]
+    total = 0.0
+    grad = np.zeros_like(pred) if with_grad else None
+    n_windows = None
+    for c in range(n_ch):
+        x = pred[..., c]
+        y = truth[..., c]
+        s, (mu_x, mu_y, a1, a2, b1, b2) = _ref_ssim_channel(x, y, window, c1, c2)
+        n_windows = s.size
+        total += s.mean()
+        if not with_grad:
+            continue
+        # Quotient rule: dS = [a1'*a2 + a1*a2' - S*(b1'*b2 + b1*b2')] / (b1*b2)
+        # with a1' = 2 mu_y / n, a2' = 2 (y_p - mu_y) / n,
+        #      b1' = 2 mu_x / n, b2' = 2 (x_p - mu_x) / n,
+        # which is affine in (x_p, y_p) per window:
+        denom = n * b1 * b2
+        coef_y = 2.0 * a1 / denom
+        coef_x = -2.0 * s / (n * b2)
+        const = (
+            2.0 * mu_y * (a2 - a1) / denom
+            + 2.0 * s * mu_x * (1.0 / (n * b2) - 1.0 / (n * b1))
+        )
+        shape2 = x.shape
+        g = (
+            _ref_scatter_windows(const, shape2, window)
+            + y * _ref_scatter_windows(coef_y, shape2, window)
+            + x * _ref_scatter_windows(coef_x, shape2, window)
+        )
+        grad[..., c] = g
+    mean_ssim = total / n_ch
+    out = lm.LossValue(value=float(0.5 * (1.0 - mean_ssim)))
+    if with_grad:
+        grad /= n_windows * n_ch  # d(mean SSIM); windows per channel are equal
+        out.grad = -0.5 * grad
+        if squeeze:
+            out.grad = out.grad[..., 0]
+    return out
+
+
+def _ref_spectral_cos_loss(pred, truth, with_grad: bool = True) -> lm.LossValue:
+    """(1 - cosine)/2 of per-pixel spectra, averaged over pixels."""
+    pred, truth = lm._check_same_shape(pred, truth)
+    if pred.ndim != 3:
+        raise ValueError(f"expected (S, T, C) spectra, got {pred.shape}")
+    dot = (pred * truth).sum(axis=-1)
+    np_ = np.sqrt((pred * pred).sum(axis=-1))
+    nt = np.sqrt((truth * truth).sum(axis=-1))
+    denom = np.maximum(np_ * nt, lm.EPS)
+    cos = dot / denom
+    n_px = cos.size
+    out = lm.LossValue(value=float(0.5 * (1.0 - cos.mean())))
+    if with_grad:
+        safe_np = np.maximum(np_, lm.EPS)
+        dcos = truth / denom[..., None] - (dot / (safe_np * safe_np * denom))[
+            ..., None
+        ] * pred
+        out.grad = -0.5 * dcos / n_px
+    return out
+
+
+def _ref_forward_diffs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences along rows (y, axis 0) and columns (x, axis 1)."""
+    gx = d[:, 1:] - d[:, :-1]
+    gy = d[1:, :] - d[:-1, :]
+    return gx, gy
+
+
+def _ref_tv_smoothness(pred_disp, truth_disp, with_grad: bool = True) -> lm.LossValue:
+    """Edge-aware smoothness: |grad pred| weighted by exp(-|grad truth|).
+
+    Averaged over all gradient sites (both directions pooled).
+    """
+    pred, truth = lm._check_same_shape(pred_disp, truth_disp)
+    if pred.ndim != 2:
+        raise ValueError(f"expected (S, T) disparity maps, got {pred.shape}")
+    gx_p, gy_p = _ref_forward_diffs(pred)
+    gx_t, gy_t = _ref_forward_diffs(truth)
+    wx = np.exp(-np.abs(gx_t))
+    wy = np.exp(-np.abs(gy_t))
+    n_sites = gx_p.size + gy_p.size
+    if n_sites == 0:
+        return lm.LossValue(value=0.0, grad=np.zeros_like(pred) if with_grad else None)
+    val = (np.abs(gx_p) * wx).sum() + (np.abs(gy_p) * wy).sum()
+    out = lm.LossValue(value=float(val / n_sites))
+    if with_grad:
+        grad = np.zeros_like(pred)
+        sx = np.sign(gx_p) * wx / n_sites
+        grad[:, 1:] += sx
+        grad[:, :-1] -= sx
+        sy = np.sign(gy_p) * wy / n_sites
+        grad[1:, :] += sy
+        grad[:-1, :] -= sy
+        out.grad = grad
+    return out
+
+
+def _ref_pixel_grads(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel forward differences, zero at the far edges."""
+    gx = np.zeros_like(d)
+    gy = np.zeros_like(d)
+    gx[:, :-1] = d[:, 1:] - d[:, :-1]
+    gy[:-1, :] = d[1:, :] - d[:-1, :]
+    return gx, gy
+
+
+def _ref_normal_similarity(pred_disp, truth_disp, with_grad: bool = True) -> lm.LossValue:
+    """(1 - cosine)/2 between surface normals (-dx, -dy, 1), pixel-averaged."""
+    pred, truth = lm._check_same_shape(pred_disp, truth_disp)
+    if pred.ndim != 2:
+        raise ValueError(f"expected (S, T) disparity maps, got {pred.shape}")
+    gx_p, gy_p = _ref_pixel_grads(pred)
+    gx_t, gy_t = _ref_pixel_grads(truth)
+    # cos = (gx_p*gx_t + gy_p*gy_t + 1) / (|n_pred| * |n_truth|)
+    dot = gx_p * gx_t + gy_p * gy_t + 1.0
+    n_p = np.sqrt(gx_p * gx_p + gy_p * gy_p + 1.0)
+    n_t = np.sqrt(gx_t * gx_t + gy_t * gy_t + 1.0)
+    cos = dot / (n_p * n_t)
+    n_px = pred.size
+    out = lm.LossValue(value=float(0.5 * (1.0 - cos.mean())))
+    if with_grad:
+        # d cos / d gx_p, then scatter the forward-difference stencil.
+        dgx = gx_t / (n_p * n_t) - dot * gx_p / (n_p**3 * n_t)
+        dgy = gy_t / (n_p * n_t) - dot * gy_p / (n_p**3 * n_t)
+        grad = np.zeros_like(pred)
+        # gx[i, j] = d[i, j+1] - d[i, j] for j < T-1 (zero at the edge)
+        grad[:, 1:] += dgx[:, :-1]
+        grad[:, :-1] -= dgx[:, :-1]
+        grad[1:, :] += dgy[:-1, :]
+        grad[:-1, :] -= dgy[:-1, :]
+        out.grad = -0.5 * grad / n_px
+    return out
+
+
+def _loop_batch(pred, loss_fn, truths):
+    """Batch mean of a per-sample loss and its gradient, one sample at a time."""
+    n_b = pred.shape[0]
+    vals = []
+    grad = np.zeros_like(pred)
+    for i in range(n_b):
+        lv = loss_fn(pred[i], truths[i])
+        vals.append(lv.value)
+        grad[i] = lv.grad
+    grad /= n_b
+    return float(np.mean(vals)), grad
+
+
+REFERENCE_LOSSES = {
+    "huber": _ref_huber,
+    "ssim_loss": _ref_ssim_loss,
+    "spectral_cos_loss": _ref_spectral_cos_loss,
+    "tv_smoothness": _ref_tv_smoothness,
+    "normal_similarity": _ref_normal_similarity,
+}
+
+
+@pytest.fixture
+def reference_losses():
+    """(REFERENCE_LOSSES, _ref_ssim, _loop_batch): the per-sample losses by
+    name, the per-sample SSIM metric and the sample loop (test oracles)."""
+    return REFERENCE_LOSSES, _ref_ssim, _loop_batch
 
 
 class _Node:
@@ -55,15 +321,8 @@ def _reshape(a, shape):
 
 
 def _batched_loss(pred, loss_fn, truths):
-    n_b = pred.value.shape[0]
-    vals = []
-    grads = np.zeros_like(pred.value)
-    for i in range(n_b):
-        lv = loss_fn(pred.value[i], truths[i])
-        vals.append(lv.value)
-        grads[i] = lv.grad
-    grads /= n_b
-    return _Node(np.float64(np.mean(vals)), (pred,), lambda g: (float(g) * grads,))
+    value, grads = _loop_batch(pred.value, loss_fn, truths)
+    return _Node(np.float64(value), (pred,), lambda g: (float(g) * grads,))
 
 
 def _backward(root):

@@ -352,3 +352,66 @@ def test_dict_cli_round_trip(tmp_path, scene):
                 "--angular-overlap", "0,0", "--lambda", "0.001", "--iters",
                 "40", "--out", rec]) == 0
     assert tensor.read_lf5d(rec).shape == (3, 3, 16, 16, 5)
+
+
+_TRAIN_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.05"}
+_RECON_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.001"}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train-dict", "--k", "0", "k = 0.0 gives 0 atoms"),
+    ("train-dict", "--k", "0.001", "k = 0.001 gives 0 atoms"),
+    ("train-dict", "--k", "inf", "k = inf gives 0 atoms"),
+    ("train-dict", "--lambda", "nan", "lam must be finite and >= 0"),
+    ("train-dict", "--lambda", "-1", "lam must be finite and >= 0"),
+    ("train-dict", "--lr", "nan", "lr must be finite"),
+    ("train-dict", "--epochs", "0", "epochs must be an integer >= 1"),
+    ("train-dict", "--batch-size", "0", "batch_size must be an integer >= 1"),
+    ("train-dict", "--batch-size", "-2", "batch_size must be an integer >= 1"),
+    ("train-dict", "--fista-iters", "0", "fista_iters must be an integer >= 1"),
+    ("train-dict", "--spatial-overlap", "1", "--spatial-overlap needs 2 comma-separated"),
+    ("train-dict", "--angular-overlap", "1,-1", "--angular-overlap values must be >= 0"),
+    ("train-dict", "--atom", "2,2,4,4", "--atom needs 5 comma-separated integers u,v,s,t,C"),
+    ("reconstruct-dict", "--lambda", "-1", "lam must be finite and >= 0"),
+    ("reconstruct-dict", "--lambda", "inf", "lam must be finite and >= 0"),
+    ("reconstruct-dict", "--iters", "-1", "iters must be an integer >= 0"),
+    ("reconstruct-dict", "--spatial-overlap", "1", "--spatial-overlap needs 2 comma-separated"),
+    ("reconstruct-dict", "--atom", "2,2,x,4,5", "--atom needs 5 comma-separated integers"),
+])
+def test_dict_commands_reject_bad_knobs(tmp_path, monkeypatch, capsys, command, flag, value,
+                                        message):
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(tensor, "read_lf5d", no_read)
+    out = tmp_path / "out"
+    if command == "train-dict":
+        argv = ["train-dict", "--scenes", str(tmp_path / "s.lf5d"), "--out", str(out)]
+        knobs = dict(_TRAIN_DICT)
+    else:
+        argv = ["reconstruct-dict", "--in", str(tmp_path / "p.lf5d"), "--mask",
+                str(tmp_path / "m.lf5d"), "--dict", str(tmp_path / "d.lfdc"), "--out", str(out)]
+        knobs = dict(_RECON_DICT)
+    knobs[flag] = value
+    capsys.readouterr()
+    # The inputs do not exist: the knobs are checked before any file is read.
+    assert run(argv + [x for kv in knobs.items() for x in kv]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_dict_zero_iters_gives_zero_codes(tmp_path, scene):
+    dict_p = str(tmp_path / "d.lfdc")
+    assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom", "2,2,4,4,5",
+                "--spatial-overlap", "1,1", "--angular-overlap", "0,0", "--lambda", "0.05",
+                "--epochs", "1", "--fista-iters", "2", "--out", dict_p]) == 0
+    mask = str(tmp_path / "m.lf5d")
+    proj = str(tmp_path / "p.lf5d")
+    run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
+         "--out-coded", str(tmp_path / "c.lf5d"), "--out-mask", mask])
+    run(["project", "--in", str(tmp_path / "c.lf5d"), "--out", proj])
+    rec = str(tmp_path / "rec.lf5d")
+    assert run(["reconstruct-dict", "--in", proj, "--mask", mask, "--dict", dict_p,
+                "--atom", "2,2,4,4,5", "--spatial-overlap", "1,1", "--angular-overlap",
+                "0,0", "--lambda", "0.001", "--iters", "0", "--out", rec]) == 0
+    assert not tensor.read_lf5d(rec).any()

@@ -222,6 +222,54 @@ class TestDictionaryIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             cs_dict.read_dictionary(path)
 
+    @pytest.mark.parametrize("atoms, message", [
+        (np.ones((8, 0)), "shape (8, 0)"),
+        (np.ones((0, 3)), "shape (0, 3)"),
+        (np.ones(8), "shape (8,)"),
+        (np.full((4, 3), np.nan), "non-finite"),
+        (np.full((4, 3), 1e39), "non-finite"),  # finite in float64, inf in float32
+    ], ids=["no-atoms", "no-length", "one-axis", "nan", "float32-overflow"])
+    def test_writer_refuses_what_reader_rejects(self, tmp_path, atoms, message):
+        path = tmp_path / "d.lfdc"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs_dict.write_dictionary(cs_dict.Dictionary(atoms=atoms), path)
+        assert not path.exists()
+
+
+class TestKnobs:
+    @pytest.mark.parametrize("knobs, message", [
+        ({"k": 0.0}, "k = 0.0 gives 0 atoms"),
+        ({"k": float("nan")}, "k = nan gives 0 atoms"),
+        ({"lam": float("nan")}, "lam must be finite and >= 0"),
+        ({"lam": -0.5}, "lam must be finite and >= 0"),
+        ({"lr": float("inf")}, "lr must be finite"),
+        ({"batch_size": 0}, "batch_size must be an integer >= 1"),
+        ({"batch_size": 2.0}, "batch_size must be an integer >= 1"),
+        ({"fista_iters": 0}, "fista_iters must be an integer >= 1"),
+        ({"epochs": True}, "epochs must be an integer >= 1"),
+    ])
+    def test_train_dictionary_rejects_before_patching(self, monkeypatch, knobs, message):
+        def no_patch(*args):
+            raise AssertionError("patched before the knobs were checked")
+
+        monkeypatch.setattr(cs_dict, "patch", no_patch)
+        g = cs_dict.make_patch_grid((1, 1, 4, 4, 2), (1, 1, 4, 4, 2), (0, 0), (0, 0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs_dict.train_dictionary([np.zeros((1, 1, 4, 4, 2))], g, **knobs)
+
+    @pytest.mark.parametrize("lam, iters, message", [
+        (-1.0, 10, "lam must be finite and >= 0"),
+        (float("inf"), 10, "lam must be finite and >= 0"),
+        (0.1, -1, "iters must be an integer >= 0"),
+        (0.1, 2.5, "iters must be an integer >= 0"),
+    ])
+    def test_dict_reconstruct_rejects(self, lam, iters, message):
+        dims = (1, 1, 4, 4, 2)
+        g = cs_dict.make_patch_grid(dims, dims, (0, 0), (0, 0))
+        d = cs_dict.init_dictionary(g.atom_len, 2 * g.atom_len, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs_dict.dict_reconstruct(np.zeros((1, 1, 4, 4, 1)), np.ones((4, 4, 2)), d, g, lam, iters)
+
 
 class TestReconstruct:
     def test_representable_signal_all_pass(self):

@@ -250,3 +250,79 @@ def test_losses_nonnegative_random():
         assert lm.spectral_cos_loss(p, t).value >= 0
         assert lm.tv_smoothness(pd, td).value >= 0
         assert lm.normal_similarity(pd, td).value >= 0
+
+
+# ---------------------------------------------------------------------------
+# batched losses against the per-sample oracle (tests/conftest.py): the same
+# value and gradient bit for bit, batched or one sample at a time.
+
+DISP_LOSSES = ("tv_smoothness", "normal_similarity")
+
+
+def _pair(name, n_b, sample):
+    if name in DISP_LOSSES:
+        size = (n_b,) + sample[:2]
+        return RNG.uniform(-1, 1, size=size), RNG.uniform(-1, 1, size=size)
+    size = (n_b,) + sample
+    return RNG.uniform(0.1, 0.9, size=size), RNG.uniform(0.1, 0.9, size=size)
+
+
+@pytest.mark.parametrize(
+    "name", ["huber", "ssim_loss", "spectral_cos_loss", "tv_smoothness", "normal_similarity"])
+@pytest.mark.parametrize("sample", [(8, 8, 5), (12, 9, 4), (7, 7, 1), (9, 11, 9)],
+                         ids=["bench", "s-ne-t", "window-c1", "c9"])
+@pytest.mark.parametrize("n_b", [1, 3, 8])
+def test_batched_loss_equals_per_sample_oracle(reference_losses, name, sample, n_b):
+    refs, _, loop = reference_losses
+    pred, truth = _pair(name, n_b, sample)
+    ref_value, ref_grad = loop(pred, refs[name], truth)
+    out = getattr(lm, name)(pred, list(truth), batched=True)
+    assert out.value == ref_value
+    assert np.array_equal(out.grad, ref_grad)
+    assert getattr(lm, name)(pred, truth, with_grad=False, batched=True).grad is None
+    for p, t in zip(pred, truth):
+        one, ref = getattr(lm, name)(p, t), refs[name](p, t)
+        assert one.value == ref.value and np.array_equal(one.grad, ref.grad)
+
+
+@pytest.mark.parametrize("n_b", [1, 3])
+def test_grayscale_ssim_equals_oracle(reference_losses, n_b):
+    refs, ref_ssim, loop = reference_losses
+    pred = RNG.uniform(0.1, 0.9, size=(n_b, 10, 8))
+    truth = RNG.uniform(0.1, 0.9, size=(n_b, 10, 8))
+    ref_value, ref_grad = loop(pred, refs["ssim_loss"], truth)
+    out = lm.ssim_loss(pred, truth, batched=True)
+    assert out.value == ref_value and np.array_equal(out.grad, ref_grad)
+    assert out.grad.shape == pred.shape
+    for peak in (1.0, 255.0):
+        assert lm.ssim(pred[0], truth[0], peak=peak) == ref_ssim(pred[0], truth[0], peak=peak)
+    a, b = RNG.uniform(size=(2, 9, 7, 6))
+    assert lm.ssim(a, b) == ref_ssim(a, b)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_ssim_smaller_than_window_rejected(batched):
+    img = np.zeros((2, 6, 9, 3)) if batched else np.zeros((6, 9, 3))
+    with pytest.raises(ValueError, match="smaller than window"):
+        lm.ssim_loss(img, img, batched=batched)
+    with pytest.raises(ValueError, match="smaller than window"):
+        lm.ssim(img[0] if batched else img, img[0] if batched else img)
+
+
+def test_tv_on_one_pixel_map(reference_losses):
+    refs, _, loop = reference_losses
+    pred, truth = RNG.uniform(size=(3, 1, 1)), RNG.uniform(size=(3, 1, 1))
+    out = lm.tv_smoothness(pred, truth, batched=True)
+    assert (out.value, out.grad.shape) == (0.0, (3, 1, 1)) and not out.grad.any()
+    ref_value, ref_grad = loop(pred, refs["tv_smoothness"], truth)
+    assert out.value == ref_value and np.array_equal(out.grad, ref_grad)
+    assert lm.tv_smoothness(pred[0], truth[0]).value == 0.0
+
+
+def test_batched_needs_batch_axis_and_sample_rank():
+    with pytest.raises(ValueError, match="leading batch axis"):
+        lm.huber(np.float64(1.0), np.float64(0.0), batched=True)
+    with pytest.raises(ValueError, match=r"\(S, T, C\) spectra"):
+        lm.spectral_cos_loss(np.ones((4, 4, 3)), np.ones((4, 4, 3)), batched=True)
+    with pytest.raises(ValueError, match="disparity maps"):
+        lm.tv_smoothness(np.ones((4, 4, 3)), np.ones((4, 4, 3)))
