@@ -307,10 +307,22 @@ def _cmd_reconstruct_dict(args) -> int:
             raise ValidationError(
                 f"dictionary atom length {d.atom_len} != grid {grid.atom_len}"
             )
-        rec = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
+        rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     tensor.write_lf5d(rec, args.out)
+    if args.report:
+        _report(
+            {
+                "iterations": rep.iterations,
+                "restarts": rep.restarts,
+                "lipschitz_bound": rep.lipschitz_bound,
+                "step": rep.step,
+                "final_objective": _json_float(rep.final_objective),
+            },
+            args.report,
+            args.no_timestamp,
+        )
     if args.png_preview:
         _png_preview(rec[rec.shape[0] // 2, rec.shape[1] // 2], args.out + ".png")
     return 0
@@ -597,6 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--iters", type=int, default=300, help="FISTA iterations (0: zero codes)")
     sp.add_argument("--out", required=True)
+    sp.add_argument("--report", default=None, help="solve report (JSON)")
     sp.add_argument("--png-preview", action="store_true")
     sp.set_defaults(fn=_cmd_reconstruct_dict)
 

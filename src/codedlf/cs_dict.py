@@ -9,9 +9,16 @@ fixed, renormalizing every atom to unit l2 norm after each update.
 
 Sparse coding minimizes  ||x - D a||_2^2 + lam * ||a||_1  (that scaling
 makes the identity-dictionary solution the soft threshold at lam / 2).
-Reconstruction from coded measurements folds the binary mask into the
-residual:  ||m * x - m * (D a)||_2^2 + lam * ||a||_1;  since the mask is a
-projection, the same Lipschitz bound applies and FISTA is reused as is.
+Reconstruction from coded measurements keeps only the observed entries of
+each patch:  ||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D
+that the one-hot mask selects.  The mask depends on the spatial position
+alone, so all patches with one spatial origin share D_m, and the masked
+FISTA (Beck & Teboulle 2009; overcomplete-dictionary reconstruction as in
+Marwah et al. 2013) runs group by group on those rows: two small GEMMs per
+group and iteration, with D_m y formed from the cached products D_m z of
+the last two iterates.  Step (from the global Lipschitz bound, which also
+bounds every D_m), momentum and the monotone restart stay global, so the
+iterates are those of the full-height masked solve up to rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ class PatchGrid:
 
     Origins along each axis are multiples of (atom - overlap), with a final
     origin clamped to (dim - atom) so the far edge is always covered.  The
-    spectral axis is never patched: the atom spans all channels.
+    spectral axis is never patched: the atom spans all channels.  The
+    overlaps are the ones the origins use, at most atom - 1 per axis.
     """
 
     source_dims: tuple[int, int, int, int, int]
@@ -82,14 +90,14 @@ def make_patch_grid(
         raise ValueError(
             f"atoms span all {source_dims[4]} channels, got {atom_dims[4]}"
         )
-    o_u, o_v = angular_overlap
-    o_s, o_t = spatial_overlap
-    # Clamp overlaps where the atom fills the axis (stride would be <= 0).
+    # Clamp overlaps to atom - 1 (a larger one would give a stride <= 0);
+    # the grid records the overlaps it uses.
+    o_u, o_v, o_s, o_t = (
+        int(min(o, a - 1)) for o, a in zip((*angular_overlap, *spatial_overlap), atom_dims)
+    )
     per_axis = [
-        _axis_origins(source_dims[0], atom_dims[0], min(o_u, atom_dims[0] - 1)),
-        _axis_origins(source_dims[1], atom_dims[1], min(o_v, atom_dims[1] - 1)),
-        _axis_origins(source_dims[2], atom_dims[2], min(o_s, atom_dims[2] - 1)),
-        _axis_origins(source_dims[3], atom_dims[3], min(o_t, atom_dims[3] - 1)),
+        _axis_origins(source_dims[axis], atom_dims[axis], o)
+        for axis, o in enumerate((o_u, o_v, o_s, o_t))
     ]
     origins = tuple(
         (u, v, s, t)
@@ -101,8 +109,8 @@ def make_patch_grid(
     return PatchGrid(
         source_dims=tuple(int(d) for d in source_dims),
         atom_dims=tuple(int(d) for d in atom_dims),
-        spatial_overlap=(int(o_s), int(o_t)),
-        angular_overlap=(int(o_u), int(o_v)),
+        spatial_overlap=(o_s, o_t),
+        angular_overlap=(o_u, o_v),
         origins=origins,
     )
 
@@ -264,30 +272,19 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _fista(
-    d: Dictionary,
-    x: np.ndarray,
-    lam: float,
-    iters: int,
-    mask: np.ndarray | None = None,
-    lip: float | None = None,
-) -> np.ndarray:
-    """Monotone FISTA on columns of x; optional per-column binary mask.
+def _fista(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
+    """Monotone FISTA on the columns of x.
 
-    Objective per column:  ||m*(x - D a)||^2 + lam*||a||_1.  The momentum
+    Objective per column:  ||x - D a||^2 + lam*||a||_1.  The momentum
     sequence restarts whenever a candidate step would increase the
     objective, so the kept iterates are non-increasing in objective.
     """
     atoms = d.atoms
-    if lip is None:
-        lip = lipschitz_bound(d)
-    step = 1.0 / (2.0 * lip)
+    step = 1.0 / (2.0 * lipschitz_bound(d))
     thresh = lam * step
 
     def objective(a):
         r = x - atoms @ a
-        if mask is not None:
-            r = mask * r
         return np.sum(r * r, axis=0) + lam * np.abs(a).sum(axis=0)
 
     a = np.zeros((d.n_atoms, x.shape[1]), dtype=np.float64)
@@ -296,8 +293,6 @@ def _fista(
     f_a = objective(a)
     for _ in range(iters):
         r = atoms @ y - x
-        if mask is not None:
-            r = mask * r
         z = _soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
         f_z = objective(z)
         worse = f_z > f_a
@@ -312,6 +307,106 @@ def _fista(
             y = z + ((t - 1.0) / t_new) * (z - a)
         a, f_a, t = z, f_z, t_new
     return a
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """What a masked dictionary solve did."""
+
+    iterations: int
+    restarts: int  # iterations in which some patch would have got worse
+    lipschitz_bound: float  # `lipschitz_bound(d)`: largest eigenvalue of D^T D
+    step: float
+    final_objective: float  # masked objective summed over all patches
+
+
+def _spatial_groups(g: PatchGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the patches by spatial origin.
+
+    Returns (cols, rows): cols[k] are the indices of the patches of group k
+    (one per angular origin), rows[k] the entries of their patch vectors
+    that the one-hot mask `m` (S, T, C) keeps, in increasing order.
+    """
+    a_u, a_v, a_s, a_t, _ = g.atom_dims
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, (_, _, s, t) in enumerate(g.origins):
+        members.setdefault((s, t), []).append(i)
+    rows = [
+        np.flatnonzero(np.broadcast_to(m[s : s + a_s, t : t + a_t] != 0, g.atom_dims))
+        for s, t in members
+    ]
+    return np.array(list(members.values())), np.array(rows)
+
+
+def _observed_fista(
+    d: Dictionary, x_obs: np.ndarray, rows: np.ndarray, lam: float, iters: int
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Monotone FISTA on observed rows only, one group of patches at a time.
+
+    x_obs[k] (n, R) holds the observed entries of the n patches of group k,
+    which are rows[k] of each patch vector.  Objective per patch:
+    ||x_m - D_m a||^2 + lam*||a||_1,  with D_m the rows[k] of D.  Each
+    iteration gathers D_m for one group at a time into one reused buffer
+    and forms the gradient D_m^T (D_m y - x_m) and D_m z; D_m y is the
+    momentum combination of the cached D_m z of the last two iterates, as
+    y is of the codes.  Step, momentum and restart are global, as in
+    `_fista`.  Returns the codes (G, n, n_atoms), the per-patch final
+    objective (G, n) and the report.
+    """
+    atoms = d.atoms
+    lip = lipschitz_bound(d)
+    step = 1.0 / (2.0 * lip)
+    thresh = lam * step
+    n_groups, n, n_rows = x_obs.shape
+    a = np.zeros((n_groups, n, d.n_atoms), dtype=np.float64)
+    a_prev, y_buf, z = np.zeros_like(a), np.empty_like(a), np.empty_like(a)
+    da = np.zeros_like(x_obs)  # (D_m a)^T, cached per group
+    da_prev, dz, resid = np.zeros_like(da), np.empty_like(da), np.empty_like(da)
+    d_rows = np.empty((n_rows, d.n_atoms), dtype=np.float64)
+    f_a = np.sum(x_obs * x_obs, axis=2)
+    t = 1.0
+    momentum = None  # None at the start and after a restart: y = a
+    restarts = 0
+    for _ in range(iters):
+        if momentum is None:
+            y = a
+            np.subtract(da, x_obs, out=resid)
+        else:
+            y = y_buf
+            np.subtract(a, a_prev, out=y)
+            y *= momentum
+            y += a
+            np.subtract(da, da_prev, out=resid)
+            resid *= momentum
+            resid += da
+            resid -= x_obs
+        for k in range(n_groups):
+            np.take(atoms, rows[k], axis=0, out=d_rows)
+            z[k] = _soft_threshold(y[k] - step * (2.0 * (resid[k] @ d_rows)), thresh)
+            np.matmul(z[k], d_rows.T, out=dz[k])
+        np.subtract(x_obs, dz, out=resid)
+        resid *= resid
+        f_z = np.sum(resid, axis=2) + lam * np.abs(z).sum(axis=2)
+        worse = f_z > f_a
+        if np.any(worse):
+            # Monotone restart: keep the previous iterate, drop momentum.
+            z[worse] = a[worse]
+            dz[worse] = da[worse]
+            f_z = np.where(worse, f_a, f_z)
+            t_new = 1.0
+            momentum = None
+            restarts += 1
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            momentum = (t - 1.0) / t_new
+        a_prev, a, z = a, z, a_prev
+        da_prev, da, dz = da, dz, da_prev
+        f_a, t = f_z, t_new
+    report = SolveReport(
+        iterations=iters, restarts=restarts, lipschitz_bound=lip, step=step,
+        final_objective=float(f_a.sum()),
+    )
+    return a, f_a, report
 
 
 def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
@@ -392,6 +487,23 @@ def train_dictionary(
     return d, epoch_objectives
 
 
+def _masked_codes(
+    lifted: np.ndarray, m: np.ndarray, d: Dictionary, g: PatchGrid, lam: float, iters: int
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Sparse code every patch of the lifted measurement on the entries the
+    mask keeps.  Returns the codes (n_atoms, n_patches) and the per-patch
+    final objectives, both in grid order, and the solve report."""
+    cols, rows = _spatial_groups(g, m)
+    x = patch(lifted, g)
+    codes, f, report = _observed_fista(d, x[cols[:, :, None], rows[:, None, :]], rows, lam, iters)
+    order = cols.ravel()
+    a = np.empty((d.n_atoms, g.n_patches), dtype=np.float64)
+    a[:, order] = codes.reshape(-1, d.n_atoms).T
+    f_patch = np.empty(g.n_patches, dtype=np.float64)
+    f_patch[order] = f.ravel()
+    return a, f_patch, report
+
+
 def dict_reconstruct(
     l_star_p: np.ndarray,
     m: np.ndarray,
@@ -399,12 +511,13 @@ def dict_reconstruct(
     g: PatchGrid,
     lam: float,
     iters: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, SolveReport]:
     """Reconstruct a light field from its projected coded measurement.
 
-    The measurement is lifted to the coded field, patched, sparse coded
-    per patch against the masked dictionary (mask folded into the FISTA
-    residual), synthesized, and assembled with overlap averaging.
+    The measurement is lifted to the coded field and patched, each patch is
+    sparse coded on the entries the mask keeps, and the codes are
+    synthesized through the full dictionary and assembled with overlap
+    averaging.  Returns the reconstruction and the solve report.
     """
     check_reconstruct_knobs(lam, iters)
     l_star_p = as_tensor5(l_star_p, "projected measurement")
@@ -413,10 +526,5 @@ def dict_reconstruct(
         raise ValueError(
             f"lifted measurement {lifted.shape} does not match grid {g.source_dims}"
         )
-    mask5 = np.broadcast_to(
-        np.asarray(m, dtype=np.float64)[None, None], g.source_dims
-    )
-    x = patch(lifted, g).T  # (atom_len, n_patches)
-    masks = patch(mask5, g).T
-    a = _fista(d, x, lam, iters, mask=masks)
-    return depatch((d.atoms @ a).T, g)
+    a, _, report = _masked_codes(lifted, np.asarray(m), d, g, lam, iters)
+    return depatch((d.atoms @ a).T, g), report

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from codedlf import coding, cs_dict, transforms
 from codedlf import losses_metrics as lm
-from codedlf import transforms
 
 
 def _tensordot_dct5(x, synthesis):
@@ -372,3 +372,67 @@ def graph_gradients():
     loss does not reach get zeros.
     """
     return _graph_gradients
+
+
+# ---------------------------------------------------------------------------
+# The masked dictionary solve as it was before it ran on observed rows only:
+# FISTA on the full-height patch vectors of all patches at once, the binary
+# mask folded into the residual.  Test oracle for cs_dict.dict_reconstruct.
+
+
+def _ref_masked_fista(d, x, lam, iters, mask):
+    """Codes (n_atoms, n_patches) and per-patch final objectives of the
+    full-height masked FISTA on the columns of x."""
+    atoms = d.atoms
+    lip = cs_dict.lipschitz_bound(d)
+    step = 1.0 / (2.0 * lip)
+    thresh = lam * step
+
+    def objective(a):
+        r = x - atoms @ a
+        r = mask * r
+        return np.sum(r * r, axis=0) + lam * np.abs(a).sum(axis=0)
+
+    a = np.zeros((d.n_atoms, x.shape[1]), dtype=np.float64)
+    y = a.copy()
+    t = 1.0
+    f_a = objective(a)
+    for _ in range(iters):
+        r = atoms @ y - x
+        r = mask * r
+        z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
+        f_z = objective(z)
+        worse = f_z > f_a
+        if np.any(worse):
+            z[:, worse] = a[:, worse]
+            f_z = np.where(worse, f_a, f_z)
+            t_new = 1.0
+            y = z.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = z + ((t - 1.0) / t_new) * (z - a)
+        a, f_a, t = z, f_z, t_new
+    return a, f_a
+
+
+def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
+    """(reconstruction, codes, per-patch final objectives) of the
+    full-height masked solve, patches in grid order."""
+    lifted = coding.lift(l_star_p, m)
+    mask5 = np.broadcast_to(np.asarray(m, dtype=np.float64)[None, None], g.source_dims)
+    x = cs_dict.patch(lifted, g).T
+    masks = cs_dict.patch(mask5, g).T
+    a, f = _ref_masked_fista(d, x, lam, iters, masks)
+    return cs_dict.depatch((d.atoms @ a).T, g), a, f
+
+
+@pytest.fixture
+def masked_dict_oracle():
+    """The full-height masked dictionary solve (test oracle).
+
+    masked_dict_oracle(l_star_p, m, d, g, lam, iters) returns the
+    reconstruction, the codes (n_atoms, n_patches) and the per-patch final
+    masked objectives of FISTA with the mask folded into a full-height
+    residual, as `dict_reconstruct` ran before it used observed rows only.
+    """
+    return _ref_dict_reconstruct

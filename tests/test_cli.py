@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import codedlf
 from codedlf import calib, cli, coding, tensor
 
 
@@ -77,6 +80,17 @@ def test_missing_input_exit_1(tmp_path):
 
 def test_unknown_flag_exit_1():
     assert run(["gen-scene", "--bogus"]) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(codedlf.__file__)))
+
+    def exit_code(*argv):
+        cmd = [sys.executable, "-m", "codedlf", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=120).returncode
+
+    assert exit_code("--help") == 0
+    assert exit_code("mask-gen", "--bogus-flag") == 1
 
 
 def test_unknown_command_exit_1():
@@ -347,11 +361,28 @@ def test_dict_cli_round_trip(tmp_path, scene):
          "--out-coded", coded, "--out-mask", mask])
     run(["project", "--in", coded, "--out", proj])
     rec = str(tmp_path / "rec.lf5d")
-    assert run(["reconstruct-dict", "--in", proj, "--mask", mask, "--dict",
-                dict_p, "--atom", "2,2,4,4,5", "--spatial-overlap", "1,1",
-                "--angular-overlap", "0,0", "--lambda", "0.001", "--iters",
-                "40", "--out", rec]) == 0
+    argv = ["reconstruct-dict", "--in", proj, "--mask", mask, "--dict",
+            dict_p, "--atom", "2,2,4,4,5", "--spatial-overlap", "1,1",
+            "--angular-overlap", "0,0", "--lambda", "0.001", "--iters", "40"]
+    assert run(argv + ["--out", rec]) == 0
     assert tensor.read_lf5d(rec).shape == (3, 3, 16, 16, 5)
+
+    # --report adds a JSON file and leaves the reconstruction as it is;
+    # with --no-timestamp, re-runs write the same bytes.
+    reports = []
+    for i in range(2):
+        out, rep = str(tmp_path / f"rec{i}.lf5d"), tmp_path / f"rep{i}.json"
+        assert run(argv + ["--out", out, "--report", str(rep), "--no-timestamp"]) == 0
+        assert open(out, "rb").read() == open(rec, "rb").read()
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert sorted(report) == ["final_objective", "iterations", "lipschitz_bound",
+                              "restarts", "step"]
+    assert report["iterations"] == 40
+    assert 0 <= report["restarts"] <= 40
+    assert report["step"] == 1.0 / (2.0 * report["lipschitz_bound"])
+    assert report["final_objective"] > 0
 
 
 _TRAIN_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.05"}

@@ -38,6 +38,18 @@ class TestPatchGrid:
         counts = cs_dict.coverage_counts(g)
         assert counts.min() >= 1
 
+    def test_grid_records_the_overlaps_it_uses(self):
+        # Overlaps of atom - 1 or more are clamped to atom - 1; the grid
+        # records the clamped values, which set the stride of the origins.
+        g = cs_dict.make_patch_grid((3, 3, 10, 10, 2), (2, 2, 4, 4, 2), (5, 2), (1, 7))
+        assert g.spatial_overlap == (3, 2)
+        assert g.angular_overlap == (1, 1)
+        assert sorted({o[2] for o in g.origins}) == list(range(7))
+        assert sorted({o[3] for o in g.origins}) == [0, 2, 4, 6]
+        assert cs_dict.make_patch_grid(
+            g.source_dims, g.atom_dims, g.spatial_overlap, g.angular_overlap
+        ) == g
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
             cs_dict.make_patch_grid((1, 1, 4, 4, 3), (1, 1, 4, 4, 2), (0, 0), (0, 0))
@@ -285,7 +297,7 @@ class TestReconstruct:
         d = cs_dict.Dictionary(atoms=atoms)
         m = coding.random_mask(4, 4, 1, 0)
         lp = coding.project(coding.encode(l, m))
-        rec = cs_dict.dict_reconstruct(lp, m, d, g, lam=0.0, iters=400)
+        rec, _ = cs_dict.dict_reconstruct(lp, m, d, g, lam=0.0, iters=400)
         rel = np.linalg.norm((rec - l).ravel()) / np.linalg.norm(l.ravel())
         assert rel <= 1e-4
 
@@ -295,7 +307,7 @@ class TestReconstruct:
         d = cs_dict.init_dictionary(g.atom_len, 2 * g.atom_len, seed=1)
         m = coding.random_mask(4, 4, 2, 5)
         lp = np.zeros((1, 1, 4, 4, 1), dtype=np.float32)
-        rec = cs_dict.dict_reconstruct(lp, m, d, g, lam=0.1, iters=50)
+        rec, _ = cs_dict.dict_reconstruct(lp, m, d, g, lam=0.1, iters=50)
         assert np.all(rec == 0.0)
 
     def test_masked_data_consistency_on_scene(self):
@@ -313,9 +325,98 @@ class TestReconstruct:
             [l], g, k=2.0, lam=0.05, lr=0.05, batch_size=16,
             fista_iters=25, epochs=2, seed=2,
         )
-        rec = cs_dict.dict_reconstruct(lp, m, d, g, lam=1e-5, iters=300)
+        rec, _ = cs_dict.dict_reconstruct(lp, m, d, g, lam=1e-5, iters=300)
         mrec = coding.encode(rec, m)
         consistency = np.linalg.norm((mrec - coded).ravel()) / np.linalg.norm(
             coded.ravel()
         )
         assert consistency <= 1e-3
+
+
+# Observed-row solve against the full-height masked FISTA oracle
+# (tests/conftest.py): the two sum in different orders, so they agree to
+# these tolerances rather than bit for bit.
+REC_ABS_TOL = 1e-6  # float32 reconstruction, max abs difference
+CODES_REL_TOL = 1e-7  # codes, relative l2 (Frobenius) difference
+OBJECTIVE_REL_TOL = 1e-9  # final masked objective, per patch
+
+# (source dims, atom dims, spatial overlap, angular overlap, iterations)
+ORACLE_CASES = {
+    "zero-iters": ((3, 3, 8, 8, 5), (2, 2, 4, 4, 5), (1, 1), (0, 0), 0),
+    "all-pass": ((3, 3, 8, 8, 1), (2, 2, 4, 4, 1), (2, 2), (0, 0), 60),
+    "angular-overlap": ((3, 3, 8, 8, 4), (2, 2, 4, 4, 4), (2, 2), (1, 1), 80),
+    "clamped-origin": ((1, 1, 9, 8, 3), (1, 1, 4, 4, 3), (1, 1), (0, 0), 80),
+    "single-patch": ((1, 1, 4, 4, 2), (1, 1, 4, 4, 2), (0, 0), (0, 0), 80),
+    "benchmark-scene": ((5, 5, 16, 16, 5), (2, 2, 4, 4, 5), (1, 1), (0, 0), 300),
+}
+LAM = 3e-3
+
+
+def _coded_case(dims, atom, spatial, angular, seed=0):
+    """A rendered scene, its projected coded measurement, the mask, the
+    grid and a dictionary trained for one epoch on the scene."""
+    u, v, s, t, c = dims
+    cv, disp = scenegen.make_scene(scenegen.SceneSpec(
+        dims=dims, pattern="random-smooth", disparity_profile="linear-ramp",
+        disparity_params=(-0.3, 0.7), seed=300 + seed,
+    ))
+    l = scenegen.render_lightfield(cv, disp, u, v)
+    m = coding.random_mask(s, t, c, seed=seed + 1)
+    lp = coding.project(coding.encode(l, m))
+    g = cs_dict.make_patch_grid(dims, atom, spatial, angular)
+    d, _ = cs_dict.train_dictionary(
+        [l], g, k=2.0, lam=0.2, lr=0.3, batch_size=16, fista_iters=20, epochs=1, seed=seed,
+    )
+    return lp, m, g, d
+
+
+class TestObservedRowSolve:
+    def test_groups_share_origin_rows_and_size(self):
+        dims = (5, 5, 16, 16, 5)
+        g = cs_dict.make_patch_grid(dims, (2, 2, 4, 4, 5), (1, 1), (0, 0))
+        m = coding.random_mask(16, 16, 5, seed=3)
+        cols, rows = cs_dict._spatial_groups(g, m)
+        assert cols.shape == (25, 9) and rows.shape == (25, 64)
+        assert sorted(cols.ravel()) == list(range(g.n_patches))
+        masks = cs_dict.patch(np.broadcast_to(m[None, None], dims), g)
+        for members, kept in zip(cols, rows):
+            assert len({g.origins[i][2:] for i in members}) == 1
+            for i in members:
+                assert np.array_equal(np.flatnonzero(masks[i]), kept)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_full_height_oracle(self, masked_dict_oracle, case):
+        dims, atom, spatial, angular, iters = ORACLE_CASES[case]
+        lp, m, g, d = _coded_case(dims, atom, spatial, angular)
+        rec_ref, a_ref, f_ref = masked_dict_oracle(lp, m, d, g, LAM, iters)
+        rec, rep = cs_dict.dict_reconstruct(lp, m, d, g, LAM, iters)
+        a, f, rep_codes = cs_dict._masked_codes(coding.lift(lp, m), m, d, g, LAM, iters)
+        assert rep == rep_codes
+        assert rec.dtype == np.float32 and rec.shape == dims
+        assert np.abs(rec - rec_ref).max() <= REC_ABS_TOL
+        if iters == 0:
+            assert not a.any() and not rec.any()
+        assert np.linalg.norm(a - a_ref) <= CODES_REL_TOL * np.linalg.norm(a_ref)
+        assert np.all(np.abs(f - f_ref) <= OBJECTIVE_REL_TOL * f_ref)
+        assert rep.iterations == iters
+        assert rep.lipschitz_bound == cs_dict.lipschitz_bound(d)
+        assert rep.step == 1.0 / (2.0 * rep.lipschitz_bound)
+        assert rep.final_objective == pytest.approx(f.sum(), rel=1e-12)
+
+    def test_each_patch_objective_non_increasing(self):
+        dims, atom, spatial, angular, _ = ORACLE_CASES["angular-overlap"]
+        lp, m, g, d = _coded_case(dims, atom, spatial, angular)
+        lifted = coding.lift(lp, m)
+        x = cs_dict.patch(lifted, g).T
+        masks = cs_dict.patch(np.broadcast_to(m[None, None], dims), g).T
+        previous = None
+        for iters in range(41):
+            a, f, rep = cs_dict._masked_codes(lifted, m, d, g, LAM, iters)
+            # the objective the solver keeps is that of its codes
+            r = masks * (x - d.atoms @ a)
+            recomputed = np.sum(r * r, axis=0) + LAM * np.abs(a).sum(axis=0)
+            assert np.all(np.abs(f - recomputed) <= OBJECTIVE_REL_TOL * recomputed)
+            if previous is not None:
+                assert np.all(f <= previous), f"objective rose at iteration {iters}"
+            previous = f
+        assert rep.restarts > 0  # the restart path ran
