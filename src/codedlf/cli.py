@@ -245,6 +245,8 @@ def _cmd_reconstruct_dct(args) -> int:
                 "iterations": rep.iterations,
                 "termination": rep.termination,
                 "final_objective": rep.final_objective,
+                "evaluations": rep.evaluations,
+                "pairs_skipped": rep.pairs_skipped,
                 "objectives": rep.objectives,
             },
             args.report,

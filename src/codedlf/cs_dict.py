@@ -90,6 +90,12 @@ def make_patch_grid(
         raise ValueError(
             f"atoms span all {source_dims[4]} channels, got {atom_dims[4]}"
         )
+    if min(*angular_overlap, *spatial_overlap) < 0:
+        # A negative overlap leaves gaps that no patch covers.
+        raise ValueError(
+            f"overlaps must be >= 0, got spatial {tuple(spatial_overlap)}"
+            f" and angular {tuple(angular_overlap)}"
+        )
     # Clamp overlaps to atom - 1 (a larger one would give a stride <= 0);
     # the grid records the overlaps it uses.
     o_u, o_v, o_s, o_t = (
@@ -293,7 +299,7 @@ def _fista(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     f_a = objective(a)
     for _ in range(iters):
         r = atoms @ y - x
-        z = _soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
+        z = _soft_threshold(y - step * (2.0 * (atoms.T @ r)), thresh)
         f_z = objective(z)
         worse = f_z > f_a
         if np.any(worse):
@@ -381,12 +387,17 @@ def _observed_fista(
             resid += da
             resid -= x_obs
         for k in range(n_groups):
-            np.take(atoms, rows[k], axis=0, out=d_rows)
+            # The rows are in range; mode="clip" writes straight into d_rows,
+            # where the default mode="raise" fills a temporary copy first.
+            np.take(atoms, rows[k], axis=0, out=d_rows, mode="clip")
             z[k] = _soft_threshold(y[k] - step * (2.0 * (resid[k] @ d_rows)), thresh)
             np.matmul(z[k], d_rows.T, out=dz[k])
         np.subtract(x_obs, dz, out=resid)
         resid *= resid
-        f_z = np.sum(resid, axis=2) + lam * np.abs(z).sum(axis=2)
+        # y_buf is free until the next iteration.  Like the gather above,
+        # this keeps the loop free of large temporaries, whose cost depends
+        # on the state of the allocator (a fresh mapping and page faults).
+        f_z = np.sum(resid, axis=2) + lam * np.abs(z, out=y_buf).sum(axis=2)
         worse = f_z > f_a
         if np.any(worse):
             # Monotone restart: keep the previous iterate, drop momentum.

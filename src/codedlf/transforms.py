@@ -6,12 +6,15 @@ transforms are applied axis by axis.  dct5_forward is the analysis
 transform (basis transposed applied to a signal), dct5_inverse the
 synthesis transform, and the pair is an exact inverse up to rounding.
 
-Layout: each axis is one GEMM on a C-contiguous operand.  The leading axis
-is contracted and comes out last, so the product is again C-contiguous with
-the axes rotated by one; after five products the axes are back in order.
-Both transforms return C-contiguous float64 arrays of the input's shape, and
-every coefficient is summed in the same order as a tensordot along each
-axis in turn, so the values do not depend on the memory layout of the input.
+Layout: each axis is one GEMM on a C-contiguous operand.  The last axis
+is contracted and comes out first, as the (n, rest) product mat @ X^T, so
+the product is again C-contiguous with the axes rotated by one; after five
+products the axes are back in order.  Writing the axis as the product's n
+rows is cheaper than writing a (rest, n) product.  Both transforms return
+C-contiguous float64 arrays of the input's shape.  The input is made
+contiguous first, so the values do not depend on its memory layout; they
+agree with a tensordot along each axis in turn up to rounding, since the
+axes are transformed in the reverse order.
 
 The data-fidelity term of coded reconstruction is
 
@@ -58,12 +61,11 @@ def _apply_separable(t, synthesis: bool) -> np.ndarray:
     if x.ndim != 5:
         raise ValueError(f"expected a 5D tensor, got shape {x.shape}")
     x = np.ascontiguousarray(x)
-    for n in x.shape:
-        mat = _dct_matrix(n)
-        # (rest, n) @ (n, n): contracts the leading axis and moves it last.
-        x = (x.reshape(n, -1).T @ (mat if synthesis else mat.T)).reshape(
-            x.shape[1:] + (n,)
-        )
+    for _ in range(5):
+        n = x.shape[-1]
+        mat = _dct_matrix(n).T if synthesis else _dct_matrix(n)
+        # (n, n) @ (n, rest): contracts the last axis and moves it first.
+        x = (mat @ x.reshape(-1, n).T).reshape((n,) + x.shape[:-1])
     return x
 
 

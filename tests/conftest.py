@@ -436,3 +436,79 @@ def masked_dict_oracle():
     residual, as `dict_reconstruct` ran before it used observed rows only.
     """
     return _ref_dict_reconstruct
+
+
+# ---------------------------------------------------------------------------
+# The L-BFGS two-loop recursion OWL-QN ran on a list of history pairs before
+# the compact form on a preallocated history.  Test oracle for
+# cs_dct._LbfgsHistory.direction.
+
+
+def _two_loop(pg, history):
+    """L-BFGS two-loop recursion; returns the ascent direction H*pg.
+
+    History entries are (s, y, s.y), oldest first.
+    """
+    q = pg.copy()
+    alphas = []
+    for s, y, sy in reversed(history):
+        rho = 1.0 / sy
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        alphas.append((a, rho))
+    if history:
+        s, y, sy = history[-1]
+        q *= sy / float(np.vdot(y, y))
+    for (a, rho), (s, y, _) in zip(reversed(alphas), history):
+        b = rho * float(np.vdot(y, q))
+        q += (a - b) * s
+    return q
+
+
+@pytest.fixture
+def two_loop():
+    """two_loop(pg, history) -> H pg by the two-loop recursion (test oracle)."""
+    return _two_loop
+
+
+# ---------------------------------------------------------------------------
+# The unmasked dictionary-training FISTA with the gradient written
+# (2.0 * atoms.T) @ r, which scales a copy of the dictionary every
+# iteration.  Test oracle for cs_dict._fista.
+
+
+def _ref_fista(d, x, lam, iters):
+    atoms = d.atoms
+    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
+    thresh = lam * step
+
+    def objective(a):
+        r = x - atoms @ a
+        return np.sum(r * r, axis=0) + lam * np.abs(a).sum(axis=0)
+
+    a = np.zeros((d.n_atoms, x.shape[1]), dtype=np.float64)
+    y = a.copy()
+    t = 1.0
+    f_a = objective(a)
+    for _ in range(iters):
+        r = atoms @ y - x
+        z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
+        f_z = objective(z)
+        worse = f_z > f_a
+        if np.any(worse):
+            z[:, worse] = a[:, worse]
+            f_z = np.where(worse, f_a, f_z)
+            t_new = 1.0
+            y = z.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = z + ((t - 1.0) / t_new) * (z - a)
+        a, f_a, t = z, f_z, t_new
+    return a
+
+
+@pytest.fixture
+def unmasked_fista_oracle():
+    """unmasked_fista_oracle(d, x, lam, iters) -> codes of the training FISTA
+    with its old gradient expression (test oracle)."""
+    return _ref_fista

@@ -258,15 +258,23 @@ def test_reconstruct_dct_cli(tmp_path, scene):
     run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
          "--out-coded", coded, "--out-mask", mask])
     run(["project", "--in", coded, "--out", proj])
-    rec = str(tmp_path / "rec.lf5d")
-    rep = str(tmp_path / "rep.json")
-    assert run(["reconstruct-dct", "--in", proj, "--mask", mask, "--lambda",
-                "0.001", "--max-iters", "10", "--out", rec, "--report", rep,
-                "--no-timestamp"]) == 0
-    data = json.loads(open(rep).read())
+    reports = []
+    for k in range(2):
+        rec = str(tmp_path / f"rec{k}.lf5d")
+        rep = tmp_path / f"rep{k}.json"
+        assert run(["reconstruct-dct", "--in", proj, "--mask", mask, "--lambda",
+                    "0.001", "--max-iters", "10", "--out", rec, "--report", str(rep),
+                    "--no-timestamp"]) == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+    data = json.loads(reports[0])
+    assert sorted(data) == ["evaluations", "final_objective", "iterations", "objectives",
+                            "pairs_skipped", "termination"]
     assert data["termination"] in ("converged", "max_iters", "line_search_failed")
     objs = data["objectives"]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
+    assert data["evaluations"] >= data["iterations"] == len(objs) - 1
+    assert 0 <= data["pairs_skipped"] <= data["iterations"]
 
 
 @pytest.mark.parametrize("flag, value, message", [

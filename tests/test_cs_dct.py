@@ -157,7 +157,11 @@ def sparse_case(shape, seed):
 # lam = 1e-3 * max|DCT(lift)|)
 ORACLE_CASES = {
     "bench-shape": (lambda: smooth_scene_case((5, 5, 32, 32, 8), 3), dict(max_iters=25)),
-    "memory-1": (lambda: sparse_case((3, 3, 8, 8, 4), 1), dict(lam=3e-4, max_iters=80, memory=1)),
+    # The default grad_tol (4.8e-4 here) already holds at the warm start.
+    "memory-1": (
+        lambda: sparse_case((3, 3, 8, 8, 4), 1),
+        dict(lam=3e-4, max_iters=80, memory=1, grad_tol=1e-8),
+    ),
     "lam-0": (lambda: sparse_case((2, 2, 8, 8, 3), 5), dict(lam=0.0, max_iters=60)),
     # No solve reaches this tolerance; the line search fails first.
     "line-search-failed": (
@@ -170,8 +174,15 @@ ORACLE_CASES = {
 }
 
 
+def close(a, b, rtol=1e-10, atol=1e-20):
+    return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_solve_equals_reference_loop(case, tensordot_dct5):
+    # The compact L-BFGS direction and the reverse-order transforms round
+    # differently from the reference loop, so the solve agrees with it to a
+    # tolerance: objectives 1e-10 relative, reconstruction 1e-5 of its peak.
     make_problem, kwargs = ORACLE_CASES[case]
     lp, m = make_problem()
     if "lam" not in kwargs:
@@ -181,10 +192,18 @@ def test_solve_equals_reference_loop(case, tensordot_dct5):
     rec, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
     rec_ref, rep_ref = reference_owlqn(lp, m, opts, tensordot_dct5)
     assert rep.termination == rep_ref.termination
-    assert rep.iterations == rep_ref.iterations
-    assert rep.objectives == rep_ref.objectives
-    assert rep.final_objective == rep_ref.final_objective
-    assert np.array_equal(rec, rec_ref)
+    if rep.termination != "line_search_failed":
+        # A failed line search stops at the rounding floor of the
+        # objective, which a change in rounding moves.
+        assert rep.iterations == rep_ref.iterations
+    # With lam = 0 the warm start analysis(m * l_star) minimizes the smooth
+    # term exactly, so "lam-0" checks the stop at iteration 0; the others
+    # must take steps.
+    assert (rep.iterations == 0) == (case == "lam-0")
+    assert all(map(close, rep.objectives, rep_ref.objectives))
+    assert close(rep.final_objective, rep_ref.final_objective)
+    assert np.abs(rec - rec_ref).max() <= 1e-5 * np.abs(rec_ref).max()
+    assert all(b <= a for a, b in zip(rep.objectives, rep.objectives[1:]))
     if case in ("line-search-failed", "converged"):
         assert rep.termination == case.replace("-", "_")
 
@@ -196,7 +215,7 @@ def test_pseudo_gradient_matches_reference_bitwise():
     # Gradients on both sides of +-lam, exactly at them and at zero.
     g = rng.choice([-lam, lam, 0.0, -0.0, 0.1, -0.1, 0.3, -0.3, 2.0, -2.0], size=4000)
     for lam_ in (lam, 0.0):
-        pg = cs_dct._pseudo_gradient(x, g, lam_)
+        pg = cs_dct._pseudo_gradient(x, g, lam_, np.full_like(g, np.nan))
         ref = reference_pseudo_gradient(x, g, lam_)
         assert np.array_equal(pg, ref)
         assert np.array_equal(np.signbit(pg), np.signbit(ref))
@@ -314,3 +333,90 @@ def test_dim_mismatch_rejected():
     m = coding.random_mask(5, 4, 3, 0)
     with pytest.raises(ValueError):
         cs_dct.owlqn_reconstruct(l, m, cs_dct.OwlqnOptions(lam=0.0))
+
+
+def push_pair(hist, s, y):
+    hist.s[...] = s
+    hist.y[...] = y
+    return hist.push()
+
+
+@pytest.mark.parametrize("memory", [1, 3, 10])
+def test_compact_direction_equals_two_loop(memory, two_loop):
+    # Random histories through more than two wraps of the ring, with
+    # pairs that fail s.y > 1e-12 in between; after every push the compact
+    # direction must equal minus the two-loop's H pg of the kept pairs.
+    rng = np.random.default_rng(memory)
+    shape = (2, 3, 4, 5, 2)
+    n = int(np.prod(shape))
+    hist = cs_dct._LbfgsHistory(shape, memory, memory + 1)
+    kept = []
+    out = np.empty(shape)
+    worst = 0.0
+    for k in range(2 * memory + 7):
+        s = rng.normal(size=shape)
+        if k % 4 == 2:
+            y = -s * rng.uniform(0.5, 2.0, size=shape)  # s.y < 0: rejected
+        else:
+            # A positive-definite curvature plus noise, so s.y > 0.
+            y = s * rng.uniform(0.5, 4.0, size=shape) + 0.1 * rng.normal(size=shape)
+        sy = float(np.vdot(s, y))
+        assert push_pair(hist, s, y) == (sy > 1e-12)
+        if sy > 1e-12:
+            kept.append((s, y, sy))
+            kept = kept[-memory:]
+        assert len(hist.pairs) == len(kept)
+        pg = rng.normal(size=shape)
+        hist.pg[...] = pg
+        ref = -two_loop(pg, kept)
+        assert hist.direction(out) is out
+        worst = max(worst, np.abs(out - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-12
+    assert hist.w.shape == (1 + 2 * (memory + 1), n)
+
+
+def test_direction_without_pairs_is_minus_pg():
+    hist = cs_dct._LbfgsHistory((1, 1, 2, 2, 1), 3, 4)
+    hist.pg[...] = np.arange(4.0).reshape(hist.shape)
+    assert not push_pair(hist, np.ones(hist.shape), -np.ones(hist.shape))
+    out = hist.direction(np.empty(hist.shape))
+    assert np.array_equal(out, -hist.pg)
+
+
+def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
+    made = []
+
+    class Recorded(cs_dct._LbfgsHistory):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cs_dct, "_LbfgsHistory", Recorded)
+    lp, m = sparse_case((2, 2, 4, 4, 2), 3)
+    opts = cs_dct.OwlqnOptions(lam=1e-3, memory=10**6, max_iters=3, grad_tol=1e-12)
+    _, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
+    assert rep.iterations == 3
+    (hist,) = made
+    assert hist.w.shape == (1 + 2 * 4, 2 * 2 * 4 * 4 * 2)
+    assert hist.sy.shape == hist.yy.shape == (4, 4)
+
+
+def test_evaluations_count_line_search_syntheses(monkeypatch):
+    calls = []
+    synthesize = transforms.CodedFidelity.synthesize
+
+    def counted(self, a):
+        calls.append(1)
+        return synthesize(self, a)
+
+    monkeypatch.setattr(transforms.CodedFidelity, "synthesize", counted)
+    for case in ("memory-1", "line-search-failed", "converged"):
+        make_problem, kwargs = ORACLE_CASES[case]
+        lp, m = make_problem()
+        calls.clear()
+        _, rep = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(**kwargs))
+        assert rep.evaluations == len(calls) - 1 >= rep.iterations
+        assert 0 <= rep.pairs_skipped <= rep.iterations
+        if case == "line-search-failed":
+            # Steps at the rounding floor are too short for s.y > 1e-12.
+            assert rep.pairs_skipped > 0

@@ -56,6 +56,30 @@ class TestPatchGrid:
         with pytest.raises(ValueError):
             cs_dict.make_patch_grid((1, 1, 4, 4, 2), (1, 1, 5, 4, 2), (0, 0), (0, 0))
 
+    @pytest.mark.parametrize("spatial, angular", [
+        ((-1, -1), (0, 0)), ((0, -1), (0, 0)), ((0, 0), (-1, 0)), ((1, 1), (0, -3)),
+    ])
+    def test_negative_overlap_rejected(self, spatial, angular):
+        # A negative overlap gives a stride beyond the atom: the gaps it
+        # leaves would have zero coverage and depatch would divide by it.
+        with pytest.raises(ValueError, match="overlaps must be >= 0"):
+            cs_dict.make_patch_grid((2, 2, 8, 8, 2), (1, 1, 2, 2, 2), spatial, angular)
+
+    def test_every_accepted_grid_covers_the_source(self):
+        for source, atom in (
+            ((1, 1, 8, 8, 2), (1, 1, 2, 2, 2)),
+            ((3, 2, 10, 7, 1), (2, 2, 4, 3, 1)),
+            ((5, 5, 9, 9, 3), (3, 5, 4, 9, 3)),
+        ):
+            for o_s in range(-1, max(atom[2:4]) + 2):
+                for o_a in range(-1, max(atom[:2]) + 2):
+                    try:
+                        g = cs_dict.make_patch_grid(source, atom, (o_s, o_s), (o_a, 0))
+                    except ValueError:
+                        assert min(o_s, o_a) < 0
+                        continue
+                    assert cs_dict.coverage_counts(g).min() >= 1
+
 
 class TestDepatch:
     def test_round_trip_identity(self):
@@ -130,6 +154,18 @@ class TestFista:
                 cs_dict.coding_objective(d, x, fa, lam)
                 <= cs_dict.coding_objective(d, x, ia, lam) + 1e-12
             )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+    def test_training_fista_equals_old_gradient_expression(self, unmasked_fista_oracle, lam):
+        # 2.0 * (D^T r) in place of (2.0 * D^T) @ r: scaling by two is exact,
+        # so the codes must not move by a single bit.
+        rng = np.random.default_rng(6)
+        atoms = rng.normal(size=(40, 80))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        d = cs_dict.Dictionary(atoms=atoms)
+        x = rng.normal(size=(40, 16))
+        a = cs_dict._fista(d, x, lam, 60)
+        assert np.array_equal(a, unmasked_fista_oracle(d, x, lam, 60))
 
     def test_length_mismatch(self):
         d = cs_dict.Dictionary(atoms=np.eye(4))
