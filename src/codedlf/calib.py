@@ -35,6 +35,13 @@ accumulated directly as a weighted running sum of squared deviations, not
 as sum(keep * w * resid**2) - num**2 / den, which would cancel to rounding
 noise when the data fit the model exactly.
 
+The pass reads the stack once, in blocks of sensor rows small enough that a
+block's statistics stay in cache while all exposures stream through it.
+The half sweeps are BLAS products over the (I * J, K) statistics: the r
+update sums the Bayer-selected, v-weighted statistics of every pixel with
+one GEMM each for num and den, and the v update forms each pixel's sums for
+all three Bayer types with one GEMM each and keeps its own type's column.
+
 Saturation handling: a measurement is excluded when its value exceeds the
 threshold (0.985, the top four codes of a 10-bit sensor), when any of its
 eight spatial neighbors does, or when a saturated pixel sits within
@@ -48,6 +55,7 @@ line.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -161,8 +169,7 @@ def saturation_mask(
     blooming mask along the saturated pixel's row (varying j), "col" along
     its column (varying i).
     """
-    if line_axis not in ("row", "col"):
-        raise ValueError(f"line_axis must be 'row' or 'col', got {line_axis!r}")
+    check_mask_knobs(threshold, line_reach, line_axis)
     sat = series.mu > threshold
     masked = sat.copy(order="K")  # keep the layout of sat for the in-place ORs
     # 8-connected spatial neighbors.
@@ -179,6 +186,23 @@ def saturation_mask(
             else:
                 _or_shifted(masked, sat, sgn * d, 0)
     return masked
+
+
+def check_mask_knobs(threshold: float, line_reach: int, line_axis: str) -> None:
+    """Validate the knobs of `saturation_mask`.
+
+    A threshold that is not a positive finite number would mask nothing
+    (NaN, inf) or every measurement (0 or less), and a negative line reach
+    would silently shorten the blooming mask.
+    """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(
+            f"saturation threshold must be finite and positive, got {threshold}"
+        )
+    if line_reach < 0:
+        raise ValueError(f"line reach must be >= 0, got {line_reach}")
+    if line_axis not in ("row", "col"):
+        raise ValueError(f"line_axis must be 'row' or 'col', got {line_axis!r}")
 
 
 def _or_shifted(dst: np.ndarray, src: np.ndarray, di: int, dj: int) -> None:
@@ -209,51 +233,62 @@ class _EntryStats(NamedTuple):
     a_star: np.ndarray  # num / den, the per-entry optimum of a = v * r; 0 if den = 0
     s_min: np.ndarray  # sum_l keep * w_l * (resid_l - a_star * t_l)**2
 
-    def tile(self, rows: slice, cols: slice) -> "_EntryStats":
-        return _EntryStats(*(x[rows, cols] for x in self))
+
+# Elements per (rows, J, K) slice of the blocked statistics pass: 128 KB of
+# float64, so the block's statistics and temporaries stay in L2 across all
+# exposures.
+_BLOCK_ELEMENTS = 16384
 
 
 def _entry_statistics(
     series: ExposureSeries, dark: DarkModel, mask: np.ndarray
 ) -> _EntryStats:
-    """Sufficient statistics from one pass over the exposures, a slice at a time.
+    """Sufficient statistics from one pass over the exposures, a row block at a time.
 
     a_star and s_min follow the weighted running mean and sum of squared
     deviations of resid_l / t_l with weights keep * w_l * t_l**2 (West 1979),
     so s_min is a sum of non-negative terms, never a difference of large
     sums, and does not cancel on noiseless data.  A masked measurement adds
-    exactly zero to every statistic.
+    exactly zero to every statistic.  Each block of sensor rows runs through
+    all exposures before the next one starts; every element sees the same
+    operations in the same order as in an unblocked pass.
     """
     if mask.shape != series.mu.shape:
         raise ValueError("mask does not match the series")
-    n_i, n_j, n_k, _ = series.mu.shape
+    n_i, n_j, n_k, n_l = series.mu.shape
     w = exposure_weights(series.times)
     wt = w * series.times
     wt2 = w * series.times**2
+    dark_t = np.broadcast_to(dark.evaluate(series.times), (n_i, n_j, n_l))
     num, den, a_star, s_min = (np.zeros((n_i, n_j, n_k)) for _ in range(4))
-    for l, t in enumerate(series.times):
-        keep = ~mask[..., l]
-        resid = series.mu[..., l] - dark.evaluate(t)
-        num += keep * resid * wt[l]
-        q = keep * wt2[l]
-        den += q
-        frac = np.divide(q, den, out=np.zeros_like(den), where=den > 0)
-        delta = resid / t - a_star
-        a_star += frac * delta
-        s_min += q * (1.0 - frac) * delta * delta
+    rows = min(n_i, max(1, _BLOCK_ELEMENTS // (n_j * n_k)))
+    bufs = np.empty((5, rows, n_j, n_k))
+    keep = np.empty((rows, n_j, n_k), dtype=bool)
+    for i0 in range(0, n_i, rows):
+        blk = slice(i0, i0 + rows)
+        n_b, d_b, a_b, s_b = num[blk], den[blk], a_star[blk], s_min[blk]
+        resid, q, frac, delta, tmp = bufs[:, : n_b.shape[0]]
+        kp = keep[: n_b.shape[0]]
+        for l, t in enumerate(series.times):
+            np.logical_not(mask[blk, :, :, l], out=kp)
+            np.subtract(series.mu[blk, :, :, l], dark_t[blk, :, l, None], out=resid)
+            np.multiply(kp, resid, out=tmp)
+            tmp *= wt[l]
+            n_b += tmp
+            np.multiply(kp, wt2[l], out=q)
+            d_b += q
+            frac.fill(0.0)
+            np.divide(q, d_b, out=frac, where=d_b > 0)
+            np.divide(resid, t, out=delta)
+            delta -= a_b
+            np.multiply(frac, delta, out=tmp)
+            a_b += tmp
+            np.subtract(1.0, frac, out=frac)
+            np.multiply(q, frac, out=tmp)
+            tmp *= delta
+            tmp *= delta
+            s_b += tmp
     return _EntryStats(num, den, a_star, s_min)
-
-
-def _objective(stats: _EntryStats, v: np.ndarray, r: np.ndarray, bayer) -> float:
-    """Fit objective over the entries whose v and r are both recoverable.
-
-    Per entry the objective is quadratic in a = v * r with its minimum
-    s_min at a_star, so it equals s_min + den * (a - a_star)**2 exactly.
-    """
-    rmap = r.T[bayer]
-    ok = np.isfinite(v)[:, :, None] & np.isfinite(rmap)
-    a = v[:, :, None] * rmap
-    return float(np.sum((stats.s_min + stats.den * (a - stats.a_star) ** 2)[ok]))
 
 
 def fit_vignetting_responsivity(
@@ -270,7 +305,8 @@ def fit_vignetting_responsivity(
     sweep lowers the objective by less than rel_tol (relative), or once it
     falls to EXACT_FIT_FLOOR times its starting value.  Pixels or (filter,
     Bayer) entries without any usable measurement are reported as
-    unrecoverable and excluded; the fit proceeds on the rest.
+    unrecoverable and excluded; the fit proceeds on the rest.  Raises
+    ValueError when no pixel is recoverable.
     """
     stats = _entry_statistics(series, dark, mask)
     return _alternating_fit(stats, series.bayer, max_sweeps, rel_tol)
@@ -280,44 +316,65 @@ def _alternating_fit(
     stats: _EntryStats, bayer: np.ndarray, max_sweeps: int = 200, rel_tol: float = 1e-8
 ) -> CalibResult:
     n_i, n_j, n_k = stats.den.shape
-    bayer_onehot = np.eye(BAYER_TYPES)[bayer]
+    # The half sweeps are GEMMs over the (I * J, K) statistics; the v update
+    # keeps each pixel's own Bayer-type column of its product.
+    num_px = stats.num.reshape(-1, n_k)
+    den_px = stats.den.reshape(-1, n_k)
+    px_type = bayer.reshape(-1)
+    px = np.arange(px_type.size)
+    onehot = np.eye(BAYER_TYPES)[px_type]
+    buf = np.empty((n_i, n_j, n_k))
 
     v = np.ones((n_i, n_j))
     r = np.ones((n_k, BAYER_TYPES))
     valid_v = np.ones((n_i, n_j), dtype=bool)
     valid_r = np.ones((n_k, BAYER_TYPES), dtype=bool)
 
-    trace = [_objective(stats, v, r, bayer)]
+    def objective() -> float:
+        # Per entry the objective is quadratic in a = v * r with its minimum
+        # s_min at a_star, so it equals s_min + den * (a - a_star)**2
+        # exactly.  Entries of an unrecoverable pixel or responsivity are
+        # zeroed, not gathered out.
+        np.take(r.T, bayer, axis=0, out=buf, mode="clip")
+        np.multiply(buf, v[:, :, None], out=buf)
+        np.subtract(buf, stats.a_star, out=buf)
+        np.square(buf, out=buf)
+        np.multiply(buf, stats.den, out=buf)
+        np.add(buf, stats.s_min, out=buf)
+        if not (valid_v.all() and valid_r.all()):
+            np.copyto(buf, 0.0, where=~(valid_v[:, :, None] & valid_r.T[bayer]))
+        return float(buf.sum())
+
+    trace = [objective()]
     for _ in range(max_sweeps):
         # r update: exact minimizer per (k, bayer type).
-        vmap = v.copy()
-        vmap[~valid_v] = 0.0
-        num = np.einsum("ijk,ijn,ij->kn", stats.num, bayer_onehot, vmap)
-        den = np.einsum("ijk,ijn,ij->kn", stats.den, bayer_onehot, vmap * vmap)
+        vmap = np.where(valid_v, v, 0.0).reshape(-1, 1)
+        num = ((onehot * vmap).T @ num_px).T
+        den = ((onehot * (vmap * vmap)).T @ den_px).T
         bad_r = den <= 0
-        new_r = np.where(bad_r, np.nan, num / np.where(bad_r, 1.0, den))
         valid_r &= ~bad_r
-        r = np.where(valid_r, new_r, np.nan)
-        trace.append(_objective(stats, v, r, bayer))
+        r = np.where(valid_r, num / np.where(bad_r, 1.0, den), np.nan)
+        trace.append(objective())
 
         # v update: exact minimizer per pixel.
-        rmap = np.where(valid_r, r, 0.0).T[bayer]
-        num = (stats.num * rmap).sum(axis=2)
-        den = (stats.den * rmap * rmap).sum(axis=2)
+        r0 = np.where(valid_r, r, 0.0)
+        num = (num_px @ r0)[px, px_type].reshape(n_i, n_j)
+        den = (den_px @ (r0 * r0))[px, px_type].reshape(n_i, n_j)
         bad_v = den <= 0
-        v = np.where(bad_v, np.nan, num / np.where(bad_v, 1.0, den))
         valid_v &= ~bad_v
-        trace.append(_objective(stats, v, r, bayer))
+        v = np.where(bad_v, np.nan, num / np.where(bad_v, 1.0, den))
+        trace.append(objective())
 
-        if len(trace) >= 3:
-            prev, cur = trace[-3], trace[-1]
-            if (
-                prev <= 0
-                or cur <= EXACT_FIT_FLOOR * trace[0]
-                or (prev - cur) / max(prev, 1e-30) < rel_tol
-            ):
-                break
+        prev, cur = trace[-3], trace[-1]
+        if (
+            prev <= 0
+            or cur <= EXACT_FIT_FLOOR * trace[0]
+            or (prev - cur) / max(prev, 1e-30) < rel_tol
+        ):
+            break
 
+    if not valid_v.any():
+        raise ValueError("no recoverable pixel")
     # Gauge: mean vignetting of recoverable pixels is one.
     scale = float(np.mean(v[valid_v]))
     if scale <= 0:
@@ -326,99 +383,17 @@ def _alternating_fit(
         v = v / scale
         r = r * scale
 
-    unrecoverable_px = [tuple(idx) for idx in np.argwhere(~valid_v)]
-    unrecoverable_r = [tuple(idx) for idx in np.argwhere(~valid_r)]
     return CalibResult(
         vignetting=v,
         responsivity=r,
         bayer=bayer.copy(),
         residual=trace[-1],
-        unrecoverable_pixels=unrecoverable_px,
-        unrecoverable_responsivities=unrecoverable_r,
+        # Plain ints (not np.int64), so the lists can be written as JSON.
+        unrecoverable_pixels=[tuple(ix) for ix in np.argwhere(~valid_v).tolist()],
+        unrecoverable_responsivities=[
+            tuple(ix) for ix in np.argwhere(~valid_r).tolist()
+        ],
         objective_trace=trace,
-    )
-
-
-def _axis_tiles(dim: int, tile: int, stride: int) -> list[tuple[int, int]]:
-    if tile >= dim:
-        return [(0, dim)]
-    starts = list(range(0, dim - tile + 1, stride))
-    if starts[-1] != dim - tile:
-        starts.append(dim - tile)
-    return [(s, s + tile) for s in starts]
-
-
-def fit_vignetting_responsivity_tiled(
-    series: ExposureSeries,
-    dark: DarkModel,
-    mask: np.ndarray,
-    tile: tuple[int, int] = (64, 64),
-    overlap: float = 0.5,
-    **fit_kwargs,
-) -> CalibResult:
-    """Spatially tiled variant of the factorized fit for large sensors.
-
-    Tiles are fitted independently and merged: each tile's per-Bayer-type
-    scale is aligned to the first tile that recovered that type (the model
-    is invariant under v -> c * v, r -> r / c per Bayer type, so tiles only
-    agree after alignment), vignetting values are averaged where tiles
-    overlap, and the merged result is re-gauged to mean(v) = 1.
-    """
-    n_i, n_j, n_k, _ = series.mu.shape
-    stride_i = max(1, int(round(tile[0] * (1.0 - overlap))))
-    stride_j = max(1, int(round(tile[1] * (1.0 - overlap))))
-    tiles_i = _axis_tiles(n_i, tile[0], stride_i)
-    tiles_j = _axis_tiles(n_j, tile[1], stride_j)
-
-    stats = _entry_statistics(series, dark, mask)
-    v_sum = np.zeros((n_i, n_j))
-    v_cnt = np.zeros((n_i, n_j))
-    r_sum = np.zeros((n_k, BAYER_TYPES))
-    r_cnt = np.zeros((n_k, BAYER_TYPES))
-    ref_r = np.full((n_k, BAYER_TYPES), np.nan)
-
-    for i0, i1 in tiles_i:
-        for j0, j1 in tiles_j:
-            rows, cols = slice(i0, i1), slice(j0, j1)
-            bayer_t = series.bayer[rows, cols]
-            res = _alternating_fit(stats.tile(rows, cols), bayer_t, **fit_kwargs)
-            v_t = res.vignetting.copy()
-            r_t = res.responsivity.copy()
-            for n in range(BAYER_TYPES):
-                col_ok = np.isfinite(r_t[:, n])
-                if not col_ok.any():
-                    continue
-                if not np.isfinite(ref_r[:, n]).any():
-                    ref_r[col_ok, n] = r_t[col_ok, n]
-                    c = 1.0
-                else:
-                    both = col_ok & np.isfinite(ref_r[:, n])
-                    if not both.any():
-                        continue
-                    c = float(np.mean(ref_r[both, n] / r_t[both, n]))
-                sel = bayer_t == n
-                v_t[sel] /= c
-                aligned = c * r_t[:, n]
-                r_sum[col_ok, n] += aligned[col_ok]
-                r_cnt[col_ok, n] += 1
-            good = np.isfinite(v_t)
-            v_sum[rows, cols][good] += v_t[good]
-            v_cnt[rows, cols][good] += 1
-
-    v = np.where(v_cnt > 0, v_sum / np.maximum(v_cnt, 1), np.nan)
-    r = np.where(r_cnt > 0, r_sum / np.maximum(r_cnt, 1), np.nan)
-    valid_v = v_cnt > 0
-    scale = float(np.mean(v[valid_v])) if valid_v.any() else 1.0
-    if scale > 0:
-        v = v / scale
-        r = r * scale
-    return CalibResult(
-        vignetting=v,
-        responsivity=r,
-        bayer=series.bayer.copy(),
-        residual=_objective(stats, v, r, series.bayer),
-        unrecoverable_pixels=[tuple(idx) for idx in np.argwhere(~valid_v)],
-        unrecoverable_responsivities=[tuple(idx) for idx in np.argwhere(r_cnt == 0)],
     )
 
 

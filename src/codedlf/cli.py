@@ -444,6 +444,7 @@ def _cmd_calibrate(args) -> int:
 
     from . import calib, tensor
 
+    _validated(calib.check_mask_knobs, args.threshold, args.line_reach, args.line_axis)
     _require_files(args.dark, args.bright, args.times, args.bayer)
     # Containers: bright (L, 1, I, J, K), dark (L, 1, I, J, 1), bayer (1, 1, I, J, 1).
     bright = tensor.read_lf5d(args.bright)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from codedlf import coding, cs_dict, transforms
+from codedlf import calib, coding, cs_dict, transforms
 from codedlf import losses_metrics as lm
 
 
@@ -512,3 +512,86 @@ def unmasked_fista_oracle():
     """unmasked_fista_oracle(d, x, lam, iters) -> codes of the training FISTA
     with its old gradient expression (test oracle)."""
     return _ref_fista
+
+
+# ---------------------------------------------------------------------------
+# The calibration statistics pass one full (I, J, K) exposure slice at a
+# time, and the alternating fit with einsum r updates, (I, J, K) v-update
+# products and an objective that gathers the finite entries.  Test oracles
+# for calib._entry_statistics and calib._alternating_fit.
+
+
+def _ref_entry_statistics(series, dark, mask):
+    n_i, n_j, n_k, _ = series.mu.shape
+    w = calib.exposure_weights(series.times)
+    wt = w * series.times
+    wt2 = w * series.times**2
+    num, den, a_star, s_min = (np.zeros((n_i, n_j, n_k)) for _ in range(4))
+    for l, t in enumerate(series.times):
+        keep = ~mask[..., l]
+        resid = series.mu[..., l] - dark.evaluate(t)
+        num += keep * resid * wt[l]
+        q = keep * wt2[l]
+        den += q
+        frac = np.divide(q, den, out=np.zeros_like(den), where=den > 0)
+        delta = resid / t - a_star
+        a_star += frac * delta
+        s_min += q * (1.0 - frac) * delta * delta
+    return calib._EntryStats(num, den, a_star, s_min)
+
+
+def _ref_objective(stats, v, r, bayer):
+    rmap = r.T[bayer]
+    ok = np.isfinite(v)[:, :, None] & np.isfinite(rmap)
+    a = v[:, :, None] * rmap
+    return float(np.sum((stats.s_min + stats.den * (a - stats.a_star) ** 2)[ok]))
+
+
+def _ref_alternating_fit(stats, bayer, max_sweeps=200, rel_tol=1e-8):
+    n_i, n_j, n_k = stats.den.shape
+    bayer_onehot = np.eye(calib.BAYER_TYPES)[bayer]
+    v = np.ones((n_i, n_j))
+    r = np.ones((n_k, calib.BAYER_TYPES))
+    valid_v = np.ones((n_i, n_j), dtype=bool)
+    valid_r = np.ones((n_k, calib.BAYER_TYPES), dtype=bool)
+    trace = [_ref_objective(stats, v, r, bayer)]
+    for _ in range(max_sweeps):
+        vmap = v.copy()
+        vmap[~valid_v] = 0.0
+        num = np.einsum("ijk,ijn,ij->kn", stats.num, bayer_onehot, vmap)
+        den = np.einsum("ijk,ijn,ij->kn", stats.den, bayer_onehot, vmap * vmap)
+        bad_r = den <= 0
+        new_r = np.where(bad_r, np.nan, num / np.where(bad_r, 1.0, den))
+        valid_r &= ~bad_r
+        r = np.where(valid_r, new_r, np.nan)
+        trace.append(_ref_objective(stats, v, r, bayer))
+        rmap = np.where(valid_r, r, 0.0).T[bayer]
+        num = (stats.num * rmap).sum(axis=2)
+        den = (stats.den * rmap * rmap).sum(axis=2)
+        bad_v = den <= 0
+        v = np.where(bad_v, np.nan, num / np.where(bad_v, 1.0, den))
+        valid_v &= ~bad_v
+        trace.append(_ref_objective(stats, v, r, bayer))
+        prev, cur = trace[-3], trace[-1]
+        if (
+            prev <= 0
+            or cur <= calib.EXACT_FIT_FLOOR * trace[0]
+            or (prev - cur) / max(prev, 1e-30) < rel_tol
+        ):
+            break
+    return calib.CalibResult(
+        vignetting=v,
+        responsivity=r,
+        bayer=bayer.copy(),
+        residual=trace[-1],
+        unrecoverable_pixels=[tuple(ix) for ix in np.argwhere(~valid_v)],
+        unrecoverable_responsivities=[tuple(ix) for ix in np.argwhere(~valid_r)],
+        objective_trace=trace,
+    )
+
+
+@pytest.fixture
+def calib_oracles():
+    """(entry_statistics, alternating_fit): the per-exposure statistics pass
+    and the einsum fit (test oracles).  The oracle fit applies no gauge."""
+    return _ref_entry_statistics, _ref_alternating_fit

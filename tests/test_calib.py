@@ -353,10 +353,85 @@ def test_fit_matches_full_stack_oracle(case):
     np.testing.assert_allclose(
         res.vignetting[:, :, None] * rmap, v_ref[:, :, None] * rmap_ref, rtol=1e-9
     )
-    # The tiled variant reports the same objective at its own factors.
-    tiled = calib.fit_vignetting_responsivity_tiled(series, dm, mask, tile=(8, 8))
-    expected = full_stack_objective(series, dm, mask, tiled.vignetting, tiled.responsivity)
-    assert tiled.residual == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit_matches_einsum_oracle(case, calib_oracles):
+    entry_statistics, alternating_fit = calib_oracles
+    series, dm, mask = fit_case(case)
+    stats = calib._entry_statistics(series, dm, mask)
+    res = calib._alternating_fit(stats, series.bayer)
+    ref = alternating_fit(stats, series.bayer)
+    assert len(res.objective_trace) == len(ref.objective_trace)
+    # At the start every entry is recoverable, and the in-place objective
+    # sums the same terms in the same order as the oracle's gather.
+    assert res.objective_trace[0] == ref.objective_trace[0]
+    # Exact data drive the objective to about 1e-21 of its start, where only
+    # rounding noise is left, so the bound is also relative to the start.
+    np.testing.assert_allclose(
+        res.objective_trace, ref.objective_trace, rtol=1e-12,
+        atol=1e-12 * ref.objective_trace[0],
+    )
+    assert res.unrecoverable_pixels == ref.unrecoverable_pixels
+    assert res.unrecoverable_responsivities == ref.unrecoverable_responsivities
+    # Plain ints, so that the CLI can write them as JSON.
+    for ix in res.unrecoverable_pixels + res.unrecoverable_responsivities:
+        assert all(type(i) is int for i in ix)
+
+
+@pytest.mark.parametrize("exposure_major", [False, True])
+@pytest.mark.parametrize("per_pixel", [True, False])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, 1024, 8, 8),  # several rows per block; the last block is short
+        (3, 64, 300, 2),  # rows longer than a block: one row per block
+        (12, 12, 5, 8),  # the whole sensor in one block
+    ],
+)
+def test_blocked_statistics_equal_per_exposure_oracle(
+    shape, per_pixel, exposure_major, calib_oracles
+):
+    entry_statistics, _ = calib_oracles
+    rng = np.random.default_rng(sum(shape) + per_pixel)
+    n_i, n_j, n_k, n_l = shape
+    times = np.geomspace(0.01, 2.0, n_l)
+    if exposure_major:  # the layout of the stack the CLI reads
+        mu = rng.uniform(0.0, 1.0, size=(n_l, n_i, n_j, n_k)).transpose(1, 2, 3, 0)
+    else:
+        mu = rng.uniform(0.0, 1.0, size=shape)
+    dark_stack = rng.uniform(0.01, 0.03, size=(n_i, n_j, 1)) + 0.001 * times
+    dm = calib.fit_dark(dark_stack, times, per_pixel=per_pixel)
+    series = calib.ExposureSeries(mu=mu, times=times, bayer=np.zeros((n_i, n_j), dtype=int))
+    mask = rng.uniform(size=shape) < 0.2
+    mask[0, 1] = True  # one pixel with no measurement at all
+    got = calib._entry_statistics(series, dm, mask)
+    ref = entry_statistics(series, dm, mask)
+    for name, a, b in zip(got._fields, got, ref):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(threshold=float("nan")),
+        dict(threshold=float("inf")),
+        dict(threshold=0.0),
+        dict(threshold=-1.0),
+        dict(line_reach=-1),
+    ],
+)
+def test_saturation_mask_rejects_malformed_knobs(knobs):
+    series, _, _ = fit_case("noiseless")
+    with pytest.raises(ValueError):
+        calib.saturation_mask(series, **knobs)
+
+
+def test_fit_without_recoverable_pixel_raises():
+    series, dm, mask = fit_case("noiseless")
+    mask[...] = True
+    with pytest.raises(ValueError, match="no recoverable pixel"):
+        calib.fit_vignetting_responsivity(series, dm, mask)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6])
@@ -383,7 +458,7 @@ def test_fit_allocates_no_full_size_stack():
     dm = calib.fit_dark(data["dark_stack"], data["times"])
     series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
     mask = calib.saturation_mask(series)
-    for fit in (calib.fit_vignetting_responsivity, calib.fit_vignetting_responsivity_tiled):
+    for fit in (calib.fit_vignetting_responsivity,):
         tracemalloc.start()
         try:
             fit(series, dm, mask)
@@ -392,26 +467,6 @@ def test_fit_allocates_no_full_size_stack():
             tracemalloc.stop()
         # Any (I, J, K, L) float64 temporary is series.mu.nbytes on its own.
         assert peak <= 2 * series.mu.nbytes, (fit.__name__, peak / series.mu.nbytes)
-
-
-def test_tiled_fit_matches_full_fit():
-    data = synth_setup(seed=11, i_dim=16, j_dim=16)
-    dm = calib.fit_dark(data["dark_stack"], data["times"])
-    series = calib.ExposureSeries(
-        mu=data["mu"], times=data["times"], bayer=data["bayer"]
-    )
-    mask = calib.saturation_mask(series)
-    full = calib.fit_vignetting_responsivity(series, dm, mask)
-    tiled = calib.fit_vignetting_responsivity_tiled(
-        series, dm, mask, tile=(8, 8), overlap=0.5
-    )
-    # the per-pixel model product v * r is gauge invariant
-    rmap_f = np.nan_to_num(full.responsivity[:, data["bayer"]].transpose(1, 2, 0))
-    rmap_t = np.nan_to_num(tiled.responsivity[:, data["bayer"]].transpose(1, 2, 0))
-    pf = full.vignetting[:, :, None] * rmap_f
-    pt = tiled.vignetting[:, :, None] * rmap_t
-    assert np.nanmax(np.abs(pt - pf) / np.abs(pf)) <= 1e-9
-    assert abs(np.nanmean(tiled.vignetting) - 1.0) <= 1e-6
 
 
 class TestApplyCalibration:

@@ -185,6 +185,47 @@ def test_calibrate_cli_global_dark(tmp_path):
     assert data["unrecoverable"]["pixels"] == []
 
 
+def test_calibrate_cli_reports_unrecoverable_pixel(tmp_path):
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    x = tensor.read_lf5d(bright).copy()
+    x[:, 0, 3, 4, :] = 1.0  # saturated at every exposure and filter
+    tensor.write_lf5d(x, bright)
+    out = str(tmp_path / "calib.json")
+    assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
+                times, "--bayer", bayer, "--out", out, "--no-timestamp"]) == 0
+    data = json.loads(open(out).read())
+    # The blooming mask takes the 8-neighborhood and the whole readout row.
+    expected = {(3, j) for j in range(8)} | {(i, j) for i in (2, 4) for j in (3, 4, 5)}
+    assert data["unrecoverable"]["pixels"] == [list(p) for p in sorted(expected)]
+    assert data["unrecoverable"]["responsivity_entries"] == []
+
+
+def test_calibrate_fails_without_recoverable_pixel(tmp_path, capsys):
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    # Every measurement is above this threshold, so every pixel is masked.
+    assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
+                times, "--bayer", bayer, "--threshold", "1e-9",
+                "--out", str(tmp_path / "c.json")]) == 1
+    assert "no recoverable pixel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--threshold", "nan"),
+    ("--threshold", "inf"),
+    ("--threshold", "0"),
+    ("--threshold", "-1"),
+    ("--line-reach", "-1"),
+])
+def test_calibrate_rejects_malformed_mask_knobs(tmp_path, capsys, flag, value):
+    # The input files do not exist: the knobs are checked before any is read.
+    missing = str(tmp_path / "missing.lf5d")
+    assert run(["calibrate", "--dark", missing, "--bright", missing, "--times",
+                missing, "--bayer", missing, flag, value,
+                "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert flag[2:].replace("-", " ") in err and "not found" not in err
+
+
 def _double_axis(path, axis):
     x = tensor.read_lf5d(path)
     tensor.write_lf5d(np.concatenate([x, x], axis=axis), path)
