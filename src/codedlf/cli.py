@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 validation / usage error, 2 numerical failure,
 3 internal error (a fault in the program; the traceback goes to stderr).
-All randomness derives from explicit --seed flags.  JSON reports carry a
-timestamp unless --no-timestamp is given, so re-runs with identical flags
-and --no-timestamp are byte-identical.
+Every path a subcommand writes must lie in an existing directory; that is
+checked before any input is read.  All randomness derives from explicit
+--seed flags.  JSON reports carry a timestamp unless --no-timestamp is
+given, so re-runs with identical flags and --no-timestamp are
+byte-identical.
 
 Heavy imports happen after argument parsing so that --threads can cap the
 BLAS worker pools through the environment before numpy loads.
@@ -77,6 +79,18 @@ def _require_files(*paths) -> None:
     for p in paths:
         if not os.path.isfile(p):
             raise ValidationError(f"input file not found: {p}")
+
+
+def _require_out_dirs(*paths) -> None:
+    for p in paths:
+        if p is not None and not os.path.isdir(os.path.dirname(p) or "."):
+            raise ValidationError(f"output directory not found: {p}")
+
+
+# The flags that name a file a subcommand writes (for --out-prefix, the stem
+# of the files it writes); `main` checks them all before any work.
+_OUTPUT_FLAGS = ("out", "out_prefix", "out_coded", "out_mask", "out_cv", "out_disp",
+                 "report", "log")
 
 
 def _report(payload: dict, path: str | None, no_timestamp: bool) -> None:
@@ -273,7 +287,7 @@ def _cmd_train_dict(args) -> int:
         raise ValidationError(f"scenes must share one shape, got {sorted(shapes)}")
     try:
         grid = cs_dict.make_patch_grid(scenes[0].shape, atom, spatial, angular)
-        d, objs = cs_dict.train_dictionary(
+        d, rep = cs_dict.train_dictionary(
             scenes,
             grid,
             k=args.k,
@@ -288,7 +302,11 @@ def _cmd_train_dict(args) -> int:
         raise ValidationError(str(exc)) from exc
     cs_dict.write_dictionary(d, args.out)
     if args.report:
-        _report({"epoch_objectives": objs}, args.report, args.no_timestamp)
+        _report(
+            {"epoch_objectives": rep.epoch_objectives, "restarts": rep.restarts},
+            args.report,
+            args.no_timestamp,
+        )
     return 0
 
 
@@ -685,6 +703,7 @@ def main(argv=None) -> int:
         ):
             os.environ[var] = str(args.threads)
     try:
+        _require_out_dirs(*(getattr(args, flag, None) for flag in _OUTPUT_FLAGS))
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import pytest
 
 from codedlf import calib, coding, cs_dict, transforms
 from codedlf import losses_metrics as lm
+from codedlf.tensor import as_tensor5
 
 
 def _tensordot_dct5(x, synthesis):
@@ -472,12 +473,17 @@ def two_loop():
 
 
 # ---------------------------------------------------------------------------
-# The unmasked dictionary-training FISTA with the gradient written
-# (2.0 * atoms.T) @ r, which scales a copy of the dictionary every
-# iteration.  Test oracle for cs_dict._fista.
+# The unmasked dictionary-training FISTA as it was before it cached D z:
+# three GEMMs per iteration (D y, the gradient with the scaled copy
+# (2.0 * atoms.T) @ r, and D z for the objective), the training loop that
+# recomputed D a for every batch, and plain ISTA with the same scaled copy.
+# Test oracles for cs_dict._fista, cs_dict.train_dictionary and
+# cs_dict.ista_encode.
 
 
 def _ref_fista(d, x, lam, iters):
+    """Codes of the columns of x, and a bool (iters, n_columns) array of
+    the columns each iteration restarted."""
     atoms = d.atoms
     step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
     thresh = lam * step
@@ -490,11 +496,13 @@ def _ref_fista(d, x, lam, iters):
     y = a.copy()
     t = 1.0
     f_a = objective(a)
-    for _ in range(iters):
+    restarted = np.zeros((iters, x.shape[1]), dtype=bool)
+    for i in range(iters):
         r = atoms @ y - x
         z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
         f_z = objective(z)
         worse = f_z > f_a
+        restarted[i] = worse
         if np.any(worse):
             z[:, worse] = a[:, worse]
             f_z = np.where(worse, f_a, f_z)
@@ -504,14 +512,61 @@ def _ref_fista(d, x, lam, iters):
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = z + ((t - 1.0) / t_new) * (z - a)
         a, f_a, t = z, f_z, t_new
-    return a
+    return a, restarted
 
 
 @pytest.fixture
 def unmasked_fista_oracle():
-    """unmasked_fista_oracle(d, x, lam, iters) -> codes of the training FISTA
-    with its old gradient expression (test oracle)."""
+    """unmasked_fista_oracle(d, x, lam, iters) -> (codes, restarted columns
+    per iteration) of the three-GEMM training FISTA (test oracle)."""
     return _ref_fista
+
+
+def _ref_train_dictionary(dataset, g, k, lam, lr, batch_size, fista_iters, epochs, seed):
+    n_atoms = int(round(k * g.atom_len))
+    all_patches = np.concatenate([cs_dict.patch(as_tensor5(t), g) for t in dataset], axis=0)
+    d = cs_dict.init_dictionary(g.atom_len, n_atoms, seed)
+    rng = np.random.default_rng(seed + 1)
+    epoch_objectives, epoch_restarts = [], []
+    for _ in range(epochs):
+        order = rng.permutation(all_patches.shape[0])
+        batch_objs, restarts = [], 0
+        for start in range(0, len(order), batch_size):
+            x = all_patches[order[start : start + batch_size]].T
+            a, restarted = _ref_fista(d, x, lam, fista_iters)
+            resid = x - d.atoms @ a
+            batch_objs.append(float(np.sum(resid * resid) + lam * np.abs(a).sum()) / x.shape[1])
+            restarts += int(restarted.sum())
+            if lr != 0.0:
+                d.atoms += lr * (resid @ a.T)
+                d.normalize()
+        epoch_objectives.append(float(np.mean(batch_objs)))
+        epoch_restarts.append(restarts)
+    return d, epoch_objectives, epoch_restarts
+
+
+@pytest.fixture
+def dictionary_training_oracle():
+    """dictionary_training_oracle(dataset, g, k, lam, lr, batch_size,
+    fista_iters, epochs, seed) -> (dictionary, epoch objectives, column
+    restarts per epoch) of the training loop on the three-GEMM FISTA."""
+    return _ref_train_dictionary
+
+
+def _ref_ista(d, x, lam, iters):
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
+    a = np.zeros((d.n_atoms, 1), dtype=np.float64)
+    for _ in range(iters):
+        a = cs_dict._soft_threshold(a - step * (2.0 * d.atoms.T @ (d.atoms @ a - x)), lam * step)
+    return a[:, 0]
+
+
+@pytest.fixture
+def ista_oracle():
+    """ista_oracle(d, x, lam, iters) -> codes of ISTA with the gradient
+    written (2.0 * atoms.T) @ r (test oracle)."""
+    return _ref_ista
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,78 @@ def test_dict_cli_round_trip(tmp_path, scene):
     assert report["final_objective"] > 0
 
 
+def test_train_dict_report_and_reruns(tmp_path, scene):
+    # --report writes the per-epoch objectives and FISTA restarts; with
+    # --no-timestamp, re-runs write the same dictionary and report bytes.
+    files = []
+    for i in range(2):
+        dict_p, rep = tmp_path / f"d{i}.lfdc", tmp_path / f"r{i}.json"
+        assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom", "2,2,4,4,5",
+                    "--spatial-overlap", "1,1", "--angular-overlap", "0,0", "--lambda", "0.05",
+                    "--lr", "0.05", "--epochs", "2", "--fista-iters", "10", "--out", str(dict_p),
+                    "--report", str(rep), "--no-timestamp"]) == 0
+        files.append((dict_p.read_bytes(), rep.read_bytes()))
+    assert files[0] == files[1]
+    report = json.loads(files[0][1])
+    assert sorted(report) == ["epoch_objectives", "restarts"]
+    assert len(report["epoch_objectives"]) == len(report["restarts"]) == 2
+    assert all(r >= 0 for r in report["restarts"])
+
+
+@pytest.mark.parametrize("bad", ["--out", "--report"])
+def test_train_dict_checks_output_dirs_before_training(tmp_path, monkeypatch, capsys, scene, bad):
+    from codedlf import cs_dict
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output paths were checked")
+
+    monkeypatch.setattr(cs_dict, "train_dictionary", no_training)
+    paths = {"--out": str(tmp_path / "d.lfdc"), "--report": str(tmp_path / "r.json")}
+    paths[bad] = str(tmp_path / "missing" / "x")
+    before = sorted(os.listdir(tmp_path))
+    assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom", "2,2,4,4,5",
+                "--lambda", "0.05", *[x for kv in paths.items() for x in kv]]) == 1
+    assert f"output directory not found: {paths[bad]}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# One argument list per subcommand; the inputs need not exist, because the
+# output paths are checked first.
+_OUTPUT_CASES = {
+    "gen-scene": ["--dims", "1,1,4,4,2", "--out-prefix", "OUT"],
+    "mask-gen": ["--dims", "4,4,2", "--out", "OUT"],
+    "encode": ["--in", "IN", "--out-coded", "OUT", "--out-mask", "OUT"],
+    "project": ["--in", "IN", "--out", "OUT"],
+    "lift": ["--in", "IN", "--mask", "IN", "--out", "OUT"],
+    "reconstruct-dct": ["--in", "IN", "--mask", "IN", "--lambda", "0.1", "--out", "OUT",
+                        "--report", "OUT"],
+    "train-dict": ["--scenes", "IN", "--atom", "1,1,2,2,2", "--lambda", "0.1", "--out", "OUT",
+                   "--report", "OUT"],
+    "reconstruct-dict": ["--in", "IN", "--mask", "IN", "--dict", "IN", "--atom", "1,1,2,2,2",
+                         "--lambda", "0.1", "--out", "OUT", "--report", "OUT"],
+    "train-toy": ["--strategy", "naive", "--log", "OUT", "--out", "OUT"],
+    "predict-toy": ["--net", "IN", "--in", "IN", "--out-cv", "OUT", "--out-disp", "OUT"],
+    "evaluate": ["--pred", "IN", "--truth", "IN", "--kind", "cv", "--out", "OUT"],
+    "calibrate": ["--dark", "IN", "--bright", "IN", "--times", "IN", "--bayer", "IN",
+                  "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", [
+    (command, i) for command, argv in _OUTPUT_CASES.items()
+    for i, arg in enumerate(argv) if arg == "OUT"
+], ids=lambda case: f"{case[0]}-{_OUTPUT_CASES[case[0]][case[1] - 1]}")
+def test_every_output_dir_is_checked_before_any_work(tmp_path, capsys, case):
+    command, bad = case
+    missing = str(tmp_path / "missing" / "out")
+    argv = [missing if i == bad else str(tmp_path / f"o{i}") if arg == "OUT"
+            else str(tmp_path / "in") if arg == "IN" else arg
+            for i, arg in enumerate(_OUTPUT_CASES[command])]
+    assert run([command, *argv]) == 1
+    assert f"output directory not found: {missing}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 _TRAIN_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.05"}
 _RECON_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.001"}
 
@@ -445,6 +517,8 @@ _RECON_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.001"}
     ("train-dict", "--lambda", "nan", "lam must be finite and >= 0"),
     ("train-dict", "--lambda", "-1", "lam must be finite and >= 0"),
     ("train-dict", "--lr", "nan", "lr must be finite"),
+    ("train-dict", "--lr", "-1", "lr must be finite and >= 0"),
+    ("train-dict", "--k", "1e9", "an LFDC file holds fewer than 2**32"),
     ("train-dict", "--epochs", "0", "epochs must be an integer >= 1"),
     ("train-dict", "--batch-size", "0", "batch_size must be an integer >= 1"),
     ("train-dict", "--batch-size", "-2", "batch_size must be an integer >= 1"),
