@@ -72,6 +72,8 @@ def _parse_disparity(text: str):
         params = tuple(float(x) for x in rest.split(",")) if rest else ()
     except ValueError as exc:
         raise ValidationError(f"bad disparity parameters in {text!r}") from exc
+    if not all(math.isfinite(p) for p in params):
+        raise ValidationError(f"disparity parameters must be finite, got {text!r}")
     return name, params
 
 
@@ -628,9 +630,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spatial-overlap", default="4,4")
     sp.add_argument("--angular-overlap", default="1,1")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--iters", type=int, default=300, help="FISTA iterations (0: zero codes)")
+    sp.add_argument("--iters", type=int, default=300, metavar="N",
+                    help="at most N FISTA iterations (0: zero codes)")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--report", default=None, help="solve report (JSON)")
+    sp.add_argument("--report", default=None,
+                    help="solve report (JSON): iterations that ran, restarts, the largest"
+                         " per-group lipschitz_bound and its step, final_objective")
     sp.add_argument("--png-preview", action="store_true")
     sp.set_defaults(fn=_cmd_reconstruct_dict)
 

@@ -9,25 +9,34 @@ fixed, renormalizing every atom to unit l2 norm after each update.
 
 Sparse coding minimizes  ||x - D a||_2^2 + lam * ||a||_1  (that scaling
 makes the identity-dictionary solution the soft threshold at lam / 2).
-The training FISTA runs two GEMMs per iteration on buffers allocated once
-per batch: the gradient D^T (D y - x) and D z.  D y is the momentum
-combination of the cached D z of the last two iterates, D z gives the
-objective, and the batch residual and objective come from the final D a.
+One monotone FISTA kernel (Beck & Teboulle 2009) serves training,
+`fista_encode` and reconstruction.  It works on groups of patches that
+share their observed rows D_m of D, in a (groups, patches, atoms) layout,
+and runs two GEMMs per group and iteration on buffers allocated once per
+solve: the gradient (D_m y - x_m) D_m and D_m z.  D_m y is the momentum
+combination of the cached D_m z of the last two iterates, D_m z gives the
+objective, and the residual and objective come from the final D_m a.
 Forming D y that way rounds differently from D @ y: the codes stay within
 about 1e-15 relative of the three-GEMM solve, with the same zeros and
 restarts, and the trained atoms drift further over many batches (on the
 dict-fista benchmark set-up, 2e-13 relative after one epoch and 9e-8
-after three).
-Reconstruction from coded measurements keeps only the observed entries of
-each patch:  ||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D
-that the one-hot mask selects.  The mask depends on the spatial position
-alone, so all patches with one spatial origin share D_m, and the masked
-FISTA (Beck & Teboulle 2009; overcomplete-dictionary reconstruction as in
-Marwah et al. 2013) runs group by group on those rows: two small GEMMs per
-group and iteration, with D_m y formed from the cached products D_m z of
-the last two iterates.  Step (from the global Lipschitz bound, which also
-bounds every D_m), momentum and the monotone restart stay global, so the
-iterates are those of the full-height masked solve up to rounding.
+after three).  Momentum and the monotone restart are shared by all groups;
+each group takes its own step.
+
+Training and `fista_encode` are the case of one group that holds all rows:
+the batch is passed as (B, atom_len) rows, with the step 1/(2 L(D)) from
+`lipschitz_bound` and a fixed iteration count.  Reconstruction from coded
+measurements keeps only the observed entries of each patch:
+||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D that the
+one-hot mask selects.  The mask depends on the spatial position alone, so
+all patches with one spatial origin share D_m and form one group (masked
+overcomplete-dictionary reconstruction as in Marwah et al. 2013); D_m is
+gathered into one reused buffer per group and iteration.  Group m steps by
+1/(2 L(D_m)), with L(D_m) the exact largest eigenvalue of the small Gram
+D_m D_m^T: a few times larger than the global step, since L(D_m) <= L(D).
+The solve stops after a non-restart iteration in which the objective
+summed over all patches fell by at most STOP_REL_DECREASE (1e-3) of its new
+value, so the iteration count is a cap.
 """
 
 from __future__ import annotations
@@ -294,68 +303,93 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+# Reconstruction stops after a non-restart iteration in which the objective
+# summed over all patches fell by at most this fraction of its new value.
+STOP_REL_DECREASE = 1e-3
+
+
 def _fista(
-    d: Dictionary, x: np.ndarray, lam: float, iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Monotone FISTA on the columns of x.
+    atoms: np.ndarray,
+    x: np.ndarray,
+    rows: np.ndarray | None,
+    steps: np.ndarray,
+    lam: float,
+    iters: int,
+    rel_decrease: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Monotone FISTA on groups of patches that share their observed rows.
 
-    Objective per column:  ||x - D a||^2 + lam*||a||_1.  The momentum
-    sequence restarts whenever a candidate step would increase the
-    objective, so the kept iterates are non-increasing in objective.
+    x[k] (n, R) holds the n patches of group k, observed on rows[k] of the
+    patch vector; with rows None, one group observes every row.  Group k
+    steps by steps[k], at most 1/(2 L(D_m)).  Whenever a candidate step
+    would increase some patch's objective, that patch keeps its iterate
+    (and its cached D_m a) and the shared momentum restarts, so every
+    patch's objective is non-increasing.  With rel_decrease, the solve
+    stops after a non-restart iteration in which the summed objective fell
+    by at most rel_decrease times its new value; otherwise it runs all
+    `iters` iterations.
 
-    Two GEMMs per iteration: the gradient D^T (D y - x) and D z, which
-    also gives the objective.  D y is never formed from y: it is the
-    momentum combination of the cached D z of the last two iterates, as y
-    is of the codes, and a restarted column takes its D a back with a.
-    That rounds differently from D @ y, so the codes are those of the
-    three-GEMM solve up to about 1e-15 relative (tests allow 1e-12), with
-    the same zeros and restarts.
-    Returns the codes a, D a, the per-column objective of a and how often
-    each column restarted.
+    Returns the codes (G, n, n_atoms), D_m a (G, n, R), the per-patch
+    objective (G, n), the per-patch restart counts (G, n), the iterations
+    run and the iterations in which some patch restarted.
     """
-    atoms = d.atoms
-    step = 1.0 / (2.0 * lipschitz_bound(d))
-    thresh = lam * step
-    shape = (d.n_atoms, x.shape[1])
+    shape = (*x.shape[:2], atoms.shape[1])
     a, a_prev = np.zeros(shape), np.zeros(shape)
-    y_buf, z, work = np.empty(shape), np.empty(shape), np.empty(shape)
+    y_buf, z, work = np.empty(shape), np.empty(shape), np.empty(shape[1:])
     da, da_prev = np.zeros(x.shape), np.zeros(x.shape)
-    dy_buf, dz, r = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
-    f_a = np.multiply(x, x, out=r).sum(axis=0)
-    restarts = np.zeros(x.shape[1], dtype=np.int64)
+    dz, resid = np.empty(x.shape), np.empty(x.shape)
+    d_rows = atoms if rows is None else np.empty((x.shape[2], atoms.shape[1]))
+    thresh = lam * steps
+    f_a = np.multiply(x, x, out=resid).sum(axis=2)
+    f_sum = float(f_a.sum())
+    restarts = np.zeros(f_a.shape, dtype=np.int64)
+    restart_iters = 0
     t = 1.0
     momentum = None  # None at the start and after a restart: y = a
-    for _ in range(iters):
+    iterations = 0
+    for iterations in range(1, iters + 1):
         if momentum is None:
-            y, dy = a, da
+            y = a
+            np.subtract(da, x, out=resid)
         else:
-            y, dy = y_buf, dy_buf
+            y = y_buf
             np.subtract(a, a_prev, out=y)
             y *= momentum
             y += a
-            np.subtract(da, da_prev, out=dy)
-            dy *= momentum
-            dy += da
-        np.subtract(dy, x, out=r)
-        np.matmul(atoms.T, r, out=work)
-        work *= 2.0 * step  # rounds as step * (2.0 * g): doubling is exact
-        np.subtract(y, work, out=z)
-        # soft threshold in place: copysign(max(|z| - thresh, 0), z)
-        np.abs(z, out=work)
-        work -= thresh
-        np.maximum(work, 0.0, out=work)
-        np.copysign(work, z, out=z)
-        np.matmul(atoms, z, out=dz)
-        np.subtract(x, dz, out=r)
-        r *= r
-        f_z = r.sum(axis=0) + lam * np.abs(z, out=work).sum(axis=0)
+            np.subtract(da, da_prev, out=resid)
+            resid *= momentum
+            resid += da
+            resid -= x
+        for k in range(len(x)):
+            if rows is not None:
+                # The rows are in range; mode="clip" writes straight into
+                # d_rows, where mode="raise" fills a temporary copy first.
+                np.take(atoms, rows[k], axis=0, out=d_rows, mode="clip")
+            z_k = z[k]
+            np.matmul(resid[k], d_rows, out=work)
+            work *= 2.0 * steps[k]  # rounds as step * (2.0 * g): doubling is exact
+            np.subtract(y[k], work, out=z_k)
+            # soft threshold in place: copysign(max(|z| - thresh, 0), z)
+            np.abs(z_k, out=work)
+            work -= thresh[k]
+            np.maximum(work, 0.0, out=work)
+            np.copysign(work, z_k, out=z_k)
+            np.matmul(z_k, d_rows.T, out=dz[k])
+        np.subtract(x, dz, out=resid)
+        resid *= resid
+        # y_buf is free until the next iteration.  Like the gather above,
+        # this keeps the loop free of large temporaries, whose cost depends
+        # on the state of the allocator (a fresh mapping and page faults).
+        f_z = resid.sum(axis=2) + lam * np.abs(z, out=y_buf).sum(axis=2)
         worse = f_z > f_a
-        if np.any(worse):
+        restarted = bool(worse.any())
+        if restarted:
             # Monotone restart: keep the previous iterate, drop momentum.
-            z[:, worse] = a[:, worse]
-            dz[:, worse] = da[:, worse]
+            z[worse] = a[worse]
+            dz[worse] = da[worse]
             f_z = np.where(worse, f_a, f_z)
             restarts += worse
+            restart_iters += 1
             t_new = 1.0
             momentum = None
         else:
@@ -364,17 +398,20 @@ def _fista(
         a_prev, a, z = a, z, a_prev
         da_prev, da, dz = da, dz, da_prev
         f_a, t = f_z, t_new
-    return a, da, f_a, restarts
+        f_prev, f_sum = f_sum, float(f_z.sum())
+        if rel_decrease is not None and not restarted and f_prev - f_sum <= rel_decrease * f_sum:
+            break
+    return a, da, f_a, restarts, iterations, restart_iters
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """What a masked dictionary solve did."""
 
-    iterations: int
+    iterations: int  # iterations run: the cap or fewer, when the stop fired
     restarts: int  # iterations in which some patch would have got worse
-    lipschitz_bound: float  # `lipschitz_bound(d)`: largest eigenvalue of D^T D
-    step: float
+    lipschitz_bound: float  # largest per-group bound L(D_m)
+    step: float  # its step 1/(2 L(D_m)), the smallest step of the solve
     final_objective: float  # masked objective summed over all patches
 
 
@@ -396,88 +433,25 @@ def _spatial_groups(g: PatchGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.array(list(members.values())), np.array(rows)
 
 
-def _observed_fista(
-    d: Dictionary, x_obs: np.ndarray, rows: np.ndarray, lam: float, iters: int
-) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Monotone FISTA on observed rows only, one group of patches at a time.
-
-    x_obs[k] (n, R) holds the observed entries of the n patches of group k,
-    which are rows[k] of each patch vector.  Objective per patch:
-    ||x_m - D_m a||^2 + lam*||a||_1,  with D_m the rows[k] of D.  Each
-    iteration gathers D_m for one group at a time into one reused buffer
-    and forms the gradient D_m^T (D_m y - x_m) and D_m z; D_m y is the
-    momentum combination of the cached D_m z of the last two iterates, as
-    y is of the codes.  Step, momentum and restart are global, as in
-    `_fista`.  Returns the codes (G, n, n_atoms), the per-patch final
-    objective (G, n) and the report.
-    """
-    atoms = d.atoms
-    lip = lipschitz_bound(d)
-    step = 1.0 / (2.0 * lip)
-    thresh = lam * step
-    n_groups, n, n_rows = x_obs.shape
-    a = np.zeros((n_groups, n, d.n_atoms), dtype=np.float64)
-    a_prev, y_buf, z = np.zeros_like(a), np.empty_like(a), np.empty_like(a)
-    da = np.zeros_like(x_obs)  # (D_m a)^T, cached per group
-    da_prev, dz, resid = np.zeros_like(da), np.empty_like(da), np.empty_like(da)
-    d_rows = np.empty((n_rows, d.n_atoms), dtype=np.float64)
-    f_a = np.sum(x_obs * x_obs, axis=2)
-    t = 1.0
-    momentum = None  # None at the start and after a restart: y = a
-    restarts = 0
-    for _ in range(iters):
-        if momentum is None:
-            y = a
-            np.subtract(da, x_obs, out=resid)
-        else:
-            y = y_buf
-            np.subtract(a, a_prev, out=y)
-            y *= momentum
-            y += a
-            np.subtract(da, da_prev, out=resid)
-            resid *= momentum
-            resid += da
-            resid -= x_obs
-        for k in range(n_groups):
-            # The rows are in range; mode="clip" writes straight into d_rows,
-            # where the default mode="raise" fills a temporary copy first.
-            np.take(atoms, rows[k], axis=0, out=d_rows, mode="clip")
-            z[k] = _soft_threshold(y[k] - step * (2.0 * (resid[k] @ d_rows)), thresh)
-            np.matmul(z[k], d_rows.T, out=dz[k])
-        np.subtract(x_obs, dz, out=resid)
-        resid *= resid
-        # y_buf is free until the next iteration.  Like the gather above,
-        # this keeps the loop free of large temporaries, whose cost depends
-        # on the state of the allocator (a fresh mapping and page faults).
-        f_z = np.sum(resid, axis=2) + lam * np.abs(z, out=y_buf).sum(axis=2)
-        worse = f_z > f_a
-        if np.any(worse):
-            # Monotone restart: keep the previous iterate, drop momentum.
-            z[worse] = a[worse]
-            dz[worse] = da[worse]
-            f_z = np.where(worse, f_a, f_z)
-            t_new = 1.0
-            momentum = None
-            restarts += 1
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            momentum = (t - 1.0) / t_new
-        a_prev, a, z = a, z, a_prev
-        da_prev, da, dz = da, dz, da_prev
-        f_a, t = f_z, t_new
-    report = SolveReport(
-        iterations=iters, restarts=restarts, lipschitz_bound=lip, step=step,
-        final_objective=float(f_a.sum()),
-    )
-    return a, f_a, report
+def _group_lipschitz(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """L(D_m) of each group: the largest eigenvalue of D_m^T D_m, taken
+    exactly (up to rounding) from the small Gram D_m D_m^T."""
+    d_rows = np.empty((rows.shape[1], atoms.shape[1]))
+    lips = np.empty(len(rows))
+    for k, r in enumerate(rows):
+        np.take(atoms, r, axis=0, out=d_rows, mode="clip")
+        lips[k] = np.linalg.eigvalsh(d_rows @ d_rows.T)[-1]
+    # as in lipschitz_bound: rows that are all zero take any step
+    return np.where(lips < 1e-30, 1.0, lips)
 
 
 def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     """Sparse code a single patch vector against the dictionary."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    if x.shape[0] != d.atom_len:
-        raise ValueError(f"patch length {x.shape[0]} != atom length {d.atom_len}")
-    return _fista(d, x, lam, iters)[0][:, 0]
+    x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
+    if x.shape[2] != d.atom_len:
+        raise ValueError(f"patch length {x.shape[2]} != atom length {d.atom_len}")
+    steps = np.array([1.0 / (2.0 * lipschitz_bound(d))])
+    return _fista(d.atoms, x, None, steps, lam, iters)[0][0, 0]
 
 
 def ista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
@@ -545,15 +519,16 @@ def train_dictionary(
         batch_objs = []
         restarts = 0
         for start in range(0, len(order), batch_size):
-            x = all_patches[order[start : start + batch_size]].T  # (atom_len, B)
-            a, da, f, col_restarts = _fista(d, x, lam, fista_iters)
-            batch_objs.append(float(f.sum()) / x.shape[1])
-            restarts += int(col_restarts.sum())
+            x = all_patches[order[start : start + batch_size]]  # (B, atom_len)
+            steps = np.array([1.0 / (2.0 * lipschitz_bound(d))])
+            a, da, f, patch_restarts, _, _ = _fista(d.atoms, x[None], None, steps, lam, fista_iters)
+            batch_objs.append(float(f.sum()) / x.shape[0])
+            restarts += int(patch_restarts.sum())
             if lr != 0.0:
                 # descent on ||x - D a||^2; the gradient's factor 2 is
                 # absorbed into the learning rate
-                resid = x - da  # (atom_len, B)
-                d.atoms += lr * (resid @ a.T)
+                resid = x - da[0]  # (B, atom_len)
+                d.atoms += lr * (resid.T @ a[0])
                 d.normalize()
         epoch_objectives.append(float(np.mean(batch_objs)))
         epoch_restarts.append(restarts)
@@ -568,7 +543,16 @@ def _masked_codes(
     final objectives, both in grid order, and the solve report."""
     cols, rows = _spatial_groups(g, m)
     x = patch(lifted, g)
-    codes, f, report = _observed_fista(d, x[cols[:, :, None], rows[:, None, :]], rows, lam, iters)
+    lips = _group_lipschitz(d.atoms, rows)
+    codes, _, f, _, iterations, restarts = _fista(
+        d.atoms, x[cols[:, :, None], rows[:, None, :]], rows, 1.0 / (2.0 * lips), lam, iters,
+        STOP_REL_DECREASE,
+    )
+    lip = float(lips.max())
+    report = SolveReport(
+        iterations=iterations, restarts=restarts, lipschitz_bound=lip, step=1.0 / (2.0 * lip),
+        final_objective=float(f.sum()),
+    )
     order = cols.ravel()
     a = np.empty((d.n_atoms, g.n_patches), dtype=np.float64)
     a[:, order] = codes.reshape(-1, d.n_atoms).T

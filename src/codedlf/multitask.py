@@ -307,6 +307,13 @@ class TrainConfig:
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # A negative rate or decay ascends the loss; momentum must lie in
+        # [0, 1) for the velocity to stay bounded.
+        for name in ("lr", "weight_decay", "gradnorm_gamma", "normgradsim_step"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def _static_weights(strategy: str) -> np.ndarray:

@@ -58,9 +58,11 @@ class SceneSpec:
                 f"{self.disparity_profile} takes {n_params[self.disparity_profile]}"
                 f" parameter(s), got {self.disparity_params}"
             )
-        if max(abs(p) for p in self.disparity_params) > MAX_ABS_DISPARITY:
+        # not (|p| <= max) also rejects NaN, which every comparison fails
+        if not all(abs(p) <= MAX_ABS_DISPARITY for p in self.disparity_params):
             raise ValueError(
-                f"disparities must lie in [-{MAX_ABS_DISPARITY}, {MAX_ABS_DISPARITY}]"
+                f"disparities must be finite and lie in"
+                f" [-{MAX_ABS_DISPARITY}, {MAX_ABS_DISPARITY}], got {self.disparity_params}"
             )
         object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
         object.__setattr__(

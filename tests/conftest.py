@@ -378,15 +378,17 @@ def graph_gradients():
 # ---------------------------------------------------------------------------
 # The masked dictionary solve as it was before it ran on observed rows only:
 # FISTA on the full-height patch vectors of all patches at once, the binary
-# mask folded into the residual.  Test oracle for cs_dict.dict_reconstruct.
+# mask folded into the residual, with the per-patch steps and the stop rule
+# of cs_dict.dict_reconstruct.  Test oracle for it.
 
 
-def _ref_masked_fista(d, x, lam, iters, mask):
-    """Codes (n_atoms, n_patches) and per-patch final objectives of the
-    full-height masked FISTA on the columns of x."""
+def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
+    """Codes (n_atoms, n_patches), per-patch final objectives and the
+    iterations run of the full-height masked FISTA on the columns of x,
+    column j stepping by step[j].  It stops after a non-restart iteration
+    in which the summed objective fell by at most rel_decrease times its
+    new value."""
     atoms = d.atoms
-    lip = cs_dict.lipschitz_bound(d)
-    step = 1.0 / (2.0 * lip)
     thresh = lam * step
 
     def objective(a):
@@ -398,7 +400,8 @@ def _ref_masked_fista(d, x, lam, iters, mask):
     y = a.copy()
     t = 1.0
     f_a = objective(a)
-    for _ in range(iters):
+    it = 0
+    for it in range(1, iters + 1):
         r = atoms @ y - x
         r = mask * r
         z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
@@ -412,19 +415,31 @@ def _ref_masked_fista(d, x, lam, iters, mask):
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = z + ((t - 1.0) / t_new) * (z - a)
+        decrease = f_a.sum() - f_z.sum()
         a, f_a, t = z, f_z, t_new
-    return a, f_a
+        if not np.any(worse) and decrease <= rel_decrease * f_a.sum():
+            break
+    return a, f_a, it
 
 
 def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
-    """(reconstruction, codes, per-patch final objectives) of the
-    full-height masked solve, patches in grid order."""
+    """(reconstruction, codes, per-patch final objectives, iterations run,
+    per-patch Lipschitz bounds) of the full-height masked solve, patches in
+    grid order.  Patch j steps by 1/(2 L_j), L_j the largest eigenvalue of
+    the Gram matrix of the dictionary rows its mask keeps."""
     lifted = coding.lift(l_star_p, m)
     mask5 = np.broadcast_to(np.asarray(m, dtype=np.float64)[None, None], g.source_dims)
     x = cs_dict.patch(lifted, g).T
     masks = cs_dict.patch(mask5, g).T
-    a, f = _ref_masked_fista(d, x, lam, iters, masks)
-    return cs_dict.depatch((d.atoms @ a).T, g), a, f
+    lips = []
+    for keep in (masks != 0).T:
+        rows = d.atoms[keep]
+        lips.append(np.linalg.eigvalsh(rows @ rows.T)[-1])
+    lips = np.array(lips)
+    a, f, it = _ref_masked_fista(
+        d, x, lam, iters, masks, 1.0 / (2.0 * lips), cs_dict.STOP_REL_DECREASE
+    )
+    return cs_dict.depatch((d.atoms @ a).T, g), a, f, it, lips
 
 
 @pytest.fixture
@@ -432,9 +447,10 @@ def masked_dict_oracle():
     """The full-height masked dictionary solve (test oracle).
 
     masked_dict_oracle(l_star_p, m, d, g, lam, iters) returns the
-    reconstruction, the codes (n_atoms, n_patches) and the per-patch final
-    masked objectives of FISTA with the mask folded into a full-height
-    residual, as `dict_reconstruct` ran before it used observed rows only.
+    reconstruction, the codes (n_atoms, n_patches), the per-patch final
+    masked objectives, the iterations run and the per-patch Lipschitz
+    bounds of FISTA with the mask folded into a full-height residual, as
+    `dict_reconstruct` ran before it used observed rows only.
     """
     return _ref_dict_reconstruct
 

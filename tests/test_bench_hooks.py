@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from codedlf import autodiff as ad
+from codedlf import coding, cs_dict, scenegen
 from codedlf import multitask as mt
 
 _TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -75,3 +76,47 @@ def test_training_under_tracer_records_autodiff_spans(tracing):
     layers = tracer.per_layer(n_ops=1, n_setups=1)
     assert layers["autodiff.collect_gradients.calls"] == 6 * n_batches
     assert layers["multitask.epochs"] == 1
+
+
+def test_dictionary_training_and_solve_record_their_spans(tracing):
+    # The dict-fista per-layer metrics read these spans: the set-up metric
+    # cs_dict.lipschitz_bound.calls (one bound per training batch) and, per
+    # reconstruction, one patch and one depatch.
+    dims = (3, 3, 8, 8, 3)
+    cv, disp = scenegen.make_scene(scenegen.SceneSpec(dims=dims, pattern="random-smooth", seed=2))
+    lf = scenegen.render_lightfield(cv, disp, 3, 3)
+    g = cs_dict.make_patch_grid(dims, (2, 2, 4, 4, 3), (1, 1), (0, 0))
+    m = coding.random_mask(8, 8, 3, seed=5)
+    lp = coding.project(coding.encode(lf, m))
+    batch_size, n_ops = 16, 2
+    n_batches = -(-g.n_patches // batch_size)
+    hooks = ("train_dictionary", "lipschitz_bound", "dict_reconstruct", "patch", "depatch")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for fn in hooks:
+            assert hasattr(getattr(cs_dict, fn), "__wrapped__"), fn
+        tracer.op = "setup-0"
+        d, _ = cs_dict.train_dictionary(
+            [lf], g, k=2.0, lam=0.2, lr=0.3, batch_size=batch_size, fista_iters=10, epochs=1,
+        )
+        for i in range(n_ops):
+            tracer.op = f"op-{i}"
+            rec, _ = cs_dict.dict_reconstruct(lp, m, d, g, 3e-3, 50)
+    finally:
+        tracer.restore()
+    assert rec.shape == dims and np.all(np.isfinite(rec))
+    counts = {}
+    for span in tracer.spans:
+        key = (span["op"], span["name"])
+        counts[key] = counts.get(key, 0) + 1
+    assert counts[("setup-0", "cs_dict.train_dictionary")] == 1
+    assert counts[("setup-0", "cs_dict.lipschitz_bound")] == n_batches
+    for i in range(n_ops):
+        for fn, calls in (("dict_reconstruct", 1), ("patch", 1), ("depatch", 1),
+                          ("lipschitz_bound", 0)):
+            assert counts.get((f"op-{i}", f"cs_dict.{fn}"), 0) == calls, (i, fn)
+    layers = tracer.per_layer(n_ops=n_ops, n_setups=1)
+    assert layers["cs_dict.lipschitz_bound.calls"] == n_batches
+    assert layers["cs_dict.patch.calls"] == 1
+    assert layers["cs_dict.train_dictionary.s"] > 0 and layers["cs_dict.depatch.s"] > 0

@@ -174,9 +174,13 @@ class TestFista:
         atoms /= np.linalg.norm(atoms, axis=0)
         d = cs_dict.Dictionary(atoms=atoms)
         x = rng.normal(size=(40, 16))
+        steps = np.array([1.0 / (2.0 * cs_dict.lipschitz_bound(d))])
         for iters in range(61):
             ref, restarted = unmasked_fista_oracle(d, x, lam, iters)
-            a, da, f, restarts = cs_dict._fista(d, x, lam, iters)
+            # training's layout: one group holding every row, patches as rows
+            a, da, f, restarts, ran, _ = cs_dict._fista(atoms, x.T[None], None, steps, lam, iters)
+            a, da, f, restarts = a[0].T, da[0].T, f[0], restarts[0]
+            assert ran == iters
             assert np.linalg.norm(a - ref) <= FISTA_CODES_REL_TOL * np.linalg.norm(ref)
             assert np.array_equal(a == 0, ref == 0)
             assert np.array_equal(restarts, restarted.sum(axis=0))
@@ -426,8 +430,9 @@ class TestReconstruct:
 
 
 # Observed-row solve against the full-height masked FISTA oracle
-# (tests/conftest.py): the two sum in different orders, so they agree to
-# these tolerances rather than bit for bit.
+# (tests/conftest.py), which takes the same per-patch steps and stop rule:
+# the two sum in different orders, so they agree to these tolerances rather
+# than bit for bit, and run the same number of iterations.
 REC_ABS_TOL = 1e-6  # float32 reconstruction, max abs difference
 CODES_REL_TOL = 1e-7  # codes, relative l2 (Frobenius) difference
 OBJECTIVE_REL_TOL = 1e-9  # final masked objective, per patch
@@ -480,7 +485,7 @@ class TestObservedRowSolve:
     def test_matches_full_height_oracle(self, masked_dict_oracle, case):
         dims, atom, spatial, angular, iters = ORACLE_CASES[case]
         lp, m, g, d = _coded_case(dims, atom, spatial, angular)
-        rec_ref, a_ref, f_ref = masked_dict_oracle(lp, m, d, g, LAM, iters)
+        rec_ref, a_ref, f_ref, iters_ref, lips_ref = masked_dict_oracle(lp, m, d, g, LAM, iters)
         rec, rep = cs_dict.dict_reconstruct(lp, m, d, g, LAM, iters)
         a, f, rep_codes = cs_dict._masked_codes(coding.lift(lp, m), m, d, g, LAM, iters)
         assert rep == rep_codes
@@ -490,13 +495,56 @@ class TestObservedRowSolve:
             assert not a.any() and not rec.any()
         assert np.linalg.norm(a - a_ref) <= CODES_REL_TOL * np.linalg.norm(a_ref)
         assert np.all(np.abs(f - f_ref) <= OBJECTIVE_REL_TOL * f_ref)
-        assert rep.iterations == iters
-        assert rep.lipschitz_bound == cs_dict.lipschitz_bound(d)
+        assert rep.iterations == iters_ref <= iters
+        if case == "benchmark-scene":
+            assert rep.iterations < iters  # the stop rule fired
+        assert rep.lipschitz_bound == lips_ref.max()
         assert rep.step == 1.0 / (2.0 * rep.lipschitz_bound)
         assert rep.final_objective == pytest.approx(f.sum(), rel=1e-12)
 
-    def test_each_patch_objective_non_increasing(self):
+    def test_group_steps_within_dense_bound(self):
+        # Each group steps by 1/(2 L(D_m)), L(D_m) from the small Gram
+        # D_m D_m^T; it may not exceed the bound that a dense eigvalsh of
+        # D_m^T D_m gives (up to 1e-12 relative for rounding), and no group
+        # steps shorter than the global step 1/(2 L(D)).
         dims, atom, spatial, angular, _ = ORACLE_CASES["angular-overlap"]
+        _, m, g, d = _coded_case(dims, atom, spatial, angular)
+        _, rows = cs_dict._spatial_groups(g, m)
+        steps = 1.0 / (2.0 * cs_dict._group_lipschitz(d.atoms, rows))
+        lip_d = np.linalg.eigvalsh(d.atoms.T @ d.atoms)[-1]
+        for step, kept in zip(steps, rows):
+            lip_m = np.linalg.eigvalsh(d.atoms[kept].T @ d.atoms[kept])[-1]
+            assert step <= (1.0 + 1e-12) / (2.0 * lip_m)
+            assert step >= 1.0 / (2.0 * lip_m) * (1.0 - 1e-12)
+            assert step >= (1.0 - 1e-12) / (2.0 * lip_d)
+
+    def test_stop_never_fires_on_a_restart_iteration(self, monkeypatch):
+        # Trace the summed objective and the restarts without the stop
+        # rule, find a restart iteration whose relative decrease is below
+        # that of every earlier iteration, and set the stop's tolerance
+        # between the two: the solve must run past that iteration and stop
+        # at the first later non-restart iteration that meets the tolerance.
+        dims, atom, spatial, angular, _ = ORACLE_CASES["clamped-origin"]
+        lp, m, g, d = _coded_case(dims, atom, spatial, angular)
+        lifted = coding.lift(lp, m)
+        monkeypatch.setattr(cs_dict, "STOP_REL_DECREASE", None)
+        runs = [cs_dict._masked_codes(lifted, m, d, g, LAM, n)[2] for n in range(41)]
+        assert all(r.iterations == n for n, r in enumerate(runs))
+        objective = np.array([r.final_objective for r in runs])
+        ratio = (objective[:-1] - objective[1:]) / objective[1:]  # ratio[i]: iteration i + 1
+        restarted = np.diff([r.restarts for r in runs]) > 0
+        first = np.flatnonzero(restarted & (np.minimum.accumulate(ratio) == ratio))
+        assert first.size, "no restart iteration decreases least so far"
+        j = first[0]
+        tol = np.sqrt(ratio[j] * ratio[:j].min())
+        expected = next(i for i in range(j + 1, 40) if not restarted[i] and ratio[i] <= tol) + 1
+        monkeypatch.setattr(cs_dict, "STOP_REL_DECREASE", tol)
+        rep = cs_dict._masked_codes(lifted, m, d, g, LAM, 300)[2]
+        assert rep.iterations == expected > j + 1
+
+    def test_each_patch_objective_non_increasing(self):
+        # clamped-origin restarts at LAM within 40 iterations
+        dims, atom, spatial, angular, _ = ORACLE_CASES["clamped-origin"]
         lp, m, g, d = _coded_case(dims, atom, spatial, angular)
         lifted = coding.lift(lp, m)
         x = cs_dict.patch(lifted, g).T

@@ -70,6 +70,18 @@ def test_invalid_specs_rejected():
                            disparity_params=(0.5,))  # wrong arity
 
 
+@pytest.mark.parametrize("profile, params", [
+    ("constant", (float("nan"),)),
+    ("constant", (float("inf"),)),
+    ("linear-ramp", (float("nan"), 0.0)),
+    ("step", (0.0, float("-inf"))),
+])
+def test_non_finite_disparity_rejected(profile, params):
+    # NaN fails every comparison, so a range check alone lets it through.
+    with pytest.raises(ValueError, match="disparities must be finite"):
+        scenegen.SceneSpec(dims=DIMS, disparity_profile=profile, disparity_params=params)
+
+
 class TestRender:
     def test_zero_disparity_replicates_central_view(self):
         spec = scenegen.SceneSpec(
