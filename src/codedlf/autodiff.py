@@ -12,19 +12,27 @@ activations the backward needs: each block's input, its hidden layer's
 relu mask and output, and the trunk's output mask.  `batched_loss` gives a
 loss's batch mean and its gradient with respect to one head's output from
 one call of the loss on the whole batch (B, ...); see `losses_metrics`.
-`collect_gradients` back-propagates such a head-output gradient (the seed)
-through that head and the trunk.  With the relu masks fixed by the forward
-pass, the backward is linear in the seed, so the gradient of a weighted sum
-of losses is the same weighted sum of their per-loss gradients.
+With the relu masks fixed by the forward pass, the backward is linear in
+these head-output gradients (the seeds), so the gradient of a weighted sum
+of losses is the backward of the same weighted sum of their seeds.
 
-Gradients are written into a flat parameter-length vector: the groups in
-GROUPS order, each `[w0, b0, w1, b1]` raveled (`param_views` gives the
-per-parameter views, `group_slice` one group's range).  The GEMMs and bias
-sums write straight into its views, and a caller can reuse one vector per
-loss.  The inactive head's entries are never written: they hold zeros.  No
-gradient is formed for the network input.  Relu is `np.where(z > 0, z,
-0.0)`, so a NaN pre-activation gives 0 (and a zero gradient) rather than
-NaN.
+`collect_gradients` is that one backward: it takes one combined seed per
+head and back-propagates both through their heads and the trunk.  It
+writes every parameter gradient into a flat parameter-length vector: the
+groups in GROUPS order, each `[w0, b0, w1, b1]` raveled (`param_views`
+gives the per-parameter views, `group_slice` one group's range).  The
+GEMMs and bias sums write straight into its views; a head without a seed
+gets zeros.  No gradient is formed for the network input.
+
+`gradient_gram` gives the inner products of the per-loss parameter
+gradients without forming them.  Each loss's seed only runs down the
+chain of activation gradients, (B, width) matrices.  For a dense layer
+with input X and output gradients G_l, the weight gradients are X^T G_l,
+so their inner products are sum((X X^T) * (G_l G_m^T)), from B x B
+matrices; the bias gradients add sum(G_l) . sum(G_m).
+
+Relu is `np.where(z > 0, z, 0.0)`, so a NaN pre-activation gives 0 (and a
+zero gradient) rather than NaN.
 
 Values are float64 internally; the LFNN parameter container stores float32.
 """
@@ -32,6 +40,7 @@ Values are float64 internally; the LFNN parameter container stores float32.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -40,6 +49,22 @@ import numpy as np
 LFNN_MAGIC = b"LFNN"
 _LFNN_HEADER = struct.Struct("<4sI")
 GROUPS = ("shared", "cv", "disp")
+
+
+def _param_shapes(
+    dims: tuple[int, ...], hidden: int, head_hidden: int
+) -> dict[str, list[tuple[int, ...]]]:
+    """Shapes of [w0, b0, w1, b1] per group; nothing is allocated."""
+    n_u, n_v, n_s, n_t, n_c = dims
+
+    def dense(fan_in, fan_out):
+        return [(fan_in, fan_out), (fan_out,)]
+
+    return {
+        "shared": dense(n_u * n_v * n_s * n_t * n_c, hidden) + dense(hidden, hidden),
+        "cv": dense(hidden, head_hidden) + dense(head_hidden, n_s * n_t * n_c),
+        "disp": dense(hidden, head_hidden) + dense(head_hidden, n_s * n_t),
+    }
 
 
 def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,23 +99,18 @@ class ToyNet:
         for name in ("hidden", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        n_u, n_v, n_s, n_t, n_c = self.dims
-        d_in = n_u * n_v * n_s * n_t * n_c
-        d_cv = n_s * n_t * n_c
-        d_disp = n_s * n_t
-        rng = np.random.default_rng(self.seed)
-
-        def dense(fan_in, fan_out):
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            return [w, np.zeros(fan_out)]
-
         if not self.params:
+            rng = np.random.default_rng(self.seed)
             self.params = {
-                "shared": dense(d_in, self.hidden) + dense(self.hidden, self.hidden),
-                "cv": dense(self.hidden, self.head_hidden)
-                + dense(self.head_hidden, d_cv),
-                "disp": dense(self.hidden, self.head_hidden)
-                + dense(self.head_hidden, d_disp),
+                group: [
+                    rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+                    if len(shape) == 2
+                    else np.zeros(shape)
+                    for shape in shapes
+                ]
+                for group, shapes in _param_shapes(
+                    self.dims, self.hidden, self.head_hidden
+                ).items()
             }
 
     def all_params(self) -> list[np.ndarray]:
@@ -170,26 +190,70 @@ def _block_backward(params, block, g_out, out):
 
 
 def collect_gradients(
-    net: ToyNet, acts: Activations, task: str, seed: np.ndarray, out=None
+    net: ToyNet, acts: Activations, seeds: dict[str, np.ndarray], out=None
 ) -> dict[str, list[np.ndarray]]:
-    """Per-group parameter gradients for the head-output gradient `seed`
-    of head `task`.
+    """Per-group parameter gradients from one backward pass of the
+    head-output gradients `seeds` ({head: seed}) through both heads and the
+    trunk.
 
     They are written into `out`, a flat parameter-length vector (see
-    `param_views`), and returned as views of it.  The other head's entries
-    are not written: they are the zeros of the fresh vector allocated when
-    `out` is None, and a caller that reuses `out` for the same head keeps
-    them zero.
+    `param_views`), allocated when None, and returned as views of it.  A
+    head missing from `seeds` gets zeros, and so does the trunk when both
+    are missing.
     """
     if out is None:
-        out = np.zeros(sum(p.size for p in net.all_params()))
+        out = np.empty(sum(p.size for p in net.all_params()))
     grads = param_views(net, out)
-    g_hidden = _block_backward(
-        net.params[task], acts.blocks[task], seed.reshape(seed.shape[0], -1), grads[task]
-    )
-    g_trunk = (g_hidden @ net.params[task][0].T) * acts.trunk_mask
-    _block_backward(net.params["shared"], acts.blocks["shared"], g_trunk, grads["shared"])
+    g_trunk = None
+    for head in ("cv", "disp"):
+        if head not in seeds:
+            out[group_slice(net, head)] = 0.0
+            continue
+        seed = seeds[head]
+        g_hidden = _block_backward(
+            net.params[head], acts.blocks[head], seed.reshape(seed.shape[0], -1), grads[head]
+        )
+        g = g_hidden @ net.params[head][0].T
+        g_trunk = g if g_trunk is None else g_trunk + g
+    if g_trunk is None:
+        out[group_slice(net, "shared")] = 0.0
+    else:
+        g_trunk *= acts.trunk_mask
+        _block_backward(net.params["shared"], acts.blocks["shared"], g_trunk, grads["shared"])
     return grads
+
+
+def _dense_gram(inp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gram (L, L) of the weight-plus-bias gradients of one dense layer with
+    input inp (B, n_in), from the per-loss gradients g (L, B, n_out) of its
+    output."""
+    n_l, n_b = g.shape[:2]
+    flat = g.reshape(n_l * n_b, -1)
+    outer = (flat @ flat.T).reshape(n_l, n_b, n_l, n_b)
+    sums = g.sum(axis=1)
+    return np.einsum("lbmc,bc->lm", outer, inp @ inp.T) + sums @ sums.T
+
+
+def gradient_gram(
+    net: ToyNet, acts: Activations, task: str, seeds, groups=("shared",)
+) -> np.ndarray:
+    """Gram (L, L) of the parameter gradients that the head-output
+    gradients `seeds` (L of them, of head `task`) give, over the parameters
+    of `groups` ("shared" and/or `task`).  No parameter gradient is formed.
+    """
+    g_out = np.stack([s.reshape(s.shape[0], -1) for s in seeds])
+    gram = np.zeros((len(seeds), len(seeds)))
+    w0, _, w1, _ = net.params[task]
+    trunk, mask, h = acts.blocks[task]
+    g_hidden = (g_out @ w1.T) * mask
+    if task in groups:
+        gram += _dense_gram(h, g_out) + _dense_gram(trunk, g_hidden)
+    if "shared" in groups:
+        x, mask0, h0 = acts.blocks["shared"]
+        g_trunk = (g_hidden @ w0.T) * acts.trunk_mask
+        g_h0 = (g_trunk @ net.params["shared"][2].T) * mask0
+        gram += _dense_gram(h0, g_trunk) + _dense_gram(x, g_h0)
+    return gram
 
 
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:
@@ -229,17 +293,17 @@ def load_net(path) -> ToyNet:
         raise ValueError(f"{path}: incomplete header ({len(raw)} bytes, need {offset})")
     try:
         spec = json.loads(raw[_LFNN_HEADER.size : offset])
-        net = ToyNet(
-            dims=tuple(spec["dims"]),
-            hidden=spec["hidden"],
-            head_hidden=spec["head_hidden"],
-        )
+        dims = tuple(spec["dims"])
+        sizes = (*dims, spec["hidden"], spec["head_hidden"])
+        if len(dims) != 5 or not all(_is_count(v) for v in sizes):
+            raise ValueError(f"dims {dims} and widths must be integers >= 1")
+        expected = _param_shapes(dims, spec["hidden"], spec["head_hidden"])
         shapes = [tuple(shape) for g in GROUPS for shape in spec["groups"][g]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed network spec ({exc})") from exc
-    if shapes != [p.shape for p in net.all_params()]:
+    if shapes != [shape for g in GROUPS for shape in expected[g]]:
         raise ValueError(f"{path}: parameter shapes {shapes} do not match the network")
-    n = sum(int(np.prod(shape)) for shape in shapes)
+    n = sum(math.prod(shape) for shape in shapes)
     payload = len(raw) - offset
     if payload < 4 * n:
         raise ValueError(f"{path}: payload holds {payload} bytes, need {4 * n}")
@@ -248,9 +312,15 @@ def load_net(path) -> ToyNet:
     vals = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{path}: payload contains non-finite values")
-    start = 0
+    params, start = {}, 0
     for group in GROUPS:
-        for k, p in enumerate(net.params[group]):
-            net.params[group][k] = vals[start : start + p.size].astype(np.float64).reshape(p.shape)
-            start += p.size
-    return net
+        params[group] = []
+        for shape in expected[group]:
+            size = math.prod(shape)
+            params[group].append(vals[start : start + size].astype(np.float64).reshape(shape))
+            start += size
+    return ToyNet(dims, spec["hidden"], spec["head_hidden"], params=params)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1

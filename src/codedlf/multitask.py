@@ -28,19 +28,20 @@ default (configurable to all parameters).  The alpha, beta and task
 weights are treated as constants in the network update itself.
 
 Each batch takes one forward pass.  Every active loss then gets its value
-and head-output gradient from one batched call through
-`autodiff.batched_loss`, and its parameter gradient from one
-`autodiff.collect_gradients` pass into that loss's flat gradient vector,
-allocated once per run.  The similarity and norm tests read the vectors'
-shared-trunk prefix (or the whole vector) in place.  The update is the
-linear combination of these per-loss gradients with the strategy's
-coefficients: task weight w_i times c_main,i for the main loss and times
-c_aux,ij for each auxiliary loss.  Because the backward is linear in its
-seed, this equals the gradient of the combined loss
-sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij).  It is summed
-onto +0.0 in a reused flat vector, loss after loss, over the trunk and the
-loss's own head only: the other head's entries are zeros, and adding
-scale * 0 (scale finite) to a sum that started at +0.0 changes no bit.
+and head-output gradient (its seed) from one batched call through
+`autodiff.batched_loss`.  The similarity and norm tests need only inner
+products of the per-loss parameter gradients, so they read them from the
+L x L Gram that `autodiff.gradient_gram` builds per task from the seeds,
+over the shared trunk (or the trunk and the task's head); no per-loss
+gradient is formed.  gradnorm reads only the main losses' squared norms,
+and the static and mtu strategies build no Gram.  The update is the
+gradient of the combined loss sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij
+L_aux,ij), with the task weights w_i and coefficients c treated as
+constants.  Because the backward is linear in its seed, that is one
+`autodiff.collect_gradients` pass of the combined seed per head,
+w_i (c_main,i seed_main,i + sum_j c_aux,ij seed_aux,ij), into a reused flat
+vector.  `gradsim_weights` and `normgradsim_update` take explicit gradient
+vectors, form their Gram and call the same Gram-based code.
 """
 
 from __future__ import annotations
@@ -166,19 +167,34 @@ def gradnorm_update(
     return w.copy()
 
 
-def _truncated_cosine(g_main: np.ndarray, g_aux: np.ndarray, nm: float, na: float) -> float:
-    """max(0, cosine) of two gradients whose norms nm and na are given."""
+def _gram(g_main: np.ndarray, g_aux: list[np.ndarray]) -> np.ndarray:
+    """Gram of the gradients [g_main, *g_aux] by explicit dot products."""
+    g = np.stack([g_main, *g_aux])
+    return g @ g.T
+
+
+def _gram_norms(gram: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(0.0, np.diag(gram)))
+
+
+def _truncated_cosine(dot: float, nm: float, na: float) -> float:
+    """max(0, cosine) of two gradients with inner product dot and norms nm, na."""
     if nm == 0.0 or na == 0.0:
         return 0.0
-    return max(0.0, float(g_main @ g_aux) / (nm * na))
+    return max(0.0, float(dot) / (nm * na))
+
+
+def gram_gradsim_weights(gram: np.ndarray) -> np.ndarray:
+    """`gradsim_weights` from the Gram of [g_main, *g_aux]."""
+    norms = _gram_norms(gram)
+    return np.array(
+        [_truncated_cosine(gram[0, j], norms[0], norms[j]) for j in range(1, len(gram))]
+    )
 
 
 def gradsim_weights(g_main: np.ndarray, g_aux: list[np.ndarray]) -> np.ndarray:
     """Truncated cosine similarity of each auxiliary gradient to the main one."""
-    nm = float(np.linalg.norm(g_main))
-    return np.array(
-        [_truncated_cosine(g_main, g, nm, float(np.linalg.norm(g))) for g in g_aux]
-    )
+    return gram_gradsim_weights(_gram(g_main, g_aux))
 
 
 def normgradsim_update(
@@ -197,15 +213,23 @@ def normgradsim_update(
     Degenerate (zero-norm) gradients leave the pair unchanged.  Alphas are
     clamped to [0, 1], betas kept strictly positive.
     """
+    return gram_normgradsim_update(_gram(g_main, g_aux), alpha, beta, step)
+
+
+def gram_normgradsim_update(
+    gram: np.ndarray, alpha: np.ndarray, beta: np.ndarray, step: float = 0.1
+) -> tuple[np.ndarray, np.ndarray]:
+    """`normgradsim_update` from the Gram of [g_main, *g_aux]."""
     alpha = np.asarray(alpha, dtype=np.float64).copy()
     beta = np.asarray(beta, dtype=np.float64).copy()
-    nm = float(np.linalg.norm(g_main))
-    for j, g in enumerate(g_aux):
-        na = float(np.linalg.norm(g))
+    norms = _gram_norms(gram)
+    nm = norms[0]
+    for j in range(len(gram) - 1):
+        na = norms[1 + j]
         if nm == 0.0 or na == 0.0:
             warnings.warn(f"degenerate gradient norm for auxiliary loss {j}; skipped")
             continue
-        a_target = _truncated_cosine(g_main, g, nm, na)
+        a_target = _truncated_cosine(gram[0, 1 + j], nm, na)
         b_target = nm / na
         alpha[j] += np.clip(a_target - alpha[j], -step, step)
         beta[j] += np.clip(b_target - beta[j], -step, step)
@@ -363,20 +387,6 @@ class EpochLog:
         }
 
 
-def _accumulate(total, grad, spans, scale, products):
-    """total += scale * grad over the index spans (the trunk and one head).
-
-    The other head's entries of grad are zeros; adding scale * 0 (scale
-    finite) to a sum that started at +0.0 changes nothing, so they are
-    skipped.
-    """
-    if scale == 0.0:
-        return
-    for span in spans:
-        t = total[span]
-        t += np.multiply(grad[span], scale, out=products[span])
-
-
 def validate(
     net: ad.ToyNet, val: list[Sample], base_seed: int
 ) -> tuple[float, float]:
@@ -426,20 +436,7 @@ def train(
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
     params = net.all_params()
     n_params = sum(p.size for p in params)
-    # One flat gradient vector per loss (main, then auxiliaries) of each
-    # active task, reused every batch.  A vector always serves the same
-    # head, so the other head's entries stay zero.
-    loss_grads = {
-        task: [np.zeros(n_params) for _ in range(1 + (n_aux[task] if use_aux else 0))]
-        for ti, task in enumerate(TASKS)
-        if active[ti]
-    }
-    subset = (
-        ad.group_slice(net, "shared") if config.grad_subset == "shared" else slice(None)
-    )
-    spans = {task: (ad.group_slice(net, "shared"), ad.group_slice(net, task)) for task in TASKS}
     total = np.empty(n_params)
-    products = np.empty(n_params)
     velocity = np.zeros(n_params) if config.momentum else None
     step_grads = [
         g for grads in ad.param_views(net, total if velocity is None else velocity).values()
@@ -470,36 +467,40 @@ def train(
                 "disp": np.stack([train_set[i].disp for i in idxs]),
             }
 
-            # Per-loss values and parameter gradients (main, then auxiliaries),
-            # one batched loss call and one backward pass each.
+            # Per-loss values and seeds (main, then auxiliaries) of each
+            # active task, one batched loss call each.
             main_vals = np.zeros(2)
             aux_vals = {t: np.zeros(n_aux[t]) for t in TASKS}
-            for task, grads in loss_grads.items():
-                ti = TASKS.index(task)
+            seeds = {}
+            for ti, task in enumerate(TASKS):
+                if not active[ti]:
+                    continue
                 main_vals[ti], seed = ad.batched_loss(
                     pred[task], losses_metrics.huber, truth[task]
                 )
-                ad.collect_gradients(net, acts, task, seed, out=grads[0])
+                seeds[task] = [seed]
                 if use_aux:
                     for j, (_, fn) in enumerate(AUX_LOSSES[task]):
                         aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
-                        ad.collect_gradients(net, acts, task, seed, out=grads[1 + j])
+                        seeds[task].append(seed)
+
+            # Per-task Gram of the per-loss gradients over the chosen subset.
+            grams = {}
+            if use_aux or strategy == "gradnorm":
+                for task, task_seeds in seeds.items():
+                    groups = ("shared",) if config.grad_subset == "shared" else ("shared", task)
+                    grams[task] = ad.gradient_gram(net, acts, task, task_seeds, groups)
 
             # Strategy: derive task weights and per-task aux coefficients.
             task_coeffs = static_w.copy()
             aux_coeffs = {t: np.zeros(n_aux[t]) for t in TASKS}
             if use_aux:
-                for task, grads in loss_grads.items():
-                    g_main, *g_aux = (g[subset] for g in grads)
+                for task, gram in grams.items():
                     if strategy == "gradsim":
-                        aux_coeffs[task] = gradsim_weights(g_main, g_aux)
+                        aux_coeffs[task] = gram_gradsim_weights(gram)
                     else:
-                        aw.alpha[task], aw.beta[task] = normgradsim_update(
-                            g_main,
-                            g_aux,
-                            aw.alpha[task],
-                            aw.beta[task],
-                            step=config.normgradsim_step,
+                        aw.alpha[task], aw.beta[task] = gram_normgradsim_update(
+                            gram, aw.alpha[task], aw.beta[task], step=config.normgradsim_step
                         )
 
             # Per-task effective losses for mtu/gradnorm bookkeeping.
@@ -512,7 +513,7 @@ def train(
                         )
 
             if strategy == "gradnorm":
-                norms = np.array([np.linalg.norm(loss_grads[t][0][subset]) for t in TASKS])
+                norms = np.array([_gram_norms(grams[t])[0] for t in TASKS])
                 task_coeffs = gradnorm_update(norms, task_losses, gn_state)
             elif strategy in ("mtu", "mtu+al"):
                 _, ds = mtu_loss(task_losses, mtu_state)
@@ -521,10 +522,10 @@ def train(
                 velocity_s = config.momentum * velocity_s + ds
                 mtu_state.s -= config.lr * velocity_s
 
-            # Assemble the parameter gradient of the combined loss, in the
-            # order main, auxiliaries, task by task, onto +0.0.
-            total.fill(0.0)
-            for task, grads in loss_grads.items():
+            # One backward of the combined seed per head: task weight times
+            # (c_main seed_main + sum_j c_aux_j seed_aux_j).
+            head_seeds = {}
+            for task, task_seeds in seeds.items():
                 ti = TASKS.index(task)
                 if task_coeffs[ti] == 0.0:
                     continue
@@ -537,8 +538,11 @@ def train(
                 else:
                     c_main, c_aux = 1.0, np.zeros(n_aux[task])
                 scales = [task_coeffs[ti] * c_main] + [task_coeffs[ti] * float(c) for c in c_aux]
-                for g, scale in zip(grads, scales):  # no aux gradients without use_aux
-                    _accumulate(total, g, spans[task], scale, products)
+                # zip stops at the main seed when there are no aux losses
+                terms = [scale * seed for seed, scale in zip(task_seeds, scales) if scale != 0.0]
+                if terms:
+                    head_seeds[task] = sum(terms)
+            ad.collect_gradients(net, acts, head_seeds, out=total)
 
             if velocity is not None:
                 velocity *= config.momentum

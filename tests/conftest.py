@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from codedlf import autodiff as ad
 from codedlf import calib, coding, cs_dict, transforms
 from codedlf import losses_metrics as lm
+from codedlf import multitask as mt
 from codedlf.tensor import as_tensor5
 
 
@@ -373,6 +375,147 @@ def graph_gradients():
     loss does not reach get zeros.
     """
     return _graph_gradients
+
+
+# ---------------------------------------------------------------------------
+# Training as it was before the strategy statistics came from Grams: one
+# backward pass per loss into that loss's flat gradient vector, the vector
+# forms of gradsim_weights and normgradsim_update on those vectors, and the
+# update summed loss by loss onto +0.0 over the trunk and the loss's own
+# head.  Test oracle for multitask.train.
+
+
+def _accumulate(total, grad, spans, scale, products):
+    """total += scale * grad over the index spans (the trunk and one head)."""
+    if scale == 0.0:
+        return
+    for span in spans:
+        t = total[span]
+        t += np.multiply(grad[span], scale, out=products[span])
+
+
+def _ref_train(net, dataset, config):
+    n_val = max(1, int(round(len(dataset) * config.val_fraction)))
+    train_set, val_set = dataset[:-n_val], dataset[-n_val:]
+    n_s, n_t, n_c = net.dims[2:]
+    strategy = config.strategy
+    active = mt._active_tasks(strategy)
+    use_aux = mt._uses_aux(strategy)
+    n_aux = {t: len(mt.AUX_LOSSES[t]) for t in mt.TASKS}
+    aw = mt.AuxWeights.initial(n_aux)
+    mtu_state = mt.MtuState.initial()
+    gn_state = mt.GradNormState.initial(gamma=config.gradnorm_gamma, lr=config.gradnorm_lr)
+    static_w = mt._static_weights(strategy)
+    rng = np.random.default_rng(mt._derive_seed(config.seed, 0xD5))
+    params = net.all_params()
+    n_params = sum(p.size for p in params)
+    loss_grads = {
+        task: [np.zeros(n_params) for _ in range(1 + (n_aux[task] if use_aux else 0))]
+        for ti, task in enumerate(mt.TASKS)
+        if active[ti]
+    }
+    subset = ad.group_slice(net, "shared") if config.grad_subset == "shared" else slice(None)
+    spans = {t: (ad.group_slice(net, "shared"), ad.group_slice(net, t)) for t in mt.TASKS}
+    total = np.empty(n_params)
+    products = np.empty(n_params)
+    velocity = np.zeros(n_params) if config.momentum else None
+    step_grads = [
+        g for grads in ad.param_views(net, total if velocity is None else velocity).values()
+        for g in grads
+    ]
+    velocity_s = np.zeros_like(mtu_state.s)
+    logs = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(order), config.batch_size):
+            idxs = order[start : start + config.batch_size]
+            coded = np.stack([
+                coding.encode(
+                    train_set[i].lightfield,
+                    coding.random_mask(n_s, n_t, n_c, mt._derive_seed(config.seed, 2, epoch, int(i))),
+                )
+                for i in idxs
+            ]).astype(np.float64)
+            cv_pred, disp_pred, acts = net.forward_batch(coded)
+            pred = {"cv": cv_pred, "disp": disp_pred}
+            truth = {
+                "cv": np.stack([train_set[i].cv for i in idxs]),
+                "disp": np.stack([train_set[i].disp for i in idxs]),
+            }
+            main_vals = np.zeros(2)
+            aux_vals = {t: np.zeros(n_aux[t]) for t in mt.TASKS}
+            for task, grads in loss_grads.items():
+                ti = mt.TASKS.index(task)
+                main_vals[ti], seed = ad.batched_loss(pred[task], lm.huber, truth[task])
+                ad.collect_gradients(net, acts, {task: seed}, out=grads[0])
+                if use_aux:
+                    for j, (_, fn) in enumerate(mt.AUX_LOSSES[task]):
+                        aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
+                        ad.collect_gradients(net, acts, {task: seed}, out=grads[1 + j])
+            task_coeffs = static_w.copy()
+            aux_coeffs = {t: np.zeros(n_aux[t]) for t in mt.TASKS}
+            if use_aux:
+                for task, grads in loss_grads.items():
+                    g_main, *g_aux = (g[subset] for g in grads)
+                    if strategy == "gradsim":
+                        aux_coeffs[task] = mt.gradsim_weights(g_main, g_aux)
+                    else:
+                        aw.alpha[task], aw.beta[task] = mt.normgradsim_update(
+                            g_main, g_aux, aw.alpha[task], aw.beta[task],
+                            step=config.normgradsim_step,
+                        )
+            task_losses = main_vals.copy()
+            if strategy in ("normgradsim", "mtu+al"):
+                for ti, task in enumerate(mt.TASKS):
+                    if active[ti]:
+                        task_losses[ti] = mt.normgradsim_loss(
+                            main_vals[ti], aux_vals[task], aw.alpha[task], aw.beta[task]
+                        )
+            if strategy == "gradnorm":
+                norms = np.array([np.linalg.norm(loss_grads[t][0][subset]) for t in mt.TASKS])
+                task_coeffs = mt.gradnorm_update(norms, task_losses, gn_state)
+            elif strategy in ("mtu", "mtu+al"):
+                _, ds = mt.mtu_loss(task_losses, mtu_state)
+                task_coeffs = mt.mtu_effective_weights(mtu_state)
+                velocity_s = config.momentum * velocity_s + ds
+                mtu_state.s -= config.lr * velocity_s
+            total.fill(0.0)
+            for task, grads in loss_grads.items():
+                ti = mt.TASKS.index(task)
+                if task_coeffs[ti] == 0.0:
+                    continue
+                if strategy in ("normgradsim", "mtu+al"):
+                    c_main, c_aux = mt.normgradsim_coefficients(aw.alpha[task], aw.beta[task])
+                elif strategy == "gradsim":
+                    c_main, c_aux = 1.0, aux_coeffs[task]
+                else:
+                    c_main, c_aux = 1.0, np.zeros(n_aux[task])
+                scales = [task_coeffs[ti] * c_main] + [task_coeffs[ti] * float(c) for c in c_aux]
+                for g, scale in zip(grads, scales):
+                    _accumulate(total, g, spans[task], scale, products)
+            if velocity is not None:
+                velocity *= config.momentum
+                velocity += total
+            ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
+        loss_cv, loss_disp = mt.validate(net, val_set, config.seed)
+        alphas_now = aux_coeffs if strategy == "gradsim" else aw.alpha
+        logs.append(mt.EpochLog(
+            epoch=epoch,
+            loss_cv=loss_cv,
+            loss_disp=loss_disp,
+            alphas={t: [float(x) for x in alphas_now[t]] for t in mt.TASKS},
+            betas={t: [float(x) for x in aw.beta[t]] for t in mt.TASKS},
+            task_weights=[float(x) for x in task_coeffs],
+        ))
+    return net, logs
+
+
+@pytest.fixture
+def per_loss_training():
+    """The per-loss training loop (test oracle): per_loss_training(net,
+    dataset, config) returns the trained net and the epoch logs, like
+    multitask.train without its early stop."""
+    return _ref_train
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ def make_net(seed=1):
     return ad.ToyNet(dims=DIMS, hidden=8, head_hidden=8, seed=seed)
 
 
+def net_size(net):
+    return sum(p.size for p in net.all_params())
+
+
 def full_loss(net, coded, cv_t, d_t):
-    """Huber loss of both heads and its per-group gradients."""
+    """Huber loss of both heads and its per-group gradients, from one
+    backward pass of both heads' seeds."""
     cv, disp, acts = net.forward_batch(coded)
     cv_val, cv_seed = ad.batched_loss(cv, lm.huber, cv_t)
     d_val, d_seed = ad.batched_loss(disp, lm.huber, d_t)
-    g_cv = ad.collect_gradients(net, acts, "cv", cv_seed)
-    g_d = ad.collect_gradients(net, acts, "disp", d_seed)
-    grads = {g: [a + b for a, b in zip(g_cv[g], g_d[g])] for g in g_cv}
+    grads = ad.collect_gradients(net, acts, {"cv": cv_seed, "disp": d_seed})
     return cv_val + d_val, grads
 
 
@@ -87,7 +90,7 @@ class TestToyNet:
         coded = RNG.normal(size=(1,) + DIMS)
         cv, _, acts = net.forward_batch(coded)
         _, seed = ad.batched_loss(cv, lm.huber, [RNG.uniform(size=(4, 4, 2))])
-        grads = ad.collect_gradients(net, acts, "cv", seed)
+        grads = ad.collect_gradients(net, acts, {"cv": seed}, out=np.full(net_size(net), np.nan))
         for g in grads["disp"]:
             assert np.all(g == 0.0)
 
@@ -122,13 +125,71 @@ def test_gradients_equal_graph_oracle(graph_gradients, n_b, dead_units):
     for task, fns in HEAD_LOSSES.items():
         for fn in fns:
             value, seed = ad.batched_loss(pred[task], fn, truths[task])
-            grads = ad.collect_gradients(net, acts, task, seed)
+            grads = ad.collect_gradients(net, acts, {task: seed})
             ref_value, ref = graph_gradients(net, coded, task, fn, truths[task])
             assert value == ref_value, (task, fn.__name__)
             for group in ad.GROUPS:
                 assert len(grads[group]) == len(ref[group]) == 4
                 for k, (a, b) in enumerate(zip(grads[group], ref[group])):
                     assert np.array_equal(a, b), (task, fn.__name__, group, k)
+
+
+GRAM_REL_TOL = 1e-12
+
+
+@pytest.mark.parametrize("task", ["cv", "disp"])
+@pytest.mark.parametrize("n_b", [1, 3])
+@pytest.mark.parametrize("dead_units", [False, True], ids=["live", "dead-units"])
+def test_gradient_gram_equals_dot_products_of_flat_gradients(task, n_b, dead_units):
+    # The Gram from B x B products against explicit dot products of the
+    # per-loss flat gradients, over the trunk and over trunk plus head.  The
+    # last seed is all zero: its row and column must be exact zeros.
+    rng = np.random.default_rng(7)
+    net = ad.ToyNet(dims=ORACLE_DIMS, hidden=8, head_hidden=8, seed=4)
+    if dead_units:
+        for group, k in (("shared", 1), ("shared", 3), ("cv", 1), ("disp", 1)):
+            net.params[group][k][:3] = -1e3
+    coded = rng.normal(size=(n_b,) + ORACLE_DIMS)
+    cv, disp, acts = net.forward_batch(coded)
+    pred = {"cv": cv, "disp": disp}[task]
+    truths = [
+        rng.uniform(0.2, 0.8, size=(8, 8, 3)) if task == "cv" else rng.uniform(-1, 1, size=(8, 8))
+        for _ in range(n_b)
+    ]
+    seeds = [ad.batched_loss(pred, fn, truths)[1] for fn in HEAD_LOSSES[task]]
+    seeds.append(np.zeros_like(seeds[0]))
+    flat = np.stack([_flat(net, acts, task, s) for s in seeds])
+    for groups, span in ((("shared",), ad.group_slice(net, "shared")),
+                         (("shared", task), slice(None))):
+        gram = ad.gradient_gram(net, acts, task, seeds, groups)
+        g = flat[:, span]
+        ref = g @ g.T
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(gram - ref) <= GRAM_REL_TOL * scale), groups
+        assert np.all(gram[-1] == 0.0) and np.all(gram[:, -1] == 0.0)
+    # The output bias gradient is the seed's batch sum, so the head makes
+    # every nonzero seed's norm positive (dead units may zero the trunk's).
+    assert np.all(np.diag(gram)[:-1] > 0.0)
+
+
+def _flat(net, acts, task, seed):
+    out = np.empty(net_size(net))
+    ad.collect_gradients(net, acts, {task: seed}, out=out)
+    return out
+
+
+def test_zero_seed_gram_takes_the_degenerate_norm_path():
+    from codedlf import multitask as mt
+
+    net = ad.ToyNet(dims=ORACLE_DIMS, hidden=8, head_hidden=8, seed=4)
+    cv, _, acts = net.forward_batch(RNG.normal(size=(2,) + ORACLE_DIMS))
+    _, seed = ad.batched_loss(cv, lm.huber, [RNG.uniform(size=(8, 8, 3)) for _ in range(2)])
+    gram = ad.gradient_gram(net, acts, "cv", [seed, np.zeros_like(seed)])
+    assert gram[0, 0] > 0.0 and gram[1, 1] == 0.0 and gram[0, 1] == 0.0
+    with pytest.warns(UserWarning, match="degenerate gradient norm"):
+        alpha, beta = mt.gram_normgradsim_update(gram, np.array([0.4]), np.array([2.0]))
+    assert alpha[0] == 0.4 and beta[0] == 2.0
+    assert mt.gram_gradsim_weights(gram)[0] == 0.0
 
 
 class TestSgdStep:

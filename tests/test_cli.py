@@ -303,6 +303,29 @@ def test_train_and_predict_toy(tmp_path):
     assert tensor.read_lf5d(d_out).shape == (1, 1, 8, 8, 1)
 
 
+def test_predict_toy_rejects_oversized_network_before_allocating(tmp_path, capsys):
+    # A consistent spec of 1e8 hidden units and no payload: the payload
+    # check must fire before any parameter is allocated (it used to exit 3
+    # with a MemoryError from the throwaway initialization).
+    import struct
+
+    from codedlf import autodiff
+
+    dims, hidden = [3, 3, 8, 8, 5], 100_000_000
+    shapes = autodiff._param_shapes(dims, hidden, 64)
+    spec = json.dumps({"dims": dims, "hidden": hidden, "head_hidden": 64,
+                       "groups": {g: [list(s) for s in shapes[g]] for g in shapes}}).encode()
+    net = tmp_path / "big.lfnn"
+    net.write_bytes(b"LFNN" + struct.pack("<I", len(spec)) + spec)
+    coded = tmp_path / "c.lf5d"
+    tensor.write_lf5d(np.zeros((3, 3, 8, 8, 5), np.float32), str(coded))
+    capsys.readouterr()
+    assert run(["predict-toy", "--net", str(net), "--in", str(coded),
+                "--out-cv", str(tmp_path / "cv.lf5d"),
+                "--out-disp", str(tmp_path / "d.lf5d")]) == 1
+    assert "payload holds 0 bytes" in capsys.readouterr().err
+
+
 def test_reconstruct_dct_cli(tmp_path, scene):
     coded = str(tmp_path / "c.lf5d")
     mask = str(tmp_path / "m.lf5d")

@@ -255,3 +255,47 @@ class TestTrain:
 def test_baseline_losses_shapes(toy_dataset):
     cv_b, disp_b = mt.baseline_losses(toy_dataset[:-10], toy_dataset[-10:])
     assert cv_b > 0 and disp_b > 0
+
+
+# Gram statistics and one backward per batch against the per-loss oracle:
+# the summation order differs, so the logs and the trained parameters agree
+# to a stated relative tolerance rather than bit for bit.
+ORACLE_REL_TOL = 1e-10
+
+
+def _assert_close(actual, expected, what):
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    assert actual.shape == expected.shape, what
+    err = np.abs(actual - expected)
+    assert np.all(err <= ORACLE_REL_TOL * np.abs(expected)), (what, float(err.max()))
+
+
+def _assert_train_matches_oracle(dataset, per_loss_training, cfg):
+    net, logs = mt.train(ad.ToyNet(dims=DIMS, seed=3), dataset, cfg)
+    ref_net, ref_logs = per_loss_training(ad.ToyNet(dims=DIMS, seed=3), dataset, cfg)
+    assert len(logs) == len(ref_logs) == cfg.epochs
+    for log, ref in zip(logs, ref_logs):
+        for key in ("loss_cv", "loss_disp", "task_weights"):
+            _assert_close(getattr(log, key), getattr(ref, key), (log.epoch, key))
+        for key in ("alphas", "betas"):
+            for task in mt.TASKS:
+                _assert_close(getattr(log, key)[task], getattr(ref, key)[task], (key, task))
+    for group in ad.GROUPS:
+        for k, (p, q) in enumerate(zip(net.params[group], ref_net.params[group])):
+            _assert_close(p, q, (group, k))
+
+
+@pytest.mark.parametrize("grad_subset", ["shared", "all"])
+@pytest.mark.parametrize("strategy", mt.STRATEGIES)
+def test_train_matches_per_loss_oracle(toy_dataset, per_loss_training, strategy, grad_subset):
+    cfg = mt.TrainConfig(
+        strategy=strategy, epochs=2, batch_size=8, lr=0.05, momentum=0.9, seed=6,
+        grad_subset=grad_subset,
+    )
+    _assert_train_matches_oracle(toy_dataset[:30], per_loss_training, cfg)
+
+
+def test_train_without_momentum_matches_per_loss_oracle(toy_dataset, per_loss_training):
+    # Without momentum the SGD step reads the gradient vector itself.
+    cfg = mt.TrainConfig(strategy="mtu+al", epochs=2, batch_size=8, lr=0.05, seed=6)
+    _assert_train_matches_oracle(toy_dataset[:30], per_loss_training, cfg)
