@@ -179,7 +179,10 @@ def saturation_mask(
                 continue
             _or_shifted(masked, sat, di, dj)
     # Readout line: line_reach additional pixels beyond the direct neighbor.
-    for d in range(2, line_reach + 2):
+    # A shift as long as the readout axis leaves the sensor, so the loop
+    # stops there however large line_reach is.
+    axis_len = sat.shape[1] if line_axis == "row" else sat.shape[0]
+    for d in range(2, min(line_reach + 2, axis_len)):
         for sgn in (-1, 1):
             if line_axis == "row":
                 _or_shifted(masked, sat, 0, sgn * d)

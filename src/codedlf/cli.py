@@ -1,7 +1,11 @@
 """Command-line interface: the full pipeline as deterministic subcommands.
 
-Exit codes: 0 success, 1 validation / usage error, 2 numerical failure,
-3 internal error (a fault in the program; the traceback goes to stderr).
+Exit codes, decided in `main` alone by the kind of exception a handler
+raises: 0 success; 1 bad input or usage (`ValueError`, `FileNotFoundError`,
+`tensor.LF5DError`, argparse errors); 2 numerical failure (`NumericalError`,
+`ArithmeticError`, `np.linalg.LinAlgError`, matched before `ValueError`,
+which it subclasses); 3 internal error, any other exception (a fault in
+the program; the traceback goes to stderr).
 Every path a subcommand writes must lie in an existing directory; that is
 checked before any input is read.  All randomness derives from explicit
 --seed flags.  JSON reports carry a timestamp unless --no-timestamp is
@@ -23,10 +27,6 @@ import zlib
 from datetime import datetime, timezone
 
 
-class ValidationError(Exception):
-    """Bad inputs or flags; maps to exit code 1."""
-
-
 class NumericalError(Exception):
     """Solver or numerical failure; maps to exit code 2."""
 
@@ -41,11 +41,11 @@ def _parse_ints(flag: str, text: str, names: str, minimum: int = 1) -> tuple[int
             raise ValueError
         values = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ValidationError(
+        raise ValueError(
             f"{flag} needs {arity} comma-separated integers {names}, got {text!r}"
         ) from exc
     if min(values) < minimum:
-        raise ValidationError(f"{flag} values must be >= {minimum}, got {text!r}")
+        raise ValueError(f"{flag} values must be >= {minimum}, got {text!r}")
     return values
 
 
@@ -58,35 +58,45 @@ def _parse_patching(args):
     )
 
 
-def _validated(check, *values):
-    """Run a library knob check, reporting its ValueError as bad input."""
-    try:
-        return check(*values)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _parse_disparity(text: str):
     name, _, rest = text.partition(":")
     try:
         params = tuple(float(x) for x in rest.split(",")) if rest else ()
     except ValueError as exc:
-        raise ValidationError(f"bad disparity parameters in {text!r}") from exc
+        raise ValueError(f"bad disparity parameters in {text!r}") from exc
     if not all(math.isfinite(p) for p in params):
-        raise ValidationError(f"disparity parameters must be finite, got {text!r}")
+        raise ValueError(f"disparity parameters must be finite, got {text!r}")
     return name, params
+
+
+def _thread_count(text: str) -> int:
+    # OpenBLAS does not read an OMP_NUM_THREADS of 0 as a cap.
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _require_files(*paths) -> None:
     for p in paths:
         if not os.path.isfile(p):
-            raise ValidationError(f"input file not found: {p}")
+            raise ValueError(f"input file not found: {p}")
 
 
 def _require_out_dirs(*paths) -> None:
     for p in paths:
         if p is not None and not os.path.isdir(os.path.dirname(p) or "."):
-            raise ValidationError(f"output directory not found: {p}")
+            raise ValueError(f"output directory not found: {p}")
+
+
+def _read_mask(path):
+    """The (S, T, C) mask of a (1, 1, S, T, C) LF5D container."""
+    from . import tensor
+
+    mask = tensor.read_lf5d(path)
+    if mask.shape[:2] != (1, 1):
+        raise ValueError(f"{path}: mask container must be (1, 1, S, T, C), got {mask.shape}")
+    return mask[0, 0]
 
 
 # The flags that name a file a subcommand writes (for --out-prefix, the stem
@@ -162,17 +172,14 @@ def _cmd_gen_scene(args) -> int:
     from . import scenegen, tensor
 
     profile, params = _parse_disparity(args.disparity)
-    try:
-        spec = scenegen.SceneSpec(
-            dims=_parse_ints("--dims", args.dims, "U,V,S,T,C"),
-            pattern=args.pattern,
-            disparity_profile=profile,
-            disparity_params=params,
-            seed=args.seed,
-            noise_sigma=args.noise_sigma,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    spec = scenegen.SceneSpec(
+        dims=_parse_ints("--dims", args.dims, "U,V,S,T,C"),
+        pattern=args.pattern,
+        disparity_profile=profile,
+        disparity_params=params,
+        seed=args.seed,
+        noise_sigma=args.noise_sigma,
+    )
     cv, disp = scenegen.make_scene(spec)
     lf = scenegen.render_lightfield(cv, disp, spec.dims[0], spec.dims[1])
     tensor.write_lf5d(tensor.cv_to_tensor5(cv), args.out_prefix + ".cv.lf5d")
@@ -187,10 +194,7 @@ def _cmd_mask_gen(args) -> int:
     from . import coding, tensor
 
     s, t, c = _parse_ints("--dims", args.dims, "S,T,C")
-    try:
-        mask = coding.random_mask(s, t, c, args.seed)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    mask = coding.random_mask(s, t, c, args.seed)
     tensor.write_lf5d(mask[None, None], args.out)
     return 0
 
@@ -202,13 +206,10 @@ def _cmd_encode(args) -> int:
     lf = tensor.read_lf5d(args.infile)
     if args.mask:
         _require_files(args.mask)
-        mask = tensor.read_lf5d(args.mask)[0, 0]
+        mask = _read_mask(args.mask)
     else:
         mask = coding.random_mask(lf.shape[2], lf.shape[3], lf.shape[4], args.seed)
-    try:
-        coded = coding.encode(lf, mask)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    coded = coding.encode(lf, mask)
     tensor.write_lf5d(coded, args.out_coded)
     if args.out_mask:
         tensor.write_lf5d(mask[None, None], args.out_mask)
@@ -228,11 +229,8 @@ def _cmd_lift(args) -> int:
 
     _require_files(args.infile, args.mask)
     lp = tensor.read_lf5d(args.infile)
-    mask = tensor.read_lf5d(args.mask)[0, 0]
-    try:
-        tensor.write_lf5d(coding.lift(lp, mask), args.out)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    mask = _read_mask(args.mask)
+    tensor.write_lf5d(coding.lift(lp, mask), args.out)
     return 0
 
 
@@ -241,17 +239,14 @@ def _cmd_reconstruct_dct(args) -> int:
 
     _require_files(args.infile, args.mask)
     lp = tensor.read_lf5d(args.infile)
-    mask = tensor.read_lf5d(args.mask)[0, 0]
-    try:
-        opts = cs_dct.OwlqnOptions(
-            lam=args.lam,
-            max_iters=args.max_iters,
-            memory=args.memory,
-            grad_tol=args.grad_tol,
-        )
-        rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    mask = _read_mask(args.mask)
+    opts = cs_dct.OwlqnOptions(
+        lam=args.lam,
+        max_iters=args.max_iters,
+        memory=args.memory,
+        grad_tol=args.grad_tol,
+    )
+    rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
     if not all(map(lambda x: x == x, rep.objectives)):
         raise NumericalError("objective became NaN")
     tensor.write_lf5d(rec, args.out)
@@ -277,31 +272,28 @@ def _cmd_train_dict(args) -> int:
     from . import cs_dict, tensor
 
     atom, spatial, angular = _parse_patching(args)
-    _validated(
-        cs_dict.check_training_knobs, math.prod(atom), args.k, args.lam, args.lr,
-        args.batch_size, args.fista_iters, args.epochs,
+    cs_dict.check_training_knobs(
+        math.prod(atom), args.k, args.lam, args.lr, args.batch_size, args.fista_iters,
+        args.epochs,
     )
     paths = args.scenes
     _require_files(*paths)
     scenes = [tensor.read_lf5d(p) for p in paths]
     shapes = {s.shape for s in scenes}
     if len(shapes) != 1:
-        raise ValidationError(f"scenes must share one shape, got {sorted(shapes)}")
-    try:
-        grid = cs_dict.make_patch_grid(scenes[0].shape, atom, spatial, angular)
-        d, rep = cs_dict.train_dictionary(
-            scenes,
-            grid,
-            k=args.k,
-            lam=args.lam,
-            lr=args.lr,
-            batch_size=args.batch_size,
-            fista_iters=args.fista_iters,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValueError(f"scenes must share one shape, got {sorted(shapes)}")
+    grid = cs_dict.make_patch_grid(scenes[0].shape, atom, spatial, angular)
+    d, rep = cs_dict.train_dictionary(
+        scenes,
+        grid,
+        k=args.k,
+        lam=args.lam,
+        lr=args.lr,
+        batch_size=args.batch_size,
+        fista_iters=args.fista_iters,
+        epochs=args.epochs,
+        seed=args.seed,
+    )
     cs_dict.write_dictionary(d, args.out)
     if args.report:
         _report(
@@ -316,22 +308,17 @@ def _cmd_reconstruct_dict(args) -> int:
     from . import cs_dict, tensor
 
     atom, spatial, angular = _parse_patching(args)
-    _validated(cs_dict.check_reconstruct_knobs, args.lam, args.iters)
+    cs_dict.check_reconstruct_knobs(args.lam, args.iters)
     _require_files(args.infile, args.mask, args.dictionary)
     lp = tensor.read_lf5d(args.infile)
-    mask = tensor.read_lf5d(args.mask)[0, 0]
+    mask = _read_mask(args.mask)
     d = cs_dict.read_dictionary(args.dictionary)
     u, v, s, t, _ = lp.shape
     source = (u, v, s, t, mask.shape[2])
-    try:
-        grid = cs_dict.make_patch_grid(source, atom, spatial, angular)
-        if grid.atom_len != d.atom_len:
-            raise ValidationError(
-                f"dictionary atom length {d.atom_len} != grid {grid.atom_len}"
-            )
-        rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    grid = cs_dict.make_patch_grid(source, atom, spatial, angular)
+    if grid.atom_len != d.atom_len:
+        raise ValueError(f"dictionary atom length {d.atom_len} != grid {grid.atom_len}")
+    rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
     tensor.write_lf5d(rec, args.out)
     if args.report:
         _report(
@@ -354,23 +341,20 @@ def _cmd_train_toy(args) -> int:
     from . import autodiff, multitask
 
     dims = _parse_ints("--dims", args.dims, "U,V,S,T,C")
-    try:
-        config = multitask.TrainConfig(
-            strategy=args.strategy,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            momentum=args.momentum,
-            weight_decay=args.weight_decay,
-            seed=args.seed,
-            gradnorm_gamma=args.gradnorm_gamma,
-            normgradsim_step=args.normgradsim_step,
-        )
-        net = autodiff.ToyNet(
-            dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    config = multitask.TrainConfig(
+        strategy=args.strategy,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        lr=args.lr,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        seed=args.seed,
+        gradnorm_gamma=args.gradnorm_gamma,
+        normgradsim_step=args.normgradsim_step,
+    )
+    net = autodiff.ToyNet(
+        dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
+    )
     dataset = multitask.make_toy_dataset(args.scenes, dims, args.data_seed)
     net, logs = multitask.train(net, dataset, config)
     if not all(
@@ -396,7 +380,7 @@ def _cmd_predict_toy(args) -> int:
     net = autodiff.load_net(args.net)
     coded = tensor.read_lf5d(args.infile)
     if coded.shape != net.dims:
-        raise ValidationError(
+        raise ValueError(
             f"input {coded.shape} does not match network dims {net.dims}"
         )
     cv, disp = autodiff.forward(net, coded)
@@ -417,11 +401,15 @@ def _cmd_evaluate(args) -> int:
     from . import losses_metrics as lm
     from . import tensor
 
+    if not (math.isfinite(args.peak) and args.peak > 0):
+        raise ValueError(f"--peak must be finite and > 0, got {args.peak}")
+    if not (math.isfinite(args.badpix_tau) and args.badpix_tau >= 0):
+        raise ValueError(f"--badpix-tau must be finite and >= 0, got {args.badpix_tau}")
     _require_files(args.pred, args.truth)
     pred_t = tensor.read_lf5d(args.pred)
     truth_t = tensor.read_lf5d(args.truth)
     if pred_t.shape != truth_t.shape:
-        raise ValidationError(
+        raise ValueError(
             f"prediction {pred_t.shape} and truth {truth_t.shape} disagree"
         )
     report: dict = {
@@ -464,42 +452,39 @@ def _cmd_calibrate(args) -> int:
 
     from . import calib, tensor
 
-    _validated(calib.check_mask_knobs, args.threshold, args.line_reach, args.line_axis)
+    calib.check_mask_knobs(args.threshold, args.line_reach, args.line_axis)
     _require_files(args.dark, args.bright, args.times, args.bayer)
     # Containers: bright (L, 1, I, J, K), dark (L, 1, I, J, 1), bayer (1, 1, I, J, 1).
     bright = tensor.read_lf5d(args.bright)
     dark_t = tensor.read_lf5d(args.dark)
     bayer_t = tensor.read_lf5d(args.bayer)
     if bright.shape[1] != 1:
-        raise ValidationError(f"bright series must be (L, 1, I, J, K), got {bright.shape}")
+        raise ValueError(f"bright series must be (L, 1, I, J, K), got {bright.shape}")
     n_i, n_j = bright.shape[2:4]
     if dark_t.shape[1:] != (1, n_i, n_j, 1):
-        raise ValidationError(
+        raise ValueError(
             f"dark series must be (L, 1, {n_i}, {n_j}, 1), got {dark_t.shape}"
         )
     if bayer_t.shape != (1, 1, n_i, n_j, 1):
-        raise ValidationError(f"Bayer map must be (1, 1, {n_i}, {n_j}, 1), got {bayer_t.shape}")
+        raise ValueError(f"Bayer map must be (1, 1, {n_i}, {n_j}, 1), got {bayer_t.shape}")
     if not np.isin(bayer_t, (0, 1, 2)).all():
-        raise ValidationError("Bayer map values must be the integers 0, 1 or 2")
+        raise ValueError("Bayer map values must be the integers 0, 1 or 2")
     bayer = bayer_t[0, 0, :, :, 0].astype(int)
     with open(args.times) as fh:
         times = np.array([float(line) for line in fh if line.strip()])
     if bright.shape[0] != times.size or dark_t.shape[0] != times.size:
-        raise ValidationError("exposure counts of series and times.csv disagree")
+        raise ValueError("exposure counts of series and times.csv disagree")
     mu = bright[:, 0].transpose(1, 2, 3, 0)  # (I, J, K, L)
     mu_dark = dark_t[:, 0, :, :, 0].transpose(1, 2, 0)  # (I, J, L)
-    try:
-        dark = calib.fit_dark(mu_dark, times, per_pixel=args.dark_mode == "per-pixel")
-        series = calib.ExposureSeries(mu=mu, times=times, bayer=bayer)
-        mask = calib.saturation_mask(
-            series,
-            threshold=args.threshold,
-            line_reach=args.line_reach,
-            line_axis=args.line_axis,
-        )
-        result = calib.fit_vignetting_responsivity(series, dark, mask)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    dark = calib.fit_dark(mu_dark, times, per_pixel=args.dark_mode == "per-pixel")
+    series = calib.ExposureSeries(mu=mu, times=times, bayer=bayer)
+    mask = calib.saturation_mask(
+        series,
+        threshold=args.threshold,
+        line_reach=args.line_reach,
+        line_axis=args.line_axis,
+    )
+    result = calib.fit_vignetting_responsivity(series, dark, mask)
     if not np.isfinite(result.residual):
         raise NumericalError("calibration fit produced a non-finite residual")
 
@@ -552,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="codedlf",
         description="Coded light-field simulation, reconstruction and evaluation.",
     )
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help="cap BLAS worker threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
@@ -707,31 +693,24 @@ def main(argv=None) -> int:
             "NUMEXPR_NUM_THREADS",
         ):
             os.environ[var] = str(args.threads)
+    # numpy loads only now, after --threads has set the thread variables.
+    import numpy as np
+
+    from . import tensor
+
     try:
         _require_out_dirs(*(getattr(args, flag, None) for flag in _OUTPUT_FLAGS))
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
+    # LinAlgError is a ValueError, so the numerical kinds are matched first.
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, FileNotFoundError, tensor.LF5DError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         import traceback
 
-        import numpy as np
-
-        from . import tensor
-
-        if isinstance(exc, (ArithmeticError, np.linalg.LinAlgError)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, (tensor.LF5DError, ValueError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

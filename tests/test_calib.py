@@ -1,5 +1,6 @@
 """Radiometric calibration: dark fit, blooming mask, factorized fit."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,21 @@ class TestSaturationMask:
                     on_line = across == 0 and abs(along) <= 1 + calib.LINE_REACH
                     expected[ii, jj, k, l] |= near or on_line
         assert np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("line_axis", ["row", "col"])
+    def test_huge_line_reach_stops_at_the_sensor_edge(self, line_axis):
+        # The readout loop used to run line_reach times after every shift
+        # had left the sensor: a reach of 10**9 spun for about 20 minutes.
+        rng = np.random.default_rng(5)
+        mu = rng.uniform(0.5, 0.9, size=(6, 9, 2, 2))
+        mu[rng.uniform(size=mu.shape) < 0.1] = 0.99
+        series = self.make_series(mu)
+        axis_len = 9 if line_axis == "row" else 6
+        start = time.perf_counter()
+        huge = calib.saturation_mask(series, line_reach=10**9, line_axis=line_axis)
+        assert time.perf_counter() - start < 5.0
+        edge = calib.saturation_mask(series, line_reach=axis_len, line_axis=line_axis)
+        assert np.array_equal(huge, edge)
 
     def test_mask_is_per_channel_and_exposure(self):
         mu = np.full((6, 6, 2, 3), 0.5)

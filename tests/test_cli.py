@@ -73,6 +73,25 @@ def test_evaluate_disp_kind(scene, tmp_path):
     assert data["ssim"] is None
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--peak", "-1"), ("--peak", "0"), ("--peak", "nan"), ("--peak", "inf"),
+    ("--badpix-tau", "nan"), ("--badpix-tau", "-0.5"), ("--badpix-tau", "inf"),
+])
+def test_evaluate_rejects_bad_knobs_before_reading(tmp_path, monkeypatch, capsys, flag, value):
+    # A negative peak used to give the PSNR of its absolute value, a NaN
+    # peak wrote "nan", and a NaN threshold reported 0 % bad pixels.
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(tensor, "read_lf5d", no_read)
+    out = tmp_path / "r.json"
+    assert run(["evaluate", "--pred", str(tmp_path / "p.lf5d"), "--truth",
+                str(tmp_path / "t.lf5d"), "--kind", "disp", flag, value,
+                "--out", str(out)]) == 1
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exit_1(tmp_path):
     assert run(["project", "--in", str(tmp_path / "nope.lf5d"),
                 "--out", str(tmp_path / "o.lf5d")]) == 1
@@ -126,6 +145,36 @@ def test_mask_gen_and_reuse(tmp_path, scene):
     coded = str(tmp_path / "c.lf5d")
     assert run(["encode", "--in", scene + ".lf.lf5d", "--mask", mask,
                 "--out-coded", coded]) == 0
+
+
+_MASK_READERS = {
+    "encode": ["--in", "LF", "--mask", "MASK", "--out-coded", "OUT"],
+    "lift": ["--in", "LF", "--mask", "MASK", "--out", "OUT"],
+    "reconstruct-dct": ["--in", "LF", "--mask", "MASK", "--lambda", "0.001", "--out", "OUT",
+                        "--report", "OUT.json"],
+    "reconstruct-dict": ["--in", "LF", "--mask", "MASK", "--dict", "DICT", "--atom",
+                         "2,2,4,4,5", "--lambda", "0.001", "--out", "OUT", "--report",
+                         "OUT.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MASK_READERS))
+def test_mask_readers_reject_stacked_masks(tmp_path, capsys, scene, command):
+    # A (2, 1, S, T, C) stack used to be accepted, and its view 0 used.
+    mask = tmp_path / "m.lf5d"
+    assert run(["mask-gen", "--dims", "16,16,5", "--out", str(mask)]) == 0
+    stack = tensor.read_lf5d(mask)
+    tensor.write_lf5d(np.concatenate([stack, stack]), str(mask))
+    (tmp_path / "d.lfdc").write_bytes(b"")  # never read: the mask is rejected first
+    out = tmp_path / "out" / "o.lf5d"
+    out.parent.mkdir()
+    names = {"LF": scene + ".lf.lf5d", "MASK": str(mask), "DICT": str(tmp_path / "d.lfdc"),
+             "OUT": str(out), "OUT.json": str(out) + ".json"}
+    capsys.readouterr()
+    assert run([command, *[names.get(a, a) for a in _MASK_READERS[command]]]) == 1
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == f"error: {mask}: mask container must be (1, 1, S, T, C), got (2, 1, 16, 16, 5)")
+    assert os.listdir(out.parent) == []
 
 
 def test_png_preview(tmp_path):
@@ -277,6 +326,21 @@ def test_threads_flag_overrides_preset_variables(tmp_path, monkeypatch):
     assert run(["--threads", "2", "mask-gen", "--dims", "4,4,3", "--out",
                 str(tmp_path / "m.lf5d")]) == 0
     assert {var: os.environ[var] for var in thread_vars} == dict.fromkeys(thread_vars, "2")
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_before_setting_variables(tmp_path, monkeypatch, capsys,
+                                                          threads):
+    # OpenBLAS does not read OMP_NUM_THREADS=0 as a cap.
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS")
+    for var in thread_vars:
+        monkeypatch.delenv(var, raising=False)
+    mask = tmp_path / "m.lf5d"
+    assert run(["--threads", threads, "mask-gen", "--dims", "4,4,3", "--out", str(mask)]) == 1
+    assert "argument --threads: must be >= 1" in capsys.readouterr().err
+    assert not any(var in os.environ for var in thread_vars)
+    assert not mask.exists()
 
 
 def test_train_and_predict_toy(tmp_path):
@@ -435,6 +499,35 @@ def test_exit_code_by_exception_kind(tmp_path, monkeypatch, capsys, exc, code, p
     assert err.splitlines()[-1] == prefix
     # Only a fault in the program prints its traceback.
     assert ("Traceback (most recent call last)" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("command", ["reconstruct-dct", "reconstruct-dict"])
+def test_linalg_error_in_a_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys, scene,
+                                                        command):
+    # The solvers' LinAlgError (a ValueError) used to be reported as bad input.
+    from codedlf import cs_dct, cs_dict
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cs_dct, "owlqn_reconstruct", singular)
+    monkeypatch.setattr(cs_dict, "dict_reconstruct", singular)
+    mask, dict_p = str(tmp_path / "m.lf5d"), str(tmp_path / "d.lfdc")
+    proj = str(tmp_path / "p.lf5d")
+    assert run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
+                "--out-coded", str(tmp_path / "c.lf5d"), "--out-mask", mask]) == 0
+    assert run(["project", "--in", str(tmp_path / "c.lf5d"), "--out", proj]) == 0
+    cs_dict.write_dictionary(cs_dict.init_dictionary(2 * 2 * 4 * 4 * 5, 8, 0), dict_p)
+    rec = tmp_path / "rec.lf5d"
+    argv = {
+        "reconstruct-dct": ["--lambda", "0.001"],
+        "reconstruct-dict": ["--dict", dict_p, "--atom", "2,2,4,4,5", "--lambda", "0.001"],
+    }[command]
+    capsys.readouterr()
+    assert run([command, "--in", proj, "--mask", mask, *argv, "--out", str(rec)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "numerical failure: Singular matrix"
+    assert "Traceback" not in err and not rec.exists()
 
 
 def test_dict_cli_round_trip(tmp_path, scene):
