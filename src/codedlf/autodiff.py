@@ -24,12 +24,12 @@ gives the per-parameter views, `group_slice` one group's range).  The
 GEMMs and bias sums write straight into its views; a head without a seed
 gets zeros.  No gradient is formed for the network input.
 
-`gradient_gram` gives the inner products of the per-loss parameter
-gradients without forming them.  Each loss's seed only runs down the
-chain of activation gradients, (B, width) matrices.  For a dense layer
-with input X and output gradients G_l, the weight gradients are X^T G_l,
-so their inner products are sum((X X^T) * (G_l G_m^T)), from B x B
-matrices; the bias gradients add sum(G_l) . sum(G_m).
+`gradient_gram` gives the inner products of the per-loss gradients of the
+shared trunk's parameters without forming them.  Each loss's seed only
+runs down the chain of activation gradients, (B, width) matrices.  For a
+dense layer with input X and output gradients G_l, the weight gradients
+are X^T G_l, so their inner products are sum((X X^T) * (G_l G_m^T)), from
+B x B matrices; the bias gradients add sum(G_l) . sum(G_m).
 
 Relu is `np.where(z > 0, z, 0.0)`, so a NaN pre-activation gives 0 (and a
 zero gradient) rather than NaN.
@@ -234,26 +234,19 @@ def _dense_gram(inp: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("lbmc,bc->lm", outer, inp @ inp.T) + sums @ sums.T
 
 
-def gradient_gram(
-    net: ToyNet, acts: Activations, task: str, seeds, groups=("shared",)
-) -> np.ndarray:
-    """Gram (L, L) of the parameter gradients that the head-output
-    gradients `seeds` (L of them, of head `task`) give, over the parameters
-    of `groups` ("shared" and/or `task`).  No parameter gradient is formed.
+def gradient_gram(net: ToyNet, acts: Activations, task: str, seeds) -> np.ndarray:
+    """Gram (L, L) of the shared trunk's parameter gradients that the
+    head-output gradients `seeds` (L of them, of head `task`) give.  No
+    parameter gradient is formed.
     """
     g_out = np.stack([s.reshape(s.shape[0], -1) for s in seeds])
-    gram = np.zeros((len(seeds), len(seeds)))
     w0, _, w1, _ = net.params[task]
-    trunk, mask, h = acts.blocks[task]
+    _, mask, _ = acts.blocks[task]
+    x, mask0, h0 = acts.blocks["shared"]
     g_hidden = (g_out @ w1.T) * mask
-    if task in groups:
-        gram += _dense_gram(h, g_out) + _dense_gram(trunk, g_hidden)
-    if "shared" in groups:
-        x, mask0, h0 = acts.blocks["shared"]
-        g_trunk = (g_hidden @ w0.T) * acts.trunk_mask
-        g_h0 = (g_trunk @ net.params["shared"][2].T) * mask0
-        gram += _dense_gram(h0, g_trunk) + _dense_gram(x, g_h0)
-    return gram
+    g_trunk = (g_hidden @ w0.T) * acts.trunk_mask
+    g_h0 = (g_trunk @ net.params["shared"][2].T) * mask0
+    return _dense_gram(h0, g_trunk) + _dense_gram(x, g_h0)
 
 
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:

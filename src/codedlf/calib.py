@@ -10,10 +10,13 @@ term and a per-(filter, Bayer-type) responsivity,
 The fit minimizes the masked, exposure-weighted squared residual of this
 model.  Because the model is bilinear, alternating exact least-squares
 updates of v and r decrease the objective monotonically per half sweep; a
-first-order optimizer is not needed.  Exposure weights are 1 / t_l,
-normalized to sum to one, so log-uniformly spaced exposure ladders
-contribute evenly.  The scale ambiguity (c * v, r / c) is fixed by
-rescaling so that mean(v) = 1 over the recoverable pixels.
+first-order optimizer is not needed.  The fit runs at most MAX_SWEEPS
+sweeps; it stops early when a sweep lowers the objective by less than
+REL_TOL (relative) or the objective falls to EXACT_FIT_FLOOR times its
+start.  Exposure weights are 1 / t_l, normalized to sum to one, so
+log-uniformly spaced exposure ladders contribute evenly.  The scale
+ambiguity (c * v, r / c) is fixed by rescaling so that mean(v) = 1 over
+the recoverable pixels.
 
 The model is linear in a = v[i, j] * r[k, bayer(i, j)] for each entry
 (i, j, k), so the fit never needs the (I, J, K, L) stack after one pass
@@ -66,6 +69,9 @@ SATURATION_THRESHOLD = 0.985  # 1008/1023 of a 10-bit range
 LINE_REACH = 5
 
 BAYER_TYPES = 3  # R, G, B
+# Sweep limit and relative-decrease stop of the alternating fit.
+MAX_SWEEPS = 200
+REL_TOL = 1e-8
 # The fit also stops once the objective is below this fraction of its
 # starting value.  On exact data the objective otherwise reaches its
 # rounding floor (about 1e-30 of the start), where the relative-decrease
@@ -103,19 +109,19 @@ class ExposureSeries:
 
 @dataclass
 class DarkModel:
-    """Dark signal offset and slope; arrays (per pixel) or scalars (global)."""
+    """Dark signal offset and slope; (I, J) arrays (per pixel) or scalars (global)."""
 
     offset: np.ndarray | float
     current: np.ndarray | float
-    per_pixel: bool = True
+
+    @property
+    def per_pixel(self) -> bool:
+        return np.ndim(self.offset) == 2
 
     def evaluate(self, t) -> np.ndarray:
+        """Dark signal at the times t, on a trailing axis of the model's shape."""
         t = np.asarray(t, dtype=np.float64)
-        if self.per_pixel:
-            return np.asarray(self.offset)[..., None] + np.asarray(self.current)[
-                ..., None
-            ] * t
-        return self.offset + self.current * t
+        return np.asarray(self.offset)[..., None] + np.asarray(self.current)[..., None] * t
 
 
 @dataclass
@@ -150,11 +156,11 @@ def fit_dark(
         y_mean = mu_dark.mean(axis=2)
         slope = ((times - t_mean) * (mu_dark - y_mean[..., None])).sum(axis=2) / t_var
         offset = y_mean - slope * t_mean
-        return DarkModel(offset=offset, current=slope, per_pixel=True)
+        return DarkModel(offset=offset, current=slope)
     y = mu_dark.mean(axis=(0, 1))
     slope = float(((times - t_mean) * (y - y.mean())).sum() / t_var)
     offset = float(y.mean() - slope * t_mean)
-    return DarkModel(offset=offset, current=slope, per_pixel=False)
+    return DarkModel(offset=offset, current=slope)
 
 
 def saturation_mask(
@@ -295,29 +301,23 @@ def _entry_statistics(
 
 
 def fit_vignetting_responsivity(
-    series: ExposureSeries,
-    dark: DarkModel,
-    mask: np.ndarray,
-    max_sweeps: int = 200,
-    rel_tol: float = 1e-8,
+    series: ExposureSeries, dark: DarkModel, mask: np.ndarray
 ) -> CalibResult:
     """Alternating weighted least squares for the vignetting and responsivity.
 
     Each half sweep solves one factor exactly with the other frozen, so the
     objective is non-increasing per half sweep.  The fit stops when a full
-    sweep lowers the objective by less than rel_tol (relative), or once it
-    falls to EXACT_FIT_FLOOR times its starting value.  Pixels or (filter,
-    Bayer) entries without any usable measurement are reported as
-    unrecoverable and excluded; the fit proceeds on the rest.  Raises
-    ValueError when no pixel is recoverable.
+    sweep lowers the objective by less than REL_TOL (relative), once it
+    falls to EXACT_FIT_FLOOR times its starting value, or after MAX_SWEEPS
+    sweeps.  Pixels or (filter, Bayer) entries without any usable
+    measurement are reported as unrecoverable and excluded; the fit
+    proceeds on the rest.  Raises ValueError when no pixel is recoverable.
     """
     stats = _entry_statistics(series, dark, mask)
-    return _alternating_fit(stats, series.bayer, max_sweeps, rel_tol)
+    return _alternating_fit(stats, series.bayer)
 
 
-def _alternating_fit(
-    stats: _EntryStats, bayer: np.ndarray, max_sweeps: int = 200, rel_tol: float = 1e-8
-) -> CalibResult:
+def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
     n_i, n_j, n_k = stats.den.shape
     # The half sweeps are GEMMs over the (I * J, K) statistics; the v update
     # keeps each pixel's own Bayer-type column of its product.
@@ -349,7 +349,7 @@ def _alternating_fit(
         return float(buf.sum())
 
     trace = [objective()]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # r update: exact minimizer per (k, bayer type).
         vmap = np.where(valid_v, v, 0.0).reshape(-1, 1)
         num = ((onehot * vmap).T @ num_px).T
@@ -372,7 +372,7 @@ def _alternating_fit(
         if (
             prev <= 0
             or cur <= EXACT_FIT_FLOOR * trace[0]
-            or (prev - cur) / max(prev, 1e-30) < rel_tol
+            or (prev - cur) / max(prev, 1e-30) < REL_TOL
         ):
             break
 
@@ -412,13 +412,10 @@ def apply_calibration(
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[:2] != calib.vignetting.shape:
         raise ValueError(f"raw image {raw.shape} does not match the calibration")
-    dark_val = (
-        dark.evaluate(np.array([t]))[..., 0] if dark.per_pixel else dark.evaluate(t)
-    )
     r_map = calib.responsivity[:, calib.bayer].transpose(1, 2, 0)  # (I, J, K)
     denom = calib.vignetting[:, :, None] * r_map * float(t)
     valid = np.isfinite(denom) & (np.abs(denom) >= 1e-12)
     corrected = np.full_like(raw, np.nan)
-    num = raw - (dark_val[..., None] if np.ndim(dark_val) == 2 else dark_val)
+    num = raw - dark.evaluate(t)
     corrected[valid] = num[valid] / denom[valid]
     return corrected, valid

@@ -77,6 +77,14 @@ def _thread_count(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take only seeds >= 0.
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _require_files(*paths) -> None:
     for p in paths:
         if not os.path.isfile(p):
@@ -433,7 +441,8 @@ def _cmd_evaluate(args) -> int:
             for v in range(pred_t.shape[1])
         ]
         if min(pred_t.shape[2:4]) >= lm.SSIM_WINDOW:
-            report["ssim"] = float(np.mean([lm.ssim(p, t) for p, t in views]))
+            ssims = [lm.ssim(p, t, peak=args.peak) for p, t in views]
+            report["ssim"] = float(np.mean(ssims))
         report["sa_deg"] = float(np.mean([lm.spectral_angle(p, t) for p, t in views]))
         report["sid"] = float(np.mean([lm.sid(p, t) for p, t in views]))
     else:
@@ -549,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", default="checker")
     sp.add_argument("--disparity", default="constant:0.5")
     sp.add_argument("--dims", required=True, help="U,V,S,T,C")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--noise-sigma", type=float, default=0.0)
     sp.add_argument("--out-prefix", required=True)
     sp.add_argument("--png-preview", action="store_true")
@@ -603,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch-size", type=int, default=16)
     sp.add_argument("--fista-iters", type=int, default=50)
     sp.add_argument("--epochs", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
     sp.set_defaults(fn=_cmd_train_dict)
@@ -630,8 +639,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # would load numpy before --threads is applied.
     sp.add_argument("--strategy", required=True, help="one of multitask.STRATEGIES")
     sp.add_argument("--epochs", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--data-seed", type=int, default=99)
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--data-seed", type=_seed, default=99)
     sp.add_argument("--scenes", type=int, default=200)
     sp.add_argument("--dims", default="3,3,8,8,5")
     sp.add_argument("--hidden", type=int, default=64)

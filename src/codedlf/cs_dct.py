@@ -11,9 +11,11 @@ projected onto the orthant chosen at the start of the step so coordinate
 signs never flip mid-step.  The line search backtracks until the full
 objective satisfies an Armijo decrease along the projected step, which
 makes the recorded objective sequence non-increasing by construction.  The
-test compares obj_new - obj with c1 times the predicted decrease, so a
-trial whose computed objective does not fall is never accepted: at the
-rounding floor the line search fails instead of creeping on.
+test compares obj_new - obj with ARMIJO_C1 times the predicted decrease, so
+a trial whose computed objective does not fall is never accepted: at the
+rounding floor the line search fails instead of creeping on.  Each trial
+shrinks the step by BACKTRACK, and after MAX_LINESEARCH trials the solve
+stops with a line-search failure.
 
 The smooth term and its gradient come from transforms.CodedFidelity.  Each
 line-search trial synthesizes its point once; the synthesis of the accepted
@@ -42,6 +44,11 @@ import numpy as np
 from . import coding, transforms
 from .tensor import as_tensor5
 
+# Line-search constants of Andrew & Gao (2007).
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MAX_LINESEARCH = 50
+
 
 @dataclass
 class OwlqnOptions:
@@ -51,12 +58,9 @@ class OwlqnOptions:
     max_iters: int = 500
     memory: int = 10
     grad_tol: float | None = None  # None: 1e-5 * sqrt(problem size)
-    c1: float = 1e-4
-    backtrack: float = 0.5
-    max_linesearch: int = 50
 
     def __post_init__(self):
-        for name in ("max_iters", "memory", "max_linesearch"):
+        for name in ("max_iters", "memory"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -69,10 +73,6 @@ class OwlqnOptions:
             math.isfinite(self.grad_tol) and self.grad_tol > 0
         ):
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
-        if self.max_linesearch < 1:
-            raise ValueError(f"max_linesearch must be >= 1, got {self.max_linesearch}")
-        if not (0 < self.c1 < 1) or not (0 < self.backtrack < 1):
-            raise ValueError("invalid line-search parameters")
 
 
 @dataclass
@@ -248,7 +248,7 @@ def owlqn_reconstruct(
         step = 1.0 if hist.pairs else 1.0 / max(float(np.linalg.norm(pg)), 1e-30)
         s = hist.s
         accepted = False
-        for _ in range(opts.max_linesearch):
+        for _ in range(MAX_LINESEARCH):
             np.multiply(d, step, out=x_new)
             x_new += x
             # Zero the coordinates that left the orthant: x_new * xi <= 0.
@@ -263,13 +263,13 @@ def owlqn_reconstruct(
                 report.evaluations += 1
                 # x_new has the sign xi or is zero, so xi . x_new = ||x_new||_1.
                 obj_new = fid.value(z_new) + lam * float(np.vdot(xi, x_new))
-                # Armijo on the difference: obj + c1 * decrease would round
-                # to obj at the rounding floor and accept steps that do not
-                # lower the objective, forever.
-                if obj_new - obj <= opts.c1 * decrease:
+                # Armijo on the difference: obj + ARMIJO_C1 * decrease would
+                # round to obj at the rounding floor and accept steps that do
+                # not lower the objective, forever.
+                if obj_new - obj <= ARMIJO_C1 * decrease:
                     accepted = True
                     break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             report.termination = "line_search_failed"
             break

@@ -284,13 +284,17 @@ def check_reconstruct_knobs(lam: float, iters: int) -> None:
     _require_count("iters", iters, 0)
 
 
-def lipschitz_bound(d: Dictionary, n_power_iters: int = 30, seed: int = 0) -> float:
-    """Largest eigenvalue of D^T D estimated by power iteration."""
-    rng = np.random.default_rng(seed)
+POWER_ITERS = 30
+
+
+def lipschitz_bound(d: Dictionary) -> float:
+    """Largest eigenvalue of D^T D estimated by POWER_ITERS power iterations
+    from a random start drawn with seed 0."""
+    rng = np.random.default_rng(0)
     v = rng.normal(size=d.n_atoms)
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(n_power_iters):
+    for _ in range(POWER_ITERS):
         w = d.atoms.T @ (d.atoms @ v)
         lam = float(np.linalg.norm(w))
         if lam < 1e-30:

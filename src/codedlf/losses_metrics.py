@@ -39,6 +39,7 @@ import numpy as np
 
 EPS = 1e-8
 
+HUBER_DELTA = 1.0
 SSIM_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -92,11 +93,11 @@ def _batch_mean(vals: np.ndarray, grad, batched: bool) -> LossValue:
 # losses (one sample, or a batch on a leading axis with batched=True)
 
 
-def huber(
-    pred, truth, delta: float = 1.0, with_grad: bool = True, batched: bool = False
-) -> LossValue:
-    """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2) above."""
+def huber(pred, truth, with_grad: bool = True, batched: bool = False) -> LossValue:
+    """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2)
+    above, with delta = HUBER_DELTA."""
     pred, truth = _as_batch(pred, truth, batched)
+    delta = HUBER_DELTA
     e = np.abs(pred - truth)
     val = np.where(e < delta, e * e, 2.0 * delta * (e - 0.5 * delta))
     grad = None
@@ -147,42 +148,27 @@ def _ssim_windows(x: np.ndarray, y: np.ndarray, w: int, c1: float, c2: float):
     return (a1 * a2) / (b1 * b2), (mu_a, mu_b, a1, a2, b1, b2)
 
 
-def _ssim_batch(pred, truth, window: int, batched: bool):
+def _ssim_batch(pred, truth, batched: bool):
     """Channels-first (B, C, S, T) views of 2D or channelled images."""
     pred, truth = _as_batch(pred, truth, batched, (2, 3), "(S, T) or (S, T, C) images")
     if pred.ndim == 3:
         pred, truth = pred[..., None], truth[..., None]
-    if pred.shape[1] < window or pred.shape[2] < window:
-        raise ValueError(f"image {pred.shape[1:3]} smaller than window {window}")
+    if pred.shape[1] < SSIM_WINDOW or pred.shape[2] < SSIM_WINDOW:
+        raise ValueError(f"image {pred.shape[1:3]} smaller than window {SSIM_WINDOW}")
     return pred.transpose(0, 3, 1, 2), truth.transpose(0, 3, 1, 2)
 
 
-def ssim(
-    a,
-    b,
-    window: int = SSIM_WINDOW,
-    k1: float = SSIM_K1,
-    k2: float = SSIM_K2,
-    peak: float = 1.0,
-) -> float:
+def ssim(a, b, peak: float = 1.0) -> float:
     """Mean SSIM over valid uniform windows, channel-wise and averaged.
 
     Accepts (S, T) or (S, T, C) arrays with values on a [0, peak] scale.
     """
-    x, y = _ssim_batch(a, b, window, batched=False)
-    s, _ = _ssim_windows(x, y, window, (k1 * peak) ** 2, (k2 * peak) ** 2)
+    x, y = _ssim_batch(a, b, batched=False)
+    s, _ = _ssim_windows(x, y, SSIM_WINDOW, (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2)
     return float(np.mean(_per_sample(s[0], np.mean)))
 
 
-def ssim_loss(
-    pred,
-    truth,
-    window: int = SSIM_WINDOW,
-    k1: float = SSIM_K1,
-    k2: float = SSIM_K2,
-    with_grad: bool = True,
-    batched: bool = False,
-) -> LossValue:
+def ssim_loss(pred, truth, with_grad: bool = True, batched: bool = False) -> LossValue:
     """(1 - SSIM)/2 with the analytic gradient with respect to pred.
 
     Per window the SSIM is a smooth rational function of window moments;
@@ -192,12 +178,11 @@ def ssim_loss(
     back over the image.  All samples and channels go through one pass.
     """
     squeeze = np.ndim(pred) == (3 if batched else 2)
-    x, y = _ssim_batch(pred, truth, window, batched)
-    c1 = (k1 * 1.0) ** 2
-    c2 = (k2 * 1.0) ** 2
+    x, y = _ssim_batch(pred, truth, batched)
+    window = SSIM_WINDOW
     n = float(window * window)
     n_b, n_ch = x.shape[:2]
-    s, (mu_x, mu_y, a1, a2, b1, b2) = _ssim_windows(x, y, window, c1, c2)
+    s, (mu_x, mu_y, a1, a2, b1, b2) = _ssim_windows(x, y, window, SSIM_K1**2, SSIM_K2**2)
     channel_means = s.reshape(n_b, n_ch, -1).mean(axis=-1)
     total = 0.0
     for c in range(n_ch):

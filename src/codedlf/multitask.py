@@ -23,25 +23,25 @@ normal similarity for disparity.  Strategies:
   their targets.
 * mtu+al: MTU task weighting of the normgradsim per-task losses.
 
-All similarity and norm computations use the shared-trunk gradient by
-default (configurable to all parameters).  The alpha, beta and task
-weights are treated as constants in the network update itself.
+All similarity and norm computations use the shared-trunk gradient.  The
+alpha, beta and task weights are treated as constants in the network
+update itself.
 
 Each batch takes one forward pass.  Every active loss then gets its value
 and head-output gradient (its seed) from one batched call through
 `autodiff.batched_loss`.  The similarity and norm tests need only inner
 products of the per-loss parameter gradients, so they read them from the
 L x L Gram that `autodiff.gradient_gram` builds per task from the seeds,
-over the shared trunk (or the trunk and the task's head); no per-loss
-gradient is formed.  gradnorm reads only the main losses' squared norms,
-and the static and mtu strategies build no Gram.  The update is the
-gradient of the combined loss sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij
-L_aux,ij), with the task weights w_i and coefficients c treated as
-constants.  Because the backward is linear in its seed, that is one
-`autodiff.collect_gradients` pass of the combined seed per head,
-w_i (c_main,i seed_main,i + sum_j c_aux,ij seed_aux,ij), into a reused flat
-vector.  `gradsim_weights` and `normgradsim_update` take explicit gradient
-vectors, form their Gram and call the same Gram-based code.
+over the shared trunk; no per-loss gradient is formed.  gradnorm reads
+only the main losses' squared norms, and the static and mtu strategies
+build no Gram.  The update is the gradient of the combined loss
+sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij), with the task
+weights w_i and coefficients c treated as constants.  Because the backward
+is linear in its seed, that is one `autodiff.collect_gradients` pass of the
+combined seed per head, w_i (c_main,i seed_main,i + sum_j c_aux,ij
+seed_aux,ij), into a reused flat vector.  `gradsim_weights` and
+`normgradsim_update` take explicit gradient vectors, form their Gram and
+call the same Gram-based code.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ STRATEGIES = (
 )
 
 TASKS = ("cv", "disp")
+
+# Share of the data set held out for validation, taken from its end.
+VAL_FRACTION = 0.2
 
 # Auxiliary losses per task, in a fixed order.
 AUX_LOSSES = {
@@ -104,8 +107,8 @@ class MtuState:
     s: np.ndarray
 
     @classmethod
-    def initial(cls, n_tasks: int = 2) -> "MtuState":
-        return cls(s=np.zeros(n_tasks))
+    def initial(cls) -> "MtuState":
+        return cls(s=np.zeros(len(TASKS)))
 
 
 @dataclass
@@ -118,8 +121,8 @@ class GradNormState:
     initial_losses: np.ndarray | None = None
 
     @classmethod
-    def initial(cls, n_tasks: int = 2, gamma: float = 1.5, lr: float = 0.1):
-        return cls(weights=np.ones(n_tasks), gamma=gamma, lr=lr)
+    def initial(cls, gamma: float = 1.5, lr: float = 0.1):
+        return cls(weights=np.ones(len(TASKS)), gamma=gamma, lr=lr)
 
 
 def mtu_loss(losses: np.ndarray, state: MtuState) -> tuple[float, np.ndarray]:
@@ -305,11 +308,8 @@ class TrainConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     seed: int = 0
-    val_fraction: float = 0.2
     gradnorm_gamma: float = 1.5
-    gradnorm_lr: float = 0.1
     normgradsim_step: float = 0.1
-    grad_subset: str = "shared"  # or "all"
     # Optional early stop: quit once active-task validation losses drop
     # below these (cv, disp) thresholds; None disables.
     stop_below: tuple[float | None, float | None] | None = None
@@ -319,16 +319,11 @@ class TrainConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {', '.join(STRATEGIES)}"
             )
-        if self.grad_subset not in ("shared", "all"):
-            raise ValueError("grad_subset must be 'shared' or 'all'")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in (
-            "lr", "momentum", "weight_decay", "val_fraction", "gradnorm_gamma",
-            "gradnorm_lr", "normgradsim_step",
-        ):
+        for name in ("lr", "momentum", "weight_decay", "gradnorm_gamma", "normgradsim_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # A negative rate or decay ascends the loss; momentum must lie in
@@ -416,7 +411,7 @@ def train(
     one log entry per epoch with validation losses and the current
     weights.  Deterministic in (dataset, config, net seed).
     """
-    n_val = max(1, int(round(len(dataset) * config.val_fraction)))
+    n_val = max(1, int(round(len(dataset) * VAL_FRACTION)))
     train_set = dataset[:-n_val]
     val_set = dataset[-n_val:]
     if not train_set:
@@ -429,9 +424,7 @@ def train(
     n_aux = {t: len(AUX_LOSSES[t]) for t in TASKS}
     aw = AuxWeights.initial(n_aux)
     mtu_state = MtuState.initial()
-    gn_state = GradNormState.initial(
-        gamma=config.gradnorm_gamma, lr=config.gradnorm_lr
-    )
+    gn_state = GradNormState.initial(gamma=config.gradnorm_gamma)
     static_w = _static_weights(strategy)
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
     params = net.all_params()
@@ -484,12 +477,11 @@ def train(
                         aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
                         seeds[task].append(seed)
 
-            # Per-task Gram of the per-loss gradients over the chosen subset.
+            # Per-task Gram of the per-loss gradients over the shared trunk.
             grams = {}
             if use_aux or strategy == "gradnorm":
                 for task, task_seeds in seeds.items():
-                    groups = ("shared",) if config.grad_subset == "shared" else ("shared", task)
-                    grams[task] = ad.gradient_gram(net, acts, task, task_seeds, groups)
+                    grams[task] = ad.gradient_gram(net, acts, task, task_seeds)
 
             # Strategy: derive task weights and per-task aux coefficients.
             task_coeffs = static_w.copy()

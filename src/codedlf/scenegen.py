@@ -14,6 +14,7 @@ band of the image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class SceneSpec:
                 f"disparities must be finite and lie in"
                 f" [-{MAX_ABS_DISPARITY}, {MAX_ABS_DISPARITY}], got {self.disparity_params}"
             )
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
         object.__setattr__(
             self, "disparity_params", tuple(float(x) for x in self.disparity_params)
@@ -208,9 +211,7 @@ def render_lightfield(
     return out
 
 
-def sample_spec(
-    dims: tuple[int, int, int, int, int], seed: int, noise_sigma: float = 0.0
-) -> SceneSpec:
+def sample_spec(dims: tuple[int, int, int, int, int], seed: int) -> SceneSpec:
     """Draw a random SceneSpec (pattern and disparity profile) from a seed."""
     rng = np.random.default_rng(seed)
     pattern = PATTERNS[rng.integers(len(PATTERNS))]
@@ -228,5 +229,4 @@ def sample_spec(
         disparity_profile=profile,
         disparity_params=params,
         seed=int(rng.integers(2**63)),
-        noise_sigma=noise_sigma,
     )

@@ -395,7 +395,7 @@ def _accumulate(total, grad, spans, scale, products):
 
 
 def _ref_train(net, dataset, config):
-    n_val = max(1, int(round(len(dataset) * config.val_fraction)))
+    n_val = max(1, int(round(len(dataset) * mt.VAL_FRACTION)))
     train_set, val_set = dataset[:-n_val], dataset[-n_val:]
     n_s, n_t, n_c = net.dims[2:]
     strategy = config.strategy
@@ -404,7 +404,7 @@ def _ref_train(net, dataset, config):
     n_aux = {t: len(mt.AUX_LOSSES[t]) for t in mt.TASKS}
     aw = mt.AuxWeights.initial(n_aux)
     mtu_state = mt.MtuState.initial()
-    gn_state = mt.GradNormState.initial(gamma=config.gradnorm_gamma, lr=config.gradnorm_lr)
+    gn_state = mt.GradNormState.initial(gamma=config.gradnorm_gamma)
     static_w = mt._static_weights(strategy)
     rng = np.random.default_rng(mt._derive_seed(config.seed, 0xD5))
     params = net.all_params()
@@ -414,7 +414,7 @@ def _ref_train(net, dataset, config):
         for ti, task in enumerate(mt.TASKS)
         if active[ti]
     }
-    subset = ad.group_slice(net, "shared") if config.grad_subset == "shared" else slice(None)
+    subset = ad.group_slice(net, "shared")
     spans = {t: (ad.group_slice(net, "shared"), ad.group_slice(net, t)) for t in mt.TASKS}
     total = np.empty(n_params)
     products = np.empty(n_params)

@@ -443,6 +443,30 @@ def test_saturation_mask_rejects_malformed_knobs(knobs):
         calib.saturation_mask(series, **knobs)
 
 
+def test_global_dark_model_is_the_per_pixel_model_with_constant_maps():
+    # One evaluate expression serves both kinds of model, for a vector of
+    # times and for a scalar time.
+    data = synth_setup(seed=7)
+    dm_global = calib.fit_dark(data["dark_stack"], data["times"], per_pixel=False)
+    shape = data["offset"].shape
+    dm_pixel = calib.DarkModel(
+        offset=np.full(shape, dm_global.offset), current=np.full(shape, dm_global.current)
+    )
+    assert dm_pixel.per_pixel and not dm_global.per_pixel
+    expected = dm_global.offset + dm_global.current * data["times"]
+    assert np.array_equal(dm_global.evaluate(data["times"]), expected)
+    for t in (data["times"], 0.3):
+        dark_pixel = dm_pixel.evaluate(t)
+        assert np.array_equal(np.broadcast_to(dm_global.evaluate(t), dark_pixel.shape), dark_pixel)
+    series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
+    res = calib.fit_vignetting_responsivity(series, dm_global, calib.saturation_mask(series))
+    for t in (data["times"][3], 0.3):
+        corrected, valid = calib.apply_calibration(data["mu"][..., 3], t, res, dm_global)
+        corrected_pixel, valid_pixel = calib.apply_calibration(data["mu"][..., 3], t, res, dm_pixel)
+        assert np.array_equal(valid, valid_pixel)
+        assert np.array_equal(corrected, corrected_pixel, equal_nan=True)
+
+
 def test_fit_without_recoverable_pixel_raises():
     series, dm, mask = fit_case("noiseless")
     mask[...] = True

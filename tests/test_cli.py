@@ -132,6 +132,49 @@ def test_gen_scene_rejects_non_finite_disparity(tmp_path, capsys, disparity):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("--noise-sigma", "-1", "noise_sigma must be finite and >= 0, got -1.0"),
+    ("--seed", "-1", "argument --seed: must be >= 0, got -1"),
+])
+def test_gen_scene_rejects_bad_knobs(tmp_path, capsys, flag, value, message):
+    # Noise is added only for a sigma > 0, so these sigmas used to write the
+    # noiseless scene.
+    assert run(["gen-scene", "--dims", "3,3,8,8,3", flag, value,
+                "--out-prefix", str(tmp_path / "x")]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_scene_zero_noise_sigma_writes_the_noiseless_scene(tmp_path):
+    for name, extra in (("a", []), ("b", ["--noise-sigma", "0"])):
+        assert run(["gen-scene", "--dims", "3,3,8,8,3", "--out-prefix",
+                    str(tmp_path / name), *extra]) == 0
+    for suffix in (".cv.lf5d", ".disp.lf5d", ".lf.lf5d"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_evaluate_ssim_scales_with_peak(tmp_path):
+    # The SSIM stabilizers are (K * peak)^2, so a view on [0, 255] with
+    # --peak 255 scores as the same view on [0, 1] with --peak 1.  Values
+    # k / 256 scale by 255 exactly in float32.
+    rng = np.random.default_rng(5)
+    truth = rng.integers(32, 225, size=(1, 1, 16, 16, 3))
+    pred = np.clip(truth + rng.integers(-24, 25, size=truth.shape), 0, 256)
+    ssim = {}
+    for peak in (1, 255):
+        paths = [str(tmp_path / f"{name}{peak}.lf5d") for name in ("p", "t")]
+        for codes, path in zip((pred, truth), paths):
+            tensor.write_lf5d((codes * peak / 256.0).astype(np.float32), path)
+        out = tmp_path / f"r{peak}.json"
+        assert run(["evaluate", "--pred", paths[0], "--truth", paths[1], "--kind", "cv",
+                    "--peak", str(peak), "--no-timestamp", "--out", str(out)]) == 0
+        ssim[peak] = json.loads(out.read_text())["ssim"]
+    assert 0.5 < ssim[1] < 1.0
+    assert ssim[255] == pytest.approx(ssim[1], rel=1e-12, abs=0.0)
+
+
 def test_validation_error_on_even_angular(tmp_path):
     assert run(["gen-scene", "--dims", "4,4,8,8,3", "--out-prefix",
                 str(tmp_path / "x")]) == 1
@@ -242,6 +285,8 @@ def test_calibrate_cli_global_dark(tmp_path):
                 "--no-timestamp"]) == 0
     data = json.loads(open(out).read())
     assert data["dark"]["mode"] == "global"
+    assert isinstance(data["dark"]["offset"], float)
+    assert isinstance(data["dark"]["current"], float)
     assert data["unrecoverable"]["pixels"] == []
 
 
@@ -465,6 +510,8 @@ def test_train_toy_unknown_strategy(capsys):
     ("--weight-decay", "-1", "weight_decay must be >= 0"),
     ("--normgradsim-step", "-1", "normgradsim_step must be >= 0"),
     ("--gradnorm-gamma", "-5", "gradnorm_gamma must be >= 0"),
+    ("--seed", "-1", "argument --seed: must be >= 0, got -1"),
+    ("--data-seed", "-1", "argument --data-seed: must be >= 0, got -1"),
 ])
 def test_train_toy_rejects_bad_knobs(tmp_path, monkeypatch, capsys, flag, value, message):
     from codedlf import multitask
@@ -660,6 +707,7 @@ _RECON_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.001"}
     ("train-dict", "--spatial-overlap", "1", "--spatial-overlap needs 2 comma-separated"),
     ("train-dict", "--angular-overlap", "1,-1", "--angular-overlap values must be >= 0"),
     ("train-dict", "--atom", "2,2,4,4", "--atom needs 5 comma-separated integers u,v,s,t,C"),
+    ("train-dict", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
     ("reconstruct-dict", "--lambda", "-1", "lam must be finite and >= 0"),
     ("reconstruct-dict", "--lambda", "inf", "lam must be finite and >= 0"),
     ("reconstruct-dict", "--iters", "-1", "iters must be an integer >= 0"),

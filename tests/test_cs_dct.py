@@ -106,16 +106,16 @@ def reference_owlqn(l_star_p, m, opts, dct5):
         xi = np.where(x != 0, np.sign(x), np.sign(-pg))
         step = 1.0 if history else 1.0 / max(float(np.linalg.norm(pg)), 1e-30)
         accepted = False
-        for _ in range(opts.max_linesearch):
+        for _ in range(cs_dct.MAX_LINESEARCH):
             x_new = x + step * d
             x_new[np.sign(x_new) != xi] = 0.0
             decrease = float(np.vdot(pg, x_new - x))
             if decrease < 0:
                 obj_new = full_objective(x_new)
-                if obj_new <= obj + opts.c1 * decrease:
+                if obj_new <= obj + cs_dct.ARMIJO_C1 * decrease:
                     accepted = True
                     break
-            step *= opts.backtrack
+            step *= cs_dct.BACKTRACK
         if not accepted:
             report.termination = "line_search_failed"
             break
@@ -317,15 +317,13 @@ def test_option_validation():
         dict(lam=0.0, grad_tol=0.0),
         dict(lam=0.0, grad_tol=nan),
         dict(lam=0.0, grad_tol=inf),
-        dict(lam=0.0, max_linesearch=0),
         dict(lam=0.0, max_iters=2.5),
         dict(lam=0.0, memory=1.5),
-        dict(lam=0.0, c1=nan),
     ):
         with pytest.raises(ValueError):
             cs_dct.OwlqnOptions(**kwargs)
     # The boundary values are valid.
-    cs_dct.OwlqnOptions(lam=0.0, max_iters=0, max_linesearch=1)
+    cs_dct.OwlqnOptions(lam=0.0, max_iters=0)
 
 
 def test_dim_mismatch_rejected():
