@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
+
 LFNN_MAGIC = b"LFNN"
 _LFNN_HEADER = struct.Struct("<4sI")
 GROUPS = ("shared", "cv", "disp")
@@ -267,23 +269,16 @@ def save_net(net: ToyNet, path) -> None:
         "groups": {g: [list(p.shape) for p in ps] for g, ps in net.params.items()},
     }
     blob = json.dumps(spec, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_LFNN_HEADER.pack(LFNN_MAGIC, len(blob)))
-        fh.write(blob)
-        for p in net.all_params():
-            fh.write(p.astype("<f4").tobytes())
+    header = _LFNN_HEADER.pack(LFNN_MAGIC, len(blob)) + blob
+    tensor.write_container(path, header, *net.all_params())
 
 
 def load_net(path) -> ToyNet:
-    """Read an LFNN file; rejects short, oversized or non-finite payloads."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _LFNN_HEADER.size or raw[:4] != LFNN_MAGIC:
-        raise ValueError(f"{path}: not an LFNN file")
-    _, blob_len = _LFNN_HEADER.unpack_from(raw)
+    """Read an LFNN file; the payload checks are `tensor.read_payload`'s."""
+    raw, (blob_len,) = tensor.read_container(path, LFNN_MAGIC, _LFNN_HEADER, "LFNN")
     offset = _LFNN_HEADER.size + blob_len
     if len(raw) < offset:
-        raise ValueError(f"{path}: incomplete header ({len(raw)} bytes, need {offset})")
+        raise tensor.TruncatedError(f"{path}: incomplete header ({len(raw)} bytes, need {offset})")
     try:
         spec = json.loads(raw[_LFNN_HEADER.size : offset])
         dims = tuple(spec["dims"])
@@ -293,18 +288,11 @@ def load_net(path) -> ToyNet:
         expected = _param_shapes(dims, spec["hidden"], spec["head_hidden"])
         shapes = [tuple(shape) for g in GROUPS for shape in spec["groups"][g]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed network spec ({exc})") from exc
+        raise tensor.LF5DError(f"{path}: malformed network spec ({exc})") from exc
     if shapes != [shape for g in GROUPS for shape in expected[g]]:
-        raise ValueError(f"{path}: parameter shapes {shapes} do not match the network")
+        raise tensor.LF5DError(f"{path}: parameter shapes {shapes} do not match the network")
     n = sum(math.prod(shape) for shape in shapes)
-    payload = len(raw) - offset
-    if payload < 4 * n:
-        raise ValueError(f"{path}: payload holds {payload} bytes, need {4 * n}")
-    if payload > 4 * n:
-        raise ValueError(f"{path}: {payload - 4 * n} trailing bytes")
-    vals = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{path}: payload contains non-finite values")
+    vals = tensor.read_payload(path, raw, offset, n)
     params, start = {}, 0
     for group in GROUPS:
         params[group] = []

@@ -1,11 +1,12 @@
 """Command-line interface: the full pipeline as deterministic subcommands.
 
 Exit codes, decided in `main` alone by the kind of exception a handler
-raises: 0 success; 1 bad input or usage (`ValueError`, `FileNotFoundError`,
-`tensor.LF5DError`, argparse errors); 2 numerical failure (`NumericalError`,
-`ArithmeticError`, `np.linalg.LinAlgError`, matched before `ValueError`,
-which it subclasses); 3 internal error, any other exception (a fault in
-the program; the traceback goes to stderr).
+raises: 0 success; 1 bad input or usage (`ValueError`, which covers every
+malformed container, `FileNotFoundError`, argparse errors); 2 numerical
+failure (`NumericalError`, `ArithmeticError`, `np.linalg.LinAlgError`,
+matched first: `LinAlgError` and `tensor.NonFiniteWriteError` are
+ValueErrors too); 3 internal error, any other exception (a fault in the
+program; the traceback goes to stderr).
 Every path a subcommand writes must lie in an existing directory; that is
 checked before any input is read.  All randomness derives from explicit
 --seed flags.  JSON reports carry a timestamp unless --no-timestamp is
@@ -705,16 +706,14 @@ def main(argv=None) -> int:
     # numpy loads only now, after --threads has set the thread variables.
     import numpy as np
 
-    from . import tensor
-
     try:
         _require_out_dirs(*(getattr(args, flag, None) for flag in _OUTPUT_FLAGS))
         return args.fn(args)
-    # LinAlgError is a ValueError, so the numerical kinds are matched first.
+    # LinAlgError and NonFiniteWriteError are ValueErrors: match them first.
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, tensor.LF5DError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

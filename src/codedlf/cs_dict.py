@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coding
-from .tensor import as_tensor5
+from . import coding, tensor
 
 DICT_MAGIC = b"LFDC"
 _DICT_HEADER = struct.Struct("<4s2I")
@@ -204,39 +203,20 @@ def write_dictionary(d: Dictionary, path) -> None:
     Refuses, before opening the file, what `read_dictionary` would reject:
     a zero-sized or oversized shape and atoms that are not finite in float32.
     """
-    with np.errstate(over="ignore"):
-        atoms = np.asarray(d.atoms, dtype="<f4")
-    if atoms.ndim != 2 or min(atoms.shape) < 1 or max(atoms.shape) >= 2**32:
-        raise ValueError(f"cannot write a dictionary of shape {atoms.shape}")
-    if not np.all(np.isfinite(atoms)):
-        raise ValueError("cannot write a dictionary with non-finite float32 atoms")
-    with open(path, "wb") as fh:
-        fh.write(_DICT_HEADER.pack(DICT_MAGIC, *atoms.shape))
-        fh.write(atoms.ravel(order="F").tobytes())
+    shape = np.shape(d.atoms)
+    if len(shape) != 2 or min(shape) < 1 or max(shape) >= 2**32:
+        raise ValueError(f"cannot write a dictionary of shape {shape}")
+    tensor.write_container(path, _DICT_HEADER.pack(DICT_MAGIC, *shape), np.transpose(d.atoms))
 
 
 def read_dictionary(path) -> Dictionary:
-    """Read an LFDC file; rejects short, oversized or non-finite payloads."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _DICT_HEADER.size:
-        if raw[: len(DICT_MAGIC)] != DICT_MAGIC[: len(raw)]:
-            raise ValueError(f"{path}: not an LFDC dictionary file")
-        raise ValueError(f"{path}: incomplete header ({len(raw)} bytes)")
-    magic, atom_len, n_atoms = _DICT_HEADER.unpack_from(raw)
-    if magic != DICT_MAGIC:
-        raise ValueError(f"{path}: not an LFDC dictionary file")
+    """Read an LFDC file; the payload checks are `tensor.read_payload`'s."""
+    raw, (atom_len, n_atoms) = tensor.read_container(
+        path, DICT_MAGIC, _DICT_HEADER, "LFDC dictionary"
+    )
     if min(atom_len, n_atoms) < 1:
-        raise ValueError(f"{path}: zero-sized dictionary ({atom_len} x {n_atoms})")
-    n = atom_len * n_atoms
-    payload = raw[_DICT_HEADER.size :]
-    if len(payload) < 4 * n:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, need {4 * n}")
-    if len(payload) > 4 * n:
-        raise ValueError(f"{path}: {len(payload) - 4 * n} trailing bytes")
-    atoms = np.frombuffer(payload, dtype="<f4", count=n)
-    if not np.all(np.isfinite(atoms)):
-        raise ValueError(f"{path}: payload contains non-finite values")
+        raise tensor.LF5DError(f"{path}: zero-sized dictionary ({atom_len} x {n_atoms})")
+    atoms = tensor.read_payload(path, raw, _DICT_HEADER.size, atom_len * n_atoms)
     atoms = atoms.astype(np.float64).reshape((atom_len, n_atoms), order="F")
     return Dictionary(atoms=np.ascontiguousarray(atoms))
 
@@ -514,7 +494,7 @@ def train_dictionary(
     n_atoms = check_training_knobs(g.atom_len, k, lam, lr, batch_size, fista_iters, epochs)
     if not dataset:
         raise ValueError("dataset must not be empty")
-    all_patches = np.concatenate([patch(as_tensor5(t), g) for t in dataset], axis=0)
+    all_patches = np.concatenate([patch(tensor.as_tensor5(t), g) for t in dataset], axis=0)
     d = init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
     epoch_objectives, epoch_restarts = [], []
@@ -581,7 +561,7 @@ def dict_reconstruct(
     averaging.  Returns the reconstruction and the solve report.
     """
     check_reconstruct_knobs(lam, iters)
-    l_star_p = as_tensor5(l_star_p, "projected measurement")
+    l_star_p = tensor.as_tensor5(l_star_p, "projected measurement")
     lifted = coding.lift(l_star_p, m)
     if lifted.shape != g.source_dims:
         raise ValueError(

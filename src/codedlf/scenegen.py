@@ -110,19 +110,7 @@ def _pattern_random_smooth(n_s, n_t, n_c, rng):
     grid = rng.uniform(0.1, 0.9, size=(gs, gt, n_c))
     si = np.linspace(0, gs - 1, n_s)
     ti = np.linspace(0, gt - 1, n_t)
-    s0 = np.floor(si).astype(int)
-    t0 = np.floor(ti).astype(int)
-    s1 = np.minimum(s0 + 1, gs - 1)
-    t1 = np.minimum(t0 + 1, gt - 1)
-    fs = (si - s0)[:, None, None]
-    ft = (ti - t0)[None, :, None]
-    cv = (
-        grid[np.ix_(s0, t0)] * (1 - fs) * (1 - ft)
-        + grid[np.ix_(s1, t0)] * fs * (1 - ft)
-        + grid[np.ix_(s0, t1)] * (1 - fs) * ft
-        + grid[np.ix_(s1, t1)] * fs * ft
-    )
-    return cv
+    return _bilinear_sample(grid, si[:, None], ti[None, :])
 
 
 _PATTERN_FNS = {

@@ -14,11 +14,16 @@ LF5D container layout (little-endian, normative):
     bytes 6..25  dims U, V, S, T, C as five u32
     bytes 26..   U*V*S*T*C float32 values, C order as above
 
-NaN or Inf payloads are rejected on both read and write.
+LF5D, the LFDC dictionaries of `cs_dict` and the LFNN networks of
+`autodiff` share one codec (`read_container`, `read_payload`,
+`write_container`): four magic bytes, the format's own header, then a
+float32 payload of exactly the length the header implies, every value
+finite, checked on read and on write.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -28,12 +33,12 @@ VERSION = 1
 _HEADER = struct.Struct("<4sH5I")
 
 
-class LF5DError(Exception):
-    """Malformed or unreadable LF5D container."""
+class LF5DError(ValueError):
+    """Malformed or unreadable LF5D, LFDC or LFNN container."""
 
 
 class BadMagicError(LF5DError):
-    """File does not start with the LF5D magic bytes."""
+    """File does not start with the expected magic bytes."""
 
 
 class TruncatedError(LF5DError):
@@ -41,7 +46,12 @@ class TruncatedError(LF5DError):
 
 
 class NonFiniteError(LF5DError):
-    """Payload contains NaN or Inf values."""
+    """Payload or input contains NaN or Inf values."""
+
+
+class NonFiniteWriteError(NonFiniteError, ArithmeticError):
+    """Values to be written are not finite in float32.  Inputs are checked
+    when read, so these were computed: a numerical failure as well."""
 
 
 def as_tensor5(a, name: str = "tensor") -> np.ndarray:
@@ -60,43 +70,68 @@ def as_tensor5(a, name: str = "tensor") -> np.ndarray:
     return a
 
 
+def read_container(path, magic: bytes, header: struct.Struct, kind: str) -> tuple[bytes, tuple]:
+    """Read `path` whole and check its magic and fixed `header` ("<4s...").
+
+    Returns the raw bytes and the header fields after the magic.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[: len(magic)] != magic[: len(raw)]:
+        raise BadMagicError(f"{path}: not an {kind} file")
+    if len(raw) < header.size:
+        raise TruncatedError(f"{path}: incomplete header ({len(raw)} bytes)")
+    return raw, header.unpack_from(raw)[1:]
+
+
+def read_payload(path, raw: bytes, offset: int, n: int) -> np.ndarray:
+    """The `n` float32 values at `offset` that end `raw`.
+
+    A read-only view of `raw` where that is aligned for float32, else a copy:
+    numpy computes markedly slower on misaligned arrays (LF5D's offset is 26).
+    """
+    held = len(raw) - offset
+    if held < 4 * n:
+        raise TruncatedError(f"{path}: payload holds {held} bytes, need {4 * n}")
+    if held > 4 * n:
+        raise LF5DError(f"{path}: {held - 4 * n} trailing bytes")
+    vals = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteError(f"{path}: payload contains non-finite values")
+    return vals if vals.flags.aligned else vals.copy()
+
+
+def write_container(path, header: bytes, *arrays) -> None:
+    """Write `header`, then each array as float32 in C order (overwrites).
+
+    Refuses, before opening the file, values that are not finite in float32.
+    """
+    with np.errstate(over="ignore"):
+        data = [np.asarray(a, dtype="<f4") for a in arrays]
+    if not all(np.all(np.isfinite(a)) for a in data):
+        raise NonFiniteWriteError(f"{path}: cannot write non-finite float32 values")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for a in data:
+            fh.write(a.tobytes())
+
+
 def write_lf5d(t: np.ndarray, path) -> None:
     """Write a 5D tensor to `path` in the LF5D format (overwrites)."""
-    t = as_tensor5(t)
-    u, v, s, tt, c = t.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, u, v, s, tt, c))
-        fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    shape = np.shape(t)
+    if len(shape) != 5 or min(shape) < 1:
+        raise ValueError(f"cannot write an LF5D tensor of shape {shape}")
+    write_container(path, _HEADER.pack(MAGIC, VERSION, *shape), t)
 
 
 def read_lf5d(path) -> np.ndarray:
     """Read an LF5D file and return its float32 (U, V, S, T, C) tensor."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        if raw[: len(MAGIC)] != MAGIC[: len(raw)]:
-            raise BadMagicError(f"{path}: not an LF5D file")
-        raise TruncatedError(f"{path}: incomplete header ({len(raw)} bytes)")
-    magic, version, u, v, s, t, c = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    raw, (version, *dims) = read_container(path, MAGIC, _HEADER, "LF5D")
     if version != VERSION:
         raise LF5DError(f"{path}: unsupported version {version}")
-    dims = (u, v, s, t, c)
     if min(dims) < 1:
-        raise LF5DError(f"{path}: zero-sized axis in dims {dims}")
-    n = u * v * s * t * c
-    payload = raw[_HEADER.size :]
-    if len(payload) < 4 * n:
-        raise TruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, need {4 * n}"
-        )
-    if len(payload) > 4 * n:
-        raise LF5DError(f"{path}: {len(payload) - 4 * n} trailing bytes")
-    data = np.frombuffer(payload, dtype="<f4", count=n).reshape(dims)
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"{path}: payload contains non-finite values")
-    return np.ascontiguousarray(data, dtype=np.float32)
+        raise LF5DError(f"{path}: zero-sized axis in dims {tuple(dims)}")
+    return read_payload(path, raw, _HEADER.size, math.prod(dims)).reshape(dims)
 
 
 def central_indices(n_u: int, n_v: int) -> tuple[int, int]:

@@ -254,6 +254,16 @@ def test_lfnn_malformed_file_rejected(tmp_path, edit, message):
         ad.load_net(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "float32-overflow"])
+def test_lfnn_writer_refuses_what_reader_rejects(tmp_path, value):
+    net = make_net(seed=5)
+    net.params["disp"][-1].flat[0] = value  # 1e39 is finite in float64, inf in float32
+    path = tmp_path / "n.lfnn"
+    with pytest.raises(ValueError, match="non-finite"):
+        ad.save_net(net, path)
+    assert not path.exists()
+
+
 def test_lfnn_round_trip(tmp_path):
     net = make_net(seed=5)
     path = tmp_path / "n.lfnn"

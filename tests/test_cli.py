@@ -577,6 +577,30 @@ def test_linalg_error_in_a_solve_is_a_numerical_failure(tmp_path, monkeypatch, c
     assert "Traceback" not in err and not rec.exists()
 
 
+@pytest.mark.parametrize("command", ["train-toy", "train-dict"])
+def test_model_that_cannot_be_stored_is_a_numerical_failure(tmp_path, capsys, scene, command):
+    # The trained values overflow float32.  Inputs are checked when read, so
+    # such values were computed: the run writes nothing and exits 2.
+    out, log = tmp_path / "model", tmp_path / "log.json"
+    argv = {
+        "train-toy": ["--strategy", "naive", "--epochs", "2", "--scenes", "10", "--hidden",
+                      "4", "--head-hidden", "4", "--lr", "1e12", "--momentum", "0",
+                      "--log", str(log)],
+        "train-dict": ["--scenes", scene + ".lf.lf5d", "--atom", "2,2,4,4,5",
+                       "--spatial-overlap", "1,1", "--angular-overlap", "0,0", "--lambda",
+                       "0.05", "--lr", "1e308", "--epochs", "1", "--fista-iters", "10",
+                       "--report", str(log)],
+    }[command]
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"numerical failure: {out}: cannot write non-finite float32 values"
+    )
+    assert not out.exists() and not log.exists()
+
+
 def test_dict_cli_round_trip(tmp_path, scene):
     dict_p = str(tmp_path / "d.lfdc")
     assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom",

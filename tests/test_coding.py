@@ -115,6 +115,12 @@ class TestEncodeProjectLift:
         with pytest.raises(ValueError):
             coding.lift(self.l, self.m)  # C != 1
 
+    def test_nan_field_is_a_value_error(self):
+        l = self.l.copy()
+        l[0, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="light field contains non-finite values"):
+            coding.encode(l, self.m)
+
     def test_non_one_hot_mask_rejected(self):
         bad = self.m.copy()
         bad[0, 0, :] = 0.5

@@ -333,6 +333,14 @@ def test_dim_mismatch_rejected():
         cs_dct.owlqn_reconstruct(l, m, cs_dct.OwlqnOptions(lam=0.0))
 
 
+def test_nan_measurement_is_a_value_error():
+    l = np.zeros((1, 1, 4, 4, 1), dtype=np.float32)
+    l[0, 0, 1, 2, 0] = np.nan
+    m = coding.random_mask(4, 4, 3, 0)
+    with pytest.raises(ValueError, match="projected measurement contains non-finite values"):
+        cs_dct.owlqn_reconstruct(l, m, cs_dct.OwlqnOptions(lam=0.0))
+
+
 def push_pair(hist, s, y):
     hist.s[...] = s
     hist.y[...] = y

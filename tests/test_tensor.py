@@ -35,6 +35,14 @@ def test_round_trip_preserves_bits(tmp_path):
     assert np.array_equal(back.view(np.uint32), t.view(np.uint32))
 
 
+def test_read_values_are_aligned(tmp_path):
+    # The LF5D payload starts at byte 26; a view there would be misaligned
+    # for float32, which slows every numpy operation on it.
+    path = tmp_path / "a.lf5d"
+    tensor.write_lf5d(np.ones((1, 1, 3, 3, 2), dtype=np.float32), path)
+    assert tensor.read_lf5d(path).flags.aligned
+
+
 def test_overwrite_succeeds(tmp_path):
     path = tmp_path / "o.lf5d"
     tensor.write_lf5d(np.ones((1, 1, 2, 2, 1), dtype=np.float32), path)
