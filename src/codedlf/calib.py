@@ -307,11 +307,12 @@ def fit_vignetting_responsivity(
 
     Each half sweep solves one factor exactly with the other frozen, so the
     objective is non-increasing per half sweep.  The fit stops when a full
-    sweep lowers the objective by less than REL_TOL (relative), once it
-    falls to EXACT_FIT_FLOOR times its starting value, or after MAX_SWEEPS
-    sweeps.  Pixels or (filter, Bayer) entries without any usable
-    measurement are reported as unrecoverable and excluded; the fit
-    proceeds on the rest.  Raises ValueError when no pixel is recoverable.
+    sweep lowers the objective by less than REL_TOL (relative), once it falls
+    to EXACT_FIT_FLOOR times its starting value, or after MAX_SWEEPS sweeps.
+    Pixels or (filter, Bayer) entries without any usable measurement are
+    reported as unrecoverable and excluded; the fit proceeds on the rest.
+    Raises ValueError when no pixel is recoverable, and FloatingPointError at
+    the first half sweep (0: the start) whose objective is not finite.
     """
     stats = _entry_statistics(series, dark, mask)
     return _alternating_fit(stats, series.bayer)
@@ -332,8 +333,9 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
     r = np.ones((n_k, BAYER_TYPES))
     valid_v = np.ones((n_i, n_j), dtype=bool)
     valid_r = np.ones((n_k, BAYER_TYPES), dtype=bool)
+    trace: list[float] = []
 
-    def objective() -> float:
+    def record() -> None:
         # Per entry the objective is quadratic in a = v * r with its minimum
         # s_min at a_star, so it equals s_min + den * (a - a_star)**2
         # exactly.  Entries of an unrecoverable pixel or responsivity are
@@ -346,9 +348,12 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
         np.add(buf, stats.s_min, out=buf)
         if not (valid_v.all() and valid_r.all()):
             np.copyto(buf, 0.0, where=~(valid_v[:, :, None] & valid_r.T[bayer]))
-        return float(buf.sum())
+        value = float(buf.sum())
+        if not math.isfinite(value):
+            raise FloatingPointError(f"calibration objective is {value} at half sweep {len(trace)}")
+        trace.append(value)
 
-    trace = [objective()]
+    record()
     for _ in range(MAX_SWEEPS):
         # r update: exact minimizer per (k, bayer type).
         vmap = np.where(valid_v, v, 0.0).reshape(-1, 1)
@@ -357,7 +362,7 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
         bad_r = den <= 0
         valid_r &= ~bad_r
         r = np.where(valid_r, num / np.where(bad_r, 1.0, den), np.nan)
-        trace.append(objective())
+        record()
 
         # v update: exact minimizer per pixel.
         r0 = np.where(valid_r, r, 0.0)
@@ -366,7 +371,7 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
         bad_v = den <= 0
         valid_v &= ~bad_v
         v = np.where(bad_v, np.nan, num / np.where(bad_v, 1.0, den))
-        trace.append(objective())
+        record()
 
         prev, cur = trace[-3], trace[-1]
         if (

@@ -11,11 +11,11 @@ projected onto the orthant chosen at the start of the step so coordinate
 signs never flip mid-step.  The line search backtracks until the full
 objective satisfies an Armijo decrease along the projected step, which
 makes the recorded objective sequence non-increasing by construction.  The
-test compares obj_new - obj with ARMIJO_C1 times the predicted decrease, so
-a trial whose computed objective does not fall is never accepted: at the
-rounding floor the line search fails instead of creeping on.  Each trial
-shrinks the step by BACKTRACK, and after MAX_LINESEARCH trials the solve
-stops with a line-search failure.
+test compares obj_new - obj with ARMIJO_C1 times the predicted decrease, so a
+trial whose computed objective does not fall, or is not finite, is never
+accepted: at the rounding floor the line search fails instead of creeping on.
+Each trial shrinks the step by BACKTRACK, and after MAX_LINESEARCH trials the
+solve stops with a line-search failure.  A non-finite start raises.
 
 The smooth term and its gradient come from transforms.CodedFidelity.  Each
 line-search trial synthesizes its point once; the synthesis of the accepted
@@ -205,10 +205,11 @@ def owlqn_reconstruct(
 ) -> tuple[np.ndarray, SolveReport]:
     """Reconstruct a light field from its projected coded measurement.
 
-    l_star_p is the (U, V, S, T, 1) projected measurement, m the one-hot
-    coding mask.  Returns the synthesized (U, V, S, T, C) float32 estimate
-    and a report with the per-iteration objective values.  Line-search
-    failure terminates the solve with a report entry, never an exception.
+    l_star_p is the (U, V, S, T, 1) projected measurement, m the one-hot coding
+    mask.  Returns the synthesized (U, V, S, T, C) float32 estimate and a
+    report with the per-iteration objective values.  Line-search failure
+    terminates the solve with a report entry, never an exception; a non-finite
+    starting objective raises FloatingPointError.
     """
     l_star_p = as_tensor5(l_star_p, "projected measurement")
     fid = transforms.CodedFidelity(coding.lift(l_star_p, m), m)
@@ -220,6 +221,8 @@ def owlqn_reconstruct(
     z = fid.synthesize(x)
     g = fid.gradient(z)
     obj = fid.value(z) + lam * float(np.abs(x).sum())
+    if not math.isfinite(obj):
+        raise FloatingPointError(f"OWL-QN objective is {obj} at iteration 0")
     report = SolveReport(iterations=0, objectives=[obj])
     hist = _LbfgsHistory(x.shape, opts.memory, min(opts.memory, opts.max_iters) + 1)
     pg = hist.pg

@@ -304,14 +304,14 @@ def _fista(
     """Monotone FISTA on groups of patches that share their observed rows.
 
     x[k] (n, R) holds the n patches of group k, observed on rows[k] of the
-    patch vector; with rows None, one group observes every row.  Group k
-    steps by steps[k], at most 1/(2 L(D_m)).  Whenever a candidate step
-    would increase some patch's objective, that patch keeps its iterate
-    (and its cached D_m a) and the shared momentum restarts, so every
-    patch's objective is non-increasing.  With rel_decrease, the solve
-    stops after a non-restart iteration in which the summed objective fell
-    by at most rel_decrease times its new value; otherwise it runs all
-    `iters` iterations.
+    patch vector; with rows None, one group observes every row.  Group k steps
+    by steps[k], at most 1/(2 L(D_m)).  Whenever a candidate step would
+    increase some patch's objective, that patch keeps its iterate (and its
+    cached D_m a) and the shared momentum restarts, so every patch's objective
+    is non-increasing.  With rel_decrease, the solve stops after a non-restart
+    iteration in which the summed objective fell by at most rel_decrease times
+    its new value; otherwise it runs all `iters` iterations.  A non-finite
+    summed objective raises FloatingPointError.
 
     Returns the codes (G, n, n_atoms), D_m a (G, n, R), the per-patch
     objective (G, n), the per-patch restart counts (G, n), the iterations
@@ -383,6 +383,8 @@ def _fista(
         da_prev, da, dz = da, dz, da_prev
         f_a, t = f_z, t_new
         f_prev, f_sum = f_sum, float(f_z.sum())
+        if not math.isfinite(f_sum):
+            raise FloatingPointError(f"FISTA objective is {f_sum} at iteration {iterations}")
         if rel_decrease is not None and not restarted and f_prev - f_sum <= rel_decrease * f_sum:
             break
     return a, da, f_a, restarts, iterations, restart_iters
@@ -489,7 +491,7 @@ def train_dictionary(
     (gradient of the batch reconstruction error with the codes frozen),
     renormalizing atoms after every step.  Returns the dictionary and a
     report: per epoch, the mean of the batch objectives and the FISTA
-    restarts.
+    restarts.  Non-finite atoms make the next FISTA raise FloatingPointError.
     """
     n_atoms = check_training_knobs(g.atom_len, k, lam, lr, batch_size, fista_iters, epochs)
     if not dataset:

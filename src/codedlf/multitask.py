@@ -407,9 +407,10 @@ def train(
     """Train the two-head net with the chosen weighting strategy.
 
     Fresh coding masks are drawn per sample and epoch during training;
-    validation always uses the fixed evaluation masks.  Returns the net and
-    one log entry per epoch with validation losses and the current
-    weights.  Deterministic in (dataset, config, net seed).
+    validation always uses the fixed evaluation masks.  Returns the net and one
+    log entry per epoch with validation losses and the current weights.
+    Deterministic in (dataset, config, net seed).  A non-finite validation loss
+    raises FloatingPointError.
     """
     n_val = max(1, int(round(len(dataset) * VAL_FRACTION)))
     train_set = dataset[:-n_val]
@@ -542,6 +543,8 @@ def train(
             ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
 
         loss_cv, loss_disp = validate(net, val_set, config.seed)
+        if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):
+            raise FloatingPointError(f"validation losses {loss_cv}, {loss_disp} at epoch {epoch}")
         # gradsim has no persistent gates; log its last per-batch weights
         alphas_now = aux_coeffs if strategy == "gradsim" else aw.alpha
         logs.append(

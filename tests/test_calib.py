@@ -474,6 +474,21 @@ def test_fit_without_recoverable_pixel_raises():
         calib.fit_vignetting_responsivity(series, dm, mask)
 
 
+def test_non_finite_objective_raises_at_its_half_sweep():
+    # The noiseless series with exposure times up to 1e200: t_l**2 overflows,
+    # so the starting objective is already NaN.  The fit used to run all
+    # MAX_SWEEPS sweeps on it and return a NaN trace.
+    data = synth_setup(seed=1)
+    times = np.geomspace(1e150, 1e200, data["times"].size)
+    dm = calib.fit_dark(data["dark_stack"], data["times"])
+    series = calib.ExposureSeries(mu=data["mu"], times=times, bayer=data["bayer"])
+    mask = calib.saturation_mask(series)
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match="^calibration objective is nan at half sweep 0$"
+    ):
+        calib.fit_vignetting_responsivity(series, dm, mask)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6])
 def test_exact_data_sweep_count_independent_of_summation_order(seed):
     # The sufficient statistics and the oracle's full-stack sums round

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -314,6 +315,25 @@ def test_calibrate_fails_without_recoverable_pixel(tmp_path, capsys):
     assert "no recoverable pixel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("low, high", [(1e150, 1e200), (1e-300, 1e-200)])
+def test_calibrate_non_finite_objective_is_a_numerical_failure(tmp_path, capsys, low, high):
+    # Both ladders make the starting objective NaN.  With the tiny times the
+    # fit used to run on, find den = 0 everywhere and exit 1 with "no
+    # recoverable pixel".
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    with open(times, "w") as fh:
+        fh.writelines(f"{t}\n" for t in np.geomspace(low, high, 6))
+    out = tmp_path / "out" / "calib.json"
+    out.parent.mkdir()
+    with np.errstate(all="ignore"):
+        assert run(["calibrate", "--dark", dark, "--bright", bright, "--times", times,
+                    "--bayer", bayer, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numerical failure: calibration objective is nan at half sweep 0"
+    )
+    assert not any(out.parent.iterdir())
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--threshold", "nan"),
     ("--threshold", "inf"),
@@ -595,10 +615,38 @@ def test_model_that_cannot_be_stored_is_a_numerical_failure(tmp_path, capsys, sc
     with np.errstate(all="ignore"):
         assert run([command, *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1] == (
-        f"numerical failure: {out}: cannot write non-finite float32 values"
-    )
+    assert err.splitlines()[-1] == {
+        "train-toy": f"numerical failure: {out}: cannot write non-finite float32 values",
+        # the NaN atoms of the first update stop the next batch's FISTA solve
+        "train-dict": "numerical failure: FISTA objective is nan at iteration 1",
+    }[command]
     assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct-dct", "train-toy"])
+def test_non_finite_objective_is_a_numerical_failure(tmp_path, capsys, scene, command):
+    # reconstruct-dct used to write --out and then exit 1 on an inf in its
+    # report; train-toy exited 0 with an inf in its log.
+    out, side = tmp_path / "out", tmp_path / "side.json"
+    argv = {
+        "reconstruct-dct": ["--in", str(tmp_path / "p.lf5d"), "--mask", str(tmp_path / "m.lf5d"),
+                            "--lambda", "1e308", "--report", str(side)],
+        "train-toy": ["--strategy", "naive", "--epochs", "1", "--scenes", "10", "--hidden", "4",
+                      "--head-hidden", "4", "--lr", "1e100", "--momentum", "0",
+                      "--log", str(side)],
+    }[command]
+    assert run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7", "--out-coded",
+                str(tmp_path / "c.lf5d"), "--out-mask", str(tmp_path / "m.lf5d")]) == 0
+    assert run(["project", "--in", str(tmp_path / "c.lf5d"), "--out",
+                str(tmp_path / "p.lf5d")]) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run([command, *argv, "--out", str(out)]) == 2
+    assert re.fullmatch({
+        "reconstruct-dct": r"numerical failure: OWL-QN objective is inf at iteration 0",
+        "train-toy": r"numerical failure: validation losses \S+, inf at epoch 0",
+    }[command], capsys.readouterr().err.splitlines()[-1])
+    assert not out.exists() and not side.exists()
 
 
 def test_dict_cli_round_trip(tmp_path, scene):

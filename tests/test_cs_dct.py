@@ -341,6 +341,14 @@ def test_nan_measurement_is_a_value_error():
         cs_dct.owlqn_reconstruct(l, m, cs_dct.OwlqnOptions(lam=0.0))
 
 
+def test_non_finite_starting_objective_raises():
+    # lam * ||x||_1 overflows at the warm start; the Armijo test would then
+    # reject every trial, so the start is the one objective checked.
+    l_star_p, m = smooth_scene_case((3, 3, 8, 8, 4), 0)
+    with pytest.raises(FloatingPointError, match="^OWL-QN objective is inf at iteration 0$"):
+        cs_dct.owlqn_reconstruct(l_star_p, m, cs_dct.OwlqnOptions(lam=1e308))
+
+
 def push_pair(hist, s, y):
     hist.s[...] = s
     hist.y[...] = y

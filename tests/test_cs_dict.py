@@ -274,6 +274,19 @@ class TestTraining:
         objs = rep.epoch_objectives
         assert objs[1] < objs[0] and objs[2] < objs[1]
 
+    def test_atoms_that_overflow_raise_in_the_same_epoch(self):
+        # The first update overflows and the renormalized atoms are NaN; the
+        # next batch's FISTA objective is NaN, so training stops in epoch 0
+        # where it used to run every epoch on NaN atoms.
+        dataset, g = _smooth_scenes()
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^FISTA objective is nan at iteration 1$"
+        ):
+            cs_dict.train_dictionary(
+                dataset, g, k=2.0, lam=0.05, lr=1e308, batch_size=16,
+                fista_iters=30, epochs=1, seed=4,
+            )
+
     def test_training_matches_oracle_loop(self, dictionary_training_oracle):
         # The set-up above over 10 epochs, against the training loop on the
         # three-GEMM FISTA.  Largest seen: atoms 5.6e-16 and objectives

@@ -243,6 +243,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size must be an integer"):
             mt.TrainConfig(batch_size=8.0)
 
+    def test_non_finite_validation_loss_raises_at_its_epoch(self):
+        # The first SGD step overflows the disparity head: epoch 0 validates
+        # to inf and every later epoch to NaN.  These logs used to be
+        # returned; the first one now raises.
+        dims = (3, 3, 8, 8, 5)
+        cfg = mt.TrainConfig(strategy="naive", epochs=4, lr=1e100, momentum=0.0, seed=0)
+        net = ad.ToyNet(dims=dims, hidden=4, head_hidden=4, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^validation losses \S+, inf at epoch 0$"
+        ):
+            mt.train(net, mt.make_toy_dataset(10, dims, seed=99), cfg)
+
     def test_combined_loss_finite_for_all_strategies(self, toy_dataset):
         for strategy in mt.STRATEGIES:
             cfg = mt.TrainConfig(strategy=strategy, epochs=1, lr=0.05, seed=3)
