@@ -487,8 +487,15 @@ def _cmd_calibrate(args) -> int:
 
     stem = args.out[: -len(".json")] if args.out.endswith(".json") else args.out
     v_path = stem + ".v.lf5d"
-    v_out = np.nan_to_num(result.vignetting, nan=0.0).astype("float32")
-    tensor.write_lf5d(v_out[None, None, :, :, None], v_path)
+    maps = {v_path: np.nan_to_num(result.vignetting, nan=0.0)}
+    if dark.per_pixel:
+        maps[stem + ".dark_offset.lf5d"] = dark.offset
+        maps[stem + ".dark_current.lf5d"] = dark.current
+    # Convert and check every map before the first write, so a refusal
+    # writes nothing.
+    maps = {path: tensor.float32_payload(path, a)[0] for path, a in maps.items()}
+    for path, a in maps.items():
+        tensor.write_lf5d(a[None, None, :, :, None], path)
     payload = {
         "vignetting": os.path.basename(v_path),
         "responsivity": [
@@ -512,15 +519,6 @@ def _cmd_calibrate(args) -> int:
             ],
         },
     }
-    if dark.per_pixel:
-        tensor.write_lf5d(
-            np.asarray(dark.offset, dtype="float32")[None, None, :, :, None],
-            stem + ".dark_offset.lf5d",
-        )
-        tensor.write_lf5d(
-            np.asarray(dark.current, dtype="float32")[None, None, :, :, None],
-            stem + ".dark_current.lf5d",
-        )
     _report(payload, args.out, args.no_timestamp)
     return 0
 

@@ -24,13 +24,19 @@ so a step costs one inverse transform per trial and one forward transform.
 Iterates, gradients and the trial point live in C-contiguous float64
 buffers allocated once per solve.
 
-The L-BFGS history is one preallocated array W whose rows are the
-pseudo-gradient and a ring of min(memory, max_iters) + 1 (s, y) slots.
-Each step writes s and y straight into the free slot, and one GEMV of W
-with the new y extends the small S^T Y and Y^T Y matrices.  The direction
--H pg comes from the compact representation of Byrd, Nocedal & Schnabel
-(1994): one GEMV W pg, two triangular solves of the history's size and one
-GEMV c^T W, in place of the two-loop recursion's four passes per pair.
+The L-BFGS history keeps its min(memory, max_iters) pairs (s, y) as rows of
+one preallocated float32 array W, a ring with no spare slot.  Everything that
+steers the step stays in float64: the iterate, the gradient, the
+pseudo-gradient, the direction, the line search, the new s and y, the small
+S^T Y and Y^T Y matrices and the curvature test s.y > 1e-12, which reads the
+float64 product, so a rejected pair never touches W.  A kept pair is cast
+into its slot, and one float32 GEMV of W with the new y extends S^T Y and
+Y^T Y.  The direction -H pg comes from the compact representation of Byrd,
+Nocedal & Schnabel (1994): one float32 GEMV W pg, two float64 triangular
+solves of the history's size and one float32 GEMV c^T W, in place of the
+two-loop recursion's four passes per pair.  Halving the bytes of these
+memory-bound GEMVs moves the direction by rounding only; a test holds it to
+1e-5 of its largest entry against the float64 two-loop recursion.
 """
 
 from __future__ import annotations
@@ -107,64 +113,55 @@ def _pseudo_gradient(
 
 
 class _LbfgsHistory:
-    """The kept L-BFGS pairs (s, y) and the pseudo-gradient, in one array.
+    """The kept L-BFGS pairs (s, y) in float32, and the float64 vectors that feed them.
 
-    Row 0 of the C-contiguous float64 array `w` is the pseudo-gradient `pg`;
-    rows 1 + 2j and 2 + 2j hold s and y of slot j.  The slots form a ring
-    with one slot more than the pairs kept: a new pair is written into the
-    free slot (`s`, `y`) and `push` keeps it or not, so a rejected pair
-    never costs a kept one.  Rows 0 .. 2 * written have been written, and
-    only they enter a product.  `sy[i, j]` is s_i . y_j for slot i written
-    before pair j was kept, and `yy` holds y_i . y_j.
+    `pg`, `s` and `y` are float64 arrays of the problem's shape that the
+    solver writes.  Rows 2j and 2j + 1 of the C-contiguous float32 array `w`
+    hold s and y of slot j, for `slots` slots that fill in order and then
+    form a ring: once all are kept, a new pair replaces the oldest one.
+    `push` tests s.y > 1e-12 on the float64 product before anything is
+    stored.  `sy[i, j]` is s_i . y_j for slot i written before pair j was
+    kept, and `yy` holds y_i . y_j; their diagonals come from the float64
+    s and y, the other entries from the float32 rows.
     """
 
-    def __init__(self, shape: tuple[int, ...], memory: int, slots: int):
+    def __init__(self, shape: tuple[int, ...], slots: int):
         self.shape = shape
-        self.memory = memory
-        self.w = np.empty((1 + 2 * slots, math.prod(shape)))
+        self.pg, self.s, self.y = (np.empty(shape) for _ in range(3))
+        self.w = np.empty((2 * slots, math.prod(shape)), dtype=np.float32)
         self.sy = np.zeros((slots, slots))
         self.yy = np.zeros((slots, slots))
         self.pairs: list[int] = []  # slots of the kept pairs, oldest first
-        self.free = 0
-        self.written = 0
-
-    def _row(self, k: int) -> np.ndarray:
-        return self.w[k].reshape(self.shape)
-
-    @property
-    def pg(self) -> np.ndarray:
-        return self._row(0)
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._row(1 + 2 * self.free)
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._row(2 + 2 * self.free)
+        self._v32 = np.empty(math.prod(shape), dtype=np.float32)  # GEMV scratch
 
     def push(self) -> bool:
-        """Keep the pair in the free slot if s.y > 1e-12; return whether it was kept.
+        """Keep the pair (s, y) if s.y > 1e-12; return whether it was kept.
 
-        One GEMV, (rows of s and y) @ y_new, gives the new column of S^T Y
-        and the new row and column of Y^T Y.
+        A kept pair is cast into the free slot, and one GEMV, (rows of the
+        kept pairs) @ y_new, gives the new column of S^T Y and the new row
+        and column of Y^T Y.
         """
-        j = self.free
-        self.written = max(self.written, j + 1)
-        v = self.w[1 : 1 + 2 * self.written] @ self.w[2 + 2 * j]
-        if not v[2 * j] > 1e-12:
+        s, y = self.s.reshape(-1), self.y.reshape(-1)
+        sy = float(np.vdot(s, y))
+        if not sy > 1e-12:
             return False
-        self.sy[: self.written, j] = v[0::2]
-        self.yy[: self.written, j] = self.yy[j, : self.written] = v[1::2]
+        j = self.pairs.pop(0) if len(self.pairs) == len(self.sy) else len(self.pairs)
         self.pairs.append(j)
-        if len(self.pairs) > self.memory:
-            self.free = self.pairs.pop(0)
-        else:
-            self.free = len(self.pairs)
+        k = len(self.pairs)
+        self.w[2 * j] = s
+        self.w[2 * j + 1] = y
+        v = self.w[: 2 * k] @ self.w[2 * j + 1]
+        self.sy[:k, j] = v[0::2]
+        self.yy[:k, j] = self.yy[j, :k] = v[1::2]
+        self.sy[j, j] = sy
+        self.yy[j, j] = float(np.vdot(y, y))
         return True
 
-    def direction(self, out: np.ndarray) -> np.ndarray:
+    def direction(self, out: np.ndarray, pg_max: float) -> np.ndarray:
         """Write -H pg into `out`, H the inverse Hessian of the kept pairs.
+
+        pg_max is max |pg|.  The float32 copy of pg is pg / 2^e with
+        2^e > pg_max: exact, and within float32's range at any lam.
 
         H = gamma I + [S gamma Y] M [S gamma Y]^T in the compact form of
         Byrd, Nocedal & Schnabel (1994), with gamma = s.y / y.y of the newest
@@ -173,27 +170,33 @@ class _LbfgsHistory:
 
             -H pg = -gamma pg - S R^-T (D u + gamma (Y^T Y u - b)) + gamma Y u,
 
-        so one GEMV W pg gives a and b and one GEMV c^T W gives the
-        direction; the -gamma pg term takes the coefficient of row 0.
+        so one GEMV W pg gives a and b and one GEMV c^T W gives the history
+        part, which is added to -gamma pg in float64 and scaled back by 2^e.
         """
         flat = out.reshape(-1)
+        pg = self.pg.reshape(-1)
         if not self.pairs:
-            np.negative(self.w[0], out=flat)
+            np.negative(pg, out=flat)
             return out
-        rows = self.w[: 1 + 2 * self.written]
-        v = rows @ self.w[0]
+        rows = self.w[: 2 * len(self.pairs)]
+        v32 = self._v32
+        scale = math.ldexp(1.0, math.frexp(pg_max)[1])
+        np.multiply(pg, 1.0 / scale, out=v32)
+        v = (rows @ v32).astype(np.float64)
         j = np.array(self.pairs)
         sy = self.sy[np.ix_(j, j)]
         yy = self.yy[np.ix_(j, j)]
         r = np.triu(sy)
         gamma = sy[-1, -1] / yy[-1, -1]
-        u = np.linalg.solve(r, v[1 + 2 * j])
-        p = np.linalg.solve(r.T, np.diag(sy) * u + gamma * (yy @ u - v[2 + 2 * j]))
-        c = np.zeros(len(rows))
-        c[0] = -gamma
-        c[1 + 2 * j] = -p
-        c[2 + 2 * j] = gamma * u
-        np.dot(c, rows, out=flat)
+        u = np.linalg.solve(r, v[2 * j])
+        p = np.linalg.solve(r.T, np.diag(sy) * u + gamma * (yy @ u - v[2 * j + 1]))
+        c = np.empty(len(rows), dtype=np.float32)
+        c[2 * j] = -p
+        c[2 * j + 1] = gamma * u
+        np.dot(c, rows, out=v32)
+        np.multiply(pg, -gamma / scale, out=flat)
+        flat += v32
+        flat *= scale
         return out
 
 
@@ -224,7 +227,7 @@ def owlqn_reconstruct(
     if not math.isfinite(obj):
         raise FloatingPointError(f"OWL-QN objective is {obj} at iteration 0")
     report = SolveReport(iterations=0, objectives=[obj])
-    hist = _LbfgsHistory(x.shape, opts.memory, min(opts.memory, opts.max_iters) + 1)
+    hist = _LbfgsHistory(x.shape, min(opts.memory, opts.max_iters))
     pg = hist.pg
     d, xi, x_new = (np.empty_like(x) for _ in range(3))
     flags = np.empty(x.shape, dtype=bool)
@@ -232,11 +235,12 @@ def owlqn_reconstruct(
     for it in range(opts.max_iters):
         _pseudo_gradient(x, g, lam, pg)
         # x_new is free until the line search and serves as scratch.
-        if float(np.abs(pg, out=x_new).max()) <= tol:
+        pg_max = float(np.abs(pg, out=x_new).max())
+        if pg_max <= tol:
             report.termination = "converged"
             break
 
-        hist.direction(d)
+        hist.direction(d, pg_max)
         # Constrain the direction to the descent orthant of the pseudo-gradient.
         # Masks are applied by multiplication, which is cheaper than a masked
         # store; it leaves -0.0 where a negative entry is zeroed, and no step

@@ -16,9 +16,9 @@ LF5D container layout (little-endian, normative):
 
 LF5D, the LFDC dictionaries of `cs_dict` and the LFNN networks of
 `autodiff` share one codec (`read_container`, `read_payload`,
-`write_container`): four magic bytes, the format's own header, then a
-float32 payload of exactly the length the header implies, every value
-finite, checked on read and on write.
+`float32_payload`, `write_container`): four magic bytes, the format's own
+header, then a float32 payload of exactly the length the header implies,
+every value finite, checked on read and on write.
 """
 
 from __future__ import annotations
@@ -101,15 +101,25 @@ def read_payload(path, raw: bytes, offset: int, n: int) -> np.ndarray:
     return vals if vals.flags.aligned else vals.copy()
 
 
-def write_container(path, header: bytes, *arrays) -> None:
-    """Write `header`, then each array as float32 in C order (overwrites).
+def float32_payload(path, *arrays) -> list[np.ndarray]:
+    """`arrays` as little-endian float32, as they would be written to `path`.
 
-    Refuses, before opening the file, values that are not finite in float32.
+    Raises NonFiniteWriteError, naming `path`, if a value is not finite in
+    float32.
     """
     with np.errstate(over="ignore"):
         data = [np.asarray(a, dtype="<f4") for a in arrays]
     if not all(np.all(np.isfinite(a)) for a in data):
         raise NonFiniteWriteError(f"{path}: cannot write non-finite float32 values")
+    return data
+
+
+def write_container(path, header: bytes, *arrays) -> None:
+    """Write `header`, then each array as float32 in C order (overwrites).
+
+    Refuses, before opening the file, values that are not finite in float32.
+    """
+    data = float32_payload(path, *arrays)
     with open(path, "wb") as fh:
         fh.write(header)
         for a in data:
@@ -139,34 +149,12 @@ def central_indices(n_u: int, n_v: int) -> tuple[int, int]:
     return n_u // 2, n_v // 2
 
 
-def slice_central_view(l: np.ndarray) -> np.ndarray:
-    """Extract the central subaperture view, an (S, T, C) array.
-
-    The angular resolution must be odd in both directions so that the
-    central coordinates are unambiguous.
-    """
-    l = as_tensor5(l, "light field")
-    n_u, n_v = l.shape[:2]
-    if n_u % 2 == 0 or n_v % 2 == 0:
-        raise ValueError(f"angular dims must be odd, got ({n_u}, {n_v})")
-    u_c, v_c = central_indices(n_u, n_v)
-    return np.ascontiguousarray(l[u_c, v_c])
-
-
 def cv_to_tensor5(cv: np.ndarray) -> np.ndarray:
     """Wrap an (S, T, C) central view as a (1, 1, S, T, C) tensor."""
     cv = np.asarray(cv, dtype=np.float32)
     if cv.ndim != 3:
         raise ValueError(f"central view must be (S, T, C), got {cv.shape}")
     return cv[None, None]
-
-
-def tensor5_to_cv(t: np.ndarray) -> np.ndarray:
-    """Inverse of cv_to_tensor5; requires U = V = 1."""
-    t = as_tensor5(t, "central view tensor")
-    if t.shape[0] != 1 or t.shape[1] != 1:
-        raise ValueError(f"expected U = V = 1, got shape {t.shape}")
-    return np.ascontiguousarray(t[0, 0])
 
 
 def disp_to_tensor5(d: np.ndarray) -> np.ndarray:

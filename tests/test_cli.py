@@ -334,6 +334,24 @@ def test_calibrate_non_finite_objective_is_a_numerical_failure(tmp_path, capsys,
     assert not any(out.parent.iterdir())
 
 
+def test_calibrate_refused_write_writes_nothing(tmp_path, capsys):
+    # The fit is finite, but the per-pixel dark current (about 8e146) is
+    # beyond float32: the command exits 2 before any map is written.
+    bright, dark, bayer, times = _calib_inputs(tmp_path)
+    with open(times, "w") as fh:
+        fh.writelines(f"{t}\n" for t in np.geomspace(1e-165, 1e-150, 6))
+    stem = tmp_path / "out" / "calib"
+    stem.parent.mkdir()
+    with np.errstate(all="ignore"):
+        assert run(["calibrate", "--dark", dark, "--bright", bright, "--times", times,
+                    "--bayer", bayer, "--out", f"{stem}.json"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"numerical failure: {stem}.dark_current.lf5d: cannot write non-finite float32 values"
+    )
+    for suffix in (".v.lf5d", ".dark_offset.lf5d", ".dark_current.lf5d", ".json"):
+        assert not (tmp_path / "out" / f"calib{suffix}").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--threshold", "nan"),
     ("--threshold", "inf"),

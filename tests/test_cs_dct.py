@@ -174,15 +174,30 @@ ORACLE_CASES = {
 }
 
 
-def close(a, b, rtol=1e-10, atol=1e-20):
+# Bounds of the solve against the float64 reference loop.  The solver keeps
+# its L-BFGS pairs in float32, so the two trajectories part by rounding.
+FINAL_SLACK = 1e-6  # relative: the final objective may not be higher by more
+TRAJECTORY_RTOL = 1e-5  # per-iteration objectives, and the reconstruction over its peak
+# Objectives at the rounding floor: "lam-0" stops at 1.8e-30, where the
+# transforms' rounding alone moves it by 4 %.
+OBJECTIVE_ATOL = 1e-20
+
+
+def close(a, b, rtol=TRAJECTORY_RTOL, atol=OBJECTIVE_ATOL):
     return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_solve_equals_reference_loop(case, tensordot_dct5):
-    # The compact L-BFGS direction and the reverse-order transforms round
-    # differently from the reference loop, so the solve agrees with it to a
-    # tolerance: objectives 1e-10 relative, reconstruction 1e-5 of its peak.
+    # Rounding cannot move the termination, the iteration count (except after
+    # a failed line search, which stops at the rounding floor of the
+    # objective), the monotone objectives, or a final objective that is no
+    # higher than the oracle's, up to FINAL_SLACK.  Along the way the
+    # objectives agree to TRAJECTORY_RTOL relative and the reconstruction to
+    # TRAJECTORY_RTOL of its peak, except with memory 1: one pair amplifies
+    # the rounding of its float32 rows, and "memory-1" ends 0.9 % lower than
+    # the oracle, with objectives up to 2 % and a reconstruction 3 % of its
+    # peak apart on the way.
     make_problem, kwargs = ORACLE_CASES[case]
     lp, m = make_problem()
     if "lam" not in kwargs:
@@ -193,17 +208,19 @@ def test_solve_equals_reference_loop(case, tensordot_dct5):
     rec_ref, rep_ref = reference_owlqn(lp, m, opts, tensordot_dct5)
     assert rep.termination == rep_ref.termination
     if rep.termination != "line_search_failed":
-        # A failed line search stops at the rounding floor of the
-        # objective, which a change in rounding moves.
         assert rep.iterations == rep_ref.iterations
     # With lam = 0 the warm start analysis(m * l_star) minimizes the smooth
     # term exactly, so "lam-0" checks the stop at iteration 0; the others
     # must take steps.
     assert (rep.iterations == 0) == (case == "lam-0")
-    assert all(map(close, rep.objectives, rep_ref.objectives))
-    assert close(rep.final_objective, rep_ref.final_objective)
-    assert np.abs(rec - rec_ref).max() <= 1e-5 * np.abs(rec_ref).max()
     assert all(b <= a for a, b in zip(rep.objectives, rep.objectives[1:]))
+    assert rep.final_objective <= (
+        rep_ref.final_objective * (1 + FINAL_SLACK) + OBJECTIVE_ATOL
+    )
+    if case != "memory-1":
+        # zip stops at the shorter run, where a line search failed first.
+        assert all(map(close, rep.objectives, rep_ref.objectives))
+        assert np.abs(rec - rec_ref).max() <= TRAJECTORY_RTOL * np.abs(rec_ref).max()
     if case in ("line-search-failed", "converged"):
         assert rep.termination == case.replace("-", "_")
 
@@ -355,6 +372,13 @@ def push_pair(hist, s, y):
     return hist.push()
 
 
+# The direction from float32 pairs against the float64 two-loop recursion,
+# relative to the largest entry.  float32 inner products of these lengths
+# round to about 1e-7 relative (Higham 2002, ch. 3); the worst error seen
+# over the histories below is 7.5e-8.
+DIRECTION_RTOL = 1e-5
+
+
 @pytest.mark.parametrize("memory", [1, 3, 10])
 def test_compact_direction_equals_two_loop(memory, two_loop):
     # Random histories through more than two wraps of the ring, with
@@ -362,8 +386,7 @@ def test_compact_direction_equals_two_loop(memory, two_loop):
     # direction must equal minus the two-loop's H pg of the kept pairs.
     rng = np.random.default_rng(memory)
     shape = (2, 3, 4, 5, 2)
-    n = int(np.prod(shape))
-    hist = cs_dct._LbfgsHistory(shape, memory, memory + 1)
+    hist = cs_dct._LbfgsHistory(shape, memory)
     kept = []
     out = np.empty(shape)
     worst = 0.0
@@ -383,21 +406,13 @@ def test_compact_direction_equals_two_loop(memory, two_loop):
         pg = rng.normal(size=shape)
         hist.pg[...] = pg
         ref = -two_loop(pg, kept)
-        assert hist.direction(out) is out
+        assert hist.direction(out, float(np.abs(pg).max())) is out
         worst = max(worst, np.abs(out - ref).max() / np.abs(ref).max())
-    assert worst <= 1e-12
-    assert hist.w.shape == (1 + 2 * (memory + 1), n)
+    assert worst <= DIRECTION_RTOL
 
 
-def test_direction_without_pairs_is_minus_pg():
-    hist = cs_dct._LbfgsHistory((1, 1, 2, 2, 1), 3, 4)
-    hist.pg[...] = np.arange(4.0).reshape(hist.shape)
-    assert not push_pair(hist, np.ones(hist.shape), -np.ones(hist.shape))
-    out = hist.direction(np.empty(hist.shape))
-    assert np.array_equal(out, -hist.pg)
-
-
-def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
+def recorded_histories(monkeypatch):
+    """The histories that the solves after this call make, in order."""
     made = []
 
     class Recorded(cs_dct._LbfgsHistory):
@@ -406,13 +421,83 @@ def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(cs_dct, "_LbfgsHistory", Recorded)
+    return made
+
+
+def test_history_ring(monkeypatch):
+    # The solver's history holds float32 rows for min(memory, max_iters)
+    # pairs and no spare slot.
+    made = recorded_histories(monkeypatch)
+    lp, m = sparse_case((2, 2, 4, 4, 2), 3)
+    for memory, max_iters in ((2, 6), (5, 3)):
+        cs_dct.owlqn_reconstruct(
+            lp, m, cs_dct.OwlqnOptions(lam=1e-3, memory=memory, max_iters=max_iters)
+        )
+        slots = min(memory, max_iters)
+        assert made[-1].w.dtype == np.float32
+        assert made[-1].w.shape == (2 * slots, 2 * 2 * 4 * 4 * 2)
+        assert made[-1].sy.shape == made[-1].yy.shape == (slots, slots)
+
+    rng = np.random.default_rng(11)
+    shape = (1, 2, 3, 4, 10)
+    hist = cs_dct._LbfgsHistory(shape, 2)
+    for _ in range(3):  # one wrap of the ring
+        s = rng.normal(size=shape)
+        assert push_pair(hist, s, 2.0 * s)
+    # A rejected pair leaves every stored figure as it was.
+    before = [hist.w.copy(), hist.sy.copy(), hist.yy.copy(), list(hist.pairs)]
+    s = rng.normal(size=shape)
+    assert not push_pair(hist, s, -s)
+    assert np.array_equal(hist.w, before[0])
+    assert np.array_equal(hist.sy, before[1])
+    assert np.array_equal(hist.yy, before[2])
+    assert hist.pairs == before[3]
+
+    # Pairs with s.y within a float32 rounding of the threshold: the keep
+    # decision is the float64 one, also where the float32 rows would decide
+    # the other way.
+    flips = 0
+    for k in range(-40, 41):
+        s = rng.uniform(0.5e-6, 1.5e-6, size=shape)
+        y = s * (1e-12 * (1 + k * 1e-8) / float(np.vdot(s, s)))
+        sy = float(np.vdot(s, y))
+        sy32 = float(np.vdot(s.astype(np.float32), y.astype(np.float32)))
+        flips += (sy32 > 1e-12) != (sy > 1e-12)
+        assert push_pair(hist, s, y) == (sy > 1e-12)
+    assert flips > 0
+
+
+def test_huge_lam_keeps_the_float32_history_finite():
+    # With lam = 1e100 the pseudo-gradient is far beyond float32's range;
+    # the direction casts it scaled by a power of two, so the solve takes
+    # the float64 loop's steps to x = 0 instead of a failed line search.
+    lp, m = sparse_case((2, 2, 8, 8, 3), 5)
+    with np.errstate(over="raise", invalid="raise"):
+        rec, rep = cs_dct.owlqn_reconstruct(
+            lp, m, cs_dct.OwlqnOptions(lam=1e100, max_iters=50)
+        )
+    assert rep.termination == "converged"
+    assert rep.iterations >= 2
+    assert not rec.any()
+
+
+def test_direction_without_pairs_is_minus_pg():
+    hist = cs_dct._LbfgsHistory((1, 1, 2, 2, 1), 3)
+    hist.pg[...] = np.arange(4.0).reshape(hist.shape)
+    assert not push_pair(hist, np.ones(hist.shape), -np.ones(hist.shape))
+    out = hist.direction(np.empty(hist.shape), 3.0)
+    assert np.array_equal(out, -hist.pg)
+
+
+def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
+    made = recorded_histories(monkeypatch)
     lp, m = sparse_case((2, 2, 4, 4, 2), 3)
     opts = cs_dct.OwlqnOptions(lam=1e-3, memory=10**6, max_iters=3, grad_tol=1e-12)
     _, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
     assert rep.iterations == 3
     (hist,) = made
-    assert hist.w.shape == (1 + 2 * 4, 2 * 2 * 4 * 4 * 2)
-    assert hist.sy.shape == hist.yy.shape == (4, 4)
+    assert hist.w.shape == (2 * 3, 2 * 2 * 4 * 4 * 2)
+    assert hist.sy.shape == hist.yy.shape == (3, 3)
 
 
 def test_evaluations_count_line_search_syntheses(monkeypatch):

@@ -121,7 +121,8 @@ class TestRender:
         )
         cv, disp = scenegen.make_scene(spec)
         lf = scenegen.render_lightfield(cv, disp, 5, 5)
-        assert np.array_equal(tensor.slice_central_view(lf), cv)
+        u_c, v_c = tensor.central_indices(5, 5)
+        assert np.array_equal(lf[u_c, v_c], cv)
 
     def test_integer_shift_oracle(self):
         # d = 1: view (u_c + 1, v_c) samples cv at s + 1 (interior columns).

@@ -93,22 +93,6 @@ def test_trailing_bytes_rejected(tmp_path):
         tensor.read_lf5d(path)
 
 
-def test_central_view_slicing():
-    rng = np.random.default_rng(1)
-    l = rng.uniform(size=(9, 9, 3, 4, 2)).astype(np.float32)
-    cv = tensor.slice_central_view(l)
-    assert np.array_equal(cv, l[4, 4])
-
-    one = rng.uniform(size=(1, 1, 3, 4, 2)).astype(np.float32)
-    assert np.array_equal(tensor.slice_central_view(one), one[0, 0])
-
-    const = np.full((3, 3, 2, 2, 2), 0.25, dtype=np.float32)
-    assert np.all(tensor.slice_central_view(const) == 0.25)
-
-    with pytest.raises(ValueError):
-        tensor.slice_central_view(rng.uniform(size=(2, 3, 2, 2, 2)).astype(np.float32))
-
-
 def test_index_linearization_bijection():
     dims = (2, 3, 4, 5, 6)
     t = np.arange(np.prod(dims), dtype=np.float32).reshape(dims)
@@ -128,9 +112,6 @@ def test_index_linearization_bijection():
 def test_cv_disp_wrappers():
     cv = np.zeros((3, 4, 2), dtype=np.float32)
     assert tensor.cv_to_tensor5(cv).shape == (1, 1, 3, 4, 2)
-    assert tensor.tensor5_to_cv(tensor.cv_to_tensor5(cv)).shape == (3, 4, 2)
     d = np.zeros((3, 4), dtype=np.float32)
     assert tensor.disp_to_tensor5(d).shape == (1, 1, 3, 4, 1)
     assert tensor.tensor5_to_disp(tensor.disp_to_tensor5(d)).shape == (3, 4)
-    with pytest.raises(ValueError):
-        tensor.tensor5_to_cv(np.zeros((2, 1, 3, 4, 2), dtype=np.float32))
