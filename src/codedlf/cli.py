@@ -19,6 +19,7 @@ BLAS worker pools through the environment before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -527,7 +528,11 @@ def _cmd_calibrate(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    fills a fresh namespace on each call.  Subcommand `x-y` runs `_cmd_x_y`,
+    which `main` looks up when it is called."""
     p = argparse.ArgumentParser(
         prog="codedlf",
         description="Coded light-field simulation, reconstruction and evaluation.",
@@ -548,13 +553,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise-sigma", type=float, default=0.0)
     sp.add_argument("--out-prefix", required=True)
     sp.add_argument("--png-preview", action="store_true")
-    sp.set_defaults(fn=_cmd_gen_scene)
 
     sp = add_common(sub.add_parser("mask-gen", help="generate a coding mask"))
     sp.add_argument("--dims", required=True, help="S,T,C")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=_cmd_mask_gen)
 
     sp = add_common(sub.add_parser("encode", help="apply a coding mask"))
     sp.add_argument("--in", dest="infile", required=True)
@@ -562,18 +565,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-coded", required=True)
     sp.add_argument("--out-mask", default=None)
-    sp.set_defaults(fn=_cmd_encode)
 
     sp = add_common(sub.add_parser("project", help="sum over the spectral axis"))
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=_cmd_project)
 
     sp = add_common(sub.add_parser("lift", help="re-expand a projected measurement"))
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=_cmd_lift)
 
     sp = add_common(sub.add_parser("reconstruct-dct", help="OWL-QN DCT-basis solve"))
     sp.add_argument("--in", dest="infile", required=True)
@@ -585,7 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
     sp.add_argument("--png-preview", action="store_true")
-    sp.set_defaults(fn=_cmd_reconstruct_dct)
 
     sp = add_common(sub.add_parser("train-dict", help="learn a patch dictionary"))
     sp.add_argument("--scenes", nargs="+", required=True)
@@ -601,7 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
-    sp.set_defaults(fn=_cmd_train_dict)
 
     sp = add_common(sub.add_parser("reconstruct-dict", help="dictionary solve"))
     sp.add_argument("--in", dest="infile", required=True)
@@ -618,7 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="solve report (JSON): iterations that ran, restarts, the largest"
                          " per-group lipschitz_bound and its step, final_objective")
     sp.add_argument("--png-preview", action="store_true")
-    sp.set_defaults(fn=_cmd_reconstruct_dict)
 
     sp = add_common(sub.add_parser("train-toy", help="train the two-head network"))
     # Checked against multitask.STRATEGIES by TrainConfig: importing it here
@@ -639,7 +636,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--normgradsim-step", type=float, default=0.1)
     sp.add_argument("--log", default=None, help="log JSON path (default stdout)")
     sp.add_argument("--out", default=None, help="trained net (LFNN)")
-    sp.set_defaults(fn=_cmd_train_toy)
 
     sp = add_common(sub.add_parser("predict-toy", help="run a trained network"))
     sp.add_argument("--net", required=True)
@@ -647,7 +643,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-cv", required=True)
     sp.add_argument("--out-disp", required=True)
     sp.add_argument("--png-preview", action="store_true")
-    sp.set_defaults(fn=_cmd_predict_toy)
 
     sp = add_common(sub.add_parser("evaluate", help="metric report for predictions"))
     sp.add_argument("--pred", required=True)
@@ -656,7 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--peak", type=float, default=1.0)
     sp.add_argument("--badpix-tau", type=float, default=0.07)
     sp.add_argument("--out", default=None, help="report path (default stdout)")
-    sp.set_defaults(fn=_cmd_evaluate)
 
     sp = add_common(sub.add_parser("calibrate", help="radiometric calibration fit"))
     sp.add_argument("--dark", required=True)
@@ -668,7 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--line-reach", type=int, default=5)
     sp.add_argument("--line-axis", choices=["row", "col"], default="row")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=_cmd_calibrate)
 
     return p
 
@@ -693,7 +686,7 @@ def main(argv=None) -> int:
 
     try:
         _require_out_dirs(*(getattr(args, flag, None) for flag in _OUTPUT_FLAGS))
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     # LinAlgError and NonFiniteWriteError are ValueErrors: match them first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,17 +16,26 @@ import numpy as np
 from .tensor import as_tensor5
 
 # SplitMix64 constants (Steele, Lea & Flood 2014).
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(state: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer applied elementwise to a uint64 array."""
     z = state.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 finalizer of one value in [0, 2**64), in exact Python
+    ints: the same bits as `_splitmix64` without building an array."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
@@ -50,7 +59,7 @@ def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
     n = n_s * n_t
     idx = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+        state = np.uint64(int(seed) & _MASK64) + idx * np.uint64(_GOLDEN)
         draws = _splitmix64(state)
     channels = (draws % np.uint64(n_channels)).astype(np.int64)
     mask = np.zeros((n, n_channels), dtype=np.float32)

@@ -28,10 +28,11 @@ The L-BFGS history keeps its min(memory, max_iters) pairs (s, y) as rows of
 one preallocated float32 array W, a ring with no spare slot.  Everything that
 steers the step stays in float64: the iterate, the gradient, the
 pseudo-gradient, the direction, the line search, the new s and y, the small
-S^T Y and Y^T Y matrices and the curvature test s.y > 1e-12, which reads the
-float64 product, so a rejected pair never touches W.  A kept pair is cast
-into its slot, and one float32 GEMV of W with the new y extends S^T Y and
-Y^T Y.  The direction -H pg comes from the compact representation of Byrd,
+S^T Y and Y^T Y matrices and the curvature test s.y > eps y.y (eps the float64
+machine epsilon), which reads the float64 products, so a rejected pair never
+touches W.  The test is relative: scaling the data, lam and grad_tol together
+keeps the same pairs.  A kept pair is cast into its slot, and one float32 GEMV
+of W with the new y extends S^T Y and Y^T Y.  The direction -H pg comes from the compact representation of Byrd,
 Nocedal & Schnabel (1994): one float32 GEMV W pg, two float64 triangular
 solves of the history's size and one float32 GEMV c^T W, in place of the
 two-loop recursion's four passes per pair.  Halving the bytes of these
@@ -54,6 +55,9 @@ from .tensor import as_tensor5
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_LINESEARCH = 50
+# A pair (s, y) is kept if s.y > CURVATURE_EPS * y.y, a test that does not
+# change when the problem is scaled.
+CURVATURE_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -88,7 +92,7 @@ class SolveReport:
     final_objective: float = float("nan")
     termination: str = "max_iters"
     evaluations: int = 0  # line-search trials that synthesized their point
-    pairs_skipped: int = 0  # accepted steps whose pair failed s.y > 1e-12
+    pairs_skipped: int = 0  # accepted steps whose pair failed s.y > eps y.y
 
 
 def _pseudo_gradient(
@@ -119,7 +123,7 @@ class _LbfgsHistory:
     solver writes.  Rows 2j and 2j + 1 of the C-contiguous float32 array `w`
     hold s and y of slot j, for `slots` slots that fill in order and then
     form a ring: once all are kept, a new pair replaces the oldest one.
-    `push` tests s.y > 1e-12 on the float64 product before anything is
+    `push` tests s.y > eps y.y on the float64 products before anything is
     stored.  `sy[i, j]` is s_i . y_j for slot i written before pair j was
     kept, and `yy` holds y_i . y_j; their diagonals come from the float64
     s and y, the other entries from the float32 rows.
@@ -135,7 +139,7 @@ class _LbfgsHistory:
         self._v32 = np.empty(math.prod(shape), dtype=np.float32)  # GEMV scratch
 
     def push(self) -> bool:
-        """Keep the pair (s, y) if s.y > 1e-12; return whether it was kept.
+        """Keep the pair (s, y) if s.y > eps y.y; return whether it was kept.
 
         A kept pair is cast into the free slot, and one GEMV, (rows of the
         kept pairs) @ y_new, gives the new column of S^T Y and the new row
@@ -143,7 +147,8 @@ class _LbfgsHistory:
         """
         s, y = self.s.reshape(-1), self.y.reshape(-1)
         sy = float(np.vdot(s, y))
-        if not sy > 1e-12:
+        yy = float(np.vdot(y, y))
+        if not sy > CURVATURE_EPS * yy:
             return False
         j = self.pairs.pop(0) if len(self.pairs) == len(self.sy) else len(self.pairs)
         self.pairs.append(j)
@@ -154,7 +159,7 @@ class _LbfgsHistory:
         self.sy[:k, j] = v[0::2]
         self.yy[:k, j] = self.yy[j, :k] = v[1::2]
         self.sy[j, j] = sy
-        self.yy[j, j] = float(np.vdot(y, y))
+        self.yy[j, j] = yy
         return True
 
     def direction(self, out: np.ndarray, pg_max: float) -> np.ndarray:

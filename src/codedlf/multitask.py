@@ -344,14 +344,12 @@ def _static_weights(strategy: str) -> np.ndarray:
 
 
 def _derive_seed(*parts: int) -> int:
-    # Fold parts into one 64-bit seed with SplitMix-style mixing.
-    acc = np.uint64(0x9E3779B97F4A7C15)
-    with np.errstate(over="ignore"):
-        for p in parts:
-            acc = coding._splitmix64(
-                np.array([acc + np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-            )[0]
-    return int(acc)
+    # Fold parts into one 64-bit seed with SplitMix-style mixing; every sum
+    # wraps modulo 2**64, so a negative part counts as its two's complement.
+    acc = coding._GOLDEN
+    for p in parts:
+        acc = coding._mix64((acc + int(p)) & coding._MASK64)
+    return acc
 
 
 def _uses_aux(strategy: str) -> bool:

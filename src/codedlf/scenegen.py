@@ -147,7 +147,8 @@ def make_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bilinear_sample(cv: np.ndarray, ss: np.ndarray, tt: np.ndarray) -> np.ndarray:
-    """Sample cv (S, T, C) at float positions (ss, tt) with edge clamping."""
+    """Sample cv (S, T, C) at float positions (ss, tt), which broadcast
+    together, with edge clamping."""
     n_s, n_t = cv.shape[:2]
     ss = np.clip(ss, 0.0, n_s - 1)
     tt = np.clip(tt, 0.0, n_t - 1)
@@ -188,14 +189,12 @@ def render_lightfield(
     base_t = np.arange(n_t, dtype=np.float64)[None, :]
     out = np.empty((n_u, n_v, n_s, n_t, n_c), dtype=np.float32)
     cv64 = cv.astype(np.float64)
+    # One sampling call per u row of views: the float64 temporaries span one
+    # row, not the whole U x V stack.
+    tt = base_t + (np.arange(n_v) - v_c)[:, None, None] * disp
     for u in range(n_u):
-        for v in range(n_v):
-            if u == u_c and v == v_c:
-                out[u, v] = cv
-                continue
-            ss = base_s + (u - u_c) * disp
-            tt = base_t + (v - v_c) * disp
-            out[u, v] = _bilinear_sample(cv64, ss, tt).astype(np.float32)
+        out[u] = _bilinear_sample(cv64, base_s + (u - u_c) * disp, tt)
+    out[u_c, v_c] = cv
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codedlf import autodiff as ad
-from codedlf import calib, coding, cs_dict, transforms
+from codedlf import calib, coding, cs_dict, scenegen, transforms
 from codedlf import losses_metrics as lm
 from codedlf import multitask as mt
 from codedlf.tensor import as_tensor5
@@ -809,3 +809,52 @@ def calib_oracles():
     """(entry_statistics, alternating_fit): the per-exposure statistics pass
     and the einsum fit (test oracles).  The oracle fit applies no gauge."""
     return _ref_entry_statistics, _ref_alternating_fit
+
+
+# ---------------------------------------------------------------------------
+# Seed mixing and rendering as they were before: SplitMix64 on one-element
+# uint64 arrays, one part at a time, and one bilinear sampling call per view.
+# Test oracles for multitask._derive_seed and scenegen.render_lightfield.
+
+
+def _ref_derive_seed(*parts: int) -> int:
+    acc = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        for p in parts:
+            acc = coding._splitmix64(
+                np.array([acc + np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+            )[0]
+    return int(acc)
+
+
+@pytest.fixture
+def seed_oracle():
+    """seed_oracle(*parts) -> the 64-bit seed by numpy uint64 mixing (test oracle)."""
+    return _ref_derive_seed
+
+
+def _ref_render_lightfield(cv, disp, n_u, n_v):
+    cv = np.asarray(cv, dtype=np.float32)
+    disp = np.asarray(disp, dtype=np.float64)
+    n_s, n_t, n_c = cv.shape
+    u_c, v_c = n_u // 2, n_v // 2
+    base_s = np.arange(n_s, dtype=np.float64)[:, None]
+    base_t = np.arange(n_t, dtype=np.float64)[None, :]
+    out = np.empty((n_u, n_v, n_s, n_t, n_c), dtype=np.float32)
+    cv64 = cv.astype(np.float64)
+    for u in range(n_u):
+        for v in range(n_v):
+            if u == u_c and v == v_c:
+                out[u, v] = cv
+                continue
+            ss = base_s + (u - u_c) * disp
+            tt = base_t + (v - v_c) * disp
+            out[u, v] = scenegen._bilinear_sample(cv64, ss, tt).astype(np.float32)
+    return out
+
+
+@pytest.fixture
+def render_oracle():
+    """render_oracle(cv, disp, n_u, n_v) -> the light field, one view at a
+    time (test oracle)."""
+    return _ref_render_lightfield

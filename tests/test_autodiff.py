@@ -207,6 +207,20 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             ad.sgd_step([p], [np.zeros(4)], lr=0.1)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_bit_equal_to_the_decay_formula(self, weight_decay):
+        # At decay 0 the step leaves out the decay term; signed zeros in p
+        # and g cover the one place where g + 0 * p and g differ.
+        rng = np.random.default_rng(8)
+        params = [rng.normal(size=(6, 5)), rng.normal(size=7)]
+        grads = [rng.normal(size=(6, 5)), rng.normal(size=7)]
+        params[1][:4] = [0.0, -0.0, 0.0, -0.0]
+        grads[1][:4] = [-0.0, -0.0, 0.0, 0.0]
+        want = [p - 0.3 * (g + weight_decay * p) for p, g in zip(params, grads)]
+        ad.sgd_step(params, grads, lr=0.3, weight_decay=weight_decay)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.view(np.uint64), w.view(np.uint64))
+
 
 def test_losses_wired_through_autodiff_match_fd():
     # Each training loss through batched_loss on a batch of one: the seed

@@ -586,6 +586,51 @@ def test_exit_code_by_exception_kind(tmp_path, monkeypatch, capsys, exc, code, p
     assert ("Traceback (most recent call last)" in err) == (code == 3)
 
 
+def test_parser_is_built_once_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    for i in range(4):
+        assert run(["mask-gen", "--dims", "4,4,3", "--out", str(tmp_path / f"m{i}.lf5d")]) == 0
+    assert run(["mask-gen", "--dims", "4,4"]) == 1
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parsed_options_do_not_leak_into_the_next_call(tmp_path, monkeypatch):
+    # Each call's namespace is the one a freshly built parser gives.
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_mask_gen", seen.append)
+    monkeypatch.setattr(cli, "_cmd_reconstruct_dct", seen.append)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # --threads sets them; undone at the end
+    calls = [
+        ["--threads", "2", "reconstruct-dct", "--in", "a", "--mask", "b", "--lambda", "0.1",
+         "--memory", "3", "--out", str(tmp_path / "r.lf5d"), "--report", str(tmp_path / "r.json")],
+        ["mask-gen", "--dims", "4,4,3", "--seed", "5", "--out", str(tmp_path / "m.lf5d")],
+        ["mask-gen", "--dims", "4,4,3", "--out", str(tmp_path / "m.lf5d")],
+        ["reconstruct-dct", "--in", "a", "--mask", "b", "--lambda", "0.1",
+         "--out", str(tmp_path / "r.lf5d")],
+    ]
+    for argv in calls:
+        assert run(argv) is None  # the stand-in handler's return
+    fresh = [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+    assert [vars(args) for args in seen] == fresh
+    assert seen[2].seed == 0 and seen[3].threads is None and seen[3].report is None
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["reconstruct-dct", "--help"]])
+def test_help_is_unchanged_by_the_cached_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for _ in range(2):
+        assert run(argv) == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)
+    texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: codedlf")
+    assert texts[0] == texts[1] == texts[2]
+
+
 @pytest.mark.parametrize("command", ["reconstruct-dct", "reconstruct-dict"])
 def test_linalg_error_in_a_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys, scene,
                                                         command):

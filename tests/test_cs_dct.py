@@ -5,6 +5,8 @@ frequency-decaying amplitudes (a compressible, light-field-like spectrum);
 the recovery bound was frozen from long-run solves over several seeds.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def reference_owlqn(l_star_p, m, opts, dct5):
             break
         _, g_new = smooth_grad(x_new)
         s, y = x_new - x, g_new - g
-        if float(np.vdot(s, y)) > 1e-12:
+        if keeps_pair(s, y):
             history.append((s, y))
             if len(history) > opts.memory:
                 history.pop(0)
@@ -372,6 +374,11 @@ def push_pair(hist, s, y):
     return hist.push()
 
 
+def keeps_pair(s, y):
+    """The curvature test in float64: s.y > eps y.y."""
+    return float(np.vdot(s, y)) > np.finfo(float).eps * float(np.vdot(y, y))
+
+
 # The direction from float32 pairs against the float64 two-loop recursion,
 # relative to the largest entry.  float32 inner products of these lengths
 # round to about 1e-7 relative (Higham 2002, ch. 3); the worst error seen
@@ -382,7 +389,7 @@ DIRECTION_RTOL = 1e-5
 @pytest.mark.parametrize("memory", [1, 3, 10])
 def test_compact_direction_equals_two_loop(memory, two_loop):
     # Random histories through more than two wraps of the ring, with
-    # pairs that fail s.y > 1e-12 in between; after every push the compact
+    # pairs that fail s.y > eps y.y in between; after every push the compact
     # direction must equal minus the two-loop's H pg of the kept pairs.
     rng = np.random.default_rng(memory)
     shape = (2, 3, 4, 5, 2)
@@ -397,10 +404,10 @@ def test_compact_direction_equals_two_loop(memory, two_loop):
         else:
             # A positive-definite curvature plus noise, so s.y > 0.
             y = s * rng.uniform(0.5, 4.0, size=shape) + 0.1 * rng.normal(size=shape)
-        sy = float(np.vdot(s, y))
-        assert push_pair(hist, s, y) == (sy > 1e-12)
-        if sy > 1e-12:
-            kept.append((s, y, sy))
+        kept_now = keeps_pair(s, y)
+        assert push_pair(hist, s, y) == kept_now
+        if kept_now:
+            kept.append((s, y, float(np.vdot(s, y))))
             kept = kept[-memory:]
         assert len(hist.pairs) == len(kept)
         pg = rng.normal(size=shape)
@@ -453,18 +460,24 @@ def test_history_ring(monkeypatch):
     assert np.array_equal(hist.yy, before[2])
     assert hist.pairs == before[3]
 
-    # Pairs with s.y within a float32 rounding of the threshold: the keep
-    # decision is the float64 one, also where the float32 rows would decide
-    # the other way.
-    flips = 0
+    # Pairs with s.y within a float32 rounding of eps y.y: the keep decision
+    # is the float64 one, also where the float32 rows would decide the other
+    # way.  s and r have disjoint supports, so y = a s + r has s.y = a s.s
+    # and y.y = a^2 s.s + r.r, and a sweeps s.y / y.y across eps.
+    eps = np.finfo(float).eps
+    half = np.arange(math.prod(shape)).reshape(shape) % 2 == 0
+    flips, kept = 0, 0
     for k in range(-40, 41):
-        s = rng.uniform(0.5e-6, 1.5e-6, size=shape)
-        y = s * (1e-12 * (1 + k * 1e-8) / float(np.vdot(s, s)))
-        sy = float(np.vdot(s, y))
-        sy32 = float(np.vdot(s.astype(np.float32), y.astype(np.float32)))
-        flips += (sy32 > 1e-12) != (sy > 1e-12)
-        assert push_pair(hist, s, y) == (sy > 1e-12)
-    assert flips > 0
+        s = np.where(half, rng.uniform(0.5, 1.5, size=shape), 0.0)
+        r = np.where(half, 0.0, rng.uniform(0.5, 1.5, size=shape))
+        a = eps * (1 + k * 1e-8) * float(np.vdot(r, r)) / float(np.vdot(s, s))
+        y = a * s + r
+        s32, y32 = s.astype(np.float32), y.astype(np.float32)
+        flips += (np.vdot(s32, y32) > eps * np.vdot(y32, y32)) != keeps_pair(s, y)
+        kept_now = push_pair(hist, s, y)
+        assert kept_now == keeps_pair(s, y)
+        kept += kept_now
+    assert flips > 0 and 0 < kept < 81
 
 
 def test_huge_lam_keeps_the_float32_history_finite():
@@ -516,6 +529,35 @@ def test_evaluations_count_line_search_syntheses(monkeypatch):
         _, rep = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(**kwargs))
         assert rep.evaluations == len(calls) - 1 >= rep.iterations
         assert 0 <= rep.pairs_skipped <= rep.iterations
-        if case == "line-search-failed":
-            # Steps at the rounding floor are too short for s.y > 1e-12.
-            assert rep.pairs_skipped > 0
+
+
+def test_pairs_skipped_counts_the_rejected_pairs(monkeypatch):
+    # The convex solves here keep every pair under s.y > eps y.y, so a
+    # history that refuses every third pair stands in for rejections.
+    pushes = []
+
+    class Refusing(cs_dct._LbfgsHistory):
+        def push(self):
+            kept = len(pushes) % 3 != 2 and super().push()
+            pushes.append(kept)
+            return kept
+
+    monkeypatch.setattr(cs_dct, "_LbfgsHistory", Refusing)
+    make_problem, kwargs = ORACLE_CASES["memory-1"]
+    _, rep = cs_dct.owlqn_reconstruct(*make_problem(), cs_dct.OwlqnOptions(**kwargs))
+    assert len(pushes) == rep.iterations
+    assert rep.pairs_skipped == pushes.count(False) > 0
+
+
+def test_curvature_test_is_scale_free():
+    # Data, lam and grad_tol scaled by 1e-5 scale the objective by 1e-10.  An
+    # absolute test s.y > 1e-12 rejected all 60 pairs of the scaled solve,
+    # which ended at 0.00592 (over scale^2) against 0.00402 at scale 1.
+    lp, m = sparse_case((2, 2, 8, 8, 3), 5)
+    finals = {}
+    for scale in (1.0, 1e-5):
+        opts = cs_dct.OwlqnOptions(lam=1e-3 * scale, max_iters=60, grad_tol=1e-8 * scale)
+        _, rep = cs_dct.owlqn_reconstruct(lp * np.float32(scale), m, opts)
+        assert rep.iterations == 60 and rep.pairs_skipped == 0
+        finals[scale] = rep.final_objective / scale**2
+    assert finals[1e-5] == pytest.approx(finals[1.0], rel=0.01)

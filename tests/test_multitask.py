@@ -310,3 +310,16 @@ def test_train_without_momentum_matches_per_loss_oracle(toy_dataset, per_loss_tr
     # Without momentum the SGD step reads the gradient vector itself.
     cfg = mt.TrainConfig(strategy="mtu+al", epochs=2, batch_size=8, lr=0.05, seed=6)
     _assert_train_matches_oracle(toy_dataset[:30], per_loss_training, cfg)
+
+
+def test_derive_seed_matches_numpy_oracle(seed_oracle):
+    # Zero, negative and over-wide parts wrap modulo 2**64 the same way; the
+    # training tuples are the benchmark's (seed, 2, epoch, sample).
+    cases = [(), (0,), (0, 0), (-1,), (5, -7, 3), (2**64 + 5,), (2**64 + 5, -(2**63)),
+             (1, 0xD5), (4243, 1, 47)]
+    cases += [(seed, 2, epoch, i) for seed in (0, 1, 4243) for epoch in range(5)
+              for i in range(0, 200, 7)]
+    for parts in cases:
+        got = mt._derive_seed(*parts)
+        assert type(got) is int and 0 <= got < 2**64
+        assert got == seed_oracle(*parts), parts

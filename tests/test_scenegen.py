@@ -1,6 +1,7 @@
 """Scene generation and light-field rendering tests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,35 @@ class TestRender:
         rhs = lf[u, 2, 5:9]
         err = np.abs(lhs.astype(np.float64) - rhs.astype(np.float64)).max()
         assert err <= 1e-5
+
+    @pytest.mark.parametrize("n_u, n_v", [(1, 1), (1, 5), (3, 3), (5, 5), (7, 3)])
+    def test_matches_per_view_oracle(self, render_oracle, n_u, n_v):
+        # Disparities up to 2 px times angular offsets up to 3 reach 6 px past
+        # the view edges, so many samples clamp.
+        rng = np.random.default_rng(10 * n_u + n_v)
+        cv = rng.uniform(size=(10, 12, 3)).astype(np.float32)
+        for disp in (
+            rng.uniform(-2.0, 2.0, size=(10, 12)),
+            np.full((10, 12), scenegen.MAX_ABS_DISPARITY, dtype=np.float32),
+            np.full((10, 12), -scenegen.MAX_ABS_DISPARITY),
+        ):
+            got = scenegen.render_lightfield(cv, disp, n_u, n_v)
+            want = render_oracle(cv, disp, n_u, n_v)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_peak_memory_stays_below_two_and_a_half_outputs(self):
+        # One u row of views is sampled at a time, so its float64
+        # temporaries span one row, not the whole 9 x 9 stack.
+        rng = np.random.default_rng(3)
+        cv = rng.uniform(size=(64, 64, 8)).astype(np.float32)
+        disp = rng.uniform(-2.0, 2.0, size=(64, 64))
+        tracemalloc.start()
+        try:
+            lf = scenegen.render_lightfield(cv, disp, 9, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * lf.nbytes
 
     def test_even_angular_rejected(self):
         cv = np.zeros((4, 4, 2), dtype=np.float32)
