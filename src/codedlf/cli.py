@@ -342,8 +342,14 @@ def _cmd_reconstruct_dict(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     from . import autodiff, multitask
+    from .losses_metrics import SSIM_WINDOW
 
     dims = _parse_ints("--dims", args.dims, "U,V,S,T,C")
+    if multitask._uses_aux(args.strategy) and min(dims[2:4]) < SSIM_WINDOW:
+        raise ValueError(
+            f"--dims S,T must be at least the SSIM window {SSIM_WINDOW} for "
+            f"--strategy {args.strategy}, got {dims[2]},{dims[3]}"
+        )
     config = multitask.TrainConfig(
         strategy=args.strategy,
         epochs=args.epochs,

@@ -50,21 +50,25 @@ def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
     here (rather than delegated to a library) so that masks are
     reproducible from the seed alone, independent of platform or numpy
     version.  The modulo reduction's bias is below 2**-60 for any C that
-    fits in memory.
+    fits in memory.  This is the one-seed case of `random_masks`.
     """
+    return random_masks(n_s, n_t, n_channels, (seed,))[0]
+
+
+def random_masks(n_s: int, n_t: int, n_channels: int, seeds) -> np.ndarray:
+    """Draw one `random_mask` per seed, stacked to (B, S, T, C), from one
+    vectorized SplitMix64 pass over all B sequences."""
     if n_s < 1 or n_t < 1 or n_channels < 1:
         raise ValueError(
             f"mask dims must be positive, got ({n_s}, {n_t}, {n_channels})"
         )
-    n = n_s * n_t
-    idx = np.arange(1, n + 1, dtype=np.uint64)
+    starts = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    idx = np.arange(1, n_s * n_t + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(int(seed) & _MASK64) + idx * np.uint64(_GOLDEN)
-        draws = _splitmix64(state)
-    channels = (draws % np.uint64(n_channels)).astype(np.int64)
-    mask = np.zeros((n, n_channels), dtype=np.float32)
-    mask[np.arange(n), channels] = 1.0
-    return mask.reshape(n_s, n_t, n_channels)
+        draws = _splitmix64(starts[:, None] + idx * np.uint64(_GOLDEN))
+    channels = draws % np.uint64(n_channels)
+    masks = channels[:, :, None] == np.arange(n_channels, dtype=np.uint64)
+    return masks.astype(np.float32).reshape(len(starts), n_s, n_t, n_channels)
 
 
 def is_one_hot(m: np.ndarray) -> bool:
@@ -94,7 +98,20 @@ def encode(l: np.ndarray, m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"spatial/spectral dims {l.shape[2:]} do not match mask {m.shape}"
         )
-    return np.where(m.astype(bool)[None, None], l, np.float32(0.0))
+    return encode_batch(l[None], m[None])[0]
+
+
+def encode_batch(lfs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Code a batch: out[b] = encode(lfs[b], masks[b]) for light fields
+    (B, U, V, S, T, C) and masks (B, S, T, C), in one pass.
+
+    Nothing is re-checked: the caller vouches that the fields are finite
+    float32 and the masks one-hot, as for a checked data set and masks
+    from `random_masks`.
+    """
+    if lfs.shape[:1] + lfs.shape[3:] != masks.shape:
+        raise ValueError(f"light fields {lfs.shape} do not match masks {masks.shape}")
+    return np.where(masks.astype(bool)[:, None, None], lfs, np.float32(0.0))
 
 
 def project(l_star: np.ndarray) -> np.ndarray:

@@ -96,23 +96,30 @@ class SolveReport:
 
 
 def _pseudo_gradient(
-    x: np.ndarray, g: np.ndarray, lam: float, out: np.ndarray
+    x: np.ndarray,
+    g: np.ndarray,
+    lam: float,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    flags: np.ndarray,
 ) -> np.ndarray:
     """Write the pseudo-gradient of f(x) + lam*||x||_1 into `out`.
 
-    It is zero inside the subdifferential.  At x == 0 it is g + lam where
-    that is negative, g - lam where that is positive and 0 otherwise; with
-    lam >= 0 that is min(g + lam, 0) + max(g - lam, 0).
+    It is zero inside the subdifferential.  Away from zero it is
+    g + lam sign(x); at x == 0 it is g + lam where that is negative,
+    g - lam where that is positive and 0 otherwise, that is g - clip(g,
+    -lam, lam).  Both read as g + lam sign(x) - (x == 0) clip(g, -lam, lam).
+    `scratch` (float64) and `flags` (bool) are work arrays of x's shape.
     """
     if lam == 0.0:
         np.copyto(out, g)
         return out
-    right = g + lam
-    left = g - lam
-    np.minimum(right, 0.0, out=out)
-    out += np.maximum(left, 0.0)
-    np.copyto(out, right, where=x > 0)
-    np.copyto(out, left, where=x < 0)
+    np.sign(x, out=out)
+    out *= lam
+    out += g
+    np.clip(g, -lam, lam, out=scratch)
+    scratch *= np.equal(x, 0.0, out=flags)
+    out -= scratch
     return out
 
 
@@ -238,8 +245,8 @@ def owlqn_reconstruct(
     flags = np.empty(x.shape, dtype=bool)
 
     for it in range(opts.max_iters):
-        _pseudo_gradient(x, g, lam, pg)
-        # x_new is free until the line search and serves as scratch.
+        # xi and x_new are free until the line search and serve as scratch.
+        _pseudo_gradient(x, g, lam, pg, xi, flags)
         pg_max = float(np.abs(pg, out=x_new).max())
         if pg_max <= tol:
             report.termination = "converged"
@@ -253,11 +260,24 @@ def owlqn_reconstruct(
         d *= np.less(np.multiply(d, pg, out=x_new), 0.0, out=flags)
         if float(np.vdot(pg, d)) >= 0:
             np.negative(pg, out=d)
-        # Orthant of the step: sign(x), or sign(-pg) where x == 0.
-        np.multiply(pg, np.equal(x, 0.0, out=flags), out=xi)
-        np.sign(np.subtract(x, xi, out=xi), out=xi)
+        # Orthant of the step: sign(x), or sign(-pg) where x == 0, taken as
+        # sign(x) - (x == 0) sign(pg), which has the bits of
+        # sign(x - (x == 0) pg), signed zeros included.  Neither sign is
+        # taken in place: numpy's np.sign is several times slower in place.
+        np.sign(pg, out=xi)
+        xi *= np.equal(x, 0.0, out=flags)
+        np.subtract(np.sign(x, out=x_new), xi, out=xi)
 
-        step = 1.0 if hist.pairs else 1.0 / max(float(np.linalg.norm(pg)), 1e-30)
+        if hist.pairs:
+            step = 1.0
+        else:
+            # A unit first step; past float64's range the norm is taken
+            # scaled by pg_max.
+            with np.errstate(over="ignore"):
+                pg_norm = float(np.linalg.norm(pg))
+            if not math.isfinite(pg_norm):
+                pg_norm = pg_max * float(np.linalg.norm(np.divide(pg, pg_max, out=x_new)))
+            step = 1.0 / max(pg_norm, 1e-30)
         s = hist.s
         accepted = False
         for _ in range(MAX_LINESEARCH):

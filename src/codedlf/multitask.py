@@ -27,6 +27,14 @@ All similarity and norm computations use the shared-trunk gradient.  The
 alpha, beta and task weights are treated as constants in the network
 update itself.
 
+A batch draws its B coding masks in one `coding.random_masks` pass and is
+coded with one `coding.encode_batch`.  The validation masks are fixed, so
+`train` codes the validation split once per call, and each epoch scores it
+with one batched forward.  That forward rounds differently from one sample
+at a time, so the validation losses match the per-sample path to 1e-12
+relative, a bound a test enforces; the training batches and the trained
+net are bit-identical to it.
+
 Each batch takes one forward pass.  Every active loss then gets its value
 and head-output gradient (its seed) from one batched call through
 `autodiff.batched_loss`.  The similarity and norm tests need only inner
@@ -380,23 +388,23 @@ class EpochLog:
         }
 
 
+def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The light fields, central views and disparities of a split, stacked."""
+    return tuple(
+        np.stack([getattr(s, name) for s in samples]) for name in ("lightfield", "cv", "disp")
+    )
+
+
 def validate(
-    net: ad.ToyNet, val: list[Sample], base_seed: int
+    net: ad.ToyNet, coded: np.ndarray, cv: np.ndarray, disp: np.ndarray
 ) -> tuple[float, float]:
-    """Mean Huber validation losses under fixed per-sample masks."""
-    n_s, n_t, n_c = net.dims[2], net.dims[3], net.dims[4]
-    cv_losses, disp_losses = [], []
-    for i, sample in enumerate(val):
-        m = coding.random_mask(n_s, n_t, n_c, _derive_seed(base_seed, 1, i))
-        coded = coding.encode(sample.lightfield, m)
-        cv_hat, disp_hat = ad.forward(net, coded)
-        cv_losses.append(
-            losses_metrics.huber(cv_hat, sample.cv, with_grad=False).value
-        )
-        disp_losses.append(
-            losses_metrics.huber(disp_hat, sample.disp, with_grad=False).value
-        )
-    return float(np.mean(cv_losses)), float(np.mean(disp_losses))
+    """Mean Huber validation losses of a coded split (B, U, V, S, T, C)
+    against its central views and disparities, from one batched forward."""
+    cv_hat, disp_hat, _ = net.forward_batch(coded)
+    return (
+        losses_metrics.huber(cv_hat, cv, with_grad=False, batched=True).value,
+        losses_metrics.huber(disp_hat, disp, with_grad=False, batched=True).value,
+    )
 
 
 def train(
@@ -404,11 +412,13 @@ def train(
 ) -> tuple[ad.ToyNet, list[EpochLog]]:
     """Train the two-head net with the chosen weighting strategy.
 
-    Fresh coding masks are drawn per sample and epoch during training;
-    validation always uses the fixed evaluation masks.  Returns the net and one
-    log entry per epoch with validation losses and the current weights.
-    Deterministic in (dataset, config, net seed).  A non-finite validation loss
-    raises FloatingPointError.
+    Fresh coding masks are drawn per sample and epoch during training, one
+    `coding.random_masks` call and one `coding.encode_batch` per batch;
+    validation always uses the fixed evaluation masks, so the split is coded
+    once per call.  Returns the net and one log entry per epoch with
+    validation losses and the current weights.  Deterministic in (dataset,
+    config, net seed).  A non-finite validation loss raises
+    FloatingPointError.
     """
     n_val = max(1, int(round(len(dataset) * VAL_FRACTION)))
     train_set = dataset[:-n_val]
@@ -417,6 +427,14 @@ def train(
         raise ValueError("dataset too small for the validation split")
 
     n_s, n_t, n_c = net.dims[2], net.dims[3], net.dims[4]
+    # The validation masks depend on (seed, 1, i) alone: code the split once
+    # and keep only the coded copy.
+    val_lf, val_cv, val_disp = _stack(val_set)
+    val_coded = coding.encode_batch(
+        val_lf,
+        coding.random_masks(n_s, n_t, n_c, [_derive_seed(config.seed, 1, i) for i in range(n_val)]),
+    )
+    del val_lf
     strategy = config.strategy
     active = _active_tasks(strategy)
     use_aux = _uses_aux(strategy)
@@ -441,23 +459,14 @@ def train(
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
             idxs = order[start : start + config.batch_size]
-            coded = np.stack(
-                [
-                    coding.encode(
-                        train_set[i].lightfield,
-                        coding.random_mask(
-                            n_s, n_t, n_c, _derive_seed(config.seed, 2, epoch, int(i))
-                        ),
-                    )
-                    for i in idxs
-                ]
-            ).astype(np.float64)
+            masks = coding.random_masks(
+                n_s, n_t, n_c, [_derive_seed(config.seed, 2, epoch, int(i)) for i in idxs]
+            )
+            lightfields, cv, disp = _stack([train_set[i] for i in idxs])
+            coded = coding.encode_batch(lightfields, masks).astype(np.float64)
             cv_pred, disp_pred, acts = net.forward_batch(coded)
             pred = {"cv": cv_pred, "disp": disp_pred}
-            truth = {
-                "cv": np.stack([train_set[i].cv for i in idxs]),
-                "disp": np.stack([train_set[i].disp for i in idxs]),
-            }
+            truth = {"cv": cv, "disp": disp}
 
             # Per-loss values and seeds (main, then auxiliaries) of each
             # active task, one batched loss call each.
@@ -540,7 +549,7 @@ def train(
                 velocity += total
             ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
 
-        loss_cv, loss_disp = validate(net, val_set, config.seed)
+        loss_cv, loss_disp = validate(net, val_coded, val_cv, val_disp)
         if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):
             raise FloatingPointError(f"validation losses {loss_cv}, {loss_disp} at epoch {epoch}")
         # gradsim has no persistent gates; log its last per-batch weights

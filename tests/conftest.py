@@ -382,7 +382,9 @@ def graph_gradients():
 # backward pass per loss into that loss's flat gradient vector, the vector
 # forms of gradsim_weights and normgradsim_update on those vectors, and the
 # update summed loss by loss onto +0.0 over the trunk and the loss's own
-# head.  Test oracle for multitask.train.
+# head.  Each sample draws and codes its own mask, and validation codes and
+# forwards one sample at a time.  Test oracles for multitask.train and
+# multitask.validate.
 
 
 def _accumulate(total, grad, spans, scale, products):
@@ -497,7 +499,7 @@ def _ref_train(net, dataset, config):
                 velocity *= config.momentum
                 velocity += total
             ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
-        loss_cv, loss_disp = mt.validate(net, val_set, config.seed)
+        loss_cv, loss_disp = _ref_validate(net, val_set, config.seed)
         alphas_now = aux_coeffs if strategy == "gradsim" else aw.alpha
         logs.append(mt.EpochLog(
             epoch=epoch,
@@ -508,6 +510,26 @@ def _ref_train(net, dataset, config):
             task_weights=[float(x) for x in task_coeffs],
         ))
     return net, logs
+
+
+def _ref_validate(net, val, base_seed):
+    """Mean Huber validation losses, one sample at a time under its fixed
+    mask (test oracle for multitask.validate)."""
+    n_s, n_t, n_c = net.dims[2:]
+    cv_losses, disp_losses = [], []
+    for i, sample in enumerate(val):
+        m = coding.random_mask(n_s, n_t, n_c, mt._derive_seed(base_seed, 1, i))
+        cv_hat, disp_hat = ad.forward(net, coding.encode(sample.lightfield, m))
+        cv_losses.append(lm.huber(cv_hat, sample.cv, with_grad=False).value)
+        disp_losses.append(lm.huber(disp_hat, sample.disp, with_grad=False).value)
+    return float(np.mean(cv_losses)), float(np.mean(disp_losses))
+
+
+@pytest.fixture
+def validate_oracle():
+    """validate_oracle(net, val_samples, base_seed) -> (loss_cv, loss_disp),
+    each sample coded and forwarded on its own (test oracle)."""
+    return _ref_validate
 
 
 @pytest.fixture
@@ -812,9 +834,11 @@ def calib_oracles():
 
 
 # ---------------------------------------------------------------------------
-# Seed mixing and rendering as they were before: SplitMix64 on one-element
-# uint64 arrays, one part at a time, and one bilinear sampling call per view.
-# Test oracles for multitask._derive_seed and scenegen.render_lightfield.
+# Seed mixing, mask drawing and rendering as they were before: SplitMix64 on
+# one-element uint64 arrays, one part at a time; one mask per seed, set by
+# fancy indexing; and one bilinear sampling call per view.  Test oracles for
+# multitask._derive_seed, coding.random_masks and scenegen.render_lightfield,
+# with a per-sample coding by boolean indexing for coding.encode_batch.
 
 
 def _ref_derive_seed(*parts: int) -> int:
@@ -831,6 +855,39 @@ def _ref_derive_seed(*parts: int) -> int:
 def seed_oracle():
     """seed_oracle(*parts) -> the 64-bit seed by numpy uint64 mixing (test oracle)."""
     return _ref_derive_seed
+
+
+def _ref_random_mask(n_s, n_t, n_channels, seed):
+    n = n_s * n_t
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(0x9E3779B97F4A7C15)
+        draws = coding._splitmix64(state)
+    channels = (draws % np.uint64(n_channels)).astype(np.int64)
+    mask = np.zeros((n, n_channels), dtype=np.float32)
+    mask[np.arange(n), channels] = 1.0
+    return mask.reshape(n_s, n_t, n_channels)
+
+
+def _ref_encode(l, m):
+    out = np.zeros_like(l)
+    selected = m.astype(bool)
+    out[:, :, selected] = l[:, :, selected]
+    return out
+
+
+@pytest.fixture
+def encode_oracle():
+    """encode_oracle(l, m) -> one coded light field, the selected entries
+    copied by boolean indexing onto +0 (test oracle)."""
+    return _ref_encode
+
+
+@pytest.fixture
+def mask_oracle():
+    """mask_oracle(n_s, n_t, n_channels, seed) -> one (S, T, C) one-hot mask,
+    drawn on its own (test oracle)."""
+    return _ref_random_mask
 
 
 def _ref_render_lightfield(cv, disp, n_u, n_v):

@@ -63,15 +63,15 @@ def test_training_under_tracer_records_autodiff_spans(tracing):
     names = [span["name"] for span in tracer.spans]
     # 8 training samples in batches of 4; per batch one forward, six losses
     # (two main, four auxiliary), each one batched call, and one backward
-    # pass of the combined seeds.  Validation forwards each of the 2
-    # held-out samples once and takes their two Huber losses one sample at
-    # a time.
-    n_batches, n_val = 2, 2
-    assert names.count("autodiff.forward_batch") == n_batches + n_val
+    # pass of the combined seeds.  Validation forwards the 2 held-out
+    # samples in one batch and takes their two batched Huber losses.
+    n_batches = 2
+    assert names.count("multitask.validate") == 1
+    assert names.count("autodiff.forward_batch") == n_batches + 1
     assert names.count("autodiff.batched_loss") == 6 * n_batches
     assert names.count("autodiff.collect_gradients") == n_batches
     assert names.count("autodiff.sgd_step") == n_batches
-    assert names.count("losses_metrics.huber") == 2 * n_batches + 2 * n_val
+    assert names.count("losses_metrics.huber") == 2 * n_batches + 2
     for loss in ("ssim_loss", "spectral_cos_loss", "tv_smoothness", "normal_similarity"):
         assert names.count(f"losses_metrics.{loss}") == n_batches, loss
     layers = tracer.per_layer(n_ops=1, n_setups=1)

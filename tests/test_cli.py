@@ -567,6 +567,38 @@ def test_train_toy_rejects_bad_knobs(tmp_path, monkeypatch, capsys, flag, value,
     assert not log.exists() and not net.exists()
 
 
+@pytest.mark.parametrize("strategy", ["gradsim", "normgradsim", "mtu+al"])
+@pytest.mark.parametrize("dims", ["3,3,6,6,5", "3,3,8,6,5", "3,3,6,8,5"])
+def test_train_toy_rejects_dims_below_the_ssim_window(tmp_path, monkeypatch, capsys,
+                                                      strategy, dims):
+    # The SSIM auxiliary loss needs S, T >= its window; the run used to fail
+    # only after the whole data set was rendered.
+    from codedlf import multitask
+
+    def no_dataset(*args):
+        raise AssertionError("the data set was rendered")
+
+    monkeypatch.setattr(multitask, "make_toy_dataset", no_dataset)
+    log = tmp_path / "log.json"
+    capsys.readouterr()
+    assert run(["train-toy", "--strategy", strategy, "--dims", dims, "--scenes", "10",
+                "--log", str(log)]) == 1
+    err = capsys.readouterr().err
+    assert "--dims" in err and "SSIM window 7" in err
+    assert not log.exists()
+
+
+def test_train_toy_naive_trains_below_the_ssim_window(tmp_path):
+    log = tmp_path / "log.json"
+    net = tmp_path / "net.lfnn"
+    assert run(["train-toy", "--strategy", "naive", "--dims", "3,3,6,6,5", "--epochs", "1",
+                "--scenes", "10", "--hidden", "4", "--head-hidden", "4",
+                "--log", str(log), "--out", str(net)]) == 0
+    entries = json.loads(log.read_text())
+    assert len(entries) == 1 and np.isfinite(entries[0]["loss_cv"])
+    assert net.exists()
+
+
 @pytest.mark.parametrize("exc, code, prefix", [
     (TypeError("boom"), 3, "internal error: TypeError: boom"),
     (KeyError("boom"), 3, "internal error: KeyError: 'boom'"),

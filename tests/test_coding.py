@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codedlf import coding
+from codedlf import multitask as mt
 
 
 def bits(a):
@@ -128,3 +129,47 @@ class TestEncodeProjectLift:
             coding.encode(self.l, bad)
         with pytest.raises(ValueError):
             coding.lift(np.zeros((3, 3, 4, 4, 1), dtype=np.float32), bad)
+
+
+# Extreme seeds, the benchmark's training seeds (seed, 2, epoch, sample) and
+# its validation seeds (seed, 1, sample).
+MASK_SEEDS = (
+    [0, 1, 2**63, 2**64 - 1]
+    + [mt._derive_seed(seed, 2, epoch, i)
+       for seed in (0, 4243) for epoch in range(5) for i in range(0, 160, 9)]
+    + [mt._derive_seed(0, 1, i) for i in range(40)]
+)
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 5), (3, 7, 13), (4, 5, 1)])
+def test_batched_masks_equal_per_seed_masks(mask_oracle, dims):
+    masks = coding.random_masks(*dims, MASK_SEEDS)
+    assert masks.shape == (len(MASK_SEEDS), *dims) and masks.dtype == np.float32
+    for seed, m in zip(MASK_SEEDS, masks):
+        assert np.array_equal(bits(m), bits(mask_oracle(*dims, seed))), seed
+        assert np.array_equal(bits(m), bits(coding.random_mask(*dims, seed))), seed
+
+
+def test_batched_masks_reject_zero_dims():
+    with pytest.raises(ValueError, match="mask dims must be positive"):
+        coding.random_masks(4, 0, 3, [1, 2])
+
+
+def test_encode_batch_equals_per_sample_coding(encode_oracle):
+    rng = np.random.default_rng(3)
+    lfs = rng.normal(size=(6, 3, 3, 8, 8, 5)).astype(np.float32)
+    lfs[:, :, :, 0] = -0.0  # a signed zero is copied like any value
+    masks = coding.random_masks(8, 8, 5, MASK_SEEDS[:6])
+    coded = coding.encode_batch(lfs, masks)
+    assert coded.dtype == np.float32
+    for l, m, c in zip(lfs, masks, coded):
+        assert np.array_equal(bits(c), bits(encode_oracle(l, m)))
+        assert np.array_equal(bits(c), bits(coding.encode(l, m)))
+
+
+def test_encode_batch_rejects_mismatched_masks():
+    lfs = np.zeros((2, 1, 1, 4, 4, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match="do not match masks"):
+        coding.encode_batch(lfs, coding.random_masks(4, 4, 3, [0, 1, 2]))
+    with pytest.raises(ValueError, match="do not match masks"):
+        coding.encode_batch(lfs, coding.random_masks(4, 5, 3, [0, 1]))

@@ -234,7 +234,9 @@ def test_pseudo_gradient_matches_reference_bitwise():
     # Gradients on both sides of +-lam, exactly at them and at zero.
     g = rng.choice([-lam, lam, 0.0, -0.0, 0.1, -0.1, 0.3, -0.3, 2.0, -2.0], size=4000)
     for lam_ in (lam, 0.0):
-        pg = cs_dct._pseudo_gradient(x, g, lam_, np.full_like(g, np.nan))
+        pg = cs_dct._pseudo_gradient(
+            x, g, lam_, np.full_like(g, np.nan), np.full_like(g, np.nan), np.empty(g.shape, bool)
+        )
         ref = reference_pseudo_gradient(x, g, lam_)
         assert np.array_equal(pg, ref)
         assert np.array_equal(np.signbit(pg), np.signbit(ref))
@@ -492,6 +494,21 @@ def test_huge_lam_keeps_the_float32_history_finite():
     assert rep.termination == "converged"
     assert rep.iterations >= 2
     assert not rec.any()
+
+
+def test_first_step_survives_an_overflowing_pseudo_gradient_norm():
+    # With lam = 1e300 the norm of the pseudo-gradient overflows to inf; the
+    # first step is then sized from the norm scaled by max |pg|, and the
+    # solve reaches x = 0 as it does at lam = 1e100.  The direction's
+    # orthant test d * pg overflows to -inf, which keeps its sign.
+    lp, m = sparse_case((2, 2, 8, 8, 3), 5)
+    ref_rec, ref = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e100, max_iters=50))
+    with np.errstate(over="ignore"):
+        rec, rep = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e300, max_iters=50))
+    assert rep.termination == ref.termination == "converged"
+    assert rep.iterations == ref.iterations == 3
+    assert rep.final_objective == ref.final_objective
+    assert not rec.any() and not ref_rec.any()
 
 
 def test_direction_without_pairs_is_minus_pg():

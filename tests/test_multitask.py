@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codedlf import autodiff as ad
+from codedlf import cli, coding
 from codedlf import multitask as mt
 
 RNG = np.random.default_rng(31)
@@ -323,3 +324,55 @@ def test_derive_seed_matches_numpy_oracle(seed_oracle):
         got = mt._derive_seed(*parts)
         assert type(got) is int and 0 <= got < 2**64
         assert got == seed_oracle(*parts), parts
+
+
+# Validation scores the coded split with one batched forward, which rounds
+# differently from one sample at a time.
+VALIDATION_REL_TOL = 1e-12
+
+
+def _assert_validation_close(actual, expected):
+    for a, e in zip(actual, expected):
+        assert abs(a - e) <= VALIDATION_REL_TOL * abs(e), (actual, expected)
+
+
+def test_validate_matches_per_sample_oracle(toy_dataset, validate_oracle):
+    val = toy_dataset[-12:]
+    lightfields, cv, disp = mt._stack(val)
+    masks = coding.random_masks(*DIMS[2:], [mt._derive_seed(7, 1, i) for i in range(len(val))])
+    coded = coding.encode_batch(lightfields, masks)
+    for net_seed in (1, 2):
+        net = ad.ToyNet(dims=DIMS, seed=net_seed)
+        _assert_validation_close(mt.validate(net, coded, cv, disp), validate_oracle(net, val, 7))
+
+
+@pytest.mark.parametrize("strategy", ["naive", "mtu+al"])
+def test_logged_validation_losses_match_per_sample_oracle(toy_dataset, validate_oracle, strategy):
+    dataset = toy_dataset[:30]
+    cfg = mt.TrainConfig(strategy=strategy, epochs=2, batch_size=8, lr=0.05, momentum=0.9, seed=6)
+    net, logs = mt.train(ad.ToyNet(dims=DIMS, seed=3), dataset, cfg)
+    val = dataset[-round(len(dataset) * mt.VAL_FRACTION):]
+    _assert_validation_close(
+        (logs[-1].loss_cv, logs[-1].loss_disp), validate_oracle(net, val, cfg.seed)
+    )
+
+
+def test_benchmark_training_writes_the_per_sample_oracle_net(tmp_path, monkeypatch, mask_oracle,
+                                                            encode_oracle):
+    # The benchmark's train-toy run, once as it is and once with every mask
+    # drawn and every sample coded on its own: the same training batches
+    # give the same .lfnn bytes.
+    argv = ["train-toy", "--strategy", "mtu+al", "--epochs", "5", "--scenes", "200",
+            "--dims", "3,3,8,8,5", "--batch-size", "8", "--seed", "0", "--data-seed", "99"]
+
+    def train_toy(name):
+        out = tmp_path / f"{name}.lfnn"
+        assert cli.main(argv + ["--log", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    batched = train_toy("batched")
+    monkeypatch.setattr(coding, "random_masks", lambda n_s, n_t, n_c, seeds: np.stack(
+        [mask_oracle(n_s, n_t, n_c, seed) for seed in seeds]))
+    monkeypatch.setattr(coding, "encode_batch", lambda lfs, masks: np.stack(
+        [encode_oracle(l, m) for l, m in zip(lfs, masks)]))
+    assert train_toy("per-sample") == batched
