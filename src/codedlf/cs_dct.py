@@ -17,12 +17,16 @@ accepted: at the rounding floor the line search fails instead of creeping on.
 Each trial shrinks the step by BACKTRACK, and after MAX_LINESEARCH trials the
 solve stops with a line-search failure.  A non-finite start raises.
 
-The smooth term and its gradient come from transforms.CodedFidelity.  Each
-line-search trial synthesizes its point once; the synthesis of the accepted
-point is kept and gives the gradient and, at the end, the reconstruction,
-so a step costs one inverse transform per trial and one forward transform.
-Iterates, gradients and the trial point live in C-contiguous float64
-buffers allocated once per solve.
+The smooth term and its gradient come from transforms.ObservedFidelity,
+which evaluates them on the entries the mask keeps, with no angular DCT.
+Each line-search trial computes its observed residual once (a synthesis
+over (S, T, C) and one gather); the residual of the accepted point gives
+the gradient (one scatter and an analysis over (S, T, C)).  The warm start
+is one 5D analysis of the lifted measurement m * l_star, and the
+reconstruction is one 5D synthesis of the final iterate.  Iterates,
+gradients, the trial point and the operator's GEMM buffers are C-contiguous
+float64 arrays allocated once per solve, and the (U, V, S, T, C) iterate and
+gradient are swapped with their successors in place of copies.
 
 The L-BFGS history keeps its min(memory, max_iters) pairs (s, y) as rows of
 one preallocated float32 array W, a ring with no spare slot.  Everything that
@@ -227,21 +231,32 @@ def owlqn_reconstruct(
     starting objective raises FloatingPointError.
     """
     l_star_p = as_tensor5(l_star_p, "projected measurement")
-    fid = transforms.CodedFidelity(coding.lift(l_star_p, m), m)
+    x, report = _solve(l_star_p, m, opts, _iterate_hook)
+    # The solve's buffers are free again, and the synthesis reuses their memory.
+    return transforms.dct5_inverse(x).astype(np.float32), report
+
+
+def _solve(l_star_p, m, opts: OwlqnOptions, _iterate_hook) -> tuple[np.ndarray, SolveReport]:
+    """The OWL-QN loop: the final iterate and the report."""
+    l_star = coding.lift(l_star_p, m)
+    fid = transforms.ObservedFidelity(l_star, m)
     lam = float(opts.lam)
 
-    x = fid.analysis_target.copy()  # warm start consistent with the measurement
+    # Warm start analysis(m * l_star), consistent with the measurement; the
+    # lifted field is zero off the mask, so it is its own projection.
+    x = transforms.dct5_forward(l_star)
+    del l_star
     tol = opts.grad_tol if opts.grad_tol is not None else 1e-5 * np.sqrt(x.size)
 
-    z = fid.synthesize(x)
-    g = fid.gradient(z)
-    obj = fid.value(z) + lam * float(np.abs(x).sum())
+    resid = fid.residual(x)
+    g = fid.gradient(resid)
+    obj = fid.value(resid) + lam * float(np.abs(x).sum())
     if not math.isfinite(obj):
         raise FloatingPointError(f"OWL-QN objective is {obj} at iteration 0")
     report = SolveReport(iterations=0, objectives=[obj])
     hist = _LbfgsHistory(x.shape, min(opts.memory, opts.max_iters))
     pg = hist.pg
-    d, xi, x_new = (np.empty_like(x) for _ in range(3))
+    d, xi, x_new, g_new = (np.empty_like(x) for _ in range(4))
     flags = np.empty(x.shape, dtype=bool)
 
     for it in range(opts.max_iters):
@@ -253,18 +268,19 @@ def owlqn_reconstruct(
             break
 
         hist.direction(d, pg_max)
-        # Constrain the direction to the descent orthant of the pseudo-gradient.
-        # Masks are applied by multiplication, which is cheaper than a masked
-        # store; it leaves -0.0 where a negative entry is zeroed, and no step
-        # reads the sign of a zero.
-        d *= np.less(np.multiply(d, pg, out=x_new), 0.0, out=flags)
+        # Constrain the direction to the descent orthant of the pseudo-gradient:
+        # keep d where d sign(pg) < 0, which has the sign of d pg but cannot
+        # overflow.  Masks are applied by multiplication, which is cheaper
+        # than a masked store; it leaves -0.0 where a negative entry is
+        # zeroed, and no step reads the sign of a zero.
+        np.sign(pg, out=xi)
+        d *= np.less(np.multiply(d, xi, out=x_new), 0.0, out=flags)
         if float(np.vdot(pg, d)) >= 0:
             np.negative(pg, out=d)
         # Orthant of the step: sign(x), or sign(-pg) where x == 0, taken as
         # sign(x) - (x == 0) sign(pg), which has the bits of
         # sign(x - (x == 0) pg), signed zeros included.  Neither sign is
         # taken in place: numpy's np.sign is several times slower in place.
-        np.sign(pg, out=xi)
         xi *= np.equal(x, 0.0, out=flags)
         np.subtract(np.sign(x, out=x_new), xi, out=xi)
 
@@ -291,10 +307,10 @@ def owlqn_reconstruct(
             np.subtract(x_new, x, out=s)
             decrease = float(np.vdot(pg, s))
             if decrease < 0:
-                z_new = fid.synthesize(x_new)
+                fid.residual(x_new, out=resid)
                 report.evaluations += 1
                 # x_new has the sign xi or is zero, so xi . x_new = ||x_new||_1.
-                obj_new = fid.value(z_new) + lam * float(np.vdot(xi, x_new))
+                obj_new = fid.value(resid) + lam * float(np.vdot(xi, x_new))
                 # Armijo on the difference: obj + ARMIJO_C1 * decrease would
                 # round to obj at the rounding floor and accept steps that do
                 # not lower the objective, forever.
@@ -306,13 +322,14 @@ def owlqn_reconstruct(
             report.termination = "line_search_failed"
             break
 
-        z = z_new  # drops the old synthesis before the gradient's temporaries
-        g_new = fid.gradient(z)
+        # resid is the accepted trial's: the last one the line search wrote.
+        fid.gradient(resid, out=g_new)
         np.subtract(g_new, g, out=hist.y)
         if not hist.push():
             report.pairs_skipped += 1
         x, x_new = x_new, x
-        g, obj = g_new, obj_new
+        g, g_new = g_new, g
+        obj = obj_new
         report.iterations = it + 1
         report.objectives.append(obj)
         if _iterate_hook is not None:
@@ -321,4 +338,4 @@ def owlqn_reconstruct(
         report.termination = "max_iters"
 
     report.final_objective = obj
-    return z.astype(np.float32), report
+    return x, report

@@ -10,7 +10,8 @@ Layout: each axis is one GEMM on a C-contiguous operand.  The last axis
 is contracted and comes out first, as the (n, rest) product mat @ X^T, so
 the product is again C-contiguous with the axes rotated by one; after five
 products the axes are back in order.  Writing the axis as the product's n
-rows is cheaper than writing a (rest, n) product.  Both transforms return
+rows is cheaper than writing a (rest, n) product.  The products alternate
+between two buffers allocated once per call.  Both transforms return
 C-contiguous float64 arrays of the input's shape.  The input is made
 contiguous first, so the values do not depend on its memory layout; they
 agree with a tensordot along each axis in turn up to rounding, since the
@@ -20,15 +21,26 @@ The data-fidelity term of coded reconstruction is
 
     f(alpha) = || l_star - m * synth(alpha) ||_2^2
 
-where m is the broadcast binary coding mask.  Because m is a diagonal
-orthogonal projection (m * m = m), the gradient takes the closed form
+where m is the one-hot coding mask M[s, t, c], the same for every view
+(u, v).  The orthonormal angular (U, V) DCT therefore commutes with the
+mask and drops out of the norm:
 
-    grad f(alpha) = 2 * (analysis(m * synth(alpha)) - analysis(m * l_star)).
+    f(alpha) = || b - P synth_STC(alpha) ||_2^2,
 
-CodedFidelity holds one measurement: it computes analysis(m * l_star) once
-and evaluates f and its gradient from a synthesis the caller passes in, so a
-solver that has synthesized a point for f reuses it for the gradient.
-fidelity_objective, fidelity_gradient and the OWL-QN solver all use it.
+with synth_STC the synthesis over (S, T, C) only, b the angular analysis
+of the observed entries of l_star, and P the gather of the entries the
+mask keeps: U V S T of U V S T C, one channel per pixel.  The gradient is
+
+    grad f(alpha) = 2 analysis_STC(P^T (P synth_STC(alpha) - b)).
+
+ObservedFidelity holds one measurement and evaluates both from the
+observed residual P synth_STC(alpha) - b, so a solver that has computed the
+residual of a point for f reuses it for the gradient.  synth_STC is three
+GEMMs that rotate (U, V, S, T, C) to (S, T, C, U, V), where the kept
+entries are whole rows, so P is one row gather; the gradient scatters the
+residual into rows of a buffer that is zero elsewhere and applies three
+GEMMs that rotate the axes back.  fidelity_objective, fidelity_gradient
+and the OWL-QN solver all use it.
 
 Transforms compute in float64 regardless of input dtype; persisted tensors
 stay float32 at the file boundary.
@@ -36,9 +48,11 @@ stay float32 at the file boundary.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+
+from . import coding
 
 
 @lru_cache(maxsize=32)
@@ -56,17 +70,24 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
+def _last_to_front(x: np.ndarray, mats, bufs) -> np.ndarray:
+    """Apply mats[0] to the last axis of C-contiguous x, mats[1] to the next
+    one and so on; each (n, n) @ (n, rest) GEMM moves its axis first.  The
+    products alternate between the two flat buffers `bufs`."""
+    for k, mat in enumerate(mats):
+        n = x.shape[-1]
+        out = bufs[k % 2].reshape(n, -1)
+        x = np.matmul(mat, x.reshape(-1, n).T, out=out).reshape((n,) + x.shape[:-1])
+    return x
+
+
 def _apply_separable(t, synthesis: bool) -> np.ndarray:
     x = np.asarray(t, dtype=np.float64)
     if x.ndim != 5:
         raise ValueError(f"expected a 5D tensor, got shape {x.shape}")
     x = np.ascontiguousarray(x)
-    for _ in range(5):
-        n = x.shape[-1]
-        mat = _dct_matrix(n).T if synthesis else _dct_matrix(n)
-        # (n, n) @ (n, rest): contracts the last axis and moves it first.
-        x = (mat @ x.reshape(-1, n).T).reshape((n,) + x.shape[:-1])
-    return x
+    mats = [_dct_matrix(n).T if synthesis else _dct_matrix(n) for n in reversed(x.shape)]
+    return _last_to_front(x, mats, (np.empty(x.size), np.empty(x.size)))
 
 
 def dct5_forward(l: np.ndarray) -> np.ndarray:
@@ -79,54 +100,81 @@ def dct5_inverse(a: np.ndarray) -> np.ndarray:
     return _apply_separable(a, synthesis=True)
 
 
-class CodedFidelity:
-    """f(a) = || l_star - m * z ||^2 with z = synth(a), for one measurement.
+class ObservedFidelity:
+    """f(a) = || l_star - m * synth(a) ||^2 on the observed entries, for one
+    coded light field l_star (U, V, S, T, C) and its one-hot mask m (S, T, C).
 
-    `value` and `gradient` take the synthesis z = synthesize(a), so a
-    caller that needs f and its gradient at one point synthesizes it once.
+    `residual(a)` is P synth_STC(a) - b, of shape (S T, U V); `value` and
+    `gradient` take it, so a caller that needs f and its gradient at one
+    point computes it once.  The GEMM buffers are allocated once, here.
     """
 
     def __init__(self, l_star: np.ndarray, m: np.ndarray):
-        self.l_star = np.asarray(l_star, dtype=np.float64)
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != self.l_star.shape[2:]:
+        l_star = np.asarray(l_star, dtype=np.float64)
+        if l_star.ndim != 5:
+            raise ValueError(f"expected a 5D coded light field, got shape {l_star.shape}")
+        m = np.asarray(m)
+        if m.shape != l_star.shape[2:]:
             raise ValueError(
-                f"mask shape {m.shape} does not match tensor dims {self.l_star.shape[2:]}"
+                f"mask shape {m.shape} does not match tensor dims {l_star.shape[2:]}"
             )
-        self.mask = m[None, None]
+        if not coding.is_one_hot(m):
+            raise ValueError("coding mask must be one-hot along the channel axis")
+        self.shape = l_star.shape
+        n_u, n_v, n_s, n_t, n_c = l_star.shape
+        kept = m.reshape(-1) == 1
+        coded = l_star.reshape(n_u * n_v, -1)
+        if coded[:, ~kept].any():
+            raise ValueError("coded light field has non-zero entries where the mask is 0")
+        # Rows of the (S T C, U V) layout that the mask keeps, in pixel order.
+        self.rows = np.flatnonzero(kept)
+        observed = coded[:, self.rows].T.reshape(-1, n_u, n_v)
+        b = _dct_matrix(n_u) @ observed @ _dct_matrix(n_v).T
+        self.target = b.reshape(-1, n_u * n_v)
+        self._synthesis = [_dct_matrix(n).T for n in (n_c, n_t, n_s)]
+        # 2 is a power of two, so scaling the first matrix doubles each
+        # product exactly: the gradient costs no extra pass.
+        self._gradient = [2.0 * _dct_matrix(n_s), _dct_matrix(n_t), _dct_matrix(n_c)]
+        self._bufs = (np.empty(l_star.size), np.empty(l_star.size))
+        self._scatter = np.zeros((n_s * n_t * n_c, n_u * n_v))
 
-    @cached_property
-    def analysis_target(self) -> np.ndarray:
-        """analysis(m * l_star), the constant part of the gradient."""
-        return dct5_forward(self.mask * self.l_star)
-
-    def synthesize(self, a: np.ndarray) -> np.ndarray:
+    def residual(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P synth_STC(a) - b: three GEMMs, one row gather and one subtraction."""
         a = np.asarray(a, dtype=np.float64)
-        if a.shape != self.l_star.shape:
-            raise ValueError(
-                f"coefficients {a.shape} and measurement {self.l_star.shape} disagree"
-            )
-        return dct5_inverse(a)
+        if a.shape != self.shape:
+            raise ValueError(f"coefficients {a.shape} and measurement {self.shape} disagree")
+        z = _last_to_front(np.ascontiguousarray(a), self._synthesis, self._bufs)
+        # The rows are in range; mode="clip" spares take a buffered copy of out.
+        r = np.take(z.reshape(len(self._scatter), -1), self.rows, axis=0, out=out, mode="clip")
+        r -= self.target
+        return r
 
-    def value(self, z: np.ndarray) -> float:
-        resid = self.mask * z
-        resid -= self.l_star
+    def value(self, resid: np.ndarray) -> float:
         return float(np.vdot(resid, resid))
 
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        g = dct5_forward(self.mask * z)
-        g -= self.analysis_target
-        g *= 2.0
-        return g
+    def gradient(self, resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """2 analysis_STC(P^T resid), the gradient at the point of `resid`."""
+        # Entries off the kept rows are never written, so they stay zero.
+        self._scatter[self.rows] = resid
+        x = self._scatter.reshape(self.shape[2:] + self.shape[:2])
+        if out is None:
+            out = np.empty(self.shape)
+        # Each (rest, n) = X^T @ mat^T GEMM contracts the first axis and
+        # moves it last: (S, T, C, U, V) comes back as (U, V, S, T, C).
+        for mat, buf in zip(self._gradient, self._bufs + (out,)):
+            n = x.shape[0]
+            dst = buf.reshape(-1, n)
+            x = np.matmul(x.reshape(n, -1).T, mat.T, out=dst).reshape(x.shape[1:] + (n,))
+        return out
 
 
 def fidelity_objective(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> float:
     """Squared residual || l_star - m * synth(a) ||_2^2."""
-    fid = CodedFidelity(l_star, m)
-    return fid.value(fid.synthesize(a))
+    fid = ObservedFidelity(l_star, m)
+    return fid.value(fid.residual(a))
 
 
 def fidelity_gradient(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gradient of the coded data-fidelity term with respect to a."""
-    fid = CodedFidelity(l_star, m)
-    return fid.gradient(fid.synthesize(a))
+    fid = ObservedFidelity(l_star, m)
+    return fid.gradient(fid.residual(a))

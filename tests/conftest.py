@@ -31,6 +31,26 @@ def tensordot_dct5():
     return _tensordot_dct5
 
 
+def _ref_fidelity(a, l_star, m):
+    """f = || l_star - m * synth(a) ||^2 and its gradient
+    2 (analysis(m * synth(a)) - analysis(m * l_star)) on all U V S T C
+    entries, with full 5D transforms."""
+    mb = np.asarray(m, dtype=np.float64)[None, None]
+    l_star = np.asarray(l_star, dtype=np.float64)
+    z = mb * transforms.dct5_inverse(a)
+    resid = z - l_star
+    grad = 2.0 * (transforms.dct5_forward(z) - transforms.dct5_forward(mb * l_star))
+    return float(np.vdot(resid, resid)), grad
+
+
+@pytest.fixture
+def fidelity_oracle():
+    """fidelity_oracle(a, l_star, m) -> (value, gradient) of the coded data
+    term in its 5D closed form, as transforms.CodedFidelity computed it
+    before the observed-entry operator (test oracle)."""
+    return _ref_fidelity
+
+
 # ---------------------------------------------------------------------------
 # The per-sample training losses as they were before they took a batch axis:
 # one sample at a time, SSIM one channel at a time on np.pad-ed cumulative

@@ -6,6 +6,7 @@ the recovery bound was frozen from long-run solves over several seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,16 +500,41 @@ def test_huge_lam_keeps_the_float32_history_finite():
 def test_first_step_survives_an_overflowing_pseudo_gradient_norm():
     # With lam = 1e300 the norm of the pseudo-gradient overflows to inf; the
     # first step is then sized from the norm scaled by max |pg|, and the
-    # solve reaches x = 0 as it does at lam = 1e100.  The direction's
-    # orthant test d * pg overflows to -inf, which keeps its sign.
+    # solve reaches x = 0 as it does at lam = 1e100.  Nothing overflows on
+    # the way: the direction's orthant test reads d sign(pg), not d pg.
     lp, m = sparse_case((2, 2, 8, 8, 3), 5)
     ref_rec, ref = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e100, max_iters=50))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
         rec, rep = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e300, max_iters=50))
     assert rep.termination == ref.termination == "converged"
     assert rep.iterations == ref.iterations == 3
     assert rep.final_objective == ref.final_objective
     assert not rec.any() and not ref_rec.any()
+
+
+def test_solve_allocates_no_per_iteration_full_size_temporary():
+    # The solve holds 12.875 full-size float64 arrays besides the float32
+    # history rows: x, g, their successors, d, xi and pg, s, y (9), the
+    # operator's two GEMM buffers and its scatter buffer (3), the history's
+    # float32 GEMV scratch (1/2), and the observed residual, the target and
+    # the flags (1/8 each).  The final synthesis runs after the solve's
+    # buffers are freed.  Any per-iteration full-size temporary would cross
+    # the bound; a solve that kept each accepted point's 5D synthesis and
+    # allocated its gradient peaked at 14.7.
+    shape = (5, 5, 32, 32, 8)
+    lp, m = smooth_scene_case(shape, 3)
+    lam = 1e-3 * float(np.abs(transforms.dct5_forward(coding.lift(lp, m))).max())
+    opts = cs_dct.OwlqnOptions(lam=lam, max_iters=20)
+    full = math.prod(shape) * 8
+    history = 2 * min(opts.memory, opts.max_iters) * math.prod(shape) * 4
+    tracemalloc.start()
+    try:
+        _, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 20
+    assert peak <= history + 13.5 * full, (peak - history) / full
 
 
 def test_direction_without_pairs_is_minus_pg():
@@ -531,14 +557,16 @@ def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
 
 
 def test_evaluations_count_line_search_syntheses(monkeypatch):
+    # Each trial synthesizes its point once, for its observed residual; the
+    # start adds one.
     calls = []
-    synthesize = transforms.CodedFidelity.synthesize
+    residual = transforms.ObservedFidelity.residual
 
-    def counted(self, a):
+    def counted(self, a, out=None):
         calls.append(1)
-        return synthesize(self, a)
+        return residual(self, a, out)
 
-    monkeypatch.setattr(transforms.CodedFidelity, "synthesize", counted)
+    monkeypatch.setattr(transforms.ObservedFidelity, "residual", counted)
     for case in ("memory-1", "line-search-failed", "converged"):
         make_problem, kwargs = ORACLE_CASES[case]
         lp, m = make_problem()
