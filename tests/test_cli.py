@@ -918,3 +918,119 @@ def test_reconstruct_dict_zero_iters_gives_zero_codes(tmp_path, scene):
                 "--atom", "2,2,4,4,5", "--spatial-overlap", "1,1", "--angular-overlap",
                 "0,0", "--lambda", "0.001", "--iters", "0", "--out", rec]) == 0
     assert not tensor.read_lf5d(rec).any()
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under damaged containers: every subcommand that reads
+# LF5D, LFDC or LFNN files exits 0 or 1 when one of them has bytes flipped,
+# is cut short, has bytes appended or has its header changed.
+
+_FUZZ_ATOM = ["--atom", "2,2,4,4,5", "--spatial-overlap", "1,1", "--angular-overlap", "0,0"]
+
+# command: (its other arguments, {input flag: the sound file it reads, by its
+# name in fuzz_inputs}, its output flags)
+_FUZZ_COMMANDS = {
+    "project": ([], {"--in": "coded"}, ["--out"]),
+    "lift": ([], {"--in": "projected", "--mask": "mask"}, ["--out"]),
+    "encode": ([], {"--in": "lf", "--mask": "mask"}, ["--out-coded"]),
+    "reconstruct-dct": (
+        ["--lambda", "0.001", "--max-iters", "3"], {"--in": "projected", "--mask": "mask"},
+        ["--out"],
+    ),
+    "evaluate": (["--kind", "cv", "--no-timestamp"], {"--pred": "lf", "--truth": "lf"}, ["--out"]),
+    "reconstruct-dict": (
+        ["--lambda", "0.001", "--iters", "5", *_FUZZ_ATOM],
+        {"--in": "projected", "--mask": "mask", "--dict": "dict"}, ["--out"],
+    ),
+    "predict-toy": ([], {"--net": "net", "--in": "coded"}, ["--out-cv", "--out-disp"]),
+}
+
+# Header lengths: LF5D's fixed 26 bytes, LFDC's 12, and LFNN's 8 plus its
+# JSON spec, whose length the file's bytes 4..7 give.
+_FUZZ_HEADERS = {"lf5d": lambda raw: 26, "lfdc": lambda raw: 12,
+                 "lfnn": lambda raw: 8 + int.from_bytes(raw[4:8], "little")}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Sound inputs of every kind, dims (3, 3, 8, 8, 5), by name."""
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {name: str(d / f"{name}.{ext}") for name, ext in (
+        ("coded", "lf5d"), ("projected", "lf5d"), ("mask", "lf5d"), ("dict", "lfdc"),
+        ("net", "lfnn"),
+    )}
+    prefix = str(d / "s")
+    paths["lf"] = prefix + ".lf.lf5d"
+    assert run(["gen-scene", "--pattern", "random-smooth", "--dims", "3,3,8,8,5",
+                "--seed", "3", "--out-prefix", prefix]) == 0
+    assert run(["encode", "--in", paths["lf"], "--seed", "4", "--out-coded", paths["coded"],
+                "--out-mask", paths["mask"]]) == 0
+    assert run(["project", "--in", paths["coded"], "--out", paths["projected"]]) == 0
+    assert run(["train-dict", "--scenes", paths["lf"], *_FUZZ_ATOM, "--lambda", "0.05",
+                "--epochs", "1", "--fista-iters", "5", "--out", paths["dict"]]) == 0
+    assert run(["train-toy", "--strategy", "naive", "--epochs", "1", "--scenes", "8",
+                "--dims", "3,3,8,8,5", "--hidden", "4", "--head-hidden", "4",
+                "--log", str(d / "log.json"), "--out", paths["net"]]) == 0
+    return paths
+
+
+def _damaged(raw: bytes, kind: str, rng) -> bytes:
+    """`raw` with bytes flipped, cut off, appended or changed in its header."""
+    buf = bytearray(raw)
+    if kind == "flip":
+        for pos in rng.integers(0, len(buf), size=rng.integers(1, 5)):
+            buf[pos] ^= int(rng.integers(1, 256))
+    elif kind == "truncate":
+        del buf[int(rng.integers(0, len(buf))):]
+    elif kind == "extend":
+        buf += rng.integers(0, 256, size=rng.integers(1, 17)).astype(np.uint8).tobytes()
+    else:  # a header byte, magic and length fields included
+        header = _FUZZ_HEADERS[kind](raw)
+        for pos in rng.integers(0, header, size=rng.integers(1, 4)):
+            buf[pos] = int(rng.integers(0, 256))
+    return bytes(buf)
+
+
+def _reads_cleanly(path: str) -> bool:
+    from codedlf import autodiff, cs_dict
+
+    reader = {".lf5d": tensor.read_lf5d, ".lfdc": cs_dict.read_dictionary,
+              ".lfnn": autodiff.load_net}[os.path.splitext(path)[1]]
+    try:
+        reader(path)
+    except ValueError:
+        return False
+    return True
+
+
+# Cases that exit 2, as the contract allows when every input was read
+# cleanly and a solver then failed on the values: none so far.
+_FUZZ_NUMERICAL = set()
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+def test_damaged_inputs_keep_the_exit_code_contract(command, fuzz_inputs, tmp_path, capsys):
+    others, sources, out_flags = _FUZZ_COMMANDS[command]
+    rng = np.random.default_rng(sorted(_FUZZ_COMMANDS).index(command))
+    outs = [a for flag in out_flags for a in (flag, str(tmp_path / f"out{flag}.x"))]
+    broken, numerical = [], set()
+    for flag, name in sources.items():
+        raw = open(fuzz_inputs[name], "rb").read()
+        ext = os.path.splitext(fuzz_inputs[name])[1][1:]
+        for kind in ("flip", "truncate", "extend", ext):
+            for k in range(8):
+                case = f"{command} {flag} {kind} {k}"
+                damaged = str(tmp_path / f"damaged.{ext}")
+                with open(damaged, "wb") as fh:
+                    fh.write(_damaged(raw, kind, rng))
+                ins = [a for f, n in sources.items()
+                       for a in (f, damaged if f == flag else fuzz_inputs[n])]
+                with np.errstate(all="ignore"):
+                    code = run([command, *others, *ins, *outs])
+                err = capsys.readouterr().err
+                if code == 2 and _reads_cleanly(damaged):
+                    numerical.add(case)
+                elif code not in (0, 1):
+                    broken.append((case, code, err.strip().splitlines()[-1:]))
+    assert not broken
+    assert numerical == {c for c in _FUZZ_NUMERICAL if c.startswith(command + " ")}
