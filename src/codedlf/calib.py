@@ -128,7 +128,6 @@ class DarkModel:
 class CalibResult:
     vignetting: np.ndarray  # (I, J); NaN where unrecoverable
     responsivity: np.ndarray  # (K, 3); NaN where unrecoverable
-    bayer: np.ndarray  # (I, J)
     residual: float
     unrecoverable_pixels: list[tuple[int, int]] = field(default_factory=list)
     unrecoverable_responsivities: list[tuple[int, int]] = field(default_factory=list)
@@ -394,7 +393,6 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
     return CalibResult(
         vignetting=v,
         responsivity=r,
-        bayer=bayer.copy(),
         residual=trace[-1],
         # Plain ints (not np.int64), so the lists can be written as JSON.
         unrecoverable_pixels=[tuple(ix) for ix in np.argwhere(~valid_v).tolist()],
@@ -403,24 +401,3 @@ def _alternating_fit(stats: _EntryStats, bayer: np.ndarray) -> CalibResult:
         ],
         objective_trace=trace,
     )
-
-
-def apply_calibration(
-    raw: np.ndarray, t: float, calib: CalibResult, dark: DarkModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the camera model on a raw (I, J, K) exposure at time t.
-
-    Returns (corrected, valid) where corrected = (raw - dark) / (v * r * t);
-    entries with non-finite or near-zero denominators are NaN with
-    valid = False.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 3 or raw.shape[:2] != calib.vignetting.shape:
-        raise ValueError(f"raw image {raw.shape} does not match the calibration")
-    r_map = calib.responsivity[:, calib.bayer].transpose(1, 2, 0)  # (I, J, K)
-    denom = calib.vignetting[:, :, None] * r_map * float(t)
-    valid = np.isfinite(denom) & (np.abs(denom) >= 1e-12)
-    corrected = np.full_like(raw, np.nan)
-    num = raw - dark.evaluate(t)
-    corrected[valid] = num[valid] / denom[valid]
-    return corrected, valid

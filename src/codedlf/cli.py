@@ -19,6 +19,7 @@ BLAS worker pools through the environment before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -254,18 +255,7 @@ def _cmd_reconstruct_dct(args) -> int:
     rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
     tensor.write_lf5d(rec, args.out)
     if args.report:
-        _report(
-            {
-                "iterations": rep.iterations,
-                "termination": rep.termination,
-                "final_objective": rep.final_objective,
-                "evaluations": rep.evaluations,
-                "pairs_skipped": rep.pairs_skipped,
-                "objectives": rep.objectives,
-            },
-            args.report,
-            args.no_timestamp,
-        )
+        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
     if args.png_preview:
         _png_preview(rec[rec.shape[0] // 2, rec.shape[1] // 2], args.out + ".png")
     return 0
@@ -299,11 +289,7 @@ def _cmd_train_dict(args) -> int:
     )
     cs_dict.write_dictionary(d, args.out)
     if args.report:
-        _report(
-            {"epoch_objectives": rep.epoch_objectives, "restarts": rep.restarts},
-            args.report,
-            args.no_timestamp,
-        )
+        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
     return 0
 
 
@@ -324,17 +310,7 @@ def _cmd_reconstruct_dict(args) -> int:
     rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
     tensor.write_lf5d(rec, args.out)
     if args.report:
-        _report(
-            {
-                "iterations": rep.iterations,
-                "restarts": rep.restarts,
-                "lipschitz_bound": rep.lipschitz_bound,
-                "step": rep.step,
-                "final_objective": rep.final_objective,
-            },
-            args.report,
-            args.no_timestamp,
-        )
+        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
     if args.png_preview:
         _png_preview(rec[rec.shape[0] // 2, rec.shape[1] // 2], args.out + ".png")
     return 0
@@ -345,11 +321,6 @@ def _cmd_train_toy(args) -> int:
     from .losses_metrics import SSIM_WINDOW
 
     dims = _parse_ints("--dims", args.dims, "U,V,S,T,C")
-    if multitask._uses_aux(args.strategy) and min(dims[2:4]) < SSIM_WINDOW:
-        raise ValueError(
-            f"--dims S,T must be at least the SSIM window {SSIM_WINDOW} for "
-            f"--strategy {args.strategy}, got {dims[2]},{dims[3]}"
-        )
     config = multitask.TrainConfig(
         strategy=args.strategy,
         epochs=args.epochs,
@@ -361,6 +332,11 @@ def _cmd_train_toy(args) -> int:
         gradnorm_gamma=args.gradnorm_gamma,
         normgradsim_step=args.normgradsim_step,
     )
+    if multitask.STRATEGIES[config.strategy].aux and min(dims[2:4]) < SSIM_WINDOW:
+        raise ValueError(
+            f"--dims S,T must be at least the SSIM window {SSIM_WINDOW} for "
+            f"--strategy {args.strategy}, got {dims[2]},{dims[3]}"
+        )
     net = autodiff.ToyNet(
         dims=dims, hidden=args.hidden, head_hidden=args.head_hidden, seed=args.seed
     )
@@ -369,7 +345,7 @@ def _cmd_train_toy(args) -> int:
     if args.out:
         autodiff.save_net(net, args.out)
     # The log is a bare array of per-epoch entries (no timestamp wrapper).
-    text = json.dumps([l.as_dict() for l in logs], indent=2) + "\n"
+    text = json.dumps([dataclasses.asdict(l) for l in logs], indent=2) + "\n"
     if args.log:
         with open(args.log, "w") as fh:
             fh.write(text)

@@ -107,12 +107,13 @@ class OwlqnOptions:
 
 @dataclass
 class SolveReport:
+    # `reconstruct-dct --report` writes the fields in this order.
     iterations: int
-    objectives: list[float] = field(default_factory=list)
-    final_objective: float = float("nan")
     termination: str = "max_iters"
+    final_objective: float = float("nan")
     evaluations: int = 0  # line-search trials that synthesized their point
     pairs_skipped: int = 0  # accepted steps whose pair failed s.y > eps y.y
+    objectives: list[float] = field(default_factory=list)
 
 
 def _pseudo_gradient(

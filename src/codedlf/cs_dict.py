@@ -53,11 +53,6 @@ from . import coding, tensor
 DICT_MAGIC = b"LFDC"
 _DICT_HEADER = struct.Struct("<4s2I")
 
-# Desk-scale default atom shape and its spatial/angular overlaps.
-DEFAULT_ATOM_SHAPE = (3, 3, 6, 6, 5)
-DEFAULT_SPATIAL_OVERLAP = (4, 4)
-DEFAULT_ANGULAR_OVERLAP = (1, 1)
-
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -98,9 +93,9 @@ def _axis_origins(dim: int, atom: int, overlap: int) -> list[int]:
 
 def make_patch_grid(
     source_dims: tuple[int, int, int, int, int],
-    atom_dims: tuple[int, int, int, int, int] = DEFAULT_ATOM_SHAPE,
-    spatial_overlap: tuple[int, int] = DEFAULT_SPATIAL_OVERLAP,
-    angular_overlap: tuple[int, int] = DEFAULT_ANGULAR_OVERLAP,
+    atom_dims: tuple[int, int, int, int, int],
+    spatial_overlap: tuple[int, int],
+    angular_overlap: tuple[int, int],
 ) -> PatchGrid:
     """Build the patch grid for a source tensor."""
     if atom_dims[4] != source_dims[4]:

@@ -3,25 +3,30 @@
 Two tasks are trained from a coded light field: the central view and the
 disparity map, each with a Huber main loss.  Auxiliary losses per task:
 SSIM and spectral-cosine for the central view, edge-aware smoothness and
-normal similarity for disparity.  Strategies:
+normal similarity for disparity.  `STRATEGIES` maps each strategy name to
+one `Strategy(weights, weighting, aux)` row, and `train` reads nothing
+else of the name:
 
-* naive / st-cv / st-disp: static task weights (0.5, 0.5), (1, 0), (0, 1).
-* mtu: per-task trainable log-variances s_i; total = sum_i exp(-s_i)/2 * L_i
+* weights: the fixed (cv, disp) task weights, (1, 0) for st-cv, (0, 1) for
+  st-disp and (0.5, 0.5) for the rest.  A task of weight 0 is not trained.
+* weighting: None keeps the fixed weights.  "mtu" (mtu, mtu+al) uses
+  per-task trainable log-variances s_i; total = sum_i exp(-s_i)/2 * L_i
   + s_i/2 (Kendall et al. 2018); the s_i take the same optimizer step as
-  the network weights.
-* gradnorm: task weights chased toward equalized, rate-adjusted shared
-  gradient norms (Chen et al. 2018), renormalized to sum to the task count.
-* gradsim: per-batch auxiliary weights from the truncated cosine between
-  main and auxiliary shared-trunk gradients (Du et al. 2018).
-* normgradsim: auxiliary gates alpha_j (truncated cosine target) and scale
-  equalizers beta_j (target |G_main| / |G_aux_j|), each nudged one clipped
-  step per batch toward its target, inside the normalized combination
+  the network weights.  "gradnorm" chases the task weights toward
+  equalized, rate-adjusted shared gradient norms (Chen et al. 2018),
+  renormalized to sum to the task count.
+* aux: None trains the main losses alone.  "gradsim" weights each
+  auxiliary loss per batch by the truncated cosine between main and
+  auxiliary shared-trunk gradients (Du et al. 2018).  "normgradsim"
+  (normgradsim, mtu+al) keeps auxiliary gates alpha_j (truncated cosine
+  target) and scale equalizers beta_j (target |G_main| / |G_aux_j|), each
+  nudged one clipped step per batch toward its target, inside the
+  normalized combination
 
       L_task = (L_main + sum_j alpha_j beta_j L_aux_j) / (1 + sum_j alpha_j)
 
   whose gradient stays on the scale of the main loss when the betas sit at
-  their targets.
-* mtu+al: MTU task weighting of the normgradsim per-task losses.
+  their targets.  That L_task is the task loss the weighting reads.
 
 All similarity and norm computations use the shared-trunk gradient.  The
 alpha, beta and task weights are treated as constants in the network
@@ -41,8 +46,8 @@ and head-output gradient (its seed) from one batched call through
 products of the per-loss parameter gradients, so they read them from the
 L x L Gram that `autodiff.gradient_gram` builds per task from the seeds,
 over the shared trunk; no per-loss gradient is formed.  gradnorm reads
-only the main losses' squared norms, and the static and mtu strategies
-build no Gram.  The update is the gradient of the combined loss
+only the main losses' squared norms; without an aux rule or gradnorm no
+Gram is built.  The update is the gradient of the combined loss
 sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij), with the task
 weights w_i and coefficients c treated as constants.  Because the backward
 is linear in its seed, that is one `autodiff.collect_gradients` pass of the
@@ -58,22 +63,34 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import coding, losses_metrics, scenegen
 
-STRATEGIES = (
-    "st-cv",
-    "st-disp",
-    "naive",
-    "mtu",
-    "gradnorm",
-    "gradsim",
-    "normgradsim",
-    "mtu+al",
-)
+
+class Strategy(NamedTuple):
+    """Fixed (cv, disp) task weights, the adaptive weighting that replaces
+    them per batch (None, "mtu" or "gradnorm"), and the auxiliary-loss rule
+    (None, "gradsim" or "normgradsim")."""
+
+    weights: tuple[float, float]
+    weighting: str | None
+    aux: str | None
+
+
+STRATEGIES = {
+    "st-cv": Strategy((1.0, 0.0), None, None),
+    "st-disp": Strategy((0.0, 1.0), None, None),
+    "naive": Strategy((0.5, 0.5), None, None),
+    "mtu": Strategy((0.5, 0.5), "mtu", None),
+    "gradnorm": Strategy((0.5, 0.5), "gradnorm", None),
+    "gradsim": Strategy((0.5, 0.5), None, "gradsim"),
+    "normgradsim": Strategy((0.5, 0.5), None, "normgradsim"),
+    "mtu+al": Strategy((0.5, 0.5), "mtu", "normgradsim"),
+}
 
 TASKS = ("cv", "disp")
 
@@ -91,21 +108,6 @@ AUX_LOSSES = {
         ("normal", losses_metrics.normal_similarity),
     ),
 }
-
-
-@dataclass
-class AuxWeights:
-    """Per-task auxiliary gates alpha in [0, 1] and scales beta > 0."""
-
-    alpha: dict[str, np.ndarray]
-    beta: dict[str, np.ndarray]
-
-    @classmethod
-    def initial(cls, n_aux: dict[str, int]) -> "AuxWeights":
-        return cls(
-            alpha={t: np.zeros(n) for t, n in n_aux.items()},
-            beta={t: np.ones(n) for t, n in n_aux.items()},
-        )
 
 
 @dataclass
@@ -343,14 +345,6 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-def _static_weights(strategy: str) -> np.ndarray:
-    if strategy == "st-cv":
-        return np.array([1.0, 0.0])
-    if strategy == "st-disp":
-        return np.array([0.0, 1.0])
-    return np.array([0.5, 0.5])
-
-
 def _derive_seed(*parts: int) -> int:
     # Fold parts into one 64-bit seed with SplitMix-style mixing; every sum
     # wraps modulo 2**64, so a negative part counts as its two's complement.
@@ -358,14 +352,6 @@ def _derive_seed(*parts: int) -> int:
     for p in parts:
         acc = coding._mix64((acc + int(p)) & coding._MASK64)
     return acc
-
-
-def _uses_aux(strategy: str) -> bool:
-    return strategy in ("gradsim", "normgradsim", "mtu+al")
-
-
-def _active_tasks(strategy: str) -> tuple[bool, bool]:
-    return (strategy != "st-disp", strategy != "st-cv")
 
 
 @dataclass
@@ -376,16 +362,6 @@ class EpochLog:
     alphas: dict[str, list[float]]
     betas: dict[str, list[float]]
     task_weights: list[float]
-
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_cv": self.loss_cv,
-            "loss_disp": self.loss_disp,
-            "alphas": self.alphas,
-            "betas": self.betas,
-            "task_weights": self.task_weights,
-        }
 
 
 def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,14 +411,13 @@ def train(
         coding.random_masks(n_s, n_t, n_c, [_derive_seed(config.seed, 1, i) for i in range(n_val)]),
     )
     del val_lf
-    strategy = config.strategy
-    active = _active_tasks(strategy)
-    use_aux = _uses_aux(strategy)
-    n_aux = {t: len(AUX_LOSSES[t]) for t in TASKS}
-    aw = AuxWeights.initial(n_aux)
+    weights, weighting, aux = STRATEGIES[config.strategy]
+    # Auxiliary gates and scales per task.  gradsim keeps its last
+    # per-batch weights in alpha; its betas stay at one.
+    alpha = {t: np.zeros(len(AUX_LOSSES[t])) for t in TASKS}
+    beta = {t: np.ones(len(AUX_LOSSES[t])) for t in TASKS}
     mtu_state = MtuState.initial()
     gn_state = GradNormState.initial(gamma=config.gradnorm_gamma)
-    static_w = _static_weights(strategy)
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
     params = net.all_params()
     n_params = sum(p.size for p in params)
@@ -468,56 +443,41 @@ def train(
             pred = {"cv": cv_pred, "disp": disp_pred}
             truth = {"cv": cv, "disp": disp}
 
-            # Per-loss values and seeds (main, then auxiliaries) of each
-            # active task, one batched loss call each.
-            main_vals = np.zeros(2)
-            aux_vals = {t: np.zeros(n_aux[t]) for t in TASKS}
-            seeds = {}
+            # One pass over the active tasks: each loss's value and seed
+            # (main, then the auxiliaries when a rule weights them), the Gram
+            # of their trunk gradients when the rule or gradnorm reads it,
+            # the task loss, and the seed coefficients (c_main, c_aux).
+            task_losses = np.zeros(len(TASKS))
+            main_norms = np.zeros(len(TASKS))
+            seeds, coeffs = {}, {}
             for ti, task in enumerate(TASKS):
-                if not active[ti]:
+                if not weights[ti]:
                     continue
-                main_vals[ti], seed = ad.batched_loss(
-                    pred[task], losses_metrics.huber, truth[task]
+                fns = [losses_metrics.huber] + [fn for _, fn in AUX_LOSSES[task] if aux]
+                vals, seeds[task] = zip(
+                    *(ad.batched_loss(pred[task], fn, truth[task]) for fn in fns)
                 )
-                seeds[task] = [seed]
-                if use_aux:
-                    for j, (_, fn) in enumerate(AUX_LOSSES[task]):
-                        aux_vals[task][j], seed = ad.batched_loss(pred[task], fn, truth[task])
-                        seeds[task].append(seed)
+                task_losses[ti] = vals[0]
+                coeffs[task] = (1.0, ())
+                if aux or weighting == "gradnorm":
+                    gram = ad.gradient_gram(net, acts, task, seeds[task])
+                    main_norms[ti] = _gram_norms(gram)[0]
+                if aux == "gradsim":
+                    alpha[task] = gram_gradsim_weights(gram)
+                    coeffs[task] = (1.0, alpha[task])
+                elif aux == "normgradsim":
+                    alpha[task], beta[task] = gram_normgradsim_update(
+                        gram, alpha[task], beta[task], step=config.normgradsim_step
+                    )
+                    task_losses[ti] = normgradsim_loss(vals[0], vals[1:], alpha[task], beta[task])
+                    coeffs[task] = normgradsim_coefficients(alpha[task], beta[task])
 
-            # Per-task Gram of the per-loss gradients over the shared trunk.
-            grams = {}
-            if use_aux or strategy == "gradnorm":
-                for task, task_seeds in seeds.items():
-                    grams[task] = ad.gradient_gram(net, acts, task, task_seeds)
-
-            # Strategy: derive task weights and per-task aux coefficients.
-            task_coeffs = static_w.copy()
-            aux_coeffs = {t: np.zeros(n_aux[t]) for t in TASKS}
-            if use_aux:
-                for task, gram in grams.items():
-                    if strategy == "gradsim":
-                        aux_coeffs[task] = gram_gradsim_weights(gram)
-                    else:
-                        aw.alpha[task], aw.beta[task] = gram_normgradsim_update(
-                            gram, aw.alpha[task], aw.beta[task], step=config.normgradsim_step
-                        )
-
-            # Per-task effective losses for mtu/gradnorm bookkeeping.
-            task_losses = main_vals.copy()
-            if strategy in ("normgradsim", "mtu+al"):
-                for ti, task in enumerate(TASKS):
-                    if active[ti]:
-                        task_losses[ti] = normgradsim_loss(
-                            main_vals[ti], aux_vals[task], aw.alpha[task], aw.beta[task]
-                        )
-
-            if strategy == "gradnorm":
-                norms = np.array([_gram_norms(grams[t])[0] for t in TASKS])
-                task_coeffs = gradnorm_update(norms, task_losses, gn_state)
-            elif strategy in ("mtu", "mtu+al"):
+            task_weights = np.array(weights)
+            if weighting == "gradnorm":
+                task_weights = gradnorm_update(main_norms, task_losses, gn_state)
+            elif weighting == "mtu":
                 _, ds = mtu_loss(task_losses, mtu_state)
-                task_coeffs = mtu_effective_weights(mtu_state)
+                task_weights = mtu_effective_weights(mtu_state)
                 # the log-variances take the same optimizer step as the net
                 velocity_s = config.momentum * velocity_s + ds
                 mtu_state.s -= config.lr * velocity_s
@@ -525,21 +485,10 @@ def train(
             # One backward of the combined seed per head: task weight times
             # (c_main seed_main + sum_j c_aux_j seed_aux_j).
             head_seeds = {}
-            for task, task_seeds in seeds.items():
-                ti = TASKS.index(task)
-                if task_coeffs[ti] == 0.0:
-                    continue
-                if strategy in ("normgradsim", "mtu+al"):
-                    c_main, c_aux = normgradsim_coefficients(
-                        aw.alpha[task], aw.beta[task]
-                    )
-                elif strategy == "gradsim":
-                    c_main, c_aux = 1.0, aux_coeffs[task]
-                else:
-                    c_main, c_aux = 1.0, np.zeros(n_aux[task])
-                scales = [task_coeffs[ti] * c_main] + [task_coeffs[ti] * float(c) for c in c_aux]
-                # zip stops at the main seed when there are no aux losses
-                terms = [scale * seed for seed, scale in zip(task_seeds, scales) if scale != 0.0]
+            for task, (c_main, c_aux) in coeffs.items():
+                w = task_weights[TASKS.index(task)]
+                scales = [w * c_main] + [w * float(c) for c in c_aux]
+                terms = [scale * seed for seed, scale in zip(seeds[task], scales) if scale != 0.0]
                 if terms:
                     head_seeds[task] = sum(terms)
             ad.collect_gradients(net, acts, head_seeds, out=total)
@@ -552,22 +501,20 @@ def train(
         loss_cv, loss_disp = validate(net, val_coded, val_cv, val_disp)
         if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):
             raise FloatingPointError(f"validation losses {loss_cv}, {loss_disp} at epoch {epoch}")
-        # gradsim has no persistent gates; log its last per-batch weights
-        alphas_now = aux_coeffs if strategy == "gradsim" else aw.alpha
         logs.append(
             EpochLog(
                 epoch=epoch,
                 loss_cv=loss_cv,
                 loss_disp=loss_disp,
-                alphas={t: [float(x) for x in alphas_now[t]] for t in TASKS},
-                betas={t: [float(x) for x in aw.beta[t]] for t in TASKS},
-                task_weights=[float(x) for x in task_coeffs],
+                alphas={t: [float(x) for x in alpha[t]] for t in TASKS},
+                betas={t: [float(x) for x in beta[t]] for t in TASKS},
+                task_weights=[float(x) for x in task_weights],
             )
         )
         if config.stop_below is not None:
             cv_target, disp_target = config.stop_below
-            cv_ok = (not active[0]) or cv_target is None or loss_cv < cv_target
-            disp_ok = (not active[1]) or disp_target is None or loss_disp < disp_target
+            cv_ok = not weights[0] or cv_target is None or loss_cv < cv_target
+            disp_ok = not weights[1] or disp_target is None or loss_disp < disp_target
             if cv_ok and disp_ok:
                 break
     return net, logs

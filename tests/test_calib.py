@@ -458,13 +458,6 @@ def test_global_dark_model_is_the_per_pixel_model_with_constant_maps():
     for t in (data["times"], 0.3):
         dark_pixel = dm_pixel.evaluate(t)
         assert np.array_equal(np.broadcast_to(dm_global.evaluate(t), dark_pixel.shape), dark_pixel)
-    series = calib.ExposureSeries(mu=data["mu"], times=data["times"], bayer=data["bayer"])
-    res = calib.fit_vignetting_responsivity(series, dm_global, calib.saturation_mask(series))
-    for t in (data["times"][3], 0.3):
-        corrected, valid = calib.apply_calibration(data["mu"][..., 3], t, res, dm_global)
-        corrected_pixel, valid_pixel = calib.apply_calibration(data["mu"][..., 3], t, res, dm_pixel)
-        assert np.array_equal(valid, valid_pixel)
-        assert np.array_equal(corrected, corrected_pixel, equal_nan=True)
 
 
 def test_fit_without_recoverable_pixel_raises():
@@ -522,48 +515,3 @@ def test_fit_allocates_no_full_size_stack():
             tracemalloc.stop()
         # Any (I, J, K, L) float64 temporary is series.mu.nbytes on its own.
         assert peak <= 2 * series.mu.nbytes, (fit.__name__, peak / series.mu.nbytes)
-
-
-class TestApplyCalibration:
-    def setup_method(self):
-        self.data = synth_setup(seed=7)
-        self.dm = calib.fit_dark(self.data["dark_stack"], self.data["times"])
-        series = calib.ExposureSeries(
-            mu=self.data["mu"], times=self.data["times"], bayer=self.data["bayer"]
-        )
-        mask = calib.saturation_mask(series)
-        self.res = calib.fit_vignetting_responsivity(series, self.dm, mask)
-
-    def test_model_raw_recovers_unit_irradiance(self):
-        l = 3
-        raw = self.data["mu"][:, :, :, l]
-        sat = raw > calib.SATURATION_THRESHOLD
-        corrected, valid = calib.apply_calibration(
-            raw, self.data["times"][l], self.res, self.dm
-        )
-        good = valid & ~sat
-        assert np.nanmax(np.abs(corrected[good] - 1.0)) <= 1e-3
-
-    def test_dark_only_corrects_to_zero(self):
-        l = 2
-        raw = np.broadcast_to(
-            self.data["dark_stack"][:, :, l][..., None], self.res.vignetting.shape + (5,)
-        ).copy()
-        corrected, valid = calib.apply_calibration(
-            raw, self.data["times"][l], self.res, self.dm
-        )
-        assert np.nanmax(np.abs(corrected[valid])) <= 1e-9
-
-    def test_doubling_time_cancels(self):
-        # Build model-consistent raws at t and 2t; corrected values agree.
-        t = 0.3
-        rmap = self.data["r"][:, self.data["bayer"]].transpose(1, 2, 0)
-        for factor in (1.0, 2.0):
-            tt = t * factor
-            raw = (
-                self.data["offset"][..., None]
-                + (self.data["v"][:, :, None] * rmap + self.data["current"][..., None])
-                * tt
-            )
-            corrected, valid = calib.apply_calibration(raw, tt, self.res, self.dm)
-            assert np.nanmax(np.abs(corrected[valid] - 1.0)) <= 1e-3

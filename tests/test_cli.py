@@ -527,6 +527,10 @@ def test_train_toy_unknown_strategy(capsys):
     assert run(["train-toy", "--strategy", "bogus", "--epochs", "1"]) == 1
     err = capsys.readouterr().err
     assert "unknown strategy 'bogus'" in err and "mtu+al" in err
+    # TrainConfig names the unknown strategy before the SSIM-window check
+    # looks it up in the strategy table.
+    assert run(["train-toy", "--strategy", "bogus", "--dims", "3,3,6,6,5"]) == 1
+    assert "unknown strategy 'bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -798,6 +802,37 @@ def test_train_dict_report_and_reruns(tmp_path, scene):
     assert sorted(report) == ["epoch_objectives", "restarts"]
     assert len(report["epoch_objectives"]) == len(report["restarts"]) == 2
     assert all(r >= 0 for r in report["restarts"])
+
+
+def test_solver_reports_keep_their_key_order(tmp_path, scene):
+    # Each report is its dataclass in field order; a reordered field would
+    # change the bytes of every --no-timestamp report.
+    coded, mask, proj = (str(tmp_path / f"{n}.lf5d") for n in ("c", "m", "p"))
+    dict_p = str(tmp_path / "d.lfdc")
+    patching = ["--atom", "2,2,4,4,5", "--spatial-overlap", "1,1", "--angular-overlap", "0,0"]
+    assert run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
+                "--out-coded", coded, "--out-mask", mask]) == 0
+    assert run(["project", "--in", coded, "--out", proj]) == 0
+    runs = {
+        "reconstruct-dct": (["--in", proj, "--mask", mask, "--lambda", "0.001",
+                             "--max-iters", "3", "--out", str(tmp_path / "r.lf5d")],
+                            ["iterations", "termination", "final_objective", "evaluations",
+                             "pairs_skipped", "objectives"]),
+        "train-dict": (["--scenes", scene + ".lf.lf5d", *patching, "--lambda", "0.05",
+                        "--epochs", "1", "--fista-iters", "3", "--out", dict_p],
+                       ["epoch_objectives", "restarts"]),
+        "reconstruct-dict": (["--in", proj, "--mask", mask, "--dict", dict_p, *patching,
+                              "--lambda", "0.001", "--iters", "3",
+                              "--out", str(tmp_path / "rd.lf5d")],
+                             ["iterations", "restarts", "lipschitz_bound", "step",
+                              "final_objective"]),
+    }
+    for command, (argv, keys) in runs.items():
+        rep = tmp_path / f"{command}.json"
+        assert run([command, *argv, "--report", str(rep), "--no-timestamp"]) == 0, command
+        assert list(json.loads(rep.read_text())) == keys, command
+        assert run([command, *argv, "--report", str(rep)]) == 0, command
+        assert list(json.loads(rep.read_text())) == keys + ["timestamp"], command
 
 
 @pytest.mark.parametrize("bad", ["--out", "--report"])

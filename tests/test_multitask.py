@@ -1,5 +1,7 @@
 """Weighting-strategy algebra and training-loop contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,29 @@ class TestCombineNaive:
     """Static task weights: train scales each task's gradients by these."""
 
     def test_baseline_half_half(self):
-        w = mt._static_weights("naive")
+        w = np.array(mt.STRATEGIES["naive"].weights)
         assert w @ np.array([2.0, 4.0]) == pytest.approx(3.0)
 
     def test_single_task_weights(self):
-        assert mt._static_weights("st-cv") @ np.array([2.0, 100.0]) == pytest.approx(2.0)
-        assert mt._static_weights("st-disp") @ np.array([100.0, 2.0]) == pytest.approx(2.0)
+        cv_only = np.array(mt.STRATEGIES["st-cv"].weights)
+        disp_only = np.array(mt.STRATEGIES["st-disp"].weights)
+        assert cv_only @ np.array([2.0, 100.0]) == pytest.approx(2.0)
+        assert disp_only @ np.array([100.0, 2.0]) == pytest.approx(2.0)
 
     def test_convex_weights_preserve_equal_losses(self):
         for strategy in ("naive", "st-cv", "st-disp"):
-            w = mt._static_weights(strategy)
+            w = np.array(mt.STRATEGIES[strategy].weights)
             assert w @ np.array([5.0, 5.0]) == pytest.approx(5.0)
+
+
+def test_strategy_table_names_and_rows():
+    assert list(mt.STRATEGIES) == [
+        "st-cv", "st-disp", "naive", "mtu", "gradnorm", "gradsim", "normgradsim", "mtu+al",
+    ]
+    for name, row in mt.STRATEGIES.items():
+        assert row.weights in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)), name
+        assert row.weighting in (None, "mtu", "gradnorm"), name
+        assert row.aux in (None, "gradsim", "normgradsim"), name
 
 
 class TestMtu:
@@ -207,7 +221,7 @@ class TestTrain:
         cfg = mt.TrainConfig(strategy="naive", epochs=2, lr=0.1, momentum=0.9, seed=4)
         _, logs1 = mt.train(ad.ToyNet(dims=DIMS, seed=1), toy_dataset, cfg)
         _, logs2 = mt.train(ad.ToyNet(dims=DIMS, seed=1), toy_dataset, cfg)
-        assert [l.as_dict() for l in logs1] == [l.as_dict() for l in logs2]
+        assert [dataclasses.asdict(l) for l in logs1] == [dataclasses.asdict(l) for l in logs2]
 
     def test_single_task_leaves_other_head_untouched(self, toy_dataset):
         net = ad.ToyNet(dims=DIMS, seed=2)
@@ -227,7 +241,7 @@ class TestTrain:
     def test_log_schema(self, toy_dataset):
         cfg = mt.TrainConfig(strategy="normgradsim", epochs=1, lr=0.1, seed=4)
         _, logs = mt.train(ad.ToyNet(dims=DIMS, seed=1), toy_dataset, cfg)
-        entry = logs[0].as_dict()
+        entry = dataclasses.asdict(logs[0])
         assert set(entry) == {
             "epoch", "loss_cv", "loss_disp", "alphas", "betas", "task_weights",
         }
