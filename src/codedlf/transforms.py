@@ -42,12 +42,20 @@ residual into rows of a buffer that is zero elsewhere and applies three
 GEMMs that rotate the axes back.  fidelity_objective, fidelity_gradient
 and the OWL-QN solver all use it.
 
+Column (u, v) of the residual depends on the coefficients of view (u, v)
+alone, so f is a sum of one term per view.  ObservedFidelity can drop
+views whose coefficients stay zero (keep_views): each one's residual
+column is then the constant -b[:, (u, v)], and its squared norm is added to
+every value, while the synthesis, the gather, the scatter and the gradient
+run over the remaining views only, in the front of the buffers they had.
+
 Transforms compute in float64 regardless of input dtype; persisted tensors
 stay float32 at the file boundary.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -107,6 +115,13 @@ class ObservedFidelity:
     `residual(a)` is P synth_STC(a) - b, of shape (S T, U V); `value` and
     `gradient` take it, so a caller that needs f and its gradient at one
     point computes it once.  The GEMM buffers are allocated once, here.
+
+    The operator works on the views `views` (flat u V + v, ascending), all
+    of them at first.  `keep_views` drops views whose coefficients stay
+    zero: their residual columns are then the constant -b, whose squared
+    norm `dropped` is added to each value, and the coefficients, the
+    residual and the gradient cover the remaining views only, as arrays of
+    shape `coef_shape` = (views, S, T, C) and (S T, views).
     """
 
     def __init__(self, l_star: np.ndarray, m: np.ndarray):
@@ -120,7 +135,7 @@ class ObservedFidelity:
             )
         if not coding.is_one_hot(m):
             raise ValueError("coding mask must be one-hot along the channel axis")
-        self.shape = l_star.shape
+        self.shape = self.coef_shape = l_star.shape
         n_u, n_v, n_s, n_t, n_c = l_star.shape
         kept = m.reshape(-1) == 1
         coded = l_star.reshape(n_u * n_v, -1)
@@ -131,6 +146,8 @@ class ObservedFidelity:
         observed = coded[:, self.rows].T.reshape(-1, n_u, n_v)
         b = _dct_matrix(n_u) @ observed @ _dct_matrix(n_v).T
         self.target = b.reshape(-1, n_u * n_v)
+        self.views = np.arange(n_u * n_v)
+        self.dropped = 0.0
         self._synthesis = [_dct_matrix(n).T for n in (n_c, n_t, n_s)]
         # 2 is a power of two, so scaling the first matrix doubles each
         # product exactly: the gradient costs no extra pass.
@@ -138,11 +155,35 @@ class ObservedFidelity:
         self._bufs = (np.empty(l_star.size), np.empty(l_star.size))
         self._scatter = np.zeros((n_s * n_t * n_c, n_u * n_v))
 
+    def keep_views(self, live: np.ndarray) -> None:
+        """Keep the current views where `live` is true and drop the others.
+
+        A dropped view's coefficients are taken as zero from now on, so its
+        residual column is -b, and its squared norm joins `dropped`.  The
+        kept target columns and the buffers move to the front of the memory
+        they had, so nothing is allocated but the kept columns' copy.
+        """
+        live = np.asarray(live, dtype=bool)
+        gone = self.target[:, ~live]
+        self.dropped += float(np.vdot(gone, gone))
+        kept = self.target[:, live]
+        self.target = self.target.reshape(-1)[: kept.size].reshape(kept.shape)
+        self.target[...] = kept
+        self.views = self.views[live]
+        self.coef_shape = (len(self.views),) + self.shape[2:]
+        size = math.prod(self.coef_shape)
+        self._bufs = tuple(buf[:size] for buf in self._bufs)
+        self._scatter = self._scatter.reshape(-1)[:size].reshape(-1, len(self.views))
+        # Entries off the kept rows must read zero in the new layout.
+        self._scatter.fill(0.0)
+
     def residual(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P synth_STC(a) - b: three GEMMs, one row gather and one subtraction."""
         a = np.asarray(a, dtype=np.float64)
-        if a.shape != self.shape:
-            raise ValueError(f"coefficients {a.shape} and measurement {self.shape} disagree")
+        if a.shape != self.coef_shape:
+            raise ValueError(
+                f"coefficients {a.shape} and measurement {self.coef_shape} disagree"
+            )
         z = _last_to_front(np.ascontiguousarray(a), self._synthesis, self._bufs)
         # The rows are in range; mode="clip" spares take a buffered copy of out.
         r = np.take(z.reshape(len(self._scatter), -1), self.rows, axis=0, out=out, mode="clip")
@@ -150,17 +191,17 @@ class ObservedFidelity:
         return r
 
     def value(self, resid: np.ndarray) -> float:
-        return float(np.vdot(resid, resid))
+        return float(np.vdot(resid, resid)) + self.dropped
 
     def gradient(self, resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """2 analysis_STC(P^T resid), the gradient at the point of `resid`."""
         # Entries off the kept rows are never written, so they stay zero.
         self._scatter[self.rows] = resid
-        x = self._scatter.reshape(self.shape[2:] + self.shape[:2])
+        x = self._scatter.reshape(self.shape[2:] + (len(self.views),))
         if out is None:
-            out = np.empty(self.shape)
+            out = np.empty(self.coef_shape)
         # Each (rest, n) = X^T @ mat^T GEMM contracts the first axis and
-        # moves it last: (S, T, C, U, V) comes back as (U, V, S, T, C).
+        # moves it last: (S, T, C, views) comes back as (views, S, T, C).
         for mat, buf in zip(self._gradient, self._bufs + (out,)):
             n = x.shape[0]
             dst = buf.reshape(-1, n)

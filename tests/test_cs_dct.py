@@ -539,6 +539,8 @@ def recorded_histories(monkeypatch):
     class Recorded(cs_dct._LbfgsHistory):
         def __init__(self, *args):
             super().__init__(*args)
+            # The rows as allocated: the solve may drop views' columns later.
+            self.allocated = self.w
             made.append(self)
 
     monkeypatch.setattr(cs_dct, "_LbfgsHistory", Recorded)
@@ -555,8 +557,8 @@ def test_history_ring(monkeypatch):
             lp, m, cs_dct.OwlqnOptions(lam=1e-3, memory=memory, max_iters=max_iters)
         )
         slots = min(memory, max_iters)
-        assert made[-1].w.dtype == np.float32
-        assert made[-1].w.shape == (2 * slots, 2 * 2 * 4 * 4 * 2)
+        assert made[-1].allocated.dtype == np.float32
+        assert made[-1].allocated.shape == (2 * slots, 2 * 2 * 4 * 4 * 2)
         assert made[-1].sy.shape == made[-1].yy.shape == (slots, slots)
 
     rng = np.random.default_rng(11)
@@ -657,7 +659,7 @@ def allocation_peaks(kwargs):
     return rep, [(p - history) / full for p in peaks]
 
 
-def test_solve_allocates_no_per_iteration_full_size_temporary():
+def test_solve_allocates_no_per_iteration_full_size_temporary(monkeypatch):
     # The solve holds 7.5 full-size float64 arrays for all its iterations: x,
     # g and their successors (4; y is written over the old gradient, and the
     # direction lives in the free successor of g), the operator's two GEMM
@@ -666,24 +668,155 @@ def test_solve_allocates_no_per_iteration_full_size_temporary():
     # the active set's size: its indices, x, g, pg and xi on it (5) and a
     # flag array (1/8).  The first iteration's active set is the whole
     # problem, as the warm start is dense, so the peak is 12.625; it reads
-    # 12.68.  From the third iteration on the active sets hold 5-17 % of the
-    # problem, and the peak reads 8.8, most of it the 7.5 arrays.  The final
-    # synthesis runs after the solve's buffers are freed.
+    # 12.68.  From the third iteration on 14-19 of the 25 views are live and
+    # the active sets hold 5-17 % of the problem.  The dropped views are
+    # moved out within the arrays and the history rows, so the 7.5 arrays
+    # stay allocated, nothing of the live views' size is allocated again,
+    # and the iterate the hook gets is built in the free successor of g: the
+    # peak reads 8.74.  The final synthesis runs after the solve's buffers
+    # are freed.
+    made = recorded_histories(monkeypatch)
     rep, peaks = allocation_peaks(dict(max_iters=20))
     assert rep.iterations == 20
     assert max(peaks) <= 13.0, peaks
-    assert peaks[-1] <= 9.25, peaks
+    assert peaks[-1] <= 9.0, peaks
+    (hist,) = made
+    assert hist.w.shape[1] < hist.allocated.shape[1]
+    assert np.shares_memory(hist.w, hist.allocated)
 
 
-def test_dense_active_set_solve_allocates_no_full_size_temporary():
-    # Every iteration's active set is the whole problem.  With pairs, the
-    # direction's float32 copy of pg (1/2) and its gathered block of columns
-    # (0.8 at memory 10) take the place of g on the set, so the peak is
-    # 12.925; it reads 12.98.  Gathering all the active columns at once
-    # would add the size of the history.
+def test_dense_active_set_solve_allocates_no_full_size_temporary(monkeypatch):
+    # Every iteration's active set is the whole problem, so no view drops.
+    # With pairs, the direction's float32 copy of pg (1/2) and its gathered
+    # block of columns (0.8 at memory 10) take the place of g on the set, so
+    # the peak is 12.925; it reads 12.98.  Gathering all the active columns
+    # at once would add the size of the history.
+    dropped = dropped_views(monkeypatch)
     rep, peaks = allocation_peaks(ORACLE_CASES["dense-active-set"][1])
     assert rep.iterations == 20
     assert max(peaks) <= 13.5, peaks
+    assert dropped == []
+
+
+def dropped_views(monkeypatch):
+    """The views (flat u V + v) of each drop in the solves after this call."""
+    dropped = []
+    keep_views = transforms.ObservedFidelity.keep_views
+
+    def recorded(self, live):
+        dropped.append(self.views[~live])
+        return keep_views(self, live)
+
+    monkeypatch.setattr(transforms.ObservedFidelity, "keep_views", recorded)
+    return dropped
+
+
+def test_views_at_their_optimum_drop_out_of_the_solve(monkeypatch, fidelity_oracle):
+    # A view drops at the start of an iteration in which none of its
+    # coefficients is active: x = 0 and |g| <= lam on all of it.  Its
+    # gradient depends on its own coefficients only, so it stays there: every
+    # later iterate is 0 on it, and so is the final one, whose 5D oracle
+    # gradient is at most lam on it.  The hook gets (U, V, S, T, C) iterates,
+    # and the reconstruction is the synthesis of the last one.
+    drops = dropped_views(monkeypatch)
+    make_problem, kwargs = ORACLE_CASES["bench-shape"]
+    lp, m = make_problem()
+    lifted = coding.lift(lp, m).astype(np.float64)
+    lam = 1e-3 * float(np.abs(transforms.dct5_forward(lifted)).max())
+    opts = cs_dct.OwlqnOptions(lam=lam, **kwargs)
+    iterates, at, wholes = [], [], []
+    whole = cs_dct._whole
+
+    def counted(*args):
+        wholes.append(1)
+        return whole(*args)
+
+    def hook(x):
+        iterates.append(x.copy())
+        at.extend([len(iterates) - 1] * (len(drops) - len(at)))
+
+    monkeypatch.setattr(cs_dct, "_whole", counted)
+    rec, rep = cs_dct.owlqn_reconstruct(lp, m, opts, _iterate_hook=hook)
+    assert len(iterates) == rep.iterations == 25
+    # One iterate per hook call, and one for the reconstruction.
+    assert len(wholes) == rep.iterations + 1
+    assert all(x.shape == lifted.shape for x in iterates)
+    dropped = np.concatenate(drops)
+    assert len(dropped) >= 1 and len(np.unique(dropped)) == len(dropped)
+    n_views = lifted.shape[0] * lifted.shape[1]
+    for k, views in zip(at, drops):
+        assert k >= 1 and not iterates[k - 1].reshape(n_views, -1)[views].any()
+        for x in iterates[k:]:
+            assert not x.reshape(n_views, -1)[views].any()
+    g = fidelity_oracle(iterates[-1], lifted, m)[1].reshape(n_views, -1)
+    assert np.abs(g[dropped]).max() <= lam
+    assert np.array_equal(rec, transforms.dct5_inverse(iterates[-1]).astype(np.float32))
+
+    # Without a hook the whole iterate is built once, for the reconstruction.
+    wholes.clear()
+    rec2, rep2 = cs_dct.owlqn_reconstruct(lp, m, opts)
+    assert len(wholes) == 1
+    assert rep2 == rep and np.array_equal(rec2, rec)
+
+
+def test_default_grad_tol_counts_the_dropped_views(monkeypatch):
+    # The default grad_tol is 1e-5 sqrt(n), n the whole problem's size, also
+    # once views have dropped.  Here 4 of the 9 views drop and the solve
+    # converges after 25 iterations; the tolerance of the 5 live views' size
+    # takes 27.
+    drops = dropped_views(monkeypatch)
+    shape = (3, 3, 8, 8, 4)
+    lp, m = sparse_case(shape, 1)
+    n = math.prod(shape)
+    reports = [
+        cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=0.03, grad_tol=tol))[1]
+        for tol in (None, 1e-5 * math.sqrt(n), 1e-5 * math.sqrt(n * 5 / 9))
+    ]
+    assert reports[0].termination == "converged"
+    assert len(drops[0]) == 4
+    assert reports[0] == reports[1]
+    assert reports[0].iterations < reports[2].iterations
+
+
+def test_drop_views_moves_the_live_runs_in_place():
+    rng = np.random.default_rng(12)
+    for rows, n_views, n in ((1, 25, 16), (6, 7, 5), (3, 4, 1)):
+        a = rng.normal(size=(rows, n_views * n)).astype(np.float32)
+        live = rng.uniform(size=n_views) < 0.5
+        live[0] = not live[0]  # the first run may move or stay
+        want = a.reshape(rows, n_views, n)[:, live].reshape(rows, -1)
+        out = cs_dct._drop_views(a, live)
+        assert out.flags.c_contiguous and np.shares_memory(out, a)
+        assert np.array_equal(out, want)
+
+
+def test_history_keeps_its_direction_when_views_drop():
+    # Columns of a view without active coefficients are never gathered, and
+    # a later y is zero on it: dropping them leaves the direction bit-equal,
+    # and a later pair's products equal to rounding.
+    rng = np.random.default_rng(13)
+    n_views, n = 6, 40
+    live = np.array([True, False, True, True, False, True])
+    on_live = np.repeat(live, n)
+    dense, compact = (cs_dct._LbfgsHistory(n_views * n, 3) for _ in range(2))
+    for _ in range(2):
+        s = rng.normal(size=n_views * n)
+        y = 2.0 * s + 0.1 * rng.normal(size=n_views * n)
+        assert push_pair(dense, s, y) and push_pair(compact, s, y)
+    compact.keep_views(live)
+    assert compact.w.shape == (6, live.sum() * n) and compact.w.flags.c_contiguous
+    assert np.array_equal(compact.w[:4], dense.w[:4, on_live])
+    active = np.flatnonzero(on_live & (rng.uniform(size=n_views * n) < 0.5))
+    moved = active - n * np.cumsum(~live)[active // n]
+    pg = rng.normal(size=len(active))
+    pg_max = float(np.abs(pg).max())
+    d = dense.direction(pg, active, pg_max, np.empty(len(active)))
+    assert np.array_equal(compact.direction(pg, moved, pg_max, np.empty(len(active))), d)
+    s = rng.normal(size=n_views * n) * on_live
+    y = 2.0 * s + 0.1 * rng.normal(size=n_views * n) * on_live
+    assert push_pair(dense, s, y) and push_pair(compact, s[on_live], y[on_live])
+    np.testing.assert_allclose(compact.sy, dense.sy, rtol=1e-12)
+    np.testing.assert_allclose(compact.yy, dense.yy, rtol=1e-12)
 
 
 def test_direction_without_pairs_is_minus_pg():
@@ -701,7 +834,7 @@ def test_huge_memory_allocates_only_the_slots_it_can_use(monkeypatch):
     _, rep = cs_dct.owlqn_reconstruct(lp, m, opts)
     assert rep.iterations == 3
     (hist,) = made
-    assert hist.w.shape == (2 * 3, 2 * 2 * 4 * 4 * 2)
+    assert hist.allocated.shape == (2 * 3, 2 * 2 * 4 * 4 * 2)
     assert hist.sy.shape == hist.yy.shape == (3, 3)
 
 

@@ -1,5 +1,7 @@
 """Separable 5D DCT and fidelity-gradient tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,49 @@ def test_operator_rejects_entries_off_the_mask():
     # An uncoded field is rejected too.
     with pytest.raises(ValueError, match="non-zero entries where the mask is 0"):
         transforms.ObservedFidelity(np.ones(shape), m)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 6, 5, 4), (5, 5, 32, 32, 8)])
+def test_operator_on_a_subset_of_views(shape, fidelity_oracle):
+    # Views dropped in two steps, as a solve drops them: the operator on the
+    # rest gives the full operator's residual columns and gradient slices at
+    # a point that is zero on the dropped views, and its value, the live
+    # residual plus the dropped views' constant, is the 5D closed form's.
+    rng = np.random.default_rng(sum(shape) + 1)
+    m = coding.random_mask(*shape[2:], seed=shape[1])
+    l_star = coding.encode(rng.uniform(size=shape).astype(np.float32), m).astype(np.float64)
+    n_views = shape[0] * shape[1]
+    full = transforms.ObservedFidelity(l_star, m)
+    fid = transforms.ObservedFidelity(l_star, m)
+    bufs = fid._bufs + (fid._scatter, fid.target)
+    views = np.arange(n_views)
+    for _ in range(2):
+        live = rng.uniform(size=len(views)) < 0.6
+        live[rng.integers(len(views))] = False
+        live[rng.integers(len(views))] = True
+        fid.keep_views(live)
+        views = views[live]
+        assert np.array_equal(fid.views, views)
+        assert fid.coef_shape == (len(views),) + shape[2:]
+
+        alpha = np.zeros(shape)
+        alpha.reshape(n_views, -1)[views] = rng.normal(size=(len(views), math.prod(shape[2:])))
+        r_full = full.residual(alpha)
+        g_full = full.gradient(r_full).reshape(n_views, *shape[2:])[views]
+        a = alpha.reshape(n_views, *shape[2:])[views]
+        r = fid.residual(a)
+        assert r.shape == (shape[2] * shape[3], len(views))
+        assert np.abs(r - r_full[:, views]).max() <= FIDELITY_RTOL * np.abs(r_full).max()
+        g = fid.gradient(r)
+        assert g.shape == fid.coef_shape and g.flags.c_contiguous
+        assert np.abs(g - g_full).max() <= FIDELITY_RTOL * np.abs(g_full).max()
+        f_ref, _ = fidelity_oracle(alpha, l_star, m)
+        assert abs(fid.value(r) - f_ref) <= FIDELITY_RTOL * f_ref
+        dropped = np.delete(r_full, views, axis=1)
+        assert fid.dropped == pytest.approx(float(np.vdot(dropped, dropped)), rel=FIDELITY_RTOL)
+        # Only the kept views' coefficients are taken.
+        with pytest.raises(ValueError, match="disagree"):
+            fid.residual(alpha)
+    # The buffers shrink within the memory they had.
+    for old, new in zip(bufs, fid._bufs + (fid._scatter, fid.target)):
+        assert np.shares_memory(old, new)
