@@ -2,10 +2,12 @@
 
 The network maps a flattened coded light field through a shared trunk (two
 dense relu layers) and two heads (dense relu, then dense linear) to a
-central view (S, T, C) and a disparity map (S, T).  Parameters are plain
-float64 arrays in `ToyNet.params`, one list `[w0, b0, w1, b1]` per group
-("shared", "cv", "disp").  Biases start at zero, weights use He-style
-initialization from the given seed.
+central view (S, T, C) and a disparity map (S, T).  Every parameter lives
+in one flat float64 vector, `ToyNet.flat`: the groups in GROUPS order
+("shared", "cv", "disp"), each `[w0, b0, w1, b1]` raveled.
+`ToyNet.params` holds one list of views of it per group (`param_views`), so
+one step on `flat` updates them all.  Biases start at zero, weights use
+He-style initialization from the given seed.
 
 `ToyNet.forward_batch` returns both heads' outputs together with the
 activations the backward needs: each block's input, its hidden layer's
@@ -18,9 +20,9 @@ of losses is the backward of the same weighted sum of their seeds.
 
 `collect_gradients` is that one backward: it takes one combined seed per
 head and back-propagates both through their heads and the trunk.  It
-writes every parameter gradient into a flat parameter-length vector: the
-groups in GROUPS order, each `[w0, b0, w1, b1]` raveled (`param_views`
-gives the per-parameter views, `group_slice` one group's range).  The
+writes every parameter gradient into a flat parameter-length vector laid
+out as `ToyNet.flat` (`param_views` gives the per-parameter views,
+`group_slice` one group's range).  The
 GEMMs and bias sums write straight into its views; a head without a seed
 gets zeros.  No gradient is formed for the network input.
 
@@ -95,25 +97,23 @@ class ToyNet:
     hidden: int = 64
     head_hidden: int = 64
     seed: int = 0
-    params: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    flat: np.ndarray | None = field(default=None, repr=False)  # None: drawn from seed
+    params: dict[str, list[np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("hidden", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.params:
+        fresh = self.flat is None
+        if fresh:
+            shapes = _param_shapes(self.dims, self.hidden, self.head_hidden)
+            self.flat = np.zeros(sum(math.prod(s) for g in GROUPS for s in shapes[g]))
+        self.params = param_views(self, self.flat)
+        if fresh:
             rng = np.random.default_rng(self.seed)
-            self.params = {
-                group: [
-                    rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
-                    if len(shape) == 2
-                    else np.zeros(shape)
-                    for shape in shapes
-                ]
-                for group, shapes in _param_shapes(
-                    self.dims, self.hidden, self.head_hidden
-                ).items()
-            }
+            for p in self.all_params():
+                if p.ndim == 2:
+                    p[...] = rng.normal(0.0, np.sqrt(2.0 / p.shape[0]), size=p.shape)
 
     def all_params(self) -> list[np.ndarray]:
         return [p for group in GROUPS for p in self.params[group]]
@@ -163,11 +163,12 @@ def param_views(net: ToyNet, flat: np.ndarray) -> dict[str, list[np.ndarray]]:
     """Per-group views of a flat parameter-length vector, shaped like
     net.params: the groups in GROUPS order, each [w0, b0, w1, b1] raveled."""
     views, start = {}, 0
-    for group in GROUPS:
+    for group, shapes in _param_shapes(net.dims, net.hidden, net.head_hidden).items():
         views[group] = []
-        for p in net.params[group]:
-            views[group].append(flat[start : start + p.size].reshape(p.shape))
-            start += p.size
+        for shape in shapes:
+            size = math.prod(shape)
+            views[group].append(flat[start : start + size].reshape(shape))
+            start += size
     return views
 
 
@@ -204,7 +205,7 @@ def collect_gradients(
     are missing.
     """
     if out is None:
-        out = np.empty(sum(p.size for p in net.all_params()))
+        out = np.empty_like(net.flat)
     grads = param_views(net, out)
     g_trunk = None
     for head in ("cv", "disp"):
@@ -275,7 +276,7 @@ def save_net(net: ToyNet, path) -> None:
     }
     blob = json.dumps(spec, sort_keys=True).encode()
     header = _LFNN_HEADER.pack(LFNN_MAGIC, len(blob)) + blob
-    tensor.write_container(path, header, *net.all_params())
+    tensor.write_container(path, header, net.flat)
 
 
 def load_net(path) -> ToyNet:
@@ -297,15 +298,8 @@ def load_net(path) -> ToyNet:
     if shapes != [shape for g in GROUPS for shape in expected[g]]:
         raise tensor.LF5DError(f"{path}: parameter shapes {shapes} do not match the network")
     n = sum(math.prod(shape) for shape in shapes)
-    vals = tensor.read_payload(path, raw, offset, n)
-    params, start = {}, 0
-    for group in GROUPS:
-        params[group] = []
-        for shape in expected[group]:
-            size = math.prod(shape)
-            params[group].append(vals[start : start + size].astype(np.float64).reshape(shape))
-            start += size
-    return ToyNet(dims, spec["hidden"], spec["head_hidden"], params=params)
+    flat = tensor.read_payload(path, raw, offset, n).astype(np.float64)
+    return ToyNet(dims, spec["hidden"], spec["head_hidden"], flat=flat)
 
 
 def _is_count(v) -> bool:

@@ -365,12 +365,12 @@ def _cmd_predict_toy(args) -> int:
             f"input {coded.shape} does not match network dims {net.dims}"
         )
     cv, disp = autodiff.forward(net, coded)
-    tensor.write_lf5d(
-        tensor.cv_to_tensor5(cv.astype("float32")), args.out_cv
-    )
-    tensor.write_lf5d(
-        tensor.disp_to_tensor5(disp.astype("float32")), args.out_disp
-    )
+    # Convert and check both maps before the first write, so a refusal
+    # writes nothing.
+    (cv32,) = tensor.float32_payload(args.out_cv, cv)
+    (disp32,) = tensor.float32_payload(args.out_disp, disp)
+    tensor.write_lf5d(tensor.cv_to_tensor5(cv32), args.out_cv)
+    tensor.write_lf5d(tensor.disp_to_tensor5(disp32), args.out_disp)
     if args.png_preview:
         _png_preview(cv, args.out_cv + ".png")
     return 0

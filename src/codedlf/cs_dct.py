@@ -29,10 +29,14 @@ Everything outside that operator works on the active set
 A = {x != 0} or {|g| > lam}, the flat indices of the coefficients that can
 move: off A the pseudo-gradient is exactly 0, so the constrained direction,
 the step orthant, the step s and the move of the trial point are 0 there
-too.  The pseudo-gradient, max |pg|, the direction, the orthant
-constraint, the step orthant, the first-step norm and each trial's passes
-and dot products run on arrays of |A| entries; a trial scatters its values
-into the dense trial point, which equals x off A, before the synthesis.
+too.  On A, sigma = sign(x) - (x == 0) sign(g) is the orthant of the step
+(|g| > lam wherever x == 0 there) and the pseudo-gradient is g + lam sigma.
+One power of two 2^e > max |pg| per iteration scales pg for the float32
+copy that the direction reads and for the first step's norm
+2^e ||pg / 2^e||, which cannot overflow.  These, max |pg|, the direction,
+the orthant constraint and each trial's passes and dot products run on
+arrays of |A| entries; a trial scatters its values into the dense trial
+point, which equals x off A, before the synthesis.
 Arrays over every live view (below) remain only where the operator needs
 them: the iterate, the gradient and their successors, allocated once per
 solve and swapped in place of copies.  y = g_new - g is written over the
@@ -143,27 +147,30 @@ def _pseudo_gradient(
     g: np.ndarray,
     lam: float,
     out: np.ndarray,
-    scratch: np.ndarray,
+    sigma: np.ndarray,
     flags: np.ndarray,
-) -> np.ndarray:
-    """Write the pseudo-gradient of f(x) + lam*||x||_1 into `out`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write the pseudo-gradient of f(x) + lam*||x||_1 into `out` and the
+    step orthant into `sigma`, for x and g on the active set; return both.
 
-    It is zero inside the subdifferential.  Away from zero it is
-    g + lam sign(x); at x == 0 it is g + lam where that is negative,
-    g - lam where that is positive and 0 otherwise, that is g - clip(g,
-    -lam, lam).  Both read as g + lam sign(x) - (x == 0) clip(g, -lam, lam).
-    `scratch` (float64) and `flags` (bool) are work arrays of x's shape.
+    On A = {x != 0} or {|g| > lam}, sigma = sign(x) - (x == 0) sign(g) is
+    sign(x), or -sign(g) at x == 0, where |g| > lam.  There the
+    pseudo-gradient g + lam sigma has the sign of g, so sigma is sign(x) or
+    sign(-pg): the orthant of the step.  At lam = 0 it is a copy of g, which
+    keeps a -0.0 of g that g + 0 sigma would not.  `flags` is a bool work
+    array of x's shape.
     """
+    np.sign(g, out=sigma)
+    sigma *= np.equal(x, 0.0, out=flags)
+    # Neither sign is taken in place: numpy's np.sign is several times
+    # slower in place.
+    np.subtract(np.sign(x, out=out), sigma, out=sigma)
     if lam == 0.0:
         np.copyto(out, g)
-        return out
-    np.sign(x, out=out)
-    out *= lam
-    out += g
-    np.clip(g, -lam, lam, out=scratch)
-    scratch *= np.equal(x, 0.0, out=flags)
-    out -= scratch
-    return out
+    else:
+        np.multiply(sigma, lam, out=out)
+        out += g
+    return out, sigma
 
 
 def _active_set(x: np.ndarray, g: np.ndarray, lam: float, flags: np.ndarray, edge: np.ndarray):
@@ -262,14 +269,14 @@ class _LbfgsHistory:
         self.w = self.w.reshape(-1)[: len(self.w) * width].reshape(len(self.w), width)
 
     def direction(
-        self, pg: np.ndarray, active: np.ndarray, pg_max: float, out: np.ndarray
+        self, pg: np.ndarray, active: np.ndarray, scale: float, out: np.ndarray
     ) -> np.ndarray:
         """Write -H pg on `active` into `out`, H the inverse Hessian of the kept pairs.
 
         pg is the pseudo-gradient on `active`, and zero off it, so only the
-        active columns of the rows enter.  pg_max is max |pg|.  The float32
-        copy of pg is pg / 2^e with 2^e > pg_max: exact, and within
-        float32's range at any lam.
+        active columns of the rows enter.  scale is a power of two 2^e with
+        max |pg| < 2^(e + 1), so the float32 copy of pg, pg / 2^e, is exact
+        and within float32's range at any lam.
 
         H = gamma I + [S gamma Y] M [S gamma Y]^T in the compact form of
         Byrd, Nocedal & Schnabel (1994), with gamma = s.y / y.y of the newest
@@ -287,7 +294,6 @@ class _LbfgsHistory:
             np.negative(pg, out=out)
             return out
         rows = self.w[: 2 * len(self.pairs)]
-        scale = math.ldexp(1.0, math.frexp(pg_max)[1])
         v32 = np.multiply(pg, 1.0 / scale, out=np.empty(len(pg), dtype=np.float32))
         buf = np.empty(len(rows) * min(len(active), self.block), dtype=np.float32)
 
@@ -390,12 +396,16 @@ def _solve(l_star_p, m, opts: OwlqnOptions, _iterate_hook) -> tuple[np.ndarray, 
         x_a = xf[active]
         pg, xi = np.empty(len(active)), np.empty(len(active))
         on = np.empty(len(active), dtype=bool)
-        # xi is free until the orthant and serves as scratch.
+        # xi is sigma, the orthant of the step.
         _pseudo_gradient(x_a, g.reshape(-1)[active], lam, pg, xi, on)
-        pg_max = float(np.abs(pg, out=xi).max(initial=0.0))
+        # g_new is free until the accepted point's gradient: it holds |pg|,
+        # then d.
+        pg_max = float(np.abs(pg, out=g_new.reshape(-1)[: len(active)]).max(initial=0.0))
         if pg_max <= tol:
             report.termination = "converged"
             break
+        # 2^e > max |pg|, or float64's largest power of two past it.
+        scale = math.ldexp(1.0, min(math.frexp(pg_max)[1], 1023))
         # A view without active coefficients is at its optimum for good: drop
         # it, and move the live views to the front of each array.
         live = flags.reshape(len(fid.views), -1).any(axis=1)
@@ -413,35 +423,23 @@ def _solve(l_star_p, m, opts: OwlqnOptions, _iterate_hook) -> tuple[np.ndarray, 
             hist.keep_views(live)
             xf, xnf = x.reshape(-1), x_new.reshape(-1)
 
-        # g_new is free until the accepted point's gradient and holds d.
-        d = hist.direction(pg, active, pg_max, g_new.reshape(-1)[: len(active)])
+        d = hist.direction(pg, active, scale, g_new.reshape(-1)[: len(active)])
         t = np.empty(len(active))  # scratch, then each trial's point and step
         # Constrain the direction to the descent orthant of the pseudo-gradient:
         # keep d where d sign(pg) < 0, which has the sign of d pg but cannot
         # overflow.  Masks are applied by multiplication, which is cheaper
         # than a masked store; it leaves -0.0 where a negative entry is
         # zeroed, and no step reads the sign of a zero.
-        np.sign(pg, out=xi)
-        d *= np.less(np.multiply(d, xi, out=t), 0.0, out=on)
+        np.sign(pg, out=t)
+        d *= np.less(np.multiply(t, d, out=t), 0.0, out=on)
         if float(np.vdot(pg, d)) >= 0:
             np.negative(pg, out=d)
-        # Orthant of the step: sign(x), or sign(-pg) where x == 0, taken as
-        # sign(x) - (x == 0) sign(pg), which has the bits of
-        # sign(x - (x == 0) pg), signed zeros included.  Neither sign is
-        # taken in place: numpy's np.sign is several times slower in place.
-        xi *= np.equal(x_a, 0.0, out=on)
-        np.subtract(np.sign(x_a, out=t), xi, out=xi)
 
         if hist.pairs:
             step = 1.0
         else:
-            # A unit first step; past float64's range the norm is taken
-            # scaled by pg_max.
-            with np.errstate(over="ignore"):
-                pg_norm = float(np.linalg.norm(pg))
-            if not math.isfinite(pg_norm):
-                pg_norm = pg_max * float(np.linalg.norm(np.divide(pg, pg_max, out=t)))
-            step = 1.0 / max(pg_norm, 1e-30)
+            # A unit first step; scaling by a power of two is exact.
+            step = 1.0 / max(scale * float(np.linalg.norm(np.divide(pg, scale, out=t))), 1e-30)
         accepted = False
         for _ in range(MAX_LINESEARCH):
             np.multiply(d, step, out=t)

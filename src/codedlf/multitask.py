@@ -419,14 +419,9 @@ def train(
     mtu_state = MtuState.initial()
     gn_state = GradNormState.initial(gamma=config.gradnorm_gamma)
     rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
-    params = net.all_params()
-    n_params = sum(p.size for p in params)
-    total = np.empty(n_params)
-    velocity = np.zeros(n_params) if config.momentum else None
-    step_grads = [
-        g for grads in ad.param_views(net, total if velocity is None else velocity).values()
-        for g in grads
-    ]
+    total = np.empty_like(net.flat)
+    velocity = np.zeros_like(net.flat) if config.momentum else None
+    update = total if velocity is None else velocity
     velocity_s = np.zeros_like(mtu_state.s)
     logs: list[EpochLog] = []
 
@@ -496,7 +491,7 @@ def train(
             if velocity is not None:
                 velocity *= config.momentum
                 velocity += total
-            ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
+            ad.sgd_step([net.flat], [update], config.lr, config.weight_decay)
 
         loss_cv, loss_disp = validate(net, val_coded, val_cv, val_disp)
         if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):

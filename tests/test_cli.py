@@ -221,12 +221,41 @@ def test_mask_readers_reject_stacked_masks(tmp_path, capsys, scene, command):
     assert os.listdir(out.parent) == []
 
 
-def test_png_preview(tmp_path):
+@pytest.mark.parametrize("command", ["gen-scene", "reconstruct-dct", "reconstruct-dict",
+                                     "predict-toy"])
+def test_png_preview(tmp_path, command):
+    import struct
+
+    from codedlf import autodiff, cs_dict
+
     prefix = str(tmp_path / "p")
-    assert run(["gen-scene", "--pattern", "spectral-stripes", "--dims",
-                "3,3,8,8,5", "--out-prefix", prefix, "--png-preview"]) == 0
-    png = (tmp_path / "p.cv.png").read_bytes()
+    gen = ["gen-scene", "--pattern", "spectral-stripes", "--dims", "3,3,8,8,5",
+           "--out-prefix", prefix]
+    if command == "gen-scene":
+        assert run(gen + ["--png-preview"]) == 0
+        png = (tmp_path / "p.cv.png").read_bytes()
+    else:
+        assert run(gen) == 0
+        coded, mask, proj = (str(tmp_path / f"{n}.lf5d") for n in ("c", "m", "proj"))
+        assert run(["encode", "--in", prefix + ".lf.lf5d", "--seed", "2",
+                    "--out-coded", coded, "--out-mask", mask]) == 0
+        assert run(["project", "--in", coded, "--out", proj]) == 0
+        dict_p, net_p = str(tmp_path / "d.lfdc"), str(tmp_path / "n.lfnn")
+        cs_dict.write_dictionary(cs_dict.init_dictionary(2 * 2 * 4 * 4 * 5, 8, 0), dict_p)
+        autodiff.save_net(autodiff.ToyNet(dims=(3, 3, 8, 8, 5), hidden=4, head_hidden=4), net_p)
+        out = str(tmp_path / "out.lf5d")
+        argv = {
+            "reconstruct-dct": ["--in", proj, "--mask", mask, "--lambda", "0.001",
+                                "--max-iters", "2", "--out", out],
+            "reconstruct-dict": ["--in", proj, "--mask", mask, "--dict", dict_p, "--atom",
+                                 "2,2,4,4,5", "--lambda", "0.001", "--iters", "2", "--out", out],
+            "predict-toy": ["--net", net_p, "--in", coded, "--out-cv", out,
+                            "--out-disp", str(tmp_path / "disp.lf5d")],
+        }[command]
+        assert run([command, *argv, "--png-preview"]) == 0
+        png = (tmp_path / "out.lf5d.png").read_bytes()
     assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    assert png[12:24] == b"IHDR" + struct.pack(">II", 8, 8)  # the central view's S, T
 
 
 def _calib_inputs(tmp_path):
@@ -386,6 +415,8 @@ def _set_bayer_value(path, value):
     ("bright-v", "bright series must be"),
     ("dark-v", "dark series must be"),
     ("dark-k", "dark series must be"),
+    ("bayer-shape", "Bayer map must be (1, 1, 8, 8, 1), got (1, 1, 16, 8, 1)"),
+    ("times-count", "exposure counts of series and times.csv disagree"),
 ])
 def test_calibrate_rejects_malformed_containers(tmp_path, capsys, bad, message):
     bright, dark, bayer, times = _calib_inputs(tmp_path)
@@ -393,6 +424,13 @@ def test_calibrate_rejects_malformed_containers(tmp_path, capsys, bad, message):
         _set_bayer_value(bayer, 1.7)  # used to be truncated to 1
     elif bad == "bayer-range":
         _set_bayer_value(bayer, 3.0)
+    elif bad == "bayer-shape":
+        _double_axis(bayer, 2)
+    elif bad == "times-count":
+        with open(times) as fh:
+            lines = fh.readlines()
+        with open(times, "w") as fh:
+            fh.writelines(lines[:-1])
     else:  # extra slices used to be dropped silently
         _double_axis(bright if bad == "bright-v" else dark, 4 if bad == "dark-k" else 1)
     assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
@@ -471,6 +509,37 @@ def test_predict_toy_rejects_oversized_network_before_allocating(tmp_path, capsy
                 "--out-cv", str(tmp_path / "cv.lf5d"),
                 "--out-disp", str(tmp_path / "d.lf5d")]) == 1
     assert "payload holds 0 bytes" in capsys.readouterr().err
+
+
+def test_predict_toy_refused_write_writes_nothing(tmp_path, capsys):
+    # Every parameter is finite in float32, but the disparity head's output,
+    # about 6e38, is not: the command exits 2 before either map is written,
+    # and no float32 cast warns on the way.
+    import warnings
+
+    from codedlf import autodiff
+
+    dims = (3, 3, 8, 8, 5)
+    net = autodiff.ToyNet(dims=dims, hidden=4, head_hidden=4, seed=1)
+    net.params["disp"][1][:] = 1.5e38  # every hidden unit of the head
+    net.params["disp"][2][:] = 1.0
+    net_path = str(tmp_path / "net.lfnn")
+    autodiff.save_net(net, net_path)
+    coded = str(tmp_path / "c.lf5d")
+    tensor.write_lf5d(np.zeros(dims, np.float32), coded)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["predict-toy", "--net", net_path, "--in", coded,
+                    "--out-cv", str(out / "cv.lf5d"),
+                    "--out-disp", str(out / "d.lf5d")]) == 2
+    assert caught == []
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"numerical failure: {out / 'd.lf5d'}: cannot write non-finite float32 values"
+    )
+    assert os.listdir(out) == []
 
 
 def test_reconstruct_dct_cli(tmp_path, scene):
@@ -568,6 +637,18 @@ def test_train_toy_rejects_bad_knobs(tmp_path, monkeypatch, capsys, flag, value,
     assert run(["train-toy", "--strategy", "naive", "--scenes", "10", flag, value,
                 "--log", str(log), "--out", str(net)]) == 1
     assert message in capsys.readouterr().err
+    assert not log.exists() and not net.exists()
+
+
+def test_train_toy_rejects_too_few_scenes_for_the_validation_split(tmp_path, capsys):
+    # One scene goes to the validation split and leaves none to train on.
+    log, net = tmp_path / "log.json", tmp_path / "net.lfnn"
+    capsys.readouterr()
+    assert run(["train-toy", "--strategy", "naive", "--scenes", "1", "--dims", "3,3,8,8,5",
+                "--epochs", "1", "--log", str(log), "--out", str(net)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: dataset too small for the validation split"
+    )
     assert not log.exists() and not net.exists()
 
 

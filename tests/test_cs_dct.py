@@ -274,46 +274,59 @@ def test_solve_equals_reference_loop(case, tensordot_dct5, fidelity_oracle):
         assert rep.termination == case.replace("-", "_")
 
 
+def pseudo_gradient_on(x, g, lam, active):
+    """`_pseudo_gradient` of x and g gathered on `active`, written over NaN."""
+    n = len(active)
+    return cs_dct._pseudo_gradient(
+        x.reshape(-1)[active], g.reshape(-1)[active], lam,
+        np.full(n, np.nan), np.full(n, np.nan), np.empty(n, bool),
+    )
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_pseudo_gradient_matches_reference_bitwise():
+    # On A the pseudo-gradient and sigma have the bits of the four-`where`
+    # reference and of sign(x) - (x == 0) sign(pg), signed zeros included:
+    # x = -0.0 and g = -0.0 occur on A, and at lam = 0 a copy of g keeps the
+    # sign of g = -0.0 where x > 0.
     rng = np.random.default_rng(8)
     lam = 0.25
     x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=4000) * rng.uniform(0.5, 2.0, size=4000)
     # Gradients on both sides of +-lam, exactly at them and at zero.
     g = rng.choice([-lam, lam, 0.0, -0.0, 0.1, -0.1, 0.3, -0.3, 2.0, -2.0], size=4000)
     for lam_ in (lam, 0.0):
-        pg = cs_dct._pseudo_gradient(
-            x, g, lam_, np.full_like(g, np.nan), np.full_like(g, np.nan), np.empty(g.shape, bool)
-        )
-        ref = reference_pseudo_gradient(x, g, lam_)
-        assert np.array_equal(pg, ref)
-        assert np.array_equal(np.signbit(pg), np.signbit(ref))
+        active = np.flatnonzero((x != 0) | (np.abs(g) > lam_))
+        on_zero = x[active] == 0
+        assert on_zero.any() and np.signbit(x[active][on_zero]).any()
+        assert (np.signbit(g[active]) & (g[active] == 0) & (x[active] > 0)).any()
+        pg, sigma = pseudo_gradient_on(x, g, lam_, active)
+        ref = reference_pseudo_gradient(x, g, lam_)[active]
+        assert_bitwise(pg, ref)
+        assert_bitwise(sigma, np.sign(x[active]) - on_zero * np.sign(ref))
+        assert np.array_equal(np.abs(sigma), np.ones(len(active)))
 
 
 def test_pseudo_gradient_on_the_active_set_is_the_dense_one():
-    # A = {x != 0} or {|g| > lam}: the pseudo-gradient of the gathered x and
-    # g is bit-equal to the dense one on A, and the dense one is 0 off A.
+    # A = {x != 0} or {|g| > lam}: off A the reference pseudo-gradient is 0,
+    # and on A the pseudo-gradient of the gathered x and g is bit-equal to it.
     rng = np.random.default_rng(9)
     lam = 0.25
     shape = (2, 2, 5, 5, 8)
     x = rng.choice([-1.0, -0.0, 0.0, 0.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, size=shape)
     g = rng.choice([-lam, lam, 0.0, -0.0, 0.1, -0.1, 0.3, -0.3, 2.0, -2.0], size=shape)
     flags, edge = np.empty(shape, bool), np.empty(shape, bool)
-
-    def work(n):
-        return np.full(n, np.nan), np.full(n, np.nan), np.empty(n, bool)
-
     for lam_ in (lam, 0.0):
         active = cs_dct._active_set(x, g, lam_, flags, edge)
         assert np.array_equal(active, np.flatnonzero((x != 0) | (np.abs(g) > lam_)))
-        dense = cs_dct._pseudo_gradient(x, g, lam_, *work(shape))
-        on_a = cs_dct._pseudo_gradient(
-            x.reshape(-1)[active], g.reshape(-1)[active], lam_, *work(len(active))
-        )
-        assert np.array_equal(on_a, dense.reshape(-1)[active])
-        assert np.array_equal(np.signbit(on_a), np.signbit(dense.reshape(-1)[active]))
+        dense = reference_pseudo_gradient(x, g, lam_).reshape(-1)
+        assert_bitwise(pseudo_gradient_on(x, g, lam_, active)[0], dense[active])
         off = np.ones(dense.size, bool)
         off[active] = False
-        assert off.any() and not dense.reshape(-1)[off].any()
+        assert off.any() and not dense[off].any()
 
 
 def test_lambda_zero_full_observation():
@@ -450,10 +463,15 @@ def push_pair(hist, s, y):
     return hist.push(s.reshape(-1)[active], active, y)
 
 
+def scale_of(pg):
+    """The power of two 2^e > max |pg| that the solve passes to `direction`."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(pg).max()))[1])
+
+
 def dense_direction(hist, pg):
     """The compact direction with every column active."""
     flat = pg.reshape(-1)
-    out = hist.direction(flat, np.arange(flat.size), float(np.abs(flat).max()), np.empty(flat.size))
+    out = hist.direction(flat, np.arange(flat.size), scale_of(flat), np.empty(flat.size))
     return out.reshape(pg.shape)
 
 
@@ -521,7 +539,7 @@ def test_direction_on_the_active_set_equals_the_dense_one(block, monkeypatch, tw
             pg = np.where(on, rng.normal(size=shape), 0.0)
             active = np.flatnonzero(on)
             pg_a = pg.reshape(-1)[active]
-            out = hist.direction(pg_a, active, float(np.abs(pg_a).max()), np.empty(len(active)))
+            out = hist.direction(pg_a, active, scale_of(pg_a), np.empty(len(active)))
             dense = dense_direction(hist, pg).reshape(-1)[active]
             ref = -two_loop(pg, kept).reshape(-1)[active]
             worst = max(
@@ -617,10 +635,10 @@ def test_huge_lam_keeps_the_float32_history_finite():
 
 
 def test_first_step_survives_an_overflowing_pseudo_gradient_norm():
-    # With lam = 1e300 the norm of the pseudo-gradient overflows to inf; the
-    # first step is then sized from the norm scaled by max |pg|, and the
-    # solve reaches x = 0 as it does at lam = 1e100.  Nothing overflows on
-    # the way: the direction's orthant test reads d sign(pg), not d pg.
+    # With lam = 1e300 the norm of the pseudo-gradient would overflow; the
+    # first step is sized from 2^e ||pg / 2^e||, and the solve reaches x = 0
+    # as it does at lam = 1e100.  Nothing overflows on the way: the
+    # direction's orthant test reads d sign(pg), not d pg.
     lp, m = sparse_case((2, 2, 8, 8, 3), 5)
     ref_rec, ref = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e100, max_iters=50))
     with np.errstate(over="raise"):
@@ -629,6 +647,40 @@ def test_first_step_survives_an_overflowing_pseudo_gradient_norm():
     assert rep.iterations == ref.iterations == 3
     assert rep.final_objective == ref.final_objective
     assert not rec.any() and not ref_rec.any()
+
+
+def test_pseudo_gradient_past_the_largest_power_of_two():
+    # lam = 1e308 on data scaled by 1e-30 keeps the start finite, and
+    # max |pg| lies above 2^1023, the largest float64 power of two.  The scale
+    # stops there: pg / 2^1023 is below 2, the first step's norm overflows
+    # to inf, and the zero step fails the line search at iteration 0.
+    lp, m = sparse_case((2, 2, 8, 8, 3), 5)
+    lp = (lp.astype(np.float64) * 1e-30).astype(np.float32)
+    with np.errstate(over="raise"):
+        rec, rep = cs_dct.owlqn_reconstruct(lp, m, cs_dct.OwlqnOptions(lam=1e308, max_iters=5))
+    assert rep.termination == "line_search_failed"
+    assert rep.iterations == rep.evaluations == 0
+    assert len(rep.objectives) == 1 and math.isfinite(rep.final_objective)
+    assert rec.any()
+
+
+def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
+    # A direction of +pg loses every entry to the orthant constraint, so
+    # pg . d = 0 and the solve steps along -pg instead: it takes the same
+    # steps as a solve whose direction is -pg.
+    lp, m = sparse_case((2, 2, 8, 8, 3), 4)
+    opts = cs_dct.OwlqnOptions(lam=1e-2, max_iters=8)
+    runs = []
+    for sign in (1.0, -1.0):
+        def direction(self, pg, active, scale, out, sign=sign):
+            return np.multiply(pg, sign, out=out)
+
+        monkeypatch.setattr(cs_dct._LbfgsHistory, "direction", direction)
+        runs.append(cs_dct.owlqn_reconstruct(lp, m, opts))
+    (rec, rep), (ref_rec, ref) = runs
+    assert rep.iterations == 8 and rep.termination == "max_iters"
+    assert rep == ref
+    assert np.array_equal(rec, ref_rec)
 
 
 def allocation_peaks(kwargs):
@@ -809,9 +861,8 @@ def test_history_keeps_its_direction_when_views_drop():
     active = np.flatnonzero(on_live & (rng.uniform(size=n_views * n) < 0.5))
     moved = active - n * np.cumsum(~live)[active // n]
     pg = rng.normal(size=len(active))
-    pg_max = float(np.abs(pg).max())
-    d = dense.direction(pg, active, pg_max, np.empty(len(active)))
-    assert np.array_equal(compact.direction(pg, moved, pg_max, np.empty(len(active))), d)
+    d = dense.direction(pg, active, scale_of(pg), np.empty(len(active)))
+    assert np.array_equal(compact.direction(pg, moved, scale_of(pg), np.empty(len(active))), d)
     s = rng.normal(size=n_views * n) * on_live
     y = 2.0 * s + 0.1 * rng.normal(size=n_views * n) * on_live
     assert push_pair(dense, s, y) and push_pair(compact, s[on_live], y[on_live])
@@ -823,7 +874,7 @@ def test_direction_without_pairs_is_minus_pg():
     hist = cs_dct._LbfgsHistory(4, 3)
     pg = np.arange(4.0)
     assert not push_pair(hist, np.ones(4), -np.ones(4))
-    out = hist.direction(pg[1:], np.arange(1, 4), 3.0, np.empty(3))
+    out = hist.direction(pg[1:], np.arange(1, 4), 4.0, np.empty(3))
     assert np.array_equal(out, -pg[1:])
 
 

@@ -1,5 +1,6 @@
 """Scene generation and light-field rendering tests."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -47,6 +48,25 @@ def test_values_in_range_and_deterministic():
         assert np.array_equal(cv1, cv2)
         assert np.array_equal(d1, d2)
         assert cv1.min() >= 0.0 and cv1.max() <= 1.0
+
+
+def test_noise_is_seeded_and_leaves_the_disparity():
+    # noise_sigma > 0 adds seeded Gaussian noise to the central view after
+    # the pattern's own draws, then clips to [0, 1]; the disparity is the
+    # noiseless scene's.
+    spec = scenegen.SceneSpec(dims=(1, 1, 32, 32, 4), pattern="random-smooth",
+                              disparity_profile="linear-ramp",
+                              disparity_params=(-1.0, 1.0), seed=5, noise_sigma=0.05)
+    cv, disp = scenegen.make_scene(spec)
+    again, _ = scenegen.make_scene(spec)
+    clean, clean_disp = scenegen.make_scene(dataclasses.replace(spec, noise_sigma=0.0))
+    assert np.array_equal(cv, again)
+    assert np.array_equal(disp, clean_disp)
+    assert cv.min() >= 0.0 and cv.max() <= 1.0
+    inside = (cv > 0.0) & (cv < 1.0)
+    noise = (cv - clean)[inside]
+    assert inside.mean() > 0.9
+    assert abs(noise.std() - 0.05) <= 0.005 and abs(noise.mean()) <= 0.005
 
 
 @pytest.mark.parametrize("shape, digest", [
