@@ -252,18 +252,17 @@ def gradient_gram(net: ToyNet, acts: Activations, task: str, seeds) -> np.ndarra
     return _dense_gram(h0, g_trunk) + _dense_gram(x, g_h0)
 
 
-def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:
-    """In-place step p <- p - lr * (g + wd * p) on parameter arrays.
+def sgd_step(p: np.ndarray, g: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:
+    """In-place step p <- p - lr * (g + wd * p) on one parameter array.
 
-    At wd = 0 the step is p - lr * g, with one temporary per parameter.  It
-    gives the same bits for finite p: g + 0 * p differs from g only where
-    g = -0 and p >= +0, and there p - lr * (+0) = p - lr * (-0).
+    At wd = 0 the step is p - lr * g, with one temporary.  It gives the same
+    bits for finite p: g + 0 * p differs from g only where g = -0 and
+    p >= +0, and there p - lr * (+0) = p - lr * (-0).
     """
-    for p, g in zip(params, grads):
-        g = np.asarray(g)
-        if p.shape != g.shape:
-            raise ValueError("parameter/gradient shape mismatch")
-        p -= lr * (g + weight_decay * p if weight_decay else g)
+    g = np.asarray(g)
+    if p.shape != g.shape:
+        raise ValueError("parameter/gradient shape mismatch")
+    p -= lr * (g + weight_decay * p if weight_decay else g)
 
 
 def save_net(net: ToyNet, path) -> None:

@@ -7,10 +7,10 @@ container, `FileNotFoundError`, argparse errors); 2 numerical failure
 objective, and `np.linalg.LinAlgError`, matched first: `LinAlgError` and
 `tensor.NonFiniteWriteError` are ValueErrors too); 3 internal error, any other
 exception (a fault in the program; the traceback goes to stderr).  Every path a
-subcommand writes must lie in an existing directory; that is checked before any
-input is read.  All randomness derives from explicit --seed flags.  JSON
-reports carry a timestamp unless --no-timestamp is given, so re-runs with
-identical flags and --no-timestamp are byte-identical.
+subcommand writes must lie in an existing directory and not be one itself; that
+is checked before any input is read.  All randomness derives from explicit
+--seed flags.  JSON reports carry a timestamp unless --no-timestamp is given, so
+re-runs with identical flags and --no-timestamp are byte-identical.
 
 Heavy imports happen after argument parsing so that --threads can cap the
 BLAS worker pools through the environment before numpy loads.
@@ -89,10 +89,17 @@ def _require_files(*paths) -> None:
             raise ValueError(f"input file not found: {p}")
 
 
-def _require_out_dirs(*paths) -> None:
-    for p in paths:
-        if p is not None and not os.path.isdir(os.path.dirname(p) or "."):
+def _require_out_dirs(args) -> None:
+    """Each output path must lie in an existing directory and, but for the
+    --out-prefix stem, not be a directory itself."""
+    for flag in _OUTPUT_FLAGS:
+        p = getattr(args, flag, None)
+        if p is None:
+            continue
+        if not os.path.isdir(os.path.dirname(p) or "."):
             raise ValueError(f"output directory not found: {p}")
+        if flag != "out_prefix" and os.path.isdir(p):
+            raise ValueError(f"output path is a directory: {p}")
 
 
 def _read_mask(path):
@@ -111,7 +118,9 @@ _OUTPUT_FLAGS = ("out", "out_prefix", "out_coded", "out_mask", "out_cv", "out_di
                  "report", "log")
 
 
-def _report(payload: dict, path: str | None, no_timestamp: bool) -> None:
+def _report(payload: dict | list, path: str | None, no_timestamp: bool) -> None:
+    """Write `payload` as JSON to `path`, or to stdout without one, with a
+    timestamp field unless `no_timestamp`."""
     if not no_timestamp:
         payload = dict(payload)
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -345,12 +354,7 @@ def _cmd_train_toy(args) -> int:
     if args.out:
         autodiff.save_net(net, args.out)
     # The log is a bare array of per-epoch entries (no timestamp wrapper).
-    text = json.dumps([dataclasses.asdict(l) for l in logs], indent=2) + "\n"
-    if args.log:
-        with open(args.log, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _report([dataclasses.asdict(l) for l in logs], args.log, no_timestamp=True)
     return 0
 
 
@@ -667,7 +671,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     try:
-        _require_out_dirs(*(getattr(args, flag, None) for flag in _OUTPUT_FLAGS))
+        _require_out_dirs(args)
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     # LinAlgError and NonFiniteWriteError are ValueErrors: match them first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -278,10 +278,6 @@ def lipschitz_bound(d: Dictionary) -> float:
     return lam
 
 
-def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 # Reconstruction stops after a non-restart iteration in which the objective
 # summed over all patches fell by at most this fraction of its new value.
 STOP_REL_DECREASE = 1e-3
@@ -433,23 +429,6 @@ def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.nda
         raise ValueError(f"patch length {x.shape[2]} != atom length {d.atom_len}")
     steps = np.array([1.0 / (2.0 * lipschitz_bound(d))])
     return _fista(d.atoms, x, None, steps, lam, iters)[0][0, 0]
-
-
-def ista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
-    """Plain (non-accelerated) proximal gradient, kept as a reference."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    lip = lipschitz_bound(d)
-    step = 1.0 / (2.0 * lip)
-    a = np.zeros((d.n_atoms, 1), dtype=np.float64)
-    for _ in range(iters):
-        a = _soft_threshold(a - step * (2.0 * (d.atoms.T @ (d.atoms @ a - x))), lam * step)
-    return a[:, 0]
-
-
-def coding_objective(d: Dictionary, x: np.ndarray, a: np.ndarray, lam: float) -> float:
-    """||x - D a||^2 + lam*||a||_1 for a single patch/code pair."""
-    r = np.asarray(x, dtype=np.float64).ravel() - d.atoms @ np.asarray(a).ravel()
-    return float(r @ r + lam * np.abs(a).sum())
 
 
 def init_dictionary(atom_len: int, n_atoms: int, seed: int) -> Dictionary:

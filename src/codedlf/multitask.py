@@ -52,9 +52,7 @@ sum_i w_i (c_main,i L_main,i + sum_j c_aux,ij L_aux,ij), with the task
 weights w_i and coefficients c treated as constants.  Because the backward
 is linear in its seed, that is one `autodiff.collect_gradients` pass of the
 combined seed per head, w_i (c_main,i seed_main,i + sum_j c_aux,ij
-seed_aux,ij), into a reused flat vector.  `gradsim_weights` and
-`normgradsim_update` take explicit gradient vectors, form their Gram and
-call the same Gram-based code.
+seed_aux,ij), into a reused flat vector.
 """
 
 from __future__ import annotations
@@ -180,12 +178,6 @@ def gradnorm_update(
     return w.copy()
 
 
-def _gram(g_main: np.ndarray, g_aux: list[np.ndarray]) -> np.ndarray:
-    """Gram of the gradients [g_main, *g_aux] by explicit dot products."""
-    g = np.stack([g_main, *g_aux])
-    return g @ g.T
-
-
 def _gram_norms(gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, np.diag(gram)))
 
@@ -198,26 +190,19 @@ def _truncated_cosine(dot: float, nm: float, na: float) -> float:
 
 
 def gram_gradsim_weights(gram: np.ndarray) -> np.ndarray:
-    """`gradsim_weights` from the Gram of [g_main, *g_aux]."""
+    """Truncated cosine similarity of each auxiliary gradient to the main
+    one, from the Gram of [g_main, *g_aux]."""
     norms = _gram_norms(gram)
     return np.array(
         [_truncated_cosine(gram[0, j], norms[0], norms[j]) for j in range(1, len(gram))]
     )
 
 
-def gradsim_weights(g_main: np.ndarray, g_aux: list[np.ndarray]) -> np.ndarray:
-    """Truncated cosine similarity of each auxiliary gradient to the main one."""
-    return gram_gradsim_weights(_gram(g_main, g_aux))
-
-
-def normgradsim_update(
-    g_main: np.ndarray,
-    g_aux: list[np.ndarray],
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    step: float = 0.1,
+def gram_normgradsim_update(
+    gram: np.ndarray, alpha: np.ndarray, beta: np.ndarray, step: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Move alpha and beta one clipped step toward their per-batch targets.
+    """Move alpha and beta one clipped step toward their per-batch targets,
+    read from the Gram of [g_main, *g_aux].
 
     Targets: alpha_j* = truncated cosine(g_main, g_aux_j) and
     beta_j* = |g_main| / |g_aux_j|.  The move is the signed-subgradient step
@@ -226,13 +211,6 @@ def normgradsim_update(
     Degenerate (zero-norm) gradients leave the pair unchanged.  Alphas are
     clamped to [0, 1], betas kept strictly positive.
     """
-    return gram_normgradsim_update(_gram(g_main, g_aux), alpha, beta, step)
-
-
-def gram_normgradsim_update(
-    gram: np.ndarray, alpha: np.ndarray, beta: np.ndarray, step: float = 0.1
-) -> tuple[np.ndarray, np.ndarray]:
-    """`normgradsim_update` from the Gram of [g_main, *g_aux]."""
     alpha = np.asarray(alpha, dtype=np.float64).copy()
     beta = np.asarray(beta, dtype=np.float64).copy()
     norms = _gram_norms(gram)
@@ -491,7 +469,7 @@ def train(
             if velocity is not None:
                 velocity *= config.momentum
                 velocity += total
-            ad.sgd_step([net.flat], [update], config.lr, config.weight_decay)
+            ad.sgd_step(net.flat, update, config.lr, config.weight_decay)
 
         loss_cv, loss_disp = validate(net, val_coded, val_cv, val_disp)
         if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):

@@ -39,8 +39,7 @@ residual of a point for f reuses it for the gradient.  synth_STC is three
 GEMMs that rotate (U, V, S, T, C) to (S, T, C, U, V), where the kept
 entries are whole rows, so P is one row gather; the gradient scatters the
 residual into rows of a buffer that is zero elsewhere and applies three
-GEMMs that rotate the axes back.  fidelity_objective, fidelity_gradient
-and the OWL-QN solver all use it.
+GEMMs that rotate the axes back.  The OWL-QN solver uses it.
 
 Column (u, v) of the residual depends on the coefficients of view (u, v)
 alone, so f is a sum of one term per view.  ObservedFidelity can drop
@@ -208,14 +207,3 @@ class ObservedFidelity:
             x = np.matmul(x.reshape(n, -1).T, mat.T, out=dst).reshape(x.shape[1:] + (n,))
         return out
 
-
-def fidelity_objective(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> float:
-    """Squared residual || l_star - m * synth(a) ||_2^2."""
-    fid = ObservedFidelity(l_star, m)
-    return fid.value(fid.residual(a))
-
-
-def fidelity_gradient(a: np.ndarray, l_star: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Gradient of the coded data-fidelity term with respect to a."""
-    fid = ObservedFidelity(l_star, m)
-    return fid.gradient(fid.residual(a))

@@ -399,8 +399,8 @@ def graph_gradients():
 
 # ---------------------------------------------------------------------------
 # Training as it was before the strategy statistics came from Grams: one
-# backward pass per loss into that loss's flat gradient vector, the vector
-# forms of gradsim_weights and normgradsim_update on those vectors, and the
+# backward pass per loss into that loss's flat gradient vector, the strategy
+# rules on the Gram of those vectors by explicit dot products, and the
 # update summed loss by loss onto +0.0 over the trunk and the loss's own
 # head.  Each sample draws and codes its own mask, and validation codes and
 # forwards one sample at a time.  Test oracles for multitask.train and
@@ -484,13 +484,13 @@ def _ref_train(net, dataset, config):
             aux_coeffs = {t: np.zeros(n_aux[t]) for t in mt.TASKS}
             if use_aux:
                 for task, grads in loss_grads.items():
-                    g_main, *g_aux = (g[subset] for g in grads)
+                    g = np.stack([g[subset] for g in grads])
+                    gram = g @ g.T
                     if strategy == "gradsim":
-                        aux_coeffs[task] = mt.gradsim_weights(g_main, g_aux)
+                        aux_coeffs[task] = mt.gram_gradsim_weights(gram)
                     else:
-                        alpha[task], beta[task] = mt.normgradsim_update(
-                            g_main, g_aux, alpha[task], beta[task],
-                            step=config.normgradsim_step,
+                        alpha[task], beta[task] = mt.gram_normgradsim_update(
+                            gram, alpha[task], beta[task], step=config.normgradsim_step
                         )
             task_losses = main_vals.copy()
             if strategy in ("normgradsim", "mtu+al"):
@@ -524,7 +524,8 @@ def _ref_train(net, dataset, config):
             if velocity is not None:
                 velocity *= config.momentum
                 velocity += total
-            ad.sgd_step(params, step_grads, config.lr, config.weight_decay)
+            for p, g in zip(params, step_grads):
+                ad.sgd_step(p, g, config.lr, config.weight_decay)
         loss_cv, loss_disp = _ref_validate(net, val_set, config.seed)
         alphas_now = aux_coeffs if strategy == "gradsim" else alpha
         logs.append(mt.EpochLog(
@@ -567,6 +568,11 @@ def per_loss_training():
 
 
 # ---------------------------------------------------------------------------
+def _soft_threshold(x, t):
+    """The soft threshold of the dictionary oracles below."""
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
 # The masked dictionary solve as it was before it ran on observed rows only:
 # FISTA on the full-height patch vectors of all patches at once, the binary
 # mask folded into the residual, with the per-patch steps and the stop rule
@@ -595,7 +601,7 @@ def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
     for it in range(1, iters + 1):
         r = atoms @ y - x
         r = mask * r
-        z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
+        z = _soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
         f_z = objective(z)
         worse = f_z > f_a
         if np.any(worse):
@@ -684,8 +690,8 @@ def two_loop():
 # three GEMMs per iteration (D y, the gradient with the scaled copy
 # (2.0 * atoms.T) @ r, and D z for the objective), the training loop that
 # recomputed D a for every batch, and plain ISTA with the same scaled copy.
-# Test oracles for cs_dict._fista, cs_dict.train_dictionary and
-# cs_dict.ista_encode.
+# Test oracles for cs_dict._fista and cs_dict.train_dictionary, and the
+# baseline FISTA must beat.
 
 
 def _ref_fista(d, x, lam, iters):
@@ -706,7 +712,7 @@ def _ref_fista(d, x, lam, iters):
     restarted = np.zeros((iters, x.shape[1]), dtype=bool)
     for i in range(iters):
         r = atoms @ y - x
-        z = cs_dict._soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
+        z = _soft_threshold(y - step * (2.0 * atoms.T @ r), thresh)
         f_z = objective(z)
         worse = f_z > f_a
         restarted[i] = worse
@@ -765,7 +771,7 @@ def _ref_ista(d, x, lam, iters):
     step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
     a = np.zeros((d.n_atoms, 1), dtype=np.float64)
     for _ in range(iters):
-        a = cs_dict._soft_threshold(a - step * (2.0 * d.atoms.T @ (d.atoms @ a - x)), lam * step)
+        a = _soft_threshold(a - step * (2.0 * d.atoms.T @ (d.atoms @ a - x)), lam * step)
     return a[:, 0]
 
 
@@ -774,6 +780,18 @@ def ista_oracle():
     """ista_oracle(d, x, lam, iters) -> codes of ISTA with the gradient
     written (2.0 * atoms.T) @ r (test oracle)."""
     return _ref_ista
+
+
+def _coding_objective(d, x, a, lam):
+    r = np.asarray(x, dtype=np.float64).ravel() - d.atoms @ np.asarray(a).ravel()
+    return float(r @ r + lam * np.abs(a).sum())
+
+
+@pytest.fixture
+def coding_objective():
+    """coding_objective(d, x, a, lam) -> ||x - D a||^2 + lam ||a||_1 of one
+    patch and its code."""
+    return _coding_objective
 
 
 # ---------------------------------------------------------------------------

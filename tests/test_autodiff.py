@@ -189,23 +189,23 @@ def test_zero_seed_gram_takes_the_degenerate_norm_path():
 class TestSgdStep:
     def test_zero_lr(self):
         p = np.array([1.0, 2.0])
-        ad.sgd_step([p], [np.array([5.0, 5.0])], lr=0.0)
+        ad.sgd_step(p, np.array([5.0, 5.0]), lr=0.0)
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_weight_decay_scalar(self):
         p = np.array([1.0])
-        ad.sgd_step([p], [np.array([0.0])], lr=1.0, weight_decay=0.1)
+        ad.sgd_step(p, np.array([0.0]), lr=1.0, weight_decay=0.1)
         assert p[0] == pytest.approx(0.9)
 
     def test_plain_sgd(self):
         p = np.array([1.0])
-        ad.sgd_step([p], [np.array([0.5])], lr=0.2, weight_decay=0.0)
+        ad.sgd_step(p, np.array([0.5]), lr=0.2, weight_decay=0.0)
         assert p[0] == pytest.approx(0.9)
 
     def test_shape_mismatch(self):
         p = np.zeros(3)
         with pytest.raises(ValueError):
-            ad.sgd_step([p], [np.zeros(4)], lr=0.1)
+            ad.sgd_step(p, np.zeros(4), lr=0.1)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     def test_bit_equal_to_the_decay_formula(self, weight_decay):
@@ -217,8 +217,8 @@ class TestSgdStep:
         params[1][:4] = [0.0, -0.0, 0.0, -0.0]
         grads[1][:4] = [-0.0, -0.0, 0.0, 0.0]
         want = [p - 0.3 * (g + weight_decay * p) for p, g in zip(params, grads)]
-        ad.sgd_step(params, grads, lr=0.3, weight_decay=weight_decay)
-        for p, w in zip(params, want):
+        for p, g, w in zip(params, grads, want):
+            ad.sgd_step(p, g, lr=0.3, weight_decay=weight_decay)
             assert np.array_equal(p.view(np.uint64), w.view(np.uint64))
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_encode_project_lift_round_trip(scene, tmp_path):
     report = str(tmp_path / "eq.json")
     assert run(["evaluate", "--pred", lift, "--truth", coded, "--kind", "cv",
                 "--no-timestamp", "--out", report]) == 0
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert data["psnr_db"] == "inf"
     assert data["mse_px2"] == 0.0
 
@@ -58,7 +59,7 @@ def test_evaluate_identical_cv(scene, tmp_path):
     assert run(["evaluate", "--pred", scene + ".cv.lf5d", "--truth",
                 scene + ".cv.lf5d", "--kind", "cv", "--no-timestamp",
                 "--out", report]) == 0
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert data["psnr_db"] == "inf"
     assert data["ssim"] == 1.0
     assert data["badpix07_pct"] is None
@@ -69,7 +70,7 @@ def test_evaluate_disp_kind(scene, tmp_path):
     assert run(["evaluate", "--pred", scene + ".disp.lf5d", "--truth",
                 scene + ".disp.lf5d", "--kind", "disp", "--no-timestamp",
                 "--out", report]) == 0
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert data["badpix07_pct"] == 0.0
     assert data["ssim"] is None
 
@@ -299,7 +300,7 @@ def test_calibrate_cli(tmp_path):
     out = str(tmp_path / "calib.json")
     assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
                 times, "--bayer", bayer, "--out", out, "--no-timestamp"]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert (tmp_path / data["vignetting"]).exists()
     assert len(data["responsivity"]) == 3
     assert data["unrecoverable"]["pixels"] == []
@@ -313,7 +314,7 @@ def test_calibrate_cli_global_dark(tmp_path):
     assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
                 times, "--bayer", bayer, "--dark-mode", "global", "--out", out,
                 "--no-timestamp"]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert data["dark"]["mode"] == "global"
     assert isinstance(data["dark"]["offset"], float)
     assert isinstance(data["dark"]["current"], float)
@@ -328,7 +329,7 @@ def test_calibrate_cli_reports_unrecoverable_pixel(tmp_path):
     out = str(tmp_path / "calib.json")
     assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
                 times, "--bayer", bayer, "--out", out, "--no-timestamp"]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     # The blooming mask takes the 8-neighborhood and the whole readout row.
     expected = {(3, j) for j in range(8)} | {(i, j) for i in (2, 4) for j in (3, 4, 5)}
     assert data["unrecoverable"]["pixels"] == [list(p) for p in sorted(expected)]
@@ -470,7 +471,7 @@ def test_train_and_predict_toy(tmp_path):
     assert run(["train-toy", "--strategy", "naive", "--epochs", "1",
                 "--scenes", "12", "--dims", "3,3,8,8,5", "--seed", "1",
                 "--log", log, "--out", net, "--no-timestamp"]) == 0
-    entries = json.loads(open(log).read())
+    entries = json.loads(Path(log).read_text())
     assert isinstance(entries, list) and len(entries) == 1
     assert {"epoch", "loss_cv", "loss_disp", "alphas", "betas",
             "task_weights"} == set(entries[0])
@@ -734,6 +735,30 @@ def test_parsed_options_do_not_leak_into_the_next_call(tmp_path, monkeypatch):
     assert seen[2].seed == 0 and seen[3].threads is None and seen[3].report is None
 
 
+def test_parser_defaults_restate_the_library_defaults():
+    # The parser cannot import the numpy modules before --threads applies,
+    # so it repeats these values.
+    import inspect
+
+    from codedlf import cs_dct, cs_dict
+    from codedlf import losses_metrics as lm
+
+    parse = cli._build_parser.__wrapped__().parse_args
+    cal = parse(["calibrate", "--dark", "a", "--bright", "b", "--times", "c", "--bayer", "d",
+                 "--out", "e"])
+    assert (cal.threshold, cal.line_reach) == (calib.SATURATION_THRESHOLD, calib.LINE_REACH)
+    ev = parse(["evaluate", "--pred", "a", "--truth", "b", "--kind", "disp"])
+    assert ev.badpix_tau == lm.BADPIX_TAU
+    dct = parse(["reconstruct-dct", "--in", "a", "--mask", "b", "--lambda", "0.1", "--out", "c"])
+    opts = cs_dct.OwlqnOptions(lam=0.1)
+    assert (dct.max_iters, dct.memory) == (opts.max_iters, opts.memory)
+    td = parse(["train-dict", "--scenes", "a", "--atom", "1,1,2,2,2", "--lambda", "0.1",
+                "--out", "b"])
+    defaults = inspect.signature(cs_dict.train_dictionary).parameters
+    for name in ("k", "lr", "batch_size", "fista_iters", "epochs"):
+        assert getattr(td, name) == defaults[name].default, name
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["reconstruct-dct", "--help"]])
 def test_help_is_unchanged_by_the_cached_parser(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
@@ -854,7 +879,7 @@ def test_dict_cli_round_trip(tmp_path, scene):
     for i in range(2):
         out, rep = str(tmp_path / f"rec{i}.lf5d"), tmp_path / f"rep{i}.json"
         assert run(argv + ["--out", out, "--report", str(rep), "--no-timestamp"]) == 0
-        assert open(out, "rb").read() == open(rec, "rb").read()
+        assert Path(out).read_bytes() == Path(rec).read_bytes()
         reports.append(rep.read_bytes())
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
@@ -955,19 +980,31 @@ _OUTPUT_CASES = {
 }
 
 
+# An output path in a missing directory, and one that is a directory; the
+# --out-prefix stem may name a directory, since its files go next to it.
 @pytest.mark.parametrize("case", [
-    (command, i) for command, argv in _OUTPUT_CASES.items()
+    (command, i, directory) for command, argv in _OUTPUT_CASES.items()
     for i, arg in enumerate(argv) if arg == "OUT"
-], ids=lambda case: f"{case[0]}-{_OUTPUT_CASES[case[0]][case[1] - 1]}")
+    for directory in (False, True) if not (directory and argv[i - 1] == "--out-prefix")
+], ids=lambda case: f"{case[0]}-{_OUTPUT_CASES[case[0]][case[1] - 1]}"
+                    + ("-directory" if case[2] else ""))
 def test_every_output_dir_is_checked_before_any_work(tmp_path, capsys, case):
-    command, bad = case
-    missing = str(tmp_path / "missing" / "out")
-    argv = [missing if i == bad else str(tmp_path / f"o{i}") if arg == "OUT"
+    command, bad, directory = case
+    if directory:
+        path = tmp_path / "dir"
+        path.mkdir()
+        message = f"output path is a directory: {path}"
+    else:
+        path = tmp_path / "missing" / "out"
+        message = f"output directory not found: {path}"
+    argv = [str(path) if i == bad else str(tmp_path / f"o{i}") if arg == "OUT"
             else str(tmp_path / "in") if arg == "IN" else arg
             for i, arg in enumerate(_OUTPUT_CASES[command])]
     assert run([command, *argv]) == 1
-    assert f"output directory not found: {missing}" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["dir"] if directory else [])
+    if directory:
+        assert os.listdir(path) == []
 
 
 _TRAIN_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.05"}
@@ -1131,7 +1168,7 @@ def test_damaged_inputs_keep_the_exit_code_contract(command, fuzz_inputs, tmp_pa
     outs = [a for flag in out_flags for a in (flag, str(tmp_path / f"out{flag}.x"))]
     broken, numerical = [], set()
     for flag, name in sources.items():
-        raw = open(fuzz_inputs[name], "rb").read()
+        raw = Path(fuzz_inputs[name]).read_bytes()
         ext = os.path.splitext(fuzz_inputs[name])[1][1:]
         for kind in ("flip", "truncate", "extend", ext):
             for k in range(8):

@@ -12,6 +12,12 @@ from codedlf import multitask as mt
 RNG = np.random.default_rng(31)
 
 
+def _gram(g_main, g_aux):
+    """The Gram of the gradients [g_main, *g_aux] that the strategy rules read."""
+    g = np.stack([g_main, *g_aux])
+    return g @ g.T
+
+
 class TestCombineNaive:
     """Static task weights: train scales each task's gradients by these."""
 
@@ -96,29 +102,29 @@ class TestGradNorm:
 class TestGradSim:
     def test_identical_gradient(self):
         g = RNG.normal(size=50)
-        assert mt.gradsim_weights(g, [g])[0] == pytest.approx(1.0)
+        assert mt.gram_gradsim_weights(_gram(g, [g]))[0] == pytest.approx(1.0)
 
     def test_opposed_gradient_truncated(self):
         g = RNG.normal(size=50)
-        assert mt.gradsim_weights(g, [-g])[0] == 0.0
+        assert mt.gram_gradsim_weights(_gram(g, [-g]))[0] == 0.0
 
     def test_orthogonal_gradient(self):
         g = np.zeros(4)
         g[0] = 1.0
         h = np.zeros(4)
         h[1] = 1.0
-        assert mt.gradsim_weights(g, [h])[0] == 0.0
+        assert mt.gram_gradsim_weights(_gram(g, [h]))[0] == 0.0
 
     def test_zero_norm_gives_zero(self):
         g = RNG.normal(size=10)
-        assert mt.gradsim_weights(g, [np.zeros(10)])[0] == 0.0
-        assert mt.gradsim_weights(np.zeros(10), [g])[0] == 0.0
+        assert mt.gram_gradsim_weights(_gram(g, [np.zeros(10)]))[0] == 0.0
+        assert mt.gram_gradsim_weights(_gram(np.zeros(10), [g]))[0] == 0.0
 
     def test_weights_always_in_unit_interval(self):
         for _ in range(50):
             g = RNG.normal(size=16)
             aux = [RNG.normal(size=16) for _ in range(3)]
-            w = mt.gradsim_weights(g, aux)
+            w = mt.gram_gradsim_weights(_gram(g, aux))
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
 
@@ -128,7 +134,7 @@ class TestNormGradSim:
         alpha = np.zeros(1)
         beta = np.ones(1) * 3.0
         for _ in range(200):
-            alpha, beta = mt.normgradsim_update(g, [g], alpha, beta, step=0.1)
+            alpha, beta = mt.gram_normgradsim_update(_gram(g, [g]), alpha, beta, step=0.1)
         assert abs(alpha[0] - 1.0) <= 1e-3
         assert abs(beta[0] - 1.0) <= 1e-3
 
@@ -137,7 +143,7 @@ class TestNormGradSim:
         alpha = np.ones(1)
         beta = np.ones(1)
         for _ in range(200):
-            alpha, beta = mt.normgradsim_update(g, [-g], alpha, beta, step=0.1)
+            alpha, beta = mt.gram_normgradsim_update(_gram(g, [-g]), alpha, beta, step=0.1)
         assert alpha[0] == 0.0
 
     def test_beta_converges_to_norm_ratio(self):
@@ -146,14 +152,14 @@ class TestNormGradSim:
         alpha = np.zeros(1)
         beta = np.ones(1)
         for _ in range(200):
-            alpha, beta = mt.normgradsim_update(g, [big], alpha, beta, step=0.1)
+            alpha, beta = mt.gram_normgradsim_update(_gram(g, [big]), alpha, beta, step=0.1)
         assert abs(beta[0] - 0.1) <= 1e-3
 
     def test_degenerate_norm_skipped(self):
         g = RNG.normal(size=8)
         with pytest.warns(UserWarning):
-            alpha, beta = mt.normgradsim_update(
-                g, [np.zeros(8)], np.array([0.4]), np.array([2.0]), step=0.1
+            alpha, beta = mt.gram_normgradsim_update(
+                _gram(g, [np.zeros(8)]), np.array([0.4]), np.array([2.0]), step=0.1
             )
         assert alpha[0] == pytest.approx(0.4)
         assert beta[0] == pytest.approx(2.0)
@@ -174,7 +180,7 @@ class TestNormGradSim:
         alpha = np.zeros(1)
         beta = np.ones(1)
         for _ in range(300):
-            alpha, beta = mt.normgradsim_update(g_main, [g_aux], alpha, beta)
+            alpha, beta = mt.gram_normgradsim_update(_gram(g_main, [g_aux]), alpha, beta)
         c_main, c_aux = mt.normgradsim_coefficients(alpha, beta)
         combined = c_main * g_main + c_aux[0] * g_aux
         assert np.linalg.norm(combined) <= 1.05 * np.linalg.norm(g_main)
