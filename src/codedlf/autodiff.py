@@ -102,8 +102,7 @@ class ToyNet:
 
     def __post_init__(self):
         for name in ("hidden", "head_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            tensor.require_count(name, getattr(self, name), 1)
         fresh = self.flat is None
         if fresh:
             shapes = _param_shapes(self.dims, self.hidden, self.head_hidden)
@@ -287,9 +286,10 @@ def load_net(path) -> ToyNet:
     try:
         spec = json.loads(raw[_LFNN_HEADER.size : offset])
         dims = tuple(spec["dims"])
-        sizes = (*dims, spec["hidden"], spec["head_hidden"])
-        if len(dims) != 5 or not all(_is_count(v) for v in sizes):
-            raise ValueError(f"dims {dims} and widths must be integers >= 1")
+        if len(dims) != 5:
+            raise ValueError(f"dims {dims} must be five sizes")
+        for v in (*dims, spec["hidden"], spec["head_hidden"]):
+            tensor.require_count("each dim and width", v, 1)
         expected = _param_shapes(dims, spec["hidden"], spec["head_hidden"])
         shapes = [tuple(shape) for g in GROUPS for shape in spec["groups"][g]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -299,7 +299,3 @@ def load_net(path) -> ToyNet:
     n = sum(math.prod(shape) for shape in shapes)
     flat = tensor.read_payload(path, raw, offset, n).astype(np.float64)
     return ToyNet(dims, spec["hidden"], spec["head_hidden"], flat=flat)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1

@@ -65,6 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .tensor import require_count, require_real
+
 SATURATION_THRESHOLD = 0.985  # 1008/1023 of a 10-bit range
 LINE_REACH = 5
 
@@ -84,12 +86,12 @@ EXACT_FIT_FLOOR = 1e-20
 class ExposureSeries:
     """Bright exposure stack: means mu[i, j, k, l], times t_l, Bayer map."""
 
-    mu: np.ndarray  # (I, J, K, L) in [0, 1]
+    mu: np.ndarray  # (I, J, K, L) in [0, 1]; float32 is kept, not widened
     times: np.ndarray  # (L,) seconds, strictly increasing
     bayer: np.ndarray  # (I, J) ints in {0, 1, 2}
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.mu = np.asarray(self.mu)
         self.times = np.asarray(self.times, dtype=np.float64)
         self.bayer = np.asarray(self.bayer, dtype=np.int64)
         if self.mu.ndim != 4:
@@ -175,7 +177,9 @@ def saturation_mask(
     its column (varying i).
     """
     check_mask_knobs(threshold, line_reach, line_axis)
-    sat = series.mu > threshold
+    # Compared in float64: NumPy 2 would round a Python float to the dtype of
+    # a float32 stack, and np.float32(0.985) > 0.985 would then read False.
+    sat = series.mu > np.float64(threshold)
     masked = sat.copy(order="K")  # keep the layout of sat for the in-place ORs
     # 8-connected spatial neighbors.
     for di in (-1, 0, 1):
@@ -203,12 +207,8 @@ def check_mask_knobs(threshold: float, line_reach: int, line_axis: str) -> None:
     (NaN, inf) or every measurement (0 or less), and a negative line reach
     would silently shorten the blooming mask.
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(
-            f"saturation threshold must be finite and positive, got {threshold}"
-        )
-    if line_reach < 0:
-        raise ValueError(f"line reach must be >= 0, got {line_reach}")
+    require_real("saturation threshold", threshold, 0, strict=True)
+    require_count("line reach", line_reach, 0)
     if line_axis not in ("row", "col"):
         raise ValueError(f"line_axis must be 'row' or 'col', got {line_axis!r}")
 

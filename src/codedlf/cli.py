@@ -9,8 +9,9 @@ objective, and `np.linalg.LinAlgError`, matched first: `LinAlgError` and
 exception (a fault in the program; the traceback goes to stderr).  Every path a
 subcommand writes must lie in an existing directory and not be one itself; that
 is checked before any input is read.  All randomness derives from explicit
---seed flags.  JSON reports carry a timestamp unless --no-timestamp is given, so
-re-runs with identical flags and --no-timestamp are byte-identical.
+--seed flags.  The subcommands that write a JSON report take --no-timestamp:
+the report carries a timestamp unless it is given, and with it re-runs with
+identical flags are byte-identical.
 
 Heavy imports happen after argument parsing so that --threads can cap the
 BLAS worker pools through the environment before numpy loads.
@@ -386,10 +387,8 @@ def _cmd_evaluate(args) -> int:
     from . import losses_metrics as lm
     from . import tensor
 
-    if not (math.isfinite(args.peak) and args.peak > 0):
-        raise ValueError(f"--peak must be finite and > 0, got {args.peak}")
-    if not (math.isfinite(args.badpix_tau) and args.badpix_tau >= 0):
-        raise ValueError(f"--badpix-tau must be finite and >= 0, got {args.badpix_tau}")
+    tensor.require_real("--peak", args.peak, 0, strict=True)
+    tensor.require_real("--badpix-tau", args.badpix_tau, 0)
     _require_files(args.pred, args.truth)
     pred_t = tensor.read_lf5d(args.pred)
     truth_t = tensor.read_lf5d(args.truth)
@@ -527,11 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap BLAS worker threads")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--no-timestamp", action="store_true")
-        return sp
-
-    sp = add_common(sub.add_parser("gen-scene", help="generate a synthetic scene"))
+    sp = sub.add_parser("gen-scene", help="generate a synthetic scene")
     sp.add_argument("--pattern", default="checker")
     sp.add_argument("--disparity", default="constant:0.5")
     sp.add_argument("--dims", required=True, help="U,V,S,T,C")
@@ -540,28 +535,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-prefix", required=True)
     sp.add_argument("--png-preview", action="store_true")
 
-    sp = add_common(sub.add_parser("mask-gen", help="generate a coding mask"))
+    sp = sub.add_parser("mask-gen", help="generate a coding mask")
     sp.add_argument("--dims", required=True, help="S,T,C")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
 
-    sp = add_common(sub.add_parser("encode", help="apply a coding mask"))
+    sp = sub.add_parser("encode", help="apply a coding mask")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", default=None, help="existing mask (else drawn from seed)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-coded", required=True)
     sp.add_argument("--out-mask", default=None)
 
-    sp = add_common(sub.add_parser("project", help="sum over the spectral axis"))
+    sp = sub.add_parser("project", help="sum over the spectral axis")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = add_common(sub.add_parser("lift", help="re-expand a projected measurement"))
+    sp = sub.add_parser("lift", help="re-expand a projected measurement")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = add_common(sub.add_parser("reconstruct-dct", help="OWL-QN DCT-basis solve"))
+    sp = sub.add_parser("reconstruct-dct", help="OWL-QN DCT-basis solve")
+    sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -572,7 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default=None)
     sp.add_argument("--png-preview", action="store_true")
 
-    sp = add_common(sub.add_parser("train-dict", help="learn a patch dictionary"))
+    sp = sub.add_parser("train-dict", help="learn a patch dictionary")
+    sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--scenes", nargs="+", required=True)
     sp.add_argument("--atom", required=True, help="u,v,s,t,C atom shape")
     sp.add_argument("--spatial-overlap", default="4,4")
@@ -587,7 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
 
-    sp = add_common(sub.add_parser("reconstruct-dict", help="dictionary solve"))
+    sp = sub.add_parser("reconstruct-dict", help="dictionary solve")
+    sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", required=True)
     sp.add_argument("--dict", dest="dictionary", required=True)
@@ -603,7 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          " per-group lipschitz_bound and its step, final_objective")
     sp.add_argument("--png-preview", action="store_true")
 
-    sp = add_common(sub.add_parser("train-toy", help="train the two-head network"))
+    sp = sub.add_parser("train-toy", help="train the two-head network")
+    sp.add_argument("--no-timestamp", action="store_true",
+                    help="accepted and ignored: the log has no timestamp")
     # Checked against multitask.STRATEGIES by TrainConfig: importing it here
     # would load numpy before --threads is applied.
     sp.add_argument("--strategy", required=True, help="one of multitask.STRATEGIES")
@@ -623,14 +623,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", default=None, help="log JSON path (default stdout)")
     sp.add_argument("--out", default=None, help="trained net (LFNN)")
 
-    sp = add_common(sub.add_parser("predict-toy", help="run a trained network"))
+    sp = sub.add_parser("predict-toy", help="run a trained network")
     sp.add_argument("--net", required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out-cv", required=True)
     sp.add_argument("--out-disp", required=True)
     sp.add_argument("--png-preview", action="store_true")
 
-    sp = add_common(sub.add_parser("evaluate", help="metric report for predictions"))
+    sp = sub.add_parser("evaluate", help="metric report for predictions")
+    sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--kind", choices=["cv", "disp"], required=True)
@@ -638,7 +639,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--badpix-tau", type=float, default=0.07)
     sp.add_argument("--out", default=None, help="report path (default stdout)")
 
-    sp = add_common(sub.add_parser("calibrate", help="radiometric calibration fit"))
+    sp = sub.add_parser("calibrate", help="radiometric calibration fit")
+    sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--dark", required=True)
     sp.add_argument("--bright", required=True)
     sp.add_argument("--times", required=True)

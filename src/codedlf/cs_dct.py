@@ -89,13 +89,12 @@ float64 two-loop recursion.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coding, transforms
-from .tensor import as_tensor5
+from .tensor import as_tensor5, require_count, require_real
 
 # Line-search constants of Andrew & Gao (2007).
 ARMIJO_C1 = 1e-4
@@ -116,19 +115,11 @@ class OwlqnOptions:
     grad_tol: float | None = None  # None: 1e-5 * sqrt(problem size)
 
     def __post_init__(self):
-        for name in ("max_iters", "memory"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        if self.grad_tol is not None and not (
-            math.isfinite(self.grad_tol) and self.grad_tol > 0
-        ):
-            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        require_real("lam", self.lam, 0)
+        require_count("max_iters", self.max_iters, 0)
+        require_count("memory", self.memory, 1)
+        if self.grad_tol is not None:
+            require_real("grad_tol", self.grad_tol, 0, strict=True)
 
 
 @dataclass

@@ -42,7 +42,6 @@ value, so the iteration count is a cap.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -60,14 +59,11 @@ class PatchGrid:
 
     Origins along each axis are multiples of (atom - overlap), with a final
     origin clamped to (dim - atom) so the far edge is always covered.  The
-    spectral axis is never patched: the atom spans all channels.  The
-    overlaps are the ones the origins use, at most atom - 1 per axis.
+    spectral axis is never patched: the atom spans all channels.
     """
 
     source_dims: tuple[int, int, int, int, int]
     atom_dims: tuple[int, int, int, int, int]
-    spatial_overlap: tuple[int, int]
-    angular_overlap: tuple[int, int]
     origins: tuple[tuple[int, int, int, int], ...]
 
     @property
@@ -108,14 +104,10 @@ def make_patch_grid(
             f"overlaps must be >= 0, got spatial {tuple(spatial_overlap)}"
             f" and angular {tuple(angular_overlap)}"
         )
-    # Clamp overlaps to atom - 1 (a larger one would give a stride <= 0);
-    # the grid records the overlaps it uses.
-    o_u, o_v, o_s, o_t = (
-        int(min(o, a - 1)) for o, a in zip((*angular_overlap, *spatial_overlap), atom_dims)
-    )
+    # Clamp overlaps to atom - 1: a larger one would give a stride <= 0.
     per_axis = [
-        _axis_origins(source_dims[axis], atom_dims[axis], o)
-        for axis, o in enumerate((o_u, o_v, o_s, o_t))
+        _axis_origins(source_dims[axis], atom_dims[axis], int(min(o, atom_dims[axis] - 1)))
+        for axis, o in enumerate((*angular_overlap, *spatial_overlap))
     ]
     origins = tuple(
         (u, v, s, t)
@@ -127,8 +119,6 @@ def make_patch_grid(
     return PatchGrid(
         source_dims=tuple(int(d) for d in source_dims),
         atom_dims=tuple(int(d) for d in atom_dims),
-        spatial_overlap=(o_s, o_t),
-        angular_overlap=(o_u, o_v),
         origins=origins,
     )
 
@@ -216,16 +206,6 @@ def read_dictionary(path) -> Dictionary:
     return Dictionary(atoms=np.ascontiguousarray(atoms))
 
 
-def _require_count(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _require_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-
-
 def check_training_knobs(
     atom_len: int, k: float, lam: float, lr: float, batch_size: int, fista_iters: int,
     epochs: int,
@@ -233,13 +213,11 @@ def check_training_knobs(
     """Validate the knobs of `train_dictionary`; returns the atom count
     round(k * atom_len), which must be at least one and fit the LFDC
     header."""
-    _require_lambda(lam)
-    if not (math.isfinite(lr) and lr >= 0):
-        # a negative rate ascends the reconstruction error
-        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    tensor.require_real("lam", lam, 0)
+    tensor.require_real("lr", lr, 0)  # a negative rate ascends the reconstruction error
     for name, value in (("batch_size", batch_size), ("fista_iters", fista_iters),
                         ("epochs", epochs)):
-        _require_count(name, value, 1)
+        tensor.require_count(name, value, 1)
     n_atoms = int(round(k * atom_len)) if math.isfinite(k) else 0
     if n_atoms < 1:
         raise ValueError(f"k = {k} gives {n_atoms} atoms for atom length {atom_len}")
@@ -255,8 +233,8 @@ def check_reconstruct_knobs(lam: float, iters: int) -> None:
     """Validate the knobs of `dict_reconstruct`.  Zero iterations are
     allowed: the codes stay at zero, as an OWL-QN solve of zero iterations
     returns its start."""
-    _require_lambda(lam)
-    _require_count("iters", iters, 0)
+    tensor.require_real("lam", lam, 0)
+    tensor.require_count("iters", iters, 0)
 
 
 POWER_ITERS = 30

@@ -58,7 +58,6 @@ seed_aux,ij), into a reused flat vector.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,6 +66,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import coding, losses_metrics, scenegen
+from .tensor import require_count, require_real
 
 
 class Strategy(NamedTuple):
@@ -308,17 +308,12 @@ class TrainConfig:
                 f"unknown strategy {self.strategy!r}; expected one of {', '.join(STRATEGIES)}"
             )
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("lr", "momentum", "weight_decay", "gradnorm_gamma", "normgradsim_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            require_count(name, getattr(self, name), 1)
         # A negative rate or decay ascends the loss; momentum must lie in
         # [0, 1) for the velocity to stay bounded.
         for name in ("lr", "weight_decay", "gradnorm_gamma", "normgradsim_step"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            require_real(name, getattr(self, name), 0)
+        require_real("momentum", self.momentum)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 

@@ -14,12 +14,11 @@ band of the image.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import central_indices
+from .tensor import central_indices, require_real
 
 PATTERNS = ("checker", "gradient-ramp", "spectral-stripes", "random-smooth")
 DISPARITY_PROFILES = ("constant", "step", "linear-ramp")
@@ -65,8 +64,7 @@ class SceneSpec:
                 f"disparities must be finite and lie in"
                 f" [-{MAX_ABS_DISPARITY}, {MAX_ABS_DISPARITY}], got {self.disparity_params}"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        require_real("noise_sigma", self.noise_sigma, 0)
         object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
         object.__setattr__(
             self, "disparity_params", tuple(float(x) for x in self.disparity_params)

@@ -19,11 +19,16 @@ LF5D, the LFDC dictionaries of `cs_dict` and the LFNN networks of
 `float32_payload`, `write_container`): four magic bytes, the format's own
 header, then a float32 payload of exactly the length the header implies,
 every value finite, checked on read and on write.
+
+Every numeric knob passes one of two rules, so all modules reject a bad one
+alike: `require_count` (an integer, never a bool, with a lower bound) and
+`require_real` (a finite real, never a bool, with an optional lower bound).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -68,6 +73,24 @@ def as_tensor5(a, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains non-finite values")
     return a
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer, not a
+    bool, and at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_real(name: str, value, minimum=None, strict: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real, not a
+    bool, and at least `minimum` (above it if `strict`; None: no bound)."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if ok and minimum is not None:
+        ok = value > minimum if strict else value >= minimum
+    if not ok:
+        bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 def read_container(path, magic: bytes, header: struct.Struct, kind: str) -> tuple[bytes, tuple]:

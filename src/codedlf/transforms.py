@@ -127,13 +127,11 @@ class ObservedFidelity:
         l_star = np.asarray(l_star, dtype=np.float64)
         if l_star.ndim != 5:
             raise ValueError(f"expected a 5D coded light field, got shape {l_star.shape}")
-        m = np.asarray(m)
+        m = coding._check_mask(m)
         if m.shape != l_star.shape[2:]:
             raise ValueError(
                 f"mask shape {m.shape} does not match tensor dims {l_star.shape[2:]}"
             )
-        if not coding.is_one_hot(m):
-            raise ValueError("coding mask must be one-hot along the channel axis")
         self.shape = self.coef_shape = l_star.shape
         n_u, n_v, n_s, n_t, n_c = l_star.shape
         kept = m.reshape(-1) == 1

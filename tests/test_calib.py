@@ -227,6 +227,17 @@ class TestSaturationMask:
         assert mask[:, :, 0, 0].sum() == 0
         assert mask[:, :, 0, 1].sum() > 0
 
+    def test_float32_stack_is_kept_and_compared_in_float64(self):
+        # The CLI passes the float32 view of its container.  The series keeps
+        # it, and the threshold test widens it exactly: np.float32(0.985) is
+        # 0.98500001, above the threshold, so its pixel is masked.
+        mu = np.full((5, 5, 1, 1), 0.5, dtype=np.float32)
+        mu[2, 2, 0, 0] = np.float32(calib.SATURATION_THRESHOLD)
+        series = self.make_series(mu)
+        assert np.shares_memory(series.mu, mu)
+        mask = calib.saturation_mask(series, line_reach=0)
+        assert mask[2, 2, 0, 0] and int(mask.sum()) == 9
+
 
 class TestVignettingResponsivityFit:
     def test_noiseless_recovery(self):

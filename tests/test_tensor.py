@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from codedlf import tensor
+from codedlf import autodiff, calib, cs_dct, multitask, tensor
 
 
 def test_header_example_round_trip(tmp_path):
@@ -115,3 +115,52 @@ def test_cv_disp_wrappers():
     d = np.zeros((3, 4), dtype=np.float32)
     assert tensor.disp_to_tensor5(d).shape == (1, 1, 3, 4, 1)
     assert tensor.tensor5_to_disp(tensor.disp_to_tensor5(d)).shape == (3, 4)
+
+
+@pytest.mark.parametrize("rule, args, message", [
+    (tensor.require_count, ("n", 0, 1), "n must be an integer >= 1, got 0"),
+    (tensor.require_count, ("n", 2.0, 1), "n must be an integer >= 1, got 2.0"),
+    (tensor.require_count, ("n", np.True_, 0), "n must be an integer >= 0, got np.True_"),
+    (tensor.require_real, ("x", float("nan")), "x must be finite, got nan"),
+    (tensor.require_real, ("x", "1"), "x must be finite, got '1'"),
+    (tensor.require_real, ("x", -0.5, 0), "x must be finite and >= 0, got -0.5"),
+    (tensor.require_real, ("x", 0.0, 0, True), "x must be finite and > 0, got 0.0"),
+    (tensor.require_real, ("x", False, 0), "x must be finite and >= 0, got False"),
+], ids=["count-below", "count-float", "count-numpy-bool", "real-nan", "real-str", "real-below",
+        "real-strict-at-bound", "real-bool"])
+def test_knob_rules_reject_with_the_knob_and_bound(rule, args, message):
+    with pytest.raises(ValueError) as info:
+        rule(*args)
+    assert str(info.value) == message
+
+
+def test_knob_rules_accept_integers_and_finite_reals_at_the_bound():
+    tensor.require_count("n", np.int64(1), 1)
+    tensor.require_real("x", 0, 0)
+    tensor.require_real("x", np.float32(1e-30), 0, strict=True)
+    tensor.require_real("x", -1e300)
+
+
+def _saturation_mask(line_reach):
+    mu = np.full((3, 3, 1, 1), 0.5)
+    series = calib.ExposureSeries(mu=mu, times=np.array([0.1]), bayer=np.zeros((3, 3), int))
+    return calib.saturation_mask(series, line_reach=line_reach)
+
+
+# Library inputs that each module once judged by its own rule: every one of
+# them was accepted, or failed inside numpy with a TypeError.
+@pytest.mark.parametrize("make, knob", [
+    (lambda: cs_dct.OwlqnOptions(lam=0.1, max_iters=True), "max_iters"),
+    (lambda: cs_dct.OwlqnOptions(lam=0.1, memory=True), "memory"),
+    (lambda: multitask.TrainConfig(epochs=True), "epochs"),
+    (lambda: multitask.TrainConfig(lr=True), "lr"),
+    (lambda: calib.check_mask_knobs(0.985, 2.5, "row"), "line reach"),
+    (lambda: calib.check_mask_knobs(0.985, True, "row"), "line reach"),
+    (lambda: _saturation_mask(2.5), "line reach"),
+    (lambda: autodiff.ToyNet(dims=(1, 1, 2, 2, 1), hidden=2.5), "hidden"),
+], ids=["owlqn-max-iters-bool", "owlqn-memory-bool", "train-epochs-bool", "train-lr-bool",
+        "mask-reach-float", "mask-reach-bool", "saturation-mask-reach-float",
+        "toynet-hidden-float"])
+def test_library_knobs_pass_the_shared_rules(make, knob):
+    with pytest.raises(ValueError, match=f"^{knob} must be "):
+        make()
