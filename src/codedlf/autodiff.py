@@ -21,8 +21,7 @@ of losses is the backward of the same weighted sum of their seeds.
 `collect_gradients` is that one backward: it takes one combined seed per
 head and back-propagates both through their heads and the trunk.  It
 writes every parameter gradient into a flat parameter-length vector laid
-out as `ToyNet.flat` (`param_views` gives the per-parameter views,
-`group_slice` one group's range).  The
+out as `ToyNet.flat` (`param_views` gives the per-parameter views).  The
 GEMMs and bias sums write straight into its views; a head without a seed
 gets zeros.  No gradient is formed for the network input.
 
@@ -171,13 +170,6 @@ def param_views(net: ToyNet, flat: np.ndarray) -> dict[str, list[np.ndarray]]:
     return views
 
 
-def group_slice(net: ToyNet, group: str) -> slice:
-    """Where one group's parameters sit in a flat parameter-length vector."""
-    sizes = [sum(p.size for p in net.params[g]) for g in GROUPS]
-    k = GROUPS.index(group)
-    return slice(sum(sizes[:k]), sum(sizes[: k + 1]))
-
-
 def _block_backward(params, block, g_out, out):
     """Parameter gradients [w0, b0, w1, b1] of one dense-relu-dense block,
     written into `out`, from the gradient of its pre-activation output;
@@ -209,7 +201,8 @@ def collect_gradients(
     g_trunk = None
     for head in ("cv", "disp"):
         if head not in seeds:
-            out[group_slice(net, head)] = 0.0
+            for g in grads[head]:
+                g[...] = 0.0
             continue
         seed = seeds[head]
         g_hidden = _block_backward(
@@ -218,7 +211,8 @@ def collect_gradients(
         g = g_hidden @ net.params[head][0].T
         g_trunk = g if g_trunk is None else g_trunk + g
     if g_trunk is None:
-        out[group_slice(net, "shared")] = 0.0
+        for g in grads["shared"]:
+            g[...] = 0.0
     else:
         g_trunk *= acts.trunk_mask
         _block_backward(net.params["shared"], acts.blocks["shared"], g_trunk, grads["shared"])
@@ -251,17 +245,32 @@ def gradient_gram(net: ToyNet, acts: Activations, task: str, seeds) -> np.ndarra
     return _dense_gram(h0, g_trunk) + _dense_gram(x, g_h0)
 
 
-def sgd_step(p: np.ndarray, g: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:
+def sgd_step(
+    p: np.ndarray, g: np.ndarray, lr: float, weight_decay: float = 0.0, out=None
+) -> None:
     """In-place step p <- p - lr * (g + wd * p) on one parameter array.
 
-    At wd = 0 the step is p - lr * g, with one temporary.  It gives the same
-    bits for finite p: g + 0 * p differs from g only where g = -0 and
-    p >= +0, and there p - lr * (+0) = p - lr * (-0).
+    The step is formed in `out` (shaped like p, allocated when None), which
+    may be g; only that case with weight decay takes a temporary, wd * p.
+    At wd = 0 the step is lr * g, the same bits for finite p: g + 0 * p
+    differs from g only where g = -0 and p >= +0, and there
+    p - lr * (+0) = p - lr * (-0).
     """
     g = np.asarray(g)
     if p.shape != g.shape:
         raise ValueError("parameter/gradient shape mismatch")
-    p -= lr * (g + weight_decay * p if weight_decay else g)
+    if out is None:
+        out = np.empty_like(p)
+    if not weight_decay:
+        np.multiply(g, lr, out=out)
+    elif out is g:
+        out += weight_decay * p
+        out *= lr
+    else:  # wd * p + g: the same bits as g + wd * p
+        np.multiply(p, weight_decay, out=out)
+        out += g
+        out *= lr
+    p -= out
 
 
 def save_net(net: ToyNet, path) -> None:

@@ -1,9 +1,10 @@
 """Radiometric calibration of a spectrally scanned Bayer-sensor camera.
 
 The sensor follows a linear model in the exposure time t: the dark signal
-is offset + dark_current * t, and the dark-corrected bright signal of
-pixel (i, j) under spectral filter k factorizes into a spatial vignetting
-term and a per-(filter, Bayer-type) responsivity,
+is offset + dark_current * t (`fit_dark` regresses it per pixel; the global
+model is that regression of the mean dark frame), and the dark-corrected
+bright signal of pixel (i, j) under spectral filter k factorizes into a
+spatial vignetting term and a per-(filter, Bayer-type) responsivity,
 
     mu[i, j, k, l] - dark(i, j, t_l)  =  v[i, j] * r[k, bayer(i, j)] * t_l.
 
@@ -88,12 +89,12 @@ class ExposureSeries:
 
     mu: np.ndarray  # (I, J, K, L) in [0, 1]; float32 is kept, not widened
     times: np.ndarray  # (L,) seconds, strictly increasing
-    bayer: np.ndarray  # (I, J) ints in {0, 1, 2}
+    bayer: np.ndarray  # (I, J) integer values in {0, 1, 2}, kept as int64
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu)
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.bayer = np.asarray(self.bayer, dtype=np.int64)
+        self.bayer = np.asarray(self.bayer)
         if self.mu.ndim != 4:
             raise ValueError(f"series must be (I, J, K, L), got {self.mu.shape}")
         if self.times.shape != (self.mu.shape[3],):
@@ -103,8 +104,10 @@ class ExposureSeries:
             raise ValueError("exposure times must be finite, positive and increasing")
         if self.bayer.shape != self.mu.shape[:2]:
             raise ValueError("Bayer map does not match the spatial dims")
-        if self.bayer.min() < 0 or self.bayer.max() >= BAYER_TYPES:
-            raise ValueError("Bayer indices must be in {0, 1, 2}")
+        # before the cast, which would truncate 1.7 to 1
+        if not np.isin(self.bayer, range(BAYER_TYPES)).all():
+            raise ValueError("Bayer map values must be the integers 0, 1 or 2")
+        self.bayer = self.bayer.astype(np.int64, copy=False)
         if not (self.mu.min() >= 0 and self.mu.max() <= 1):  # False for NaN too
             raise ValueError("grey means must lie in [0, 1]")
 
@@ -142,6 +145,7 @@ def fit_dark(
     """Least-squares dark model offset + current * t from a dark stack.
 
     mu_dark is (I, J, L) with one mean dark frame per exposure time.
+    per_pixel False gives the scalar model of the frames' spatial means.
     """
     mu_dark = np.asarray(mu_dark, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -151,17 +155,16 @@ def fit_dark(
         raise ValueError("need at least two exposures to fit the dark model")
     if np.ptp(times) == 0:
         raise ValueError("exposure times are all equal; slope is unidentifiable")
+    if not per_pixel:
+        mu_dark = mu_dark.mean(axis=(0, 1), keepdims=True)
     t_mean = times.mean()
     t_var = ((times - t_mean) ** 2).sum()
+    y_mean = mu_dark.mean(axis=2)
+    slope = ((times - t_mean) * (mu_dark - y_mean[..., None])).sum(axis=2) / t_var
+    offset = y_mean - slope * t_mean
     if per_pixel:
-        y_mean = mu_dark.mean(axis=2)
-        slope = ((times - t_mean) * (mu_dark - y_mean[..., None])).sum(axis=2) / t_var
-        offset = y_mean - slope * t_mean
         return DarkModel(offset=offset, current=slope)
-    y = mu_dark.mean(axis=(0, 1))
-    slope = float(((times - t_mean) * (y - y.mean())).sum() / t_var)
-    offset = float(y.mean() - slope * t_mean)
-    return DarkModel(offset=offset, current=slope)
+    return DarkModel(offset=float(offset[0, 0]), current=float(slope[0, 0]))
 
 
 def saturation_mask(

@@ -6,12 +6,17 @@ container, `FileNotFoundError`, argparse errors); 2 numerical failure
 (`ArithmeticError`, such as a solver's `FloatingPointError` at a non-finite
 objective, and `np.linalg.LinAlgError`, matched first: `LinAlgError` and
 `tensor.NonFiniteWriteError` are ValueErrors too); 3 internal error, any other
-exception (a fault in the program; the traceback goes to stderr).  Every path a
-subcommand writes must lie in an existing directory and not be one itself; that
-is checked before any input is read.  All randomness derives from explicit
---seed flags.  The subcommands that write a JSON report take --no-timestamp:
-the report carries a timestamp unless it is given, and with it re-runs with
-identical flags are byte-identical.
+exception (a fault in the program; the traceback goes to stderr).
+
+The CLI checks only what the library cannot know: before it reads any
+input, the paths (each output in an existing directory and not one itself,
+each input present) and the knobs; after, the layouts of its containers.
+The library checks the rest (shapes that must agree, Bayer values, a
+dictionary's atom length, a network's dims, finite disparities), with its
+own messages.  All randomness derives from explicit --seed flags.  The
+subcommands that write a JSON report take --no-timestamp: the report carries
+a timestamp unless it is given, and with it re-runs with identical flags are
+byte-identical.
 
 Heavy imports happen after argument parsing so that --threads can cap the
 BLAS worker pools through the environment before numpy loads.
@@ -63,8 +68,6 @@ def _parse_disparity(text: str):
         params = tuple(float(x) for x in rest.split(",")) if rest else ()
     except ValueError as exc:
         raise ValueError(f"bad disparity parameters in {text!r}") from exc
-    if not all(math.isfinite(p) for p in params):
-        raise ValueError(f"disparity parameters must be finite, got {text!r}")
     return name, params
 
 
@@ -282,9 +285,6 @@ def _cmd_train_dict(args) -> int:
     paths = args.scenes
     _require_files(*paths)
     scenes = [tensor.read_lf5d(p) for p in paths]
-    shapes = {s.shape for s in scenes}
-    if len(shapes) != 1:
-        raise ValueError(f"scenes must share one shape, got {sorted(shapes)}")
     grid = cs_dict.make_patch_grid(scenes[0].shape, atom, spatial, angular)
     d, rep = cs_dict.train_dictionary(
         scenes,
@@ -315,8 +315,6 @@ def _cmd_reconstruct_dict(args) -> int:
     u, v, s, t, _ = lp.shape
     source = (u, v, s, t, mask.shape[2])
     grid = cs_dict.make_patch_grid(source, atom, spatial, angular)
-    if grid.atom_len != d.atom_len:
-        raise ValueError(f"dictionary atom length {d.atom_len} != grid {grid.atom_len}")
     rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
     tensor.write_lf5d(rec, args.out)
     if args.report:
@@ -364,12 +362,7 @@ def _cmd_predict_toy(args) -> int:
 
     _require_files(args.net, args.infile)
     net = autodiff.load_net(args.net)
-    coded = tensor.read_lf5d(args.infile)
-    if coded.shape != net.dims:
-        raise ValueError(
-            f"input {coded.shape} does not match network dims {net.dims}"
-        )
-    cv, disp = autodiff.forward(net, coded)
+    cv, disp = autodiff.forward(net, tensor.read_lf5d(args.infile))
     # Convert and check both maps before the first write, so a refusal
     # writes nothing.
     (cv32,) = tensor.float32_payload(args.out_cv, cv)
@@ -392,10 +385,6 @@ def _cmd_evaluate(args) -> int:
     _require_files(args.pred, args.truth)
     pred_t = tensor.read_lf5d(args.pred)
     truth_t = tensor.read_lf5d(args.truth)
-    if pred_t.shape != truth_t.shape:
-        raise ValueError(
-            f"prediction {pred_t.shape} and truth {truth_t.shape} disagree"
-        )
     report: dict = {
         "psnr_db": None,
         "ssim": None,
@@ -452,9 +441,6 @@ def _cmd_calibrate(args) -> int:
         )
     if bayer_t.shape != (1, 1, n_i, n_j, 1):
         raise ValueError(f"Bayer map must be (1, 1, {n_i}, {n_j}, 1), got {bayer_t.shape}")
-    if not np.isin(bayer_t, (0, 1, 2)).all():
-        raise ValueError("Bayer map values must be the integers 0, 1 or 2")
-    bayer = bayer_t[0, 0, :, :, 0].astype(int)
     with open(args.times) as fh:
         times = np.array([float(line) for line in fh if line.strip()])
     if bright.shape[0] != times.size or dark_t.shape[0] != times.size:
@@ -462,7 +448,7 @@ def _cmd_calibrate(args) -> int:
     mu = bright[:, 0].transpose(1, 2, 3, 0)  # (I, J, K, L)
     mu_dark = dark_t[:, 0, :, :, 0].transpose(1, 2, 0)  # (I, J, L)
     dark = calib.fit_dark(mu_dark, times, per_pixel=args.dark_mode == "per-pixel")
-    series = calib.ExposureSeries(mu=mu, times=times, bayer=bayer)
+    series = calib.ExposureSeries(mu=mu, times=times, bayer=bayer_t[0, 0, :, :, 0])
     mask = calib.saturation_mask(
         series,
         threshold=args.threshold,

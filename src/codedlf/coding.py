@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import as_tensor5
+from .tensor import as_tensor5, require_count
 
 # SplitMix64 constants (Steele, Lea & Flood 2014).
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,12 +56,14 @@ def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
 
 
 def random_masks(n_s: int, n_t: int, n_channels: int, seeds) -> np.ndarray:
-    """Draw one `random_mask` per seed, stacked to (B, S, T, C), from one
-    vectorized SplitMix64 pass over all B sequences."""
+    """Draw one `random_mask` per seed of the sequence `seeds`, stacked to
+    (B, S, T, C), from one vectorized SplitMix64 pass over all B sequences."""
     if n_s < 1 or n_t < 1 or n_channels < 1:
         raise ValueError(
             f"mask dims must be positive, got ({n_s}, {n_t}, {n_channels})"
         )
+    for seed in seeds:
+        require_count("seed", seed, None)  # any integer: it wraps modulo 2**64
     starts = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
     idx = np.arange(1, n_s * n_t + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):

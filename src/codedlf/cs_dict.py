@@ -221,6 +221,7 @@ def check_training_knobs(
     n_atoms = int(round(k * atom_len)) if math.isfinite(k) else 0
     if n_atoms < 1:
         raise ValueError(f"k = {k} gives {n_atoms} atoms for atom length {atom_len}")
+    tensor.require_real("k", k)  # a bool; after the count, whose message names k = nan
     if n_atoms >= 2**32:
         raise ValueError(
             f"k = {k} gives {n_atoms} atoms for atom length {atom_len}; an LFDC file"
@@ -515,6 +516,8 @@ def dict_reconstruct(
     averaging.  Returns the reconstruction and the solve report.
     """
     check_reconstruct_knobs(lam, iters)
+    if d.atom_len != g.atom_len:
+        raise ValueError(f"dictionary atom length {d.atom_len} != grid {g.atom_len}")
     l_star_p = tensor.as_tensor5(l_star_p, "projected measurement")
     lifted = coding.lift(l_star_p, m)
     if lifted.shape != g.source_dims:

@@ -264,6 +264,7 @@ def make_toy_dataset(
     n: int, dims: tuple[int, int, int, int, int], seed: int
 ) -> list[Sample]:
     """Render n random scenes at the given light-field dimensions."""
+    require_count("scene count", n, 0)
     samples = []
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -272,19 +273,6 @@ def make_toy_dataset(
         lf = scenegen.render_lightfield(cv, disp, dims[0], dims[1])
         samples.append(Sample(lightfield=lf, cv=cv, disp=disp))
     return samples
-
-
-def baseline_losses(train: list[Sample], val: list[Sample]) -> tuple[float, float]:
-    """Huber losses of the constant predictor (pixelwise train mean) on val."""
-    cv_mean = np.mean([s.cv for s in train], axis=0)
-    disp_mean = np.mean([s.disp for s in train], axis=0)
-    cv_l = np.mean(
-        [losses_metrics.huber(cv_mean, s.cv, with_grad=False).value for s in val]
-    )
-    disp_l = np.mean(
-        [losses_metrics.huber(disp_mean, s.disp, with_grad=False).value for s in val]
-    )
-    return float(cv_l), float(disp_l)
 
 
 @dataclass
@@ -309,6 +297,7 @@ class TrainConfig:
             )
         for name in ("epochs", "batch_size"):
             require_count(name, getattr(self, name), 1)
+        require_count("seed", self.seed, None)  # any integer: it wraps modulo 2**64
         # A negative rate or decay ascends the loss; momentum must lie in
         # [0, 1) for the velocity to stay bounded.
         for name in ("lr", "weight_decay", "gradnorm_gamma", "normgradsim_step"):
@@ -464,7 +453,9 @@ def train(
             if velocity is not None:
                 velocity *= config.momentum
                 velocity += total
-            ad.sgd_step(net.flat, update, config.lr, config.weight_decay)
+            # The step goes into total: with momentum, velocity now holds its
+            # sum; without, total is the gradient, scaled in place.
+            ad.sgd_step(net.flat, update, config.lr, config.weight_decay, out=total)
 
         loss_cv, loss_disp = validate(net, val_coded, val_cv, val_disp)
         if not (math.isfinite(loss_cv) and math.isfinite(loss_disp)):

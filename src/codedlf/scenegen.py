@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import central_indices, require_real
+from .tensor import central_indices, require_count, require_real
 
 PATTERNS = ("checker", "gradient-ramp", "spectral-stripes", "random-smooth")
 DISPARITY_PROFILES = ("constant", "step", "linear-ramp")
@@ -44,8 +44,8 @@ class SceneSpec:
 
     def __post_init__(self):
         n_u, n_v, n_s, n_t, n_c = self.dims
-        if min(self.dims) < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        for d in self.dims:
+            require_count("each dim", d, 1)
         if n_u % 2 == 0 or n_v % 2 == 0:
             raise ValueError(f"angular dims must be odd, got ({n_u}, {n_v})")
         if self.pattern not in PATTERNS:

@@ -21,8 +21,8 @@ header, then a float32 payload of exactly the length the header implies,
 every value finite, checked on read and on write.
 
 Every numeric knob passes one of two rules, so all modules reject a bad one
-alike: `require_count` (an integer, never a bool, with a lower bound) and
-`require_real` (a finite real, never a bool, with an optional lower bound).
+alike: `require_count` (an integer, never a bool) and `require_real` (a finite
+real, never a bool), each with an optional lower bound.
 """
 
 from __future__ import annotations
@@ -75,11 +75,13 @@ def as_tensor5(a, name: str = "tensor") -> np.ndarray:
     return a
 
 
-def require_count(name: str, value, minimum: int) -> None:
+def require_count(name: str, value, minimum: int | None) -> None:
     """Raise ValueError naming `name` unless `value` is an integer, not a
-    bool, and at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    bool, and at least `minimum` (None: no bound)."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not ok or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def require_real(name: str, value, minimum=None, strict: bool = False) -> None:

@@ -407,6 +407,20 @@ def graph_gradients():
 # multitask.validate.
 
 
+def _group_slice(net, group):
+    """Where one group's parameters sit in a flat parameter-length vector."""
+    sizes = [sum(p.size for p in net.params[g]) for g in ad.GROUPS]
+    k = ad.GROUPS.index(group)
+    return slice(sum(sizes[:k]), sum(sizes[: k + 1]))
+
+
+@pytest.fixture
+def group_slice():
+    """group_slice(net, group) -> the slice of one group's parameters in a
+    flat parameter-length vector."""
+    return _group_slice
+
+
 def _accumulate(total, grad, spans, scale, products):
     """total += scale * grad over the index spans (the trunk and one head)."""
     if scale == 0.0:
@@ -442,8 +456,8 @@ def _ref_train(net, dataset, config):
         for ti, task in enumerate(mt.TASKS)
         if active[ti]
     }
-    subset = ad.group_slice(net, "shared")
-    spans = {t: (ad.group_slice(net, "shared"), ad.group_slice(net, t)) for t in mt.TASKS}
+    subset = _group_slice(net, "shared")
+    spans = {t: (_group_slice(net, "shared"), _group_slice(net, t)) for t in mt.TASKS}
     total = np.empty(n_params)
     products = np.empty(n_params)
     velocity = np.zeros(n_params) if config.momentum else None
@@ -550,6 +564,22 @@ def _ref_validate(net, val, base_seed):
         cv_losses.append(lm.huber(cv_hat, sample.cv, with_grad=False).value)
         disp_losses.append(lm.huber(disp_hat, sample.disp, with_grad=False).value)
     return float(np.mean(cv_losses)), float(np.mean(disp_losses))
+
+
+def _baseline_losses(train, val):
+    """Huber losses of the constant predictor (pixelwise train mean) on val."""
+    cv_mean = np.mean([s.cv for s in train], axis=0)
+    disp_mean = np.mean([s.disp for s in train], axis=0)
+    cv_l = np.mean([lm.huber(cv_mean, s.cv, with_grad=False).value for s in val])
+    disp_l = np.mean([lm.huber(disp_mean, s.disp, with_grad=False).value for s in val])
+    return float(cv_l), float(disp_l)
+
+
+@pytest.fixture
+def baseline_losses():
+    """baseline_losses(train, val) -> (cv, disp) mean Huber losses on val of
+    the constant predictor, the pixelwise mean of train."""
+    return _baseline_losses
 
 
 @pytest.fixture
@@ -867,6 +897,27 @@ def _ref_alternating_fit(stats, bayer, max_sweeps=200, rel_tol=1e-8):
         unrecoverable_responsivities=[tuple(ix) for ix in np.argwhere(~valid_r)],
         objective_trace=trace,
     )
+
+
+def _ref_global_dark(mu_dark, times):
+    """(offset, current) of the global dark model by its own regression of
+    the mean dark frame, as fit_dark computed it before it reused the
+    per-pixel path."""
+    mu_dark = np.asarray(mu_dark, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    t_mean = times.mean()
+    t_var = ((times - t_mean) ** 2).sum()
+    y = mu_dark.mean(axis=(0, 1))
+    slope = float(((times - t_mean) * (y - y.mean())).sum() / t_var)
+    offset = float(y.mean() - slope * t_mean)
+    return offset, slope
+
+
+@pytest.fixture
+def global_dark_oracle():
+    """global_dark_oracle(mu_dark, times) -> (offset, current) of the global
+    dark model (test oracle for calib.fit_dark with per_pixel False)."""
+    return _ref_global_dark
 
 
 @pytest.fixture

@@ -276,11 +276,11 @@ def test_criterion_07_normgradsim_fixed_points():
 DIMS = (3, 3, 8, 8, 5)
 
 
-def test_criterion_08_strategy_sanity():
+def test_criterion_08_strategy_sanity(baseline_losses):
     with criterion(8, "all strategies beat the constant predictor in <= 50 epochs"):
         dataset = mt.make_toy_dataset(200, DIMS, seed=99)
         n_val = max(1, int(round(len(dataset) * 0.2)))
-        base_cv, base_disp = mt.baseline_losses(dataset[:-n_val], dataset[-n_val:])
+        base_cv, base_disp = baseline_losses(dataset[:-n_val], dataset[-n_val:])
 
         for strategy in mt.STRATEGIES:
             net = ad.ToyNet(dims=DIMS, hidden=64, head_hidden=64, seed=7)

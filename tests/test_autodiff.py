@@ -140,7 +140,7 @@ GRAM_REL_TOL = 1e-12
 @pytest.mark.parametrize("task", ["cv", "disp"])
 @pytest.mark.parametrize("n_b", [1, 3])
 @pytest.mark.parametrize("dead_units", [False, True], ids=["live", "dead-units"])
-def test_gradient_gram_equals_dot_products_of_flat_gradients(task, n_b, dead_units):
+def test_gradient_gram_equals_dot_products_of_flat_gradients(task, n_b, dead_units, group_slice):
     # The Gram from B x B products against explicit dot products of the
     # per-loss flat gradients over the trunk.  The last seed is all zero:
     # its row and column must be exact zeros.
@@ -158,7 +158,7 @@ def test_gradient_gram_equals_dot_products_of_flat_gradients(task, n_b, dead_uni
     ]
     seeds = [ad.batched_loss(pred, fn, truths)[1] for fn in HEAD_LOSSES[task]]
     seeds.append(np.zeros_like(seeds[0]))
-    g = np.stack([_flat(net, acts, task, s)[ad.group_slice(net, "shared")] for s in seeds])
+    g = np.stack([_flat(net, acts, task, s)[group_slice(net, "shared")] for s in seeds])
     gram = ad.gradient_gram(net, acts, task, seeds)
     ref = g @ g.T
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
@@ -210,16 +210,20 @@ class TestSgdStep:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     def test_bit_equal_to_the_decay_formula(self, weight_decay):
         # At decay 0 the step leaves out the decay term; signed zeros in p
-        # and g cover the one place where g + 0 * p and g differ.
+        # and g cover the one place where g + 0 * p and g differ.  The step
+        # is formed in a fresh array, in a given buffer or in g itself.
         rng = np.random.default_rng(8)
         params = [rng.normal(size=(6, 5)), rng.normal(size=7)]
         grads = [rng.normal(size=(6, 5)), rng.normal(size=7)]
         params[1][:4] = [0.0, -0.0, 0.0, -0.0]
         grads[1][:4] = [-0.0, -0.0, 0.0, 0.0]
         want = [p - 0.3 * (g + weight_decay * p) for p, g in zip(params, grads)]
-        for p, g, w in zip(params, grads, want):
-            ad.sgd_step(p, g, lr=0.3, weight_decay=weight_decay)
-            assert np.array_equal(p.view(np.uint64), w.view(np.uint64))
+        for out in ("fresh", "buffer", "gradient"):
+            for p0, g0, w in zip(params, grads, want):
+                p, g = p0.copy(), g0.copy()
+                buf = {"fresh": None, "buffer": np.empty_like(p), "gradient": g}[out]
+                ad.sgd_step(p, g, lr=0.3, weight_decay=weight_decay, out=buf)
+                assert np.array_equal(p.view(np.uint64), w.view(np.uint64)), out
 
 
 def test_losses_wired_through_autodiff_match_fd():

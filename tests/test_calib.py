@@ -114,7 +114,41 @@ def test_series_rejects_non_finite_values(bad):
         calib.ExposureSeries(mu=mu, times=times, bayer=np.zeros((2, 2), dtype=int))
 
 
+@pytest.mark.parametrize("value", [1.7, 3.0, -1.0])
+def test_series_rejects_bayer_values_other_than_0_1_2(value):
+    # 1.7 used to be cast to 1 before any check.
+    with pytest.raises(ValueError, match="^Bayer map values must be the integers 0, 1 or 2$"):
+        calib.ExposureSeries(
+            mu=np.full((4, 4, 1, 2), 0.5), times=np.array([0.1, 0.2]), bayer=np.full((4, 4), value)
+        )
+
+
+def test_series_casts_integer_valued_bayer_maps():
+    series = calib.ExposureSeries(
+        mu=np.full((2, 2, 1, 2), 0.5), times=np.array([0.1, 0.2]),
+        bayer=np.array([[0.0, 1.0], [1.0, 2.0]], dtype=np.float32),
+    )
+    assert series.bayer.dtype == np.int64
+    assert series.bayer.tolist() == [[0, 1], [1, 2]]
+
+
 class TestFitDark:
+    @pytest.mark.parametrize("layout", ["contiguous", "float32-exposures-first"])
+    @pytest.mark.parametrize("n_exp", [2, 3, 5, 8, 9, 16, 33])
+    def test_global_model_matches_its_own_regression(self, global_dark_oracle, n_exp, layout):
+        # The global model is the per-pixel regression of the mean dark
+        # frame; the scalar formula it replaced must give the same bits,
+        # also on the float32 (L, I, J) container view that calibrate passes.
+        rng = np.random.default_rng(n_exp)
+        times = np.geomspace(0.01, 2.0, n_exp)
+        mu = 0.02 + 0.001 * times + rng.normal(0.0, 1e-3, size=(6, 7, n_exp))
+        if layout != "contiguous":
+            mu = mu.transpose(2, 0, 1).astype(np.float32).transpose(1, 2, 0)
+        dm = calib.fit_dark(mu, times, per_pixel=False)
+        assert type(dm.offset) is float and type(dm.current) is float
+        got = np.array([dm.offset, dm.current])
+        assert got.tobytes() == np.array(global_dark_oracle(mu, times)).tobytes()
+
     def test_exact_linear_data(self):
         times = np.array([0.1, 0.5, 1.0, 2.0])
         mu = 0.02 + 0.001 * times

@@ -127,10 +127,11 @@ def test_bad_dims_exit_1(tmp_path):
     "constant:nan", "constant:inf", "linear-ramp:nan,0", "step:0,-inf",
 ])
 def test_gen_scene_rejects_non_finite_disparity(tmp_path, capsys, disparity):
+    # scenegen.SceneSpec's rule and message: the CLI does not repeat it.
     prefix = tmp_path / "x"
     assert run(["gen-scene", "--dims", "3,3,8,8,3", "--disparity", disparity,
                 "--out-prefix", str(prefix)]) == 1
-    assert "disparity parameters must be finite" in capsys.readouterr().err
+    assert "error: disparities must be finite and lie in [-2.0, 2.0]" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -468,6 +469,52 @@ def test_calibrate_rejects_malformed_containers(tmp_path, capsys, bad, message):
     assert run(["calibrate", "--dark", dark, "--bright", bright, "--times",
                 times, "--bayer", bayer, "--out", str(tmp_path / "c.json")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("evaluate-cv", "shape mismatch: (1, 1, 16, 16, 5) vs (1, 1, 8, 16, 5)"),
+    ("evaluate-disp", "shape mismatch: (16, 16) vs (8, 16)"),
+    ("predict-toy", "input (3, 3, 16, 16, 5) does not match (3, 3, 8, 8, 5)"),
+    ("train-dict", "tensor (3, 3, 8, 16, 5) does not match grid (3, 3, 16, 16, 5)"),
+    ("reconstruct-dict", "dictionary atom length 16 != grid 320"),
+])
+def test_shape_rules_are_the_librarys(tmp_path, scene, capsys, command, message):
+    # The CLI no longer repeats these checks: the library's message reaches
+    # the user, with exit 1 and nothing written.
+    from codedlf import autodiff, cs_dict
+
+    def cut(suffix):  # the scene's file with S cut to 8
+        path = str(tmp_path / f"cut{suffix}")
+        tensor.write_lf5d(tensor.read_lf5d(scene + suffix)[:, :, :8], path)
+        return path
+
+    out = tmp_path / "out"
+    out.mkdir()
+    if command.startswith("evaluate"):
+        suffix = ".cv.lf5d" if command == "evaluate-cv" else ".disp.lf5d"
+        argv = ["evaluate", "--pred", scene + suffix, "--truth", cut(suffix),
+                "--kind", command[9:], "--out", str(out / "r.json")]
+    elif command == "predict-toy":
+        net = str(tmp_path / "net.lfnn")
+        autodiff.save_net(autodiff.ToyNet(dims=(3, 3, 8, 8, 5), hidden=4, head_hidden=4), net)
+        argv = ["predict-toy", "--net", net, "--in", scene + ".lf.lf5d",
+                "--out-cv", str(out / "cv.lf5d"), "--out-disp", str(out / "d.lf5d")]
+    elif command == "train-dict":
+        argv = ["train-dict", "--scenes", scene + ".lf.lf5d", cut(".lf.lf5d"), "--atom",
+                "1,1,4,4,5", "--lambda", "0.05", "--out", str(out / "d.lfdc")]
+    else:
+        coded, mask, proj = (str(tmp_path / f"{n}.lf5d") for n in ("c", "m", "p"))
+        assert run(["encode", "--in", scene + ".lf.lf5d", "--seed", "1",
+                    "--out-coded", coded, "--out-mask", mask]) == 0
+        assert run(["project", "--in", coded, "--out", proj]) == 0
+        dictionary = str(tmp_path / "d.lfdc")
+        cs_dict.write_dictionary(cs_dict.init_dictionary(16, 32, seed=0), dictionary)
+        argv = ["reconstruct-dict", "--in", proj, "--mask", mask, "--dict", dictionary,
+                "--atom", "2,2,4,4,5", "--lambda", "0.01", "--out", str(out / "r.lf5d")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
 
 
 def test_threads_flag_overrides_preset_variables(tmp_path, monkeypatch):

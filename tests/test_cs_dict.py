@@ -375,6 +375,19 @@ class TestKnobs:
         with pytest.raises(ValueError, match=re.escape(message)):
             cs_dict.dict_reconstruct(np.zeros((1, 1, 4, 4, 1)), np.ones((4, 4, 2)), d, g, lam, iters)
 
+    def test_dict_reconstruct_checks_the_atom_length_before_solving(self, monkeypatch):
+        # The masked gathers clip their row indices, so a short dictionary
+        # used to run the whole solve before depatch refused its codes.
+        calls = []
+        monkeypatch.setattr(cs_dict, "_fista", lambda *args: calls.append(args))
+        dims = (1, 1, 4, 4, 2)
+        g = cs_dict.make_patch_grid(dims, dims, (0, 0), (0, 0))
+        d = cs_dict.init_dictionary(16, 32, seed=0)
+        mask = coding.random_mask(4, 4, 2, 0)
+        with pytest.raises(ValueError, match="^dictionary atom length 16 != grid 32$"):
+            cs_dict.dict_reconstruct(np.zeros((1, 1, 4, 4, 1)), mask, d, g, 0.1, 10)
+        assert calls == []
+
 
 class TestReconstruct:
     def test_representable_signal_all_pass(self):

@@ -285,8 +285,8 @@ class TestTrain:
             assert np.all(np.isfinite(logs[-1].task_weights))
 
 
-def test_baseline_losses_shapes(toy_dataset):
-    cv_b, disp_b = mt.baseline_losses(toy_dataset[:-10], toy_dataset[-10:])
+def test_baseline_losses_shapes(toy_dataset, baseline_losses):
+    cv_b, disp_b = baseline_losses(toy_dataset[:-10], toy_dataset[-10:])
     assert cv_b > 0 and disp_b > 0
 
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from codedlf import autodiff, calib, cs_dct, multitask, tensor
+from codedlf import autodiff, calib, coding, cs_dct, cs_dict, multitask, scenegen, tensor
 
 
 def test_header_example_round_trip(tmp_path):
@@ -121,13 +121,14 @@ def test_cv_disp_wrappers():
     (tensor.require_count, ("n", 0, 1), "n must be an integer >= 1, got 0"),
     (tensor.require_count, ("n", 2.0, 1), "n must be an integer >= 1, got 2.0"),
     (tensor.require_count, ("n", np.True_, 0), "n must be an integer >= 0, got np.True_"),
+    (tensor.require_count, ("n", 1.5, None), "n must be an integer, got 1.5"),
     (tensor.require_real, ("x", float("nan")), "x must be finite, got nan"),
     (tensor.require_real, ("x", "1"), "x must be finite, got '1'"),
     (tensor.require_real, ("x", -0.5, 0), "x must be finite and >= 0, got -0.5"),
     (tensor.require_real, ("x", 0.0, 0, True), "x must be finite and > 0, got 0.0"),
     (tensor.require_real, ("x", False, 0), "x must be finite and >= 0, got False"),
-], ids=["count-below", "count-float", "count-numpy-bool", "real-nan", "real-str", "real-below",
-        "real-strict-at-bound", "real-bool"])
+], ids=["count-below", "count-float", "count-numpy-bool", "count-unbounded-float", "real-nan",
+        "real-str", "real-below", "real-strict-at-bound", "real-bool"])
 def test_knob_rules_reject_with_the_knob_and_bound(rule, args, message):
     with pytest.raises(ValueError) as info:
         rule(*args)
@@ -136,6 +137,7 @@ def test_knob_rules_reject_with_the_knob_and_bound(rule, args, message):
 
 def test_knob_rules_accept_integers_and_finite_reals_at_the_bound():
     tensor.require_count("n", np.int64(1), 1)
+    tensor.require_count("n", -(2**70), None)
     tensor.require_real("x", 0, 0)
     tensor.require_real("x", np.float32(1e-30), 0, strict=True)
     tensor.require_real("x", -1e300)
@@ -158,9 +160,18 @@ def _saturation_mask(line_reach):
     (lambda: calib.check_mask_knobs(0.985, True, "row"), "line reach"),
     (lambda: _saturation_mask(2.5), "line reach"),
     (lambda: autodiff.ToyNet(dims=(1, 1, 2, 2, 1), hidden=2.5), "hidden"),
+    # Integer inputs that were truncated: seed 1.5 trained as seed 1, dims
+    # 4.5 rendered as 4, k = True trained as k = 1, a negative scene count
+    # gave an empty data set and mask seed 1.5 drew seed 1's mask.
+    (lambda: multitask.TrainConfig(seed=1.5), "seed"),
+    (lambda: scenegen.SceneSpec(dims=(1, 1, 4.5, 4, 2)), "each dim"),
+    (lambda: cs_dict.check_training_knobs(32, True, 0.1, 0.1, 16, 10, 1), "k"),
+    (lambda: multitask.make_toy_dataset(-1, (1, 1, 4, 4, 2), 0), "scene count"),
+    (lambda: coding.random_mask(4, 4, 3, 1.5), "seed"),
 ], ids=["owlqn-max-iters-bool", "owlqn-memory-bool", "train-epochs-bool", "train-lr-bool",
         "mask-reach-float", "mask-reach-bool", "saturation-mask-reach-float",
-        "toynet-hidden-float"])
+        "toynet-hidden-float", "train-seed-float", "scene-dims-float", "dict-k-bool",
+        "toy-dataset-negative", "mask-seed-float"])
 def test_library_knobs_pass_the_shared_rules(make, knob):
     with pytest.raises(ValueError, match=f"^{knob} must be "):
         make()
