@@ -152,8 +152,8 @@ def forward(net: ToyNet, coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def batched_loss(pred: np.ndarray, loss_fn, truths) -> tuple[float, np.ndarray]:
     """Mean of a loss over the leading batch axis of pred, and its gradient
-    with respect to pred, from one batched call of loss_fn."""
-    lv = loss_fn(pred, truths, batched=True)
+    with respect to pred, from one call of loss_fn on the batch."""
+    lv = loss_fn(pred, truths)
     return lv.value, lv.grad
 
 

@@ -9,8 +9,9 @@ objective, and `np.linalg.LinAlgError`, matched first: `LinAlgError` and
 exception (a fault in the program; the traceback goes to stderr).
 
 The CLI checks only what the library cannot know: before it reads any
-input, the paths (each output in an existing directory and not one itself,
-each input present) and the knobs; after, the layouts of its containers.
+input, the output paths (each in an existing directory and not one
+itself), then the knobs, then that each input is present; after, the
+layouts of its containers.
 The library checks the rest (shapes that must agree, Bayer values, a
 dictionary's atom length, a network's dims, finite disparities), with its
 own messages.  All randomness derives from explicit --seed flags.  The
@@ -256,15 +257,15 @@ def _cmd_lift(args) -> int:
 def _cmd_reconstruct_dct(args) -> int:
     from . import cs_dct, tensor
 
-    _require_files(args.infile, args.mask)
-    lp = tensor.read_lf5d(args.infile)
-    mask = _read_mask(args.mask)
     opts = cs_dct.OwlqnOptions(
         lam=args.lam,
         max_iters=args.max_iters,
         memory=args.memory,
         grad_tol=args.grad_tol,
     )
+    _require_files(args.infile, args.mask)
+    lp = tensor.read_lf5d(args.infile)
+    mask = _read_mask(args.mask)
     rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
     tensor.write_lf5d(rec, args.out)
     if args.report:

@@ -58,10 +58,8 @@ def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
 def random_masks(n_s: int, n_t: int, n_channels: int, seeds) -> np.ndarray:
     """Draw one `random_mask` per seed of the sequence `seeds`, stacked to
     (B, S, T, C), from one vectorized SplitMix64 pass over all B sequences."""
-    if n_s < 1 or n_t < 1 or n_channels < 1:
-        raise ValueError(
-            f"mask dims must be positive, got ({n_s}, {n_t}, {n_channels})"
-        )
+    for dim in (n_s, n_t, n_channels):
+        require_count("each mask dim", dim, 1)
     for seed in seeds:
         require_count("seed", seed, None)  # any integer: it wraps modulo 2**64
     starts = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)

@@ -218,7 +218,9 @@ def check_training_knobs(
     for name, value in (("batch_size", batch_size), ("fista_iters", fista_iters),
                         ("epochs", epochs)):
         tensor.require_count(name, value, 1)
-    n_atoms = int(round(k * atom_len)) if math.isfinite(k) else 0
+    # A non-finite k gives no atoms; a finite k may still overflow k * atom_len.
+    atoms = float(k) * atom_len if math.isfinite(k) else 0.0
+    n_atoms = int(round(atoms)) if math.isfinite(atoms) else math.inf
     if n_atoms < 1:
         raise ValueError(f"k = {k} gives {n_atoms} atoms for atom length {atom_len}")
     tensor.require_real("k", k)  # a bool; after the count, whose message names k = nan

@@ -1,20 +1,16 @@
 """Training losses and evaluation metrics for central views and disparities.
 
-Losses return a LossValue carrying the scalar and, when requested, the
-analytic gradient with respect to the prediction, so they can be used both
-standalone and as the seed of a backward pass.  Every gradient is checked
-against central finite differences in the test suite.
-
-Every loss takes one sample, or with batched=True a batch stacked on a
-leading axis B: (B, S, T, C) central views, (B, S, T) disparities.  The
-batched value is the mean of the per-sample values and its gradient is
-the per-sample gradient divided by B, bit for bit what a loop over the
-samples gives, because each sample is reduced over the same entries in the
-same order.  The single-sample form is the batch of one, so training,
-`ssim` and the finite-difference tests run one implementation.  SSIM takes
-its window sums for all samples, channels and moments at once, from
-cumulative sums in a zero-bordered buffer; its gradient scatters the
-per-window maps back through a second such buffer.
+Every loss takes a batch stacked on a leading axis B, (B, S, T, C)
+central views or (B, S, T) disparities, and returns a LossValue: the mean
+of the per-sample values and its analytic gradient with respect to the
+prediction, the seed of a backward pass.  The gradient is the per-sample
+gradient divided by B, bit for bit what a loop over the samples gives,
+because each sample is reduced over the same entries in the same order.
+One sample is a batch of one.  Every gradient is checked against central
+finite differences in the test suite.  SSIM takes its window sums for all
+samples, channels and moments at once, from cumulative sums in a
+zero-bordered buffer; its gradient scatters the per-window maps back
+through a second such buffer.
 
 Central-view losses: mean Huber (quadratic below delta, 2*delta*(e - delta/2)
 above), an SSIM-based loss (1 - SSIM)/2 computed channel-wise with a uniform
@@ -60,15 +56,13 @@ def _check_same_shape(pred, truth):
     return pred, truth
 
 
-def _as_batch(pred, truth, batched: bool, sample_ndim=None, what: str = ""):
-    """pred and truth as float64 arrays with a leading batch axis; a single
-    sample becomes a batch of one."""
+def _as_batch(pred, truth, sample_ndim=None, what: str = ""):
+    """pred and truth as float64 arrays with a leading batch axis, each
+    sample of rank sample_ndim when given."""
     pred, truth = _check_same_shape(pred, truth)
-    if not batched:
-        pred, truth = pred[None], truth[None]
-    elif pred.ndim == 0:
+    if pred.ndim == 0:
         raise ValueError("a batch needs a leading batch axis")
-    if sample_ndim is not None and pred.ndim - 1 not in sample_ndim:
+    if sample_ndim is not None and pred.ndim - 1 != sample_ndim:
         raise ValueError(f"expected {what}, got {pred.shape[1:]}")
     return pred, truth
 
@@ -78,33 +72,27 @@ def _per_sample(x: np.ndarray, reduce) -> np.ndarray:
     return reduce(x.reshape(x.shape[0], -1), axis=1)
 
 
-def _batch_mean(vals: np.ndarray, grad, batched: bool) -> LossValue:
+def _batch_mean(vals: np.ndarray, grad: np.ndarray) -> LossValue:
     """The batch mean of per-sample values, and its gradient from the
-    per-sample gradients (divided by B); a single sample's own value and
-    gradient when not batched (B = 1 divides by one)."""
-    out = LossValue(value=float(np.mean(vals)))
-    if grad is not None:
-        grad /= vals.shape[0]
-        out.grad = grad if batched else grad[0]
-    return out
+    per-sample gradients (divided by B in place)."""
+    grad /= vals.shape[0]
+    return LossValue(value=float(np.mean(vals)), grad=grad)
 
 
 # ---------------------------------------------------------------------------
-# losses (one sample, or a batch on a leading axis with batched=True)
+# losses (a batch on a leading axis in, its mean and gradient out)
 
 
-def huber(pred, truth, with_grad: bool = True, batched: bool = False) -> LossValue:
+def huber(pred, truth) -> LossValue:
     """Mean elementwise Huber loss: e^2 below delta, 2*delta*(e - delta/2)
     above, with delta = HUBER_DELTA."""
-    pred, truth = _as_batch(pred, truth, batched)
+    pred, truth = _as_batch(pred, truth)
     delta = HUBER_DELTA
     e = np.abs(pred - truth)
     val = np.where(e < delta, e * e, 2.0 * delta * (e - 0.5 * delta))
-    grad = None
-    if with_grad:
-        slope = 2.0 * np.minimum(e, delta)
-        grad = slope * np.sign(pred - truth) / pred[0].size
-    return _batch_mean(_per_sample(val, np.mean), grad, batched)
+    slope = 2.0 * np.minimum(e, delta)
+    grad = slope * np.sign(pred - truth) / pred[0].size
+    return _batch_mean(_per_sample(val, np.mean), grad)
 
 
 def _window_sums(buf: np.ndarray, w: int) -> np.ndarray:
@@ -148,11 +136,9 @@ def _ssim_windows(x: np.ndarray, y: np.ndarray, w: int, c1: float, c2: float):
     return (a1 * a2) / (b1 * b2), (mu_a, mu_b, a1, a2, b1, b2)
 
 
-def _ssim_batch(pred, truth, batched: bool):
-    """Channels-first (B, C, S, T) views of 2D or channelled images."""
-    pred, truth = _as_batch(pred, truth, batched, (2, 3), "(S, T) or (S, T, C) images")
-    if pred.ndim == 3:
-        pred, truth = pred[..., None], truth[..., None]
+def _ssim_batch(pred, truth):
+    """Channels-first (B, C, S, T) views of a (B, S, T, C) batch of images."""
+    pred, truth = _as_batch(pred, truth, 3, "(S, T, C) images")
     if pred.shape[1] < SSIM_WINDOW or pred.shape[2] < SSIM_WINDOW:
         raise ValueError(f"image {pred.shape[1:3]} smaller than window {SSIM_WINDOW}")
     return pred.transpose(0, 3, 1, 2), truth.transpose(0, 3, 1, 2)
@@ -161,14 +147,15 @@ def _ssim_batch(pred, truth, batched: bool):
 def ssim(a, b, peak: float = 1.0) -> float:
     """Mean SSIM over valid uniform windows, channel-wise and averaged.
 
-    Accepts (S, T) or (S, T, C) arrays with values on a [0, peak] scale.
+    Accepts (S, T, C) arrays with values on a [0, peak] scale, scored as
+    a batch of one.
     """
-    x, y = _ssim_batch(a, b, batched=False)
+    x, y = _ssim_batch(np.expand_dims(a, 0), np.expand_dims(b, 0))
     s, _ = _ssim_windows(x, y, SSIM_WINDOW, (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2)
     return float(np.mean(_per_sample(s[0], np.mean)))
 
 
-def ssim_loss(pred, truth, with_grad: bool = True, batched: bool = False) -> LossValue:
+def ssim_loss(pred, truth) -> LossValue:
     """(1 - SSIM)/2 with the analytic gradient with respect to pred.
 
     Per window the SSIM is a smooth rational function of window moments;
@@ -177,8 +164,7 @@ def ssim_loss(pred, truth, with_grad: bool = True, batched: bool = False) -> Los
     the full gradient is assembled from three window-scalar maps scattered
     back over the image.  All samples and channels go through one pass.
     """
-    squeeze = np.ndim(pred) == (3 if batched else 2)
-    x, y = _ssim_batch(pred, truth, batched)
+    x, y = _ssim_batch(pred, truth)
     window = SSIM_WINDOW
     n = float(window * window)
     n_b, n_ch = x.shape[:2]
@@ -188,51 +174,40 @@ def ssim_loss(pred, truth, with_grad: bool = True, batched: bool = False) -> Los
     for c in range(n_ch):
         total = total + channel_means[:, c]
     vals = 0.5 * (1.0 - total / n_ch)
-    grad = None
-    if with_grad:
-        # Quotient rule: dS = [a1'*a2 + a1*a2' - S*(b1'*b2 + b1*b2')] / (b1*b2)
-        # with a1' = 2 mu_y / n, a2' = 2 (y_p - mu_y) / n,
-        #      b1' = 2 mu_x / n, b2' = 2 (x_p - mu_x) / n,
-        # which is affine in (x_p, y_p) per window:
-        denom = n * b1 * b2
-        # Scatter (the adjoint of the window sums): window sums of the
-        # window maps zero-padded by window - 1 on every side.
-        buf = np.zeros((3, n_b, n_ch) + tuple(d + window for d in x.shape[2:]))
-        maps = buf[..., window : window + s.shape[2], window : window + s.shape[3]]
-        maps[0] = (
-            2.0 * mu_y * (a2 - a1) / denom
-            + 2.0 * s * mu_x * (1.0 / (n * b2) - 1.0 / (n * b1))
-        )
-        maps[1] = 2.0 * a1 / denom
-        maps[2] = -2.0 * s / (n * b2)
-        spread = _window_sums(buf, window)
-        g = spread[0] + y * spread[1] + x * spread[2]
-        g /= s[0, 0].size * n_ch  # d(mean SSIM); windows per channel are equal
-        g = -0.5 * g
-        grad = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        if squeeze:
-            grad = grad[..., 0]
-    return _batch_mean(vals, grad, batched)
+    # Quotient rule: dS = [a1'*a2 + a1*a2' - S*(b1'*b2 + b1*b2')] / (b1*b2)
+    # with a1' = 2 mu_y / n, a2' = 2 (y_p - mu_y) / n,
+    #      b1' = 2 mu_x / n, b2' = 2 (x_p - mu_x) / n,
+    # which is affine in (x_p, y_p) per window:
+    denom = n * b1 * b2
+    # Scatter (the adjoint of the window sums): window sums of the
+    # window maps zero-padded by window - 1 on every side.
+    buf = np.zeros((3, n_b, n_ch) + tuple(d + window for d in x.shape[2:]))
+    maps = buf[..., window : window + s.shape[2], window : window + s.shape[3]]
+    maps[0] = (
+        2.0 * mu_y * (a2 - a1) / denom
+        + 2.0 * s * mu_x * (1.0 / (n * b2) - 1.0 / (n * b1))
+    )
+    maps[1] = 2.0 * a1 / denom
+    maps[2] = -2.0 * s / (n * b2)
+    spread = _window_sums(buf, window)
+    g = spread[0] + y * spread[1] + x * spread[2]
+    g /= s[0, 0].size * n_ch  # d(mean SSIM); windows per channel are equal
+    g = -0.5 * g
+    return _batch_mean(vals, np.ascontiguousarray(g.transpose(0, 2, 3, 1)))
 
 
-def spectral_cos_loss(
-    pred, truth, with_grad: bool = True, batched: bool = False
-) -> LossValue:
+def spectral_cos_loss(pred, truth) -> LossValue:
     """(1 - cosine)/2 of per-pixel spectra, averaged over pixels."""
-    pred, truth = _as_batch(pred, truth, batched, (3,), "(S, T, C) spectra")
+    pred, truth = _as_batch(pred, truth, 3, "(S, T, C) spectra")
     dot = (pred * truth).sum(axis=-1)
     np_ = np.sqrt((pred * pred).sum(axis=-1))
     nt = np.sqrt((truth * truth).sum(axis=-1))
     denom = np.maximum(np_ * nt, EPS)
     cos = dot / denom
-    grad = None
-    if with_grad:
-        safe_np = np.maximum(np_, EPS)
-        dcos = truth / denom[..., None] - (dot / (safe_np * safe_np * denom))[
-            ..., None
-        ] * pred
-        grad = -0.5 * dcos / cos[0].size
-    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad, batched)
+    safe_np = np.maximum(np_, EPS)
+    dcos = truth / denom[..., None] - (dot / (safe_np * safe_np * denom))[..., None] * pred
+    grad = -0.5 * dcos / cos[0].size
+    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad)
 
 
 def _forward_diffs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,34 +217,28 @@ def _forward_diffs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def tv_smoothness(
-    pred_disp, truth_disp, with_grad: bool = True, batched: bool = False
-) -> LossValue:
+def tv_smoothness(pred_disp, truth_disp) -> LossValue:
     """Edge-aware smoothness: |grad pred| weighted by exp(-|grad truth|).
 
     Averaged over all gradient sites (both directions pooled).
     """
-    pred, truth = _as_batch(pred_disp, truth_disp, batched, (2,), "(S, T) disparity maps")
+    pred, truth = _as_batch(pred_disp, truth_disp, 2, "(S, T) disparity maps")
     gx_p, gy_p = _forward_diffs(pred)
     gx_t, gy_t = _forward_diffs(truth)
     wx = np.exp(-np.abs(gx_t))
     wy = np.exp(-np.abs(gy_t))
     n_sites = gx_p[0].size + gy_p[0].size
+    grad = np.zeros_like(pred)
     if n_sites == 0:
-        return _batch_mean(
-            np.zeros(pred.shape[0]), np.zeros_like(pred) if with_grad else None, batched
-        )
+        return _batch_mean(np.zeros(pred.shape[0]), grad)
     val = _per_sample(np.abs(gx_p) * wx, np.sum) + _per_sample(np.abs(gy_p) * wy, np.sum)
-    grad = None
-    if with_grad:
-        grad = np.zeros_like(pred)
-        sx = np.sign(gx_p) * wx / n_sites
-        grad[..., 1:] += sx
-        grad[..., :-1] -= sx
-        sy = np.sign(gy_p) * wy / n_sites
-        grad[..., 1:, :] += sy
-        grad[..., :-1, :] -= sy
-    return _batch_mean(val / n_sites, grad, batched)
+    sx = np.sign(gx_p) * wx / n_sites
+    grad[..., 1:] += sx
+    grad[..., :-1] -= sx
+    sy = np.sign(gy_p) * wy / n_sites
+    grad[..., 1:, :] += sy
+    grad[..., :-1, :] -= sy
+    return _batch_mean(val / n_sites, grad)
 
 
 def _pixel_grads(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,11 +250,9 @@ def _pixel_grads(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def normal_similarity(
-    pred_disp, truth_disp, with_grad: bool = True, batched: bool = False
-) -> LossValue:
+def normal_similarity(pred_disp, truth_disp) -> LossValue:
     """(1 - cosine)/2 between surface normals (-dx, -dy, 1), pixel-averaged."""
-    pred, truth = _as_batch(pred_disp, truth_disp, batched, (2,), "(S, T) disparity maps")
+    pred, truth = _as_batch(pred_disp, truth_disp, 2, "(S, T) disparity maps")
     gx_p, gy_p = _pixel_grads(pred)
     gx_t, gy_t = _pixel_grads(truth)
     # cos = (gx_p*gx_t + gy_p*gy_t + 1) / (|n_pred| * |n_truth|)
@@ -293,19 +260,17 @@ def normal_similarity(
     n_p = np.sqrt(gx_p * gx_p + gy_p * gy_p + 1.0)
     n_t = np.sqrt(gx_t * gx_t + gy_t * gy_t + 1.0)
     cos = dot / (n_p * n_t)
-    grad = None
-    if with_grad:
-        # d cos / d gx_p, then scatter the forward-difference stencil.
-        dgx = gx_t / (n_p * n_t) - dot * gx_p / (n_p**3 * n_t)
-        dgy = gy_t / (n_p * n_t) - dot * gy_p / (n_p**3 * n_t)
-        grad = np.zeros_like(pred)
-        # gx[i, j] = d[i, j+1] - d[i, j] for j < T-1 (zero at the edge)
-        grad[..., 1:] += dgx[..., :-1]
-        grad[..., :-1] -= dgx[..., :-1]
-        grad[..., 1:, :] += dgy[..., :-1, :]
-        grad[..., :-1, :] -= dgy[..., :-1, :]
-        grad = -0.5 * grad / pred[0].size
-    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad, batched)
+    # d cos / d gx_p, then scatter the forward-difference stencil.
+    dgx = gx_t / (n_p * n_t) - dot * gx_p / (n_p**3 * n_t)
+    dgy = gy_t / (n_p * n_t) - dot * gy_p / (n_p**3 * n_t)
+    grad = np.zeros_like(pred)
+    # gx[i, j] = d[i, j+1] - d[i, j] for j < T-1 (zero at the edge)
+    grad[..., 1:] += dgx[..., :-1]
+    grad[..., :-1] -= dgx[..., :-1]
+    grad[..., 1:, :] += dgy[..., :-1, :]
+    grad[..., :-1, :] -= dgy[..., :-1, :]
+    grad = -0.5 * grad / pred[0].size
+    return _batch_mean(0.5 * (1.0 - _per_sample(cos, np.mean)), grad)
 
 
 # ---------------------------------------------------------------------------

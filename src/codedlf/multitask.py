@@ -340,8 +340,8 @@ def validate(
     against its central views and disparities, from one batched forward."""
     cv_hat, disp_hat, _ = net.forward_batch(coded)
     return (
-        losses_metrics.huber(cv_hat, cv, with_grad=False, batched=True).value,
-        losses_metrics.huber(disp_hat, disp, with_grad=False, batched=True).value,
+        losses_metrics.huber(cv_hat, cv).value,
+        losses_metrics.huber(disp_hat, disp).value,
     )
 
 

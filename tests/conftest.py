@@ -344,7 +344,7 @@ def _reshape(a, shape):
 
 
 def _batched_loss(pred, loss_fn, truths):
-    value, grads = _loop_batch(pred.value, loss_fn, truths)
+    value, grads = _loop_batch(pred.value, lambda p, t: loss_fn(p[None], t[None]), truths)
     return _Node(np.float64(value), (pred,), lambda g: (float(g) * grads,))
 
 
@@ -561,8 +561,8 @@ def _ref_validate(net, val, base_seed):
     for i, sample in enumerate(val):
         m = coding.random_mask(n_s, n_t, n_c, mt._derive_seed(base_seed, 1, i))
         cv_hat, disp_hat = ad.forward(net, coding.encode(sample.lightfield, m))
-        cv_losses.append(lm.huber(cv_hat, sample.cv, with_grad=False).value)
-        disp_losses.append(lm.huber(disp_hat, sample.disp, with_grad=False).value)
+        cv_losses.append(lm.huber(cv_hat[None], sample.cv[None]).value)
+        disp_losses.append(lm.huber(disp_hat[None], sample.disp[None]).value)
     return float(np.mean(cv_losses)), float(np.mean(disp_losses))
 
 
@@ -570,8 +570,8 @@ def _baseline_losses(train, val):
     """Huber losses of the constant predictor (pixelwise train mean) on val."""
     cv_mean = np.mean([s.cv for s in train], axis=0)
     disp_mean = np.mean([s.disp for s in train], axis=0)
-    cv_l = np.mean([lm.huber(cv_mean, s.cv, with_grad=False).value for s in val])
-    disp_l = np.mean([lm.huber(disp_mean, s.disp, with_grad=False).value for s in val])
+    cv_l = np.mean([lm.huber(cv_mean[None], s.cv[None]).value for s in val])
+    disp_l = np.mean([lm.huber(disp_mean[None], s.disp[None]).value for s in val])
     return float(cv_l), float(disp_l)
 
 

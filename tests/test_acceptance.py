@@ -202,24 +202,24 @@ def test_criterion_06_losses_metrics():
             for i in rng.choice(pred.size, size=min(n_coords, pred.size), replace=False):
                 p = pred.ravel().copy()
                 p[i] += h
-                f1 = fn(p.reshape(pred.shape), with_grad=False).value
+                f1 = fn(p.reshape(pred.shape)).value
                 p[i] -= 2 * h
-                f2 = fn(p.reshape(pred.shape), with_grad=False).value
+                f2 = fn(p.reshape(pred.shape)).value
                 fd = (f1 - f2) / (2 * h)
                 an = grad.ravel()[i]
                 assert abs(fd - an) <= tol * max(abs(fd), abs(an), 1e-6)
 
-        cvp = rng.uniform(0.1, 0.9, size=(9, 9, 3))
-        cvt = rng.uniform(0.1, 0.9, size=(9, 9, 3))
-        fd_ok(lambda p, **kw: lm.huber(p, cvt, **kw), cvp)
-        fd_ok(lambda p, **kw: lm.ssim_loss(p, cvt, **kw), cvp)
-        fd_ok(lambda p, **kw: lm.spectral_cos_loss(p, cvt, **kw), cvp)
+        cvp = rng.uniform(0.1, 0.9, size=(1, 9, 9, 3))
+        cvt = rng.uniform(0.1, 0.9, size=(1, 9, 9, 3))
+        fd_ok(lambda p: lm.huber(p, cvt), cvp)
+        fd_ok(lambda p: lm.ssim_loss(p, cvt), cvp)
+        fd_ok(lambda p: lm.spectral_cos_loss(p, cvt), cvp)
         i = np.arange(8)[:, None]
         j = np.arange(8)[None, :]
-        dp = 0.3 * i - 0.2 * j + 0.01 * rng.uniform(-1, 1, size=(8, 8))
-        dt = rng.uniform(-1, 1, size=(8, 8))
-        fd_ok(lambda p, **kw: lm.tv_smoothness(p, dt, **kw), dp)
-        fd_ok(lambda p, **kw: lm.normal_similarity(p, dt, **kw), dp)
+        dp = 0.3 * i - 0.2 * j + 0.01 * rng.uniform(-1, 1, size=(1, 8, 8))
+        dt = rng.uniform(-1, 1, size=(1, 8, 8))
+        fd_ok(lambda p: lm.tv_smoothness(p, dt), dp)
+        fd_ok(lambda p: lm.normal_similarity(p, dt), dp)
 
         assert lm.huber(np.array([0.5]), np.array([0.0])).value == 0.25
         assert lm.huber(np.array([2.0]), np.array([0.0])).value == 3.0
@@ -393,7 +393,8 @@ def test_criterion_11_cli_determinism(tmp_path):
                 ["lift", "--in", p("proj.lf5d"), "--mask", p("m.lf5d"),
                  "--out", p("lift.lf5d")],
                 ["reconstruct-dct", "--in", p("proj.lf5d"), "--mask", p("m.lf5d"),
-                 "--lambda", "0.001", "--max-iters", "8", "--out", p("rec.lf5d"),
+                 "--lambda", "0.001", "--max-iters", "8", "--grad-tol", "1e-9",
+                 "--out", p("rec.lf5d"),
                  "--report", p("rec.json"), "--no-timestamp"],
                 ["train-dict", "--scenes", p("sc.lf.lf5d"), "--atom", "2,2,4,4,5",
                  "--spatial-overlap", "1,1", "--angular-overlap", "0,0",

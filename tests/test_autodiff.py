@@ -249,9 +249,9 @@ def test_losses_wired_through_autodiff_match_fd():
         for i in RNG.choice(pred_val.size, size=6, replace=False):
             p = pred_val.ravel().copy()
             p[i] += h
-            f1 = fn(p.reshape(pred_val.shape), truth, with_grad=False).value
+            f1 = fn(p.reshape(pred_val.shape)[None], truth[None]).value
             p[i] -= 2 * h
-            f2 = fn(p.reshape(pred_val.shape), truth, with_grad=False).value
+            f2 = fn(p.reshape(pred_val.shape)[None], truth[None]).value
             fd = (f1 - f2) / (2 * h)
             an = seed[0].ravel()[i]
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-6), fn.__name__

@@ -633,14 +633,17 @@ def test_reconstruct_dct_cli(tmp_path, scene):
         rec = str(tmp_path / f"rec{k}.lf5d")
         rep = tmp_path / f"rep{k}.json"
         assert run(["reconstruct-dct", "--in", proj, "--mask", mask, "--lambda",
-                    "0.001", "--max-iters", "10", "--out", rec, "--report", str(rep),
-                    "--no-timestamp"]) == 0
+                    "0.001", "--max-iters", "10", "--grad-tol", "1e-9", "--out", rec,
+                    "--report", str(rep), "--no-timestamp"]) == 0
         reports.append(rep.read_bytes())
     assert reports[0] == reports[1]
     data = json.loads(reports[0])
     assert sorted(data) == ["evaluations", "final_objective", "iterations", "objectives",
                             "pairs_skipped", "termination"]
     assert data["termination"] in ("converged", "max_iters", "line_search_failed")
+    # The default grad_tol, 1e-5 * sqrt(n), exceeds lam here and would stop
+    # the solve at its warm start; --grad-tol 1e-9 makes it iterate.
+    assert data["iterations"] > 0
     objs = data["objectives"]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
     assert data["evaluations"] >= data["iterations"] == len(objs) - 1
@@ -651,22 +654,24 @@ def test_reconstruct_dct_cli(tmp_path, scene):
     ("--lambda", "nan", "lam must be finite"),
     ("--lambda", "inf", "lam must be finite"),
     ("--max-iters", "-3", "max_iters must be an integer >= 0"),
+    ("--memory", "0", "memory must be an integer >= 1"),
     ("--grad-tol", "nan", "grad_tol must be finite"),
     ("--grad-tol", "inf", "grad_tol must be finite"),
 ])
-def test_reconstruct_dct_rejects_bad_knobs(tmp_path, scene, capsys, flag, value, message):
-    mask = str(tmp_path / "m.lf5d")
-    proj = str(tmp_path / "p.lf5d")
-    run(["encode", "--in", scene + ".lf.lf5d", "--seed", "7",
-         "--out-coded", str(tmp_path / "c.lf5d"), "--out-mask", mask])
-    run(["project", "--in", str(tmp_path / "c.lf5d"), "--out", proj])
+def test_reconstruct_dct_rejects_bad_knobs(tmp_path, monkeypatch, capsys, flag, value, message):
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(tensor, "read_lf5d", no_read)
     argv = {"--lambda": "0.001", "--max-iters": "5"}
     argv[flag] = value
     rec = tmp_path / "rec.lf5d"
     rep = tmp_path / "rep.json"
     capsys.readouterr()
-    assert run(["reconstruct-dct", "--in", proj, "--mask", mask, "--out", str(rec),
-                "--report", str(rep), *[x for kv in argv.items() for x in kv]]) == 1
+    # The inputs do not exist: the knobs are checked before any file is read.
+    assert run(["reconstruct-dct", "--in", str(tmp_path / "p.lf5d"), "--mask",
+                str(tmp_path / "m.lf5d"), "--out", str(rec), "--report", str(rep),
+                *[x for kv in argv.items() for x in kv]]) == 1
     assert message in capsys.readouterr().err
     assert not rec.exists() and not rep.exists()
 
@@ -1058,6 +1063,28 @@ _OUTPUT_CASES = {
 }
 
 
+def test_parsing_every_subcommand_leaves_numpy_unloaded():
+    # --threads must be applied before numpy loads, so importing the CLI and
+    # parsing any subcommand's argv may not import it.  A fresh interpreter,
+    # because this one has loaded numpy long ago.
+    script = (
+        "import argparse, json, sys\n"
+        "from codedlf import cli\n"
+        "parser = cli._build_parser()\n"
+        "sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))\n"
+        "table = json.loads(sys.argv[1])\n"
+        "assert sorted(table) == sorted(sub.choices), sorted(sub.choices)\n"
+        "for command, argv in table.items():\n"
+        "    assert parser.parse_args(['--threads', '1', command, *argv]).command == command\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(codedlf.__file__)))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(_OUTPUT_CASES)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) is False
+
+
 # The subcommands that write a JSON report, and train-toy, which ignores it.
 _TAKE_NO_TIMESTAMP = {"reconstruct-dct", "train-dict", "reconstruct-dict", "train-toy",
                       "evaluate", "calibrate"}
@@ -1113,6 +1140,7 @@ _RECON_DICT = {"--atom": "2,2,4,4,5", "--lambda": "0.001"}
     ("train-dict", "--lr", "nan", "lr must be finite"),
     ("train-dict", "--lr", "-1", "lr must be finite and >= 0"),
     ("train-dict", "--k", "1e9", "an LFDC file holds fewer than 2**32"),
+    ("train-dict", "--k", "1e308", "an LFDC file holds fewer than 2**32"),
     ("train-dict", "--epochs", "0", "epochs must be an integer >= 1"),
     ("train-dict", "--batch-size", "0", "batch_size must be an integer >= 1"),
     ("train-dict", "--batch-size", "-2", "batch_size must be an integer >= 1"),

@@ -151,7 +151,7 @@ def test_batched_masks_equal_per_seed_masks(mask_oracle, dims):
 
 
 def test_batched_masks_reject_zero_dims():
-    with pytest.raises(ValueError, match="mask dims must be positive"):
+    with pytest.raises(ValueError, match="each mask dim must be an integer >= 1, got 0"):
         coding.random_masks(4, 0, 3, [1, 2])
 
 

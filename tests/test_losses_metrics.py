@@ -8,18 +8,17 @@ from codedlf import losses_metrics as lm
 RNG = np.random.default_rng(2024)
 
 
-def central_fd(fn, pred, n_coords=30, h=1e-3, **kw):
+def central_fd(fn, pred, n_coords=30, h=1e-3):
     """Max relative error of the analytic gradient vs central differences."""
-    out = fn(pred, **kw)
-    grad = out.grad
+    grad = fn(pred).grad
     idxs = RNG.choice(pred.size, size=min(n_coords, pred.size), replace=False)
     worst = 0.0
     for i in idxs:
         p = pred.ravel().copy()
         p[i] += h
-        f1 = fn(p.reshape(pred.shape), with_grad=False, **kw).value
+        f1 = fn(p.reshape(pred.shape)).value
         p[i] -= 2 * h
-        f2 = fn(p.reshape(pred.shape), with_grad=False, **kw).value
+        f2 = fn(p.reshape(pred.shape)).value
         fd = (f1 - f2) / (2 * h)
         an = grad.ravel()[i]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-6))
@@ -42,7 +41,7 @@ class TestHuber:
     def test_gradient(self):
         pred = RNG.uniform(-2, 2, size=(6, 7))
         truth = RNG.uniform(-2, 2, size=(6, 7))
-        assert central_fd(lambda p, **kw: lm.huber(p, truth, **kw), pred) <= 1e-3
+        assert central_fd(lambda p: lm.huber(p, truth[None]), pred[None]) <= 1e-3
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -53,7 +52,7 @@ class TestSsim:
     def test_identical_images(self):
         img = RNG.uniform(size=(10, 10, 3))
         assert lm.ssim(img, img) == pytest.approx(1.0)
-        out = lm.ssim_loss(img, img)
+        out = lm.ssim_loss(img[None], img[None])
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
@@ -82,23 +81,24 @@ class TestSsim:
                     / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
                 )
         reference = float(np.mean(vals))
-        assert lm.ssim(ramp, zero) == pytest.approx(reference, rel=1e-10)
-        assert lm.ssim(ramp, zero) < 0.5
+        one_channel = ramp[..., None], zero[..., None]
+        assert lm.ssim(*one_channel) == pytest.approx(reference, rel=1e-10)
+        assert lm.ssim(*one_channel) < 0.5
 
     def test_gradient(self):
         pred = RNG.uniform(0.1, 0.9, size=(9, 9, 2))
         truth = RNG.uniform(0.1, 0.9, size=(9, 9, 2))
-        assert central_fd(lambda p, **kw: lm.ssim_loss(p, truth, **kw), pred) <= 1e-3
+        assert central_fd(lambda p: lm.ssim_loss(p, truth[None]), pred[None]) <= 1e-3
 
     def test_window_too_large(self):
         with pytest.raises(ValueError):
-            lm.ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+            lm.ssim(np.zeros((4, 4, 1)), np.zeros((4, 4, 1)))
 
 
 class TestSpectralCos:
     def test_parallel_spectra(self):
         truth = RNG.uniform(0.1, 1.0, size=(4, 4, 5))
-        out = lm.spectral_cos_loss(2.5 * truth, truth)
+        out = lm.spectral_cos_loss(2.5 * truth[None], truth[None])
         assert out.value == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_spectra(self):
@@ -106,32 +106,29 @@ class TestSpectralCos:
         truth = np.zeros((3, 3, 2))
         pred[..., 0] = 1.0
         truth[..., 1] = 1.0
-        assert lm.spectral_cos_loss(pred, truth).value == pytest.approx(0.5)
+        assert lm.spectral_cos_loss(pred[None], truth[None]).value == pytest.approx(0.5)
 
     def test_antiparallel(self):
         truth = RNG.uniform(0.1, 1.0, size=(4, 4, 3))
-        assert lm.spectral_cos_loss(-truth, truth).value == pytest.approx(1.0)
+        assert lm.spectral_cos_loss(-truth[None], truth[None]).value == pytest.approx(1.0)
 
     def test_gradient(self):
         pred = RNG.uniform(0.1, 0.9, size=(5, 5, 4))
         truth = RNG.uniform(0.1, 0.9, size=(5, 5, 4))
-        assert (
-            central_fd(lambda p, **kw: lm.spectral_cos_loss(p, truth, **kw), pred)
-            <= 1e-3
-        )
+        assert central_fd(lambda p: lm.spectral_cos_loss(p, truth[None]), pred[None]) <= 1e-3
 
     def test_scale_invariance(self):
         pred = RNG.uniform(0.1, 0.9, size=(5, 5, 4))
         truth = RNG.uniform(0.1, 0.9, size=(5, 5, 4))
-        base = lm.spectral_cos_loss(pred, truth).value
-        scaled = lm.spectral_cos_loss(pred * 3.7, truth).value
+        base = lm.spectral_cos_loss(pred[None], truth[None]).value
+        scaled = lm.spectral_cos_loss(pred[None] * 3.7, truth[None]).value
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
 class TestTvSmoothness:
     def test_constant_prediction(self):
         truth = RNG.uniform(size=(6, 6))
-        out = lm.tv_smoothness(np.full((6, 6), 0.3), truth)
+        out = lm.tv_smoothness(np.full((1, 6, 6), 0.3), truth[None])
         assert out.value == 0.0
 
     def test_truth_edges_suppress(self):
@@ -140,15 +137,15 @@ class TestTvSmoothness:
         flat_truth = np.zeros((1, 3))
         steep_truth = np.zeros((1, 3))
         steep_truth[0, 1:] = 10.0
-        suppressed = lm.tv_smoothness(pred, steep_truth).value
-        plain = lm.tv_smoothness(pred, flat_truth).value
+        suppressed = lm.tv_smoothness(pred[None], steep_truth[None]).value
+        plain = lm.tv_smoothness(pred[None], flat_truth[None]).value
         assert suppressed < plain
 
     def test_unit_step_hand_value(self):
         # 1x3 map: two gradient sites; one unit step, constant truth.
         pred = np.array([[0.0, 1.0, 1.0]])
         truth = np.zeros((1, 3))
-        assert lm.tv_smoothness(pred, truth).value == pytest.approx(1.0 / 2.0)
+        assert lm.tv_smoothness(pred[None], truth[None]).value == pytest.approx(1.0 / 2.0)
 
     def test_gradient(self):
         # Ramp plus small noise keeps every forward difference away from the
@@ -157,18 +154,16 @@ class TestTvSmoothness:
         j = np.arange(7)[None, :]
         pred = 0.3 * i - 0.2 * j + 0.01 * RNG.uniform(-1, 1, size=(6, 7))
         truth = RNG.uniform(-1, 1, size=(6, 7))
-        assert (
-            central_fd(lambda p, **kw: lm.tv_smoothness(p, truth, **kw), pred) <= 1e-3
-        )
+        assert central_fd(lambda p: lm.tv_smoothness(p, truth[None]), pred[None]) <= 1e-3
 
 
 class TestNormalSimilarity:
     def test_equal_maps(self):
         d = RNG.uniform(size=(5, 5))
-        assert lm.normal_similarity(d, d).value == pytest.approx(0.0, abs=1e-12)
+        assert lm.normal_similarity(d[None], d[None]).value == pytest.approx(0.0, abs=1e-12)
 
     def test_both_constant(self):
-        out = lm.normal_similarity(np.full((4, 4), 1.0), np.full((4, 4), -2.0))
+        out = lm.normal_similarity(np.full((1, 4, 4), 1.0), np.full((1, 4, 4), -2.0))
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gradient_against_flat(self):
@@ -178,7 +173,7 @@ class TestNormalSimilarity:
         # edge pixels have zero padded gradient -> mix; use wide map instead
         pred = np.arange(8, dtype=float)[None, :].repeat(2, axis=0)
         truth = np.zeros((2, 8))
-        out = lm.normal_similarity(pred, truth)
+        out = lm.normal_similarity(pred[None], truth[None])
         # interior columns: 0.5*(1 - 1/sqrt(2)); last column gradient is 0
         per_px = 0.5 * (1.0 - 1.0 / np.sqrt(2.0))
         expect = per_px * (8 - 1) / 8  # far edge contributes 0
@@ -187,10 +182,7 @@ class TestNormalSimilarity:
     def test_gradient(self):
         pred = RNG.uniform(-1, 1, size=(6, 6))
         truth = RNG.uniform(-1, 1, size=(6, 6))
-        assert (
-            central_fd(lambda p, **kw: lm.normal_similarity(p, truth, **kw), pred)
-            <= 1e-3
-        )
+        assert central_fd(lambda p: lm.normal_similarity(p, truth[None]), pred[None]) <= 1e-3
 
 
 class TestMetrics:
@@ -241,10 +233,10 @@ class TestMetrics:
 
 def test_losses_nonnegative_random():
     for _ in range(5):
-        p = RNG.uniform(0.05, 0.95, size=(8, 8, 3))
-        t = RNG.uniform(0.05, 0.95, size=(8, 8, 3))
-        pd = RNG.uniform(-1, 1, size=(8, 8))
-        td = RNG.uniform(-1, 1, size=(8, 8))
+        p = RNG.uniform(0.05, 0.95, size=(1, 8, 8, 3))
+        t = RNG.uniform(0.05, 0.95, size=(1, 8, 8, 3))
+        pd = RNG.uniform(-1, 1, size=(1, 8, 8))
+        td = RNG.uniform(-1, 1, size=(1, 8, 8))
         assert lm.huber(p, t).value >= 0
         assert lm.ssim_loss(p, t).value >= 0
         assert lm.spectral_cos_loss(p, t).value >= 0
@@ -254,7 +246,7 @@ def test_losses_nonnegative_random():
 
 # ---------------------------------------------------------------------------
 # batched losses against the per-sample oracle (tests/conftest.py): the same
-# value and gradient bit for bit, batched or one sample at a time.
+# value and gradient bit for bit, for a whole batch or a batch of one.
 
 DISP_LOSSES = ("tv_smoothness", "normal_similarity")
 
@@ -276,53 +268,51 @@ def test_batched_loss_equals_per_sample_oracle(reference_losses, name, sample, n
     refs, _, loop = reference_losses
     pred, truth = _pair(name, n_b, sample)
     ref_value, ref_grad = loop(pred, refs[name], truth)
-    out = getattr(lm, name)(pred, list(truth), batched=True)
+    out = getattr(lm, name)(pred, list(truth))
     assert out.value == ref_value
     assert np.array_equal(out.grad, ref_grad)
-    assert getattr(lm, name)(pred, truth, with_grad=False, batched=True).grad is None
     for p, t in zip(pred, truth):
-        one, ref = getattr(lm, name)(p, t), refs[name](p, t)
-        assert one.value == ref.value and np.array_equal(one.grad, ref.grad)
+        one, ref = getattr(lm, name)(p[None], t[None]), refs[name](p, t)
+        assert one.value == ref.value and np.array_equal(one.grad[0], ref.grad)
 
 
 @pytest.mark.parametrize("n_b", [1, 3])
-def test_grayscale_ssim_equals_oracle(reference_losses, n_b):
-    refs, ref_ssim, loop = reference_losses
-    pred = RNG.uniform(0.1, 0.9, size=(n_b, 10, 8))
-    truth = RNG.uniform(0.1, 0.9, size=(n_b, 10, 8))
-    ref_value, ref_grad = loop(pred, refs["ssim_loss"], truth)
-    out = lm.ssim_loss(pred, truth, batched=True)
-    assert out.value == ref_value and np.array_equal(out.grad, ref_grad)
-    assert out.grad.shape == pred.shape
-    for peak in (1.0, 255.0):
-        assert lm.ssim(pred[0], truth[0], peak=peak) == ref_ssim(pred[0], truth[0], peak=peak)
+def test_ssim_takes_channelled_images_only(reference_losses, n_b):
+    _, ref_ssim, _ = reference_losses
+    gray = RNG.uniform(0.1, 0.9, size=(n_b, 10, 8))
+    with pytest.raises(ValueError, match=r"expected \(S, T, C\) images, got \(10, 8\)"):
+        lm.ssim_loss(gray, gray)
+    with pytest.raises(ValueError, match=r"expected \(S, T, C\) images, got \(10, 8\)"):
+        lm.ssim(gray[0], gray[0])
     a, b = RNG.uniform(size=(2, 9, 7, 6))
-    assert lm.ssim(a, b) == ref_ssim(a, b)
+    for peak in (1.0, 255.0):
+        assert lm.ssim(a, b, peak=peak) == ref_ssim(a, b, peak=peak)
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_ssim_smaller_than_window_rejected(batched):
-    img = np.zeros((2, 6, 9, 3)) if batched else np.zeros((6, 9, 3))
+    # batched=False passes ssim_loss a batch of one image, batched=True a batch of two.
+    img = np.zeros((2, 6, 9, 3)) if batched else np.zeros((1, 6, 9, 3))
     with pytest.raises(ValueError, match="smaller than window"):
-        lm.ssim_loss(img, img, batched=batched)
+        lm.ssim_loss(img, img)
     with pytest.raises(ValueError, match="smaller than window"):
-        lm.ssim(img[0] if batched else img, img[0] if batched else img)
+        lm.ssim(img[0], img[0])
 
 
 def test_tv_on_one_pixel_map(reference_losses):
     refs, _, loop = reference_losses
     pred, truth = RNG.uniform(size=(3, 1, 1)), RNG.uniform(size=(3, 1, 1))
-    out = lm.tv_smoothness(pred, truth, batched=True)
+    out = lm.tv_smoothness(pred, truth)
     assert (out.value, out.grad.shape) == (0.0, (3, 1, 1)) and not out.grad.any()
     ref_value, ref_grad = loop(pred, refs["tv_smoothness"], truth)
     assert out.value == ref_value and np.array_equal(out.grad, ref_grad)
-    assert lm.tv_smoothness(pred[0], truth[0]).value == 0.0
+    assert lm.tv_smoothness(pred[:1], truth[:1]).value == 0.0
 
 
 def test_batched_needs_batch_axis_and_sample_rank():
     with pytest.raises(ValueError, match="leading batch axis"):
-        lm.huber(np.float64(1.0), np.float64(0.0), batched=True)
+        lm.huber(np.float64(1.0), np.float64(0.0))
     with pytest.raises(ValueError, match=r"\(S, T, C\) spectra"):
-        lm.spectral_cos_loss(np.ones((4, 4, 3)), np.ones((4, 4, 3)), batched=True)
+        lm.spectral_cos_loss(np.ones((4, 4, 3)), np.ones((4, 4, 3)))
     with pytest.raises(ValueError, match="disparity maps"):
-        lm.tv_smoothness(np.ones((4, 4, 3)), np.ones((4, 4, 3)))
+        lm.tv_smoothness(np.ones((1, 4, 4, 3)), np.ones((1, 4, 4, 3)))

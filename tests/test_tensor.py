@@ -168,10 +168,13 @@ def _saturation_mask(line_reach):
     (lambda: cs_dict.check_training_knobs(32, True, 0.1, 0.1, 16, 10, 1), "k"),
     (lambda: multitask.make_toy_dataset(-1, (1, 1, 4, 4, 2), 0), "scene count"),
     (lambda: coding.random_mask(4, 4, 3, 1.5), "seed"),
+    # Mask dims 4.5 failed inside numpy with a TypeError; True drew a 1-row mask.
+    (lambda: coding.random_mask(4.5, 4, 3, 0), "each mask dim"),
+    (lambda: coding.random_mask(4, 4, True, 0), "each mask dim"),
 ], ids=["owlqn-max-iters-bool", "owlqn-memory-bool", "train-epochs-bool", "train-lr-bool",
         "mask-reach-float", "mask-reach-bool", "saturation-mask-reach-float",
         "toynet-hidden-float", "train-seed-float", "scene-dims-float", "dict-k-bool",
-        "toy-dataset-negative", "mask-seed-float"])
+        "toy-dataset-negative", "mask-seed-float", "mask-dim-float", "mask-dim-bool"])
 def test_library_knobs_pass_the_shared_rules(make, knob):
     with pytest.raises(ValueError, match=f"^{knob} must be "):
         make()
