@@ -16,16 +16,25 @@ and runs two GEMMs per group and iteration on buffers allocated once per
 solve: the gradient (D_m y - x_m) D_m and D_m z.  D_m y is the momentum
 combination of the cached D_m z of the last two iterates, D_m z gives the
 objective, and the residual and objective come from the final D_m a.
-Forming D y that way rounds differently from D @ y: the codes stay within
-about 1e-15 relative of the three-GEMM solve, with the same zeros and
-restarts, and the trained atoms drift further over many batches (on the
-dict-fista benchmark set-up, 2e-13 relative after one epoch and 9e-8
-after three).  Momentum and the monotone restart are shared by all groups;
-each group takes its own step.
+Forming D y that way rounds differently from D @ y: on float64 atoms the
+codes stay within about 1e-15 relative of the three-GEMM solve, with the
+same zeros and restarts.  Momentum and the monotone restart are shared by
+all groups; each group takes its own step.
 
 Training and `fista_encode` are the case of one group that holds all rows:
 the batch is passed as (B, atom_len) rows, with the step 1/(2 L(D)) from
-`lipschitz_bound` and a fixed iteration count.  Reconstruction from coded
+`lipschitz_bound` and a fixed iteration count.  Training passes a float32
+copy of the atoms, made after each update, and the kernel then runs both
+GEMMs in float32, on that copy and a C-contiguous copy of its transpose;
+the float64 operand of each is scaled by a power of two before its cast,
+so the atoms do not depend on the scale of the data.  Momentum, soft
+threshold, objective, restart test and the atom update stay in float64.
+On the dict-fista benchmark set-up the float32 kernel's codes are within
+3e-7 and its per-patch objectives within 1e-7 (relative) of the float64
+kernel's on the same atoms and step, and ten epochs of a small set-up end
+within 4e-8 of the float64 three-GEMM training loop, with the same
+restarts.  Each batch's power iteration starts from the last batch's
+vector.  `fista_encode` keeps the float64 atoms.  Reconstruction from coded
 measurements keeps only the observed entries of each patch:
 ||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D that the
 one-hot mask selects.  The mask depends on the spatial position alone, so
@@ -241,27 +250,64 @@ def check_reconstruct_knobs(lam: float, iters: int) -> None:
 
 
 POWER_ITERS = 30
+# A warm-started power iteration stops once its estimate rose by at most
+# this fraction of itself.
+POWER_REL_RISE = 1e-6
 
 
-def lipschitz_bound(d: Dictionary) -> float:
-    """Largest eigenvalue of D^T D estimated by POWER_ITERS power iterations
-    from a random start drawn with seed 0."""
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=d.n_atoms)
+def power_start(n_atoms: int) -> np.ndarray:
+    """The unit start vector of `lipschitz_bound`, drawn with seed 0."""
+    v = np.random.default_rng(0).normal(size=n_atoms)
     v /= np.linalg.norm(v)
-    lam = 1.0
+    return v
+
+
+def lipschitz_bound(d: Dictionary, v: np.ndarray | None = None) -> float:
+    """Largest eigenvalue of D^T D by power iteration.
+
+    Without `v`: POWER_ITERS iterations from a random start drawn with seed
+    0.  With `v`, a unit vector of length n_atoms: the iteration starts from
+    v, stops once the estimate rose by at most POWER_REL_RISE of itself or
+    after POWER_ITERS iterations, and leaves its last unit vector in v, the
+    warm start of the next call.  Each estimate ||D^T D v|| of a unit v is
+    at most the eigenvalue (up to rounding) and, in exact arithmetic, never
+    falls from one iteration to the next.
+    """
+    warm = v is not None
+    if not warm:
+        v = power_start(d.n_atoms)
+    lam = 0.0
     for _ in range(POWER_ITERS):
         w = d.atoms.T @ (d.atoms @ v)
-        lam = float(np.linalg.norm(w))
+        prev, lam = lam, float(np.linalg.norm(w))
         if lam < 1e-30:
             return 1.0
-        v = w / lam
+        np.divide(w, lam, out=v)
+        if warm and lam - prev <= POWER_REL_RISE * lam:
+            break
     return lam
 
 
 # Reconstruction stops after a non-restart iteration in which the objective
 # summed over all patches fell by at most this fraction of its new value.
 STOP_REL_DECREASE = 1e-3
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, a32, out32) -> None:
+    """out = a @ b for a float64 `a`.
+
+    A float32 `b` makes it a GEMM in float32, through the float32 buffers
+    a32 and out32: `a` is scaled by 2**-e, with max|a| < 2**e, before its
+    cast, and the product by 2**e in float64.  Neither leaves the float32
+    range whatever the scale of `a`, and `out` scales exactly with `a`.
+    """
+    if b.dtype != np.float32:
+        np.matmul(a, b, out=out)
+        return
+    e = math.frexp(max(float(a.max()), -float(a.min())))[1]  # 0 for zeros, inf and nan
+    np.ldexp(a, -e, out=a32)
+    np.matmul(a32, b, out=out32)
+    np.ldexp(out32, e, out=out, dtype=np.float64)
 
 
 def _fista(
@@ -285,6 +331,10 @@ def _fista(
     its new value; otherwise it runs all `iters` iterations.  A non-finite
     summed objective raises FloatingPointError.
 
+    float32 `atoms` (training: rows None) run both GEMMs in float32 through
+    `_matmul`, on the atoms and a C-contiguous copy of their transpose;
+    everything else stays in float64.
+
     Returns the codes (G, n, n_atoms), D_m a (G, n, R), the per-patch
     objective (G, n), the per-patch restart counts (G, n), the iterations
     run and the iterations in which some patch restarted.
@@ -295,6 +345,11 @@ def _fista(
     da, da_prev = np.zeros(x.shape), np.zeros(x.shape)
     dz, resid = np.empty(x.shape), np.empty(x.shape)
     d_rows = atoms if rows is None else np.empty((x.shape[2], atoms.shape[1]))
+    if atoms.dtype == np.float32:
+        d_cols = np.ascontiguousarray(atoms.T)
+        x32, z32 = np.empty(x.shape[1:], np.float32), np.empty(shape[1:], np.float32)
+    else:
+        d_cols, x32, z32 = d_rows.T, None, None
     thresh = lam * steps
     f_a = np.multiply(x, x, out=resid).sum(axis=2)
     f_sum = float(f_a.sum())
@@ -322,7 +377,7 @@ def _fista(
                 # d_rows, where mode="raise" fills a temporary copy first.
                 np.take(atoms, rows[k], axis=0, out=d_rows, mode="clip")
             z_k = z[k]
-            np.matmul(resid[k], d_rows, out=work)
+            _matmul(resid[k], d_rows, work, x32, z32)
             work *= 2.0 * steps[k]  # rounds as step * (2.0 * g): doubling is exact
             np.subtract(y[k], work, out=z_k)
             # soft threshold in place: copysign(max(|z| - thresh, 0), z)
@@ -330,7 +385,7 @@ def _fista(
             work -= thresh[k]
             np.maximum(work, 0.0, out=work)
             np.copysign(work, z_k, out=z_k)
-            np.matmul(z_k, d_rows.T, out=dz[k])
+            _matmul(z_k, d_cols, dz[k], z32, x32)
         np.subtract(x, dz, out=resid)
         resid *= resid
         # y_buf is free until the next iteration.  Like the gather above,
@@ -405,6 +460,7 @@ def _group_lipschitz(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     """Sparse code a single patch vector against the dictionary."""
+    check_reconstruct_knobs(lam, iters)
     x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
     if x.shape[2] != d.atom_len:
         raise ValueError(f"patch length {x.shape[2]} != atom length {d.atom_len}")
@@ -454,6 +510,7 @@ def train_dictionary(
     all_patches = np.concatenate([patch(tensor.as_tensor5(t), g) for t in dataset], axis=0)
     d = init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
+    power = power_start(n_atoms)  # lipschitz_bound's vector, carried from batch to batch
     epoch_objectives, epoch_restarts = [], []
     for _ in range(epochs):
         order = rng.permutation(all_patches.shape[0])
@@ -461,8 +518,12 @@ def train_dictionary(
         restarts = 0
         for start in range(0, len(order), batch_size):
             x = all_patches[order[start : start + batch_size]]  # (B, atom_len)
-            steps = np.array([1.0 / (2.0 * lipschitz_bound(d))])
-            a, da, f, patch_restarts, _, _ = _fista(d.atoms, x[None], None, steps, lam, fista_iters)
+            steps = np.array([1.0 / (2.0 * lipschitz_bound(d, power))])
+            # float32 atoms: the kernel's GEMMs run in float32.  The atoms
+            # have unit-norm columns, so their cast needs no scale.
+            a, da, f, patch_restarts, _, _ = _fista(
+                d.atoms.astype(np.float32), x[None], None, steps, lam, fista_iters,
+            )
             batch_objs.append(float(f.sum()) / x.shape[0])
             restarts += int(patch_restarts.sum())
             if lr != 0.0:

@@ -716,19 +716,22 @@ def two_loop():
 
 
 # ---------------------------------------------------------------------------
-# The unmasked dictionary-training FISTA as it was before it cached D z:
-# three GEMMs per iteration (D y, the gradient with the scaled copy
-# (2.0 * atoms.T) @ r, and D z for the objective), the training loop that
-# recomputed D a for every batch, and plain ISTA with the same scaled copy.
+# The unmasked dictionary-training FISTA as it was before it cached D z and
+# ran its GEMMs in float32: three float64 GEMMs per iteration (D y, the
+# gradient with the scaled copy (2.0 * atoms.T) @ r, and D z for the
+# objective), the training loop that recomputed D a for every batch, and
+# plain ISTA with the same scaled copy.  The training loop takes its step
+# from the same warm-started `lipschitz_bound` as `train_dictionary`.
 # Test oracles for cs_dict._fista and cs_dict.train_dictionary, and the
 # baseline FISTA must beat.
 
 
-def _ref_fista(d, x, lam, iters):
+def _ref_fista(d, x, lam, iters, power=None):
     """Codes of the columns of x, and a bool (iters, n_columns) array of
-    the columns each iteration restarted."""
+    the columns each iteration restarted.  `power` is passed on to
+    `lipschitz_bound` as its warm start."""
     atoms = d.atoms
-    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
+    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d, power))
     thresh = lam * step
 
     def objective(a):
@@ -770,13 +773,14 @@ def _ref_train_dictionary(dataset, g, k, lam, lr, batch_size, fista_iters, epoch
     all_patches = np.concatenate([cs_dict.patch(as_tensor5(t), g) for t in dataset], axis=0)
     d = cs_dict.init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
+    power = cs_dict.power_start(n_atoms)
     epoch_objectives, epoch_restarts = [], []
     for _ in range(epochs):
         order = rng.permutation(all_patches.shape[0])
         batch_objs, restarts = [], 0
         for start in range(0, len(order), batch_size):
             x = all_patches[order[start : start + batch_size]].T
-            a, restarted = _ref_fista(d, x, lam, fista_iters)
+            a, restarted = _ref_fista(d, x, lam, fista_iters, power)
             resid = x - d.atoms @ a
             batch_objs.append(float(np.sum(resid * resid) + lam * np.abs(a).sum()) / x.shape[1])
             restarts += int(restarted.sum())
@@ -792,7 +796,8 @@ def _ref_train_dictionary(dataset, g, k, lam, lr, batch_size, fista_iters, epoch
 def dictionary_training_oracle():
     """dictionary_training_oracle(dataset, g, k, lam, lr, batch_size,
     fista_iters, epochs, seed) -> (dictionary, epoch objectives, column
-    restarts per epoch) of the training loop on the three-GEMM FISTA."""
+    restarts per epoch) of the training loop on the three-GEMM float64
+    FISTA."""
     return _ref_train_dictionary
 
 
