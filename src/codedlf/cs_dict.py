@@ -2,7 +2,9 @@
 
 A light field is cut into overlapping 5D patches, each patch is sparse
 coded against a learned overcomplete dictionary, and the reconstruction is
-assembled by averaging overlapping patches.  The dictionary is trained by
+assembled by averaging overlapping patches: one gather and one
+`np.bincount` (which sums in grid order) through `PatchGrid.index`, the
+flat source index of every patch entry.  The dictionary is trained by
 alternating minimization: FISTA (Beck & Teboulle 2009) for the codes with
 the dictionary fixed, then mini-batch SGD on the atoms with the codes
 fixed, renormalizing every atom to unit l2 norm after each update.
@@ -22,27 +24,31 @@ same zeros and restarts.  Momentum and the monotone restart are shared by
 all groups; each group takes its own step.
 
 Training and `fista_encode` are the case of one group that holds all rows:
-the batch is passed as (B, atom_len) rows, with the step 1/(2 L(D)) from
-`lipschitz_bound` and a fixed iteration count.  Training passes a float32
-copy of the atoms, made after each update, and the kernel then runs both
-GEMMs in float32, on that copy and a C-contiguous copy of its transpose;
-the float64 operand of each is scaled by a power of two before its cast,
-so the atoms do not depend on the scale of the data.  Momentum, soft
-threshold, objective, restart test and the atom update stay in float64.
+the batch is passed as (B, atom_len) rows, with the step 1/(2 L(D)) and a
+fixed iteration count.  `fista_encode` takes L(D) exactly; training takes
+it per batch from `lipschitz_bound`, a power iteration started from the
+last batch's vector, the first from the top eigenvector (one `eigh`).
+Training passes a float32 copy of the atoms, made after each update, and
+the kernel then runs both GEMMs in float32, on that copy and a C-contiguous
+copy of its transpose; the float64 operand of each is scaled by a power of
+two before its cast, so the atoms do not depend on the scale of the data.
+Momentum, soft threshold, objective, restart test and the atom update stay
+in float64.
 On the dict-fista benchmark set-up the float32 kernel's codes are within
-3e-7 and its per-patch objectives within 1e-7 (relative) of the float64
+5e-7 and its per-patch objectives within 2e-7 (relative) of the float64
 kernel's on the same atoms and step, and ten epochs of a small set-up end
 within 4e-8 of the float64 three-GEMM training loop, with the same
-restarts.  Each batch's power iteration starts from the last batch's
-vector.  `fista_encode` keeps the float64 atoms.  Reconstruction from coded
+restarts.  `fista_encode` keeps the float64 atoms.  Reconstruction from coded
 measurements keeps only the observed entries of each patch:
 ||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D that the
 one-hot mask selects.  The mask depends on the spatial position alone, so
 all patches with one spatial origin share D_m and form one group (masked
-overcomplete-dictionary reconstruction as in Marwah et al. 2013); D_m is
-gathered into one reused buffer per group and iteration.  Group m steps by
-1/(2 L(D_m)), with L(D_m) the exact largest eigenvalue of the small Gram
-D_m D_m^T: a few times larger than the global step, since L(D_m) <= L(D).
+overcomplete-dictionary reconstruction as in Marwah et al. 2013).  Spatial
+origins run fastest in grid order, so with n of them group k holds patches
+k, k + n, k + 2n, ...  D_m is gathered into one reused buffer per group and
+iteration.  Group m steps by 1/(2 L(D_m)), with L(D_m) the exact largest
+eigenvalue of the small Gram D_m D_m^T: a few times larger than the global
+step, since L(D_m) <= L(D).
 The solve stops after a non-restart iteration in which the objective
 summed over all patches fell by at most STOP_REL_DECREASE (1e-3) of its new
 value, so the iteration count is a cap.
@@ -50,9 +56,11 @@ value, so the iteration count is a cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +76,8 @@ class PatchGrid:
 
     Origins along each axis are multiples of (atom - overlap), with a final
     origin clamped to (dim - atom) so the far edge is always covered.  The
-    spectral axis is never patched: the atom spans all channels.
+    spectral axis is never patched: the atom spans all channels.  In grid
+    order t runs fastest, then s, v and u.
     """
 
     source_dims: tuple[int, int, int, int, int]
@@ -83,6 +92,15 @@ class PatchGrid:
     def n_patches(self) -> int:
         return len(self.origins)
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Flat source index of every patch entry, (n_patches, atom_len):
+        row i is patch i raveled.  Built once; as large as a float64 patch
+        matrix."""
+        corners = np.ravel_multi_index(np.transpose(self.origins), self.source_dims[:4])
+        offsets = np.ravel_multi_index(np.indices(self.atom_dims).reshape(5, -1), self.source_dims)
+        return corners[:, None] * self.source_dims[4] + offsets
+
 
 def _axis_origins(dim: int, atom: int, overlap: int) -> list[int]:
     if atom > dim:
@@ -96,6 +114,14 @@ def _axis_origins(dim: int, atom: int, overlap: int) -> list[int]:
     return origins
 
 
+def _require_dims(kind: str, dims) -> tuple[int, ...]:
+    if len(dims) != 5:
+        raise ValueError(f"{kind} dims must have 5 entries u,v,s,t,C, got {tuple(dims)}")
+    for d in dims:
+        tensor.require_count(f"{kind} extent", d, 1)
+    return tuple(int(d) for d in dims)
+
+
 def make_patch_grid(
     source_dims: tuple[int, int, int, int, int],
     atom_dims: tuple[int, int, int, int, int],
@@ -103,54 +129,39 @@ def make_patch_grid(
     angular_overlap: tuple[int, int],
 ) -> PatchGrid:
     """Build the patch grid for a source tensor."""
+    source_dims = _require_dims("source", source_dims)
+    atom_dims = _require_dims("atom", atom_dims)
     if atom_dims[4] != source_dims[4]:
-        raise ValueError(
-            f"atoms span all {source_dims[4]} channels, got {atom_dims[4]}"
-        )
-    if min(*angular_overlap, *spatial_overlap) < 0:
+        raise ValueError(f"atoms span all {source_dims[4]} channels, got {atom_dims[4]}")
+    overlaps = (*angular_overlap, *spatial_overlap)
+    if len(spatial_overlap) != 2 or len(angular_overlap) != 2 or min(overlaps) < 0:
         # A negative overlap leaves gaps that no patch covers.
         raise ValueError(
-            f"overlaps must be >= 0, got spatial {tuple(spatial_overlap)}"
+            f"overlaps must be >= 0, 2 entries each, got spatial {tuple(spatial_overlap)}"
             f" and angular {tuple(angular_overlap)}"
         )
+    for o in overlaps:
+        tensor.require_count("overlap", o, 0)
     # Clamp overlaps to atom - 1: a larger one would give a stride <= 0.
     per_axis = [
         _axis_origins(source_dims[axis], atom_dims[axis], int(min(o, atom_dims[axis] - 1)))
-        for axis, o in enumerate((*angular_overlap, *spatial_overlap))
+        for axis, o in enumerate(overlaps)
     ]
-    origins = tuple(
-        (u, v, s, t)
-        for u in per_axis[0]
-        for v in per_axis[1]
-        for s in per_axis[2]
-        for t in per_axis[3]
-    )
-    return PatchGrid(
-        source_dims=tuple(int(d) for d in source_dims),
-        atom_dims=tuple(int(d) for d in atom_dims),
-        origins=origins,
-    )
+    return PatchGrid(source_dims, atom_dims, tuple(itertools.product(*per_axis)))
 
 
 def patch(l: np.ndarray, g: PatchGrid) -> np.ndarray:
     """Extract all patches of `l`, one vectorized patch per row."""
-    l = np.asarray(l)
+    l = np.asarray(l, dtype=np.float64)
     if l.shape != g.source_dims:
         raise ValueError(f"tensor {l.shape} does not match grid {g.source_dims}")
-    a_u, a_v, a_s, a_t, n_c = g.atom_dims
-    out = np.empty((g.n_patches, g.atom_len), dtype=np.float64)
-    for i, (u, v, s, t) in enumerate(g.origins):
-        out[i] = l[u : u + a_u, v : v + a_v, s : s + a_s, t : t + a_t, :].ravel()
-    return out
+    return l.reshape(-1)[g.index]
 
 
 def coverage_counts(g: PatchGrid) -> np.ndarray:
     """How many patches cover each source element (always >= 1)."""
-    counts = np.zeros(g.source_dims, dtype=np.int64)
-    a_u, a_v, a_s, a_t, _ = g.atom_dims
-    for u, v, s, t in g.origins:
-        counts[u : u + a_u, v : v + a_v, s : s + a_s, t : t + a_t, :] += 1
-    return counts
+    size = math.prod(g.source_dims)
+    return np.bincount(g.index.reshape(-1), minlength=size).reshape(g.source_dims)
 
 
 def depatch(patches: np.ndarray, g: PatchGrid) -> np.ndarray:
@@ -160,13 +171,9 @@ def depatch(patches: np.ndarray, g: PatchGrid) -> np.ndarray:
         raise ValueError(
             f"expected {(g.n_patches, g.atom_len)} patch matrix, got {patches.shape}"
         )
-    acc = np.zeros(g.source_dims, dtype=np.float64)
-    a_u, a_v, a_s, a_t, _ = g.atom_dims
-    for i, (u, v, s, t) in enumerate(g.origins):
-        acc[u : u + a_u, v : v + a_v, s : s + a_s, t : t + a_t, :] += patches[
-            i
-        ].reshape(g.atom_dims)
-    acc /= coverage_counts(g)
+    size = math.prod(g.source_dims)
+    acc = np.bincount(g.index.reshape(-1), weights=patches.reshape(-1), minlength=size)
+    acc = acc.reshape(g.source_dims) / coverage_counts(g)
     return acc.astype(np.float32)
 
 
@@ -250,32 +257,21 @@ def check_reconstruct_knobs(lam: float, iters: int) -> None:
 
 
 POWER_ITERS = 30
-# A warm-started power iteration stops once its estimate rose by at most
-# this fraction of itself.
+# The power iteration stops once its estimate rose by at most this fraction
+# of itself.
 POWER_REL_RISE = 1e-6
 
 
-def power_start(n_atoms: int) -> np.ndarray:
-    """The unit start vector of `lipschitz_bound`, drawn with seed 0."""
-    v = np.random.default_rng(0).normal(size=n_atoms)
-    v /= np.linalg.norm(v)
-    return v
+def lipschitz_bound(d: Dictionary, v: np.ndarray) -> float:
+    """Largest eigenvalue of D^T D by power iteration from `v`.
 
-
-def lipschitz_bound(d: Dictionary, v: np.ndarray | None = None) -> float:
-    """Largest eigenvalue of D^T D by power iteration.
-
-    Without `v`: POWER_ITERS iterations from a random start drawn with seed
-    0.  With `v`, a unit vector of length n_atoms: the iteration starts from
-    v, stops once the estimate rose by at most POWER_REL_RISE of itself or
-    after POWER_ITERS iterations, and leaves its last unit vector in v, the
-    warm start of the next call.  Each estimate ||D^T D v|| of a unit v is
-    at most the eigenvalue (up to rounding) and, in exact arithmetic, never
+    `v`, a unit vector of length n_atoms, is the start: the iteration stops
+    once the estimate rose by at most POWER_REL_RISE of itself or after
+    POWER_ITERS iterations, and leaves its last unit vector in v, the warm
+    start of the next call.  Each estimate ||D^T D v|| of a unit v is at
+    most the eigenvalue (up to rounding) and, in exact arithmetic, never
     falls from one iteration to the next.
     """
-    warm = v is not None
-    if not warm:
-        v = power_start(d.n_atoms)
     lam = 0.0
     for _ in range(POWER_ITERS):
         w = d.atoms.T @ (d.atoms @ v)
@@ -283,7 +279,7 @@ def lipschitz_bound(d: Dictionary, v: np.ndarray | None = None) -> float:
         if lam < 1e-30:
             return 1.0
         np.divide(w, lam, out=v)
-        if warm and lam - prev <= POWER_REL_RISE * lam:
+        if lam - prev <= POWER_REL_RISE * lam:
             break
     return lam
 
@@ -435,15 +431,14 @@ def _spatial_groups(g: PatchGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (one per angular origin), rows[k] the entries of their patch vectors
     that the one-hot mask `m` (S, T, C) keeps, in increasing order.
     """
-    a_u, a_v, a_s, a_t, _ = g.atom_dims
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, (_, _, s, t) in enumerate(g.origins):
-        members.setdefault((s, t), []).append(i)
-    rows = [
-        np.flatnonzero(np.broadcast_to(m[s : s + a_s, t : t + a_t] != 0, g.atom_dims))
-        for s, t in members
-    ]
-    return np.array(list(members.values())), np.array(rows)
+    # A flat source index modulo S*T*C is the mask's flat index.  The first
+    # angular origin is (0, 0): its patches are the first n_spatial, with
+    # source indices below S*T*C.
+    plane = m.size
+    n_spatial = int(np.count_nonzero(g.index[:, 0] < plane))
+    cols = np.arange(g.n_patches).reshape(-1, n_spatial).T
+    kept = m.reshape(-1)[g.index[:n_spatial] % plane] != 0
+    return cols, np.nonzero(kept)[1].reshape(n_spatial, -1)
 
 
 def _group_lipschitz(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -464,7 +459,7 @@ def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.nda
     x = np.asarray(x, dtype=np.float64).reshape(1, 1, -1)
     if x.shape[2] != d.atom_len:
         raise ValueError(f"patch length {x.shape[2]} != atom length {d.atom_len}")
-    steps = np.array([1.0 / (2.0 * lipschitz_bound(d))])
+    steps = 1.0 / (2.0 * _group_lipschitz(d.atoms, np.arange(d.atom_len)[None]))
     return _fista(d.atoms, x, None, steps, lam, iters)[0][0, 0]
 
 
@@ -510,7 +505,10 @@ def train_dictionary(
     all_patches = np.concatenate([patch(tensor.as_tensor5(t), g) for t in dataset], axis=0)
     d = init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
-    power = power_start(n_atoms)  # lipschitz_bound's vector, carried from batch to batch
+    # lipschitz_bound's vector, carried from batch to batch.  It starts at
+    # the top eigenvector D^T u / |D^T u| of D^T D, u that of D D^T.
+    power = d.atoms.T @ np.linalg.eigh(d.atoms @ d.atoms.T)[1][:, -1]
+    power /= np.linalg.norm(power)
     epoch_objectives, epoch_restarts = [], []
     for _ in range(epochs):
         order = rng.permutation(all_patches.shape[0])
@@ -555,12 +553,9 @@ def _masked_codes(
         iterations=iterations, restarts=restarts, lipschitz_bound=lip, step=1.0 / (2.0 * lip),
         final_objective=float(f.sum()),
     )
-    order = cols.ravel()
-    a = np.empty((d.n_atoms, g.n_patches), dtype=np.float64)
-    a[:, order] = codes.reshape(-1, d.n_atoms).T
-    f_patch = np.empty(g.n_patches, dtype=np.float64)
-    f_patch[order] = f.ravel()
-    return a, f_patch, report
+    # codes[k, j] is patch j * n_spatial + k: back to grid order
+    a = codes.transpose(1, 0, 2).reshape(g.n_patches, d.n_atoms).T
+    return a, f.T.reshape(-1), report
 
 
 def dict_reconstruct(

@@ -598,6 +598,62 @@ def per_loss_training():
 
 
 # ---------------------------------------------------------------------------
+# The patch geometry as it was before PatchGrid.index: one slice per patch
+# origin for patching, coverage and depatching, and the spatial groups
+# collected through a dict keyed by spatial origin.  Test oracles for
+# cs_dict.patch, coverage_counts, depatch and _spatial_groups.
+
+
+def _origin_slices(g):
+    a_u, a_v, a_s, a_t, _ = g.atom_dims
+    return [
+        (slice(u, u + a_u), slice(v, v + a_v), slice(s, s + a_s), slice(t, t + a_t))
+        for u, v, s, t in g.origins
+    ]
+
+
+def _ref_patch(l, g):
+    out = np.empty((g.n_patches, g.atom_len), dtype=np.float64)
+    for i, sl in enumerate(_origin_slices(g)):
+        out[i] = l[sl].ravel()
+    return out
+
+
+def _ref_coverage_counts(g):
+    counts = np.zeros(g.source_dims, dtype=np.int64)
+    for sl in _origin_slices(g):
+        counts[sl] += 1
+    return counts
+
+
+def _ref_depatch(patches, g):
+    acc = np.zeros(g.source_dims, dtype=np.float64)
+    for i, sl in enumerate(_origin_slices(g)):
+        acc[sl] += patches[i].reshape(g.atom_dims)
+    acc /= _ref_coverage_counts(g)
+    return acc.astype(np.float32)
+
+
+def _ref_spatial_groups(g, m):
+    a_u, a_v, a_s, a_t, _ = g.atom_dims
+    members = {}
+    for i, (_, _, s, t) in enumerate(g.origins):
+        members.setdefault((s, t), []).append(i)
+    rows = [
+        np.flatnonzero(np.broadcast_to(m[s : s + a_s, t : t + a_t] != 0, g.atom_dims))
+        for s, t in members
+    ]
+    return np.array(list(members.values())), np.array(rows)
+
+
+@pytest.fixture
+def patch_oracles():
+    """(patch, coverage_counts, depatch, spatial_groups): the loops over the
+    patch origins (test oracles), with the signatures of cs_dict's."""
+    return _ref_patch, _ref_coverage_counts, _ref_depatch, _ref_spatial_groups
+
+
+# ---------------------------------------------------------------------------
 def _soft_threshold(x, t):
     """The soft threshold of the dictionary oracles below."""
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -656,8 +712,8 @@ def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
     the Gram matrix of the dictionary rows its mask keeps."""
     lifted = coding.lift(l_star_p, m)
     mask5 = np.broadcast_to(np.asarray(m, dtype=np.float64)[None, None], g.source_dims)
-    x = cs_dict.patch(lifted, g).T
-    masks = cs_dict.patch(mask5, g).T
+    x = _ref_patch(lifted, g).T
+    masks = _ref_patch(mask5, g).T
     lips = []
     for keep in (masks != 0).T:
         rows = d.atoms[keep]
@@ -666,7 +722,7 @@ def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
     a, f, it = _ref_masked_fista(
         d, x, lam, iters, masks, 1.0 / (2.0 * lips), cs_dict.STOP_REL_DECREASE
     )
-    return cs_dict.depatch((d.atoms @ a).T, g), a, f, it, lips
+    return _ref_depatch((d.atoms @ a).T, g), a, f, it, lips
 
 
 @pytest.fixture
@@ -720,18 +776,26 @@ def two_loop():
 # ran its GEMMs in float32: three float64 GEMMs per iteration (D y, the
 # gradient with the scaled copy (2.0 * atoms.T) @ r, and D z for the
 # objective), the training loop that recomputed D a for every batch, and
-# plain ISTA with the same scaled copy.  The training loop takes its step
-# from the same warm-started `lipschitz_bound` as `train_dictionary`.
-# Test oracles for cs_dict._fista and cs_dict.train_dictionary, and the
-# baseline FISTA must beat.
+# plain ISTA with the same scaled copy.  The training loop starts its power
+# vector at the top eigenvector and takes its step from the same warm
+# `lipschitz_bound` as `train_dictionary`; the others step by 1/(2 L) with L
+# the exact largest eigenvalue, as `fista_encode` does.  Test oracles for
+# cs_dict._fista and cs_dict.train_dictionary, and the baseline FISTA must
+# beat.
+
+
+def _exact_lipschitz(d):
+    """The largest eigenvalue of D D^T (and of D^T D), by eigvalsh."""
+    return np.linalg.eigvalsh(d.atoms @ d.atoms.T)[-1]
 
 
 def _ref_fista(d, x, lam, iters, power=None):
     """Codes of the columns of x, and a bool (iters, n_columns) array of
-    the columns each iteration restarted.  `power` is passed on to
-    `lipschitz_bound` as its warm start."""
+    the columns each iteration restarted.  L is `lipschitz_bound(d, power)`
+    when a power vector is given, otherwise the exact eigenvalue."""
     atoms = d.atoms
-    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d, power))
+    lip = _exact_lipschitz(d) if power is None else cs_dict.lipschitz_bound(d, power)
+    step = 1.0 / (2.0 * lip)
     thresh = lam * step
 
     def objective(a):
@@ -764,7 +828,8 @@ def _ref_fista(d, x, lam, iters, power=None):
 @pytest.fixture
 def unmasked_fista_oracle():
     """unmasked_fista_oracle(d, x, lam, iters) -> (codes, restarted columns
-    per iteration) of the three-GEMM training FISTA (test oracle)."""
+    per iteration) of the three-GEMM training FISTA with the exact step
+    (test oracle)."""
     return _ref_fista
 
 
@@ -773,7 +838,9 @@ def _ref_train_dictionary(dataset, g, k, lam, lr, batch_size, fista_iters, epoch
     all_patches = np.concatenate([cs_dict.patch(as_tensor5(t), g) for t in dataset], axis=0)
     d = cs_dict.init_dictionary(g.atom_len, n_atoms, seed)
     rng = np.random.default_rng(seed + 1)
-    power = cs_dict.power_start(n_atoms)
+    _, vecs = np.linalg.eigh(d.atoms @ d.atoms.T)
+    power = d.atoms.T @ vecs[:, -1]
+    power /= np.linalg.norm(power)
     epoch_objectives, epoch_restarts = [], []
     for _ in range(epochs):
         order = rng.permutation(all_patches.shape[0])
@@ -803,7 +870,7 @@ def dictionary_training_oracle():
 
 def _ref_ista(d, x, lam, iters):
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d))
+    step = 1.0 / (2.0 * _exact_lipschitz(d))
     a = np.zeros((d.n_atoms, 1), dtype=np.float64)
     for _ in range(iters):
         a = _soft_threshold(a - step * (2.0 * d.atoms.T @ (d.atoms @ a - x)), lam * step)
@@ -813,7 +880,7 @@ def _ref_ista(d, x, lam, iters):
 @pytest.fixture
 def ista_oracle():
     """ista_oracle(d, x, lam, iters) -> codes of ISTA with the gradient
-    written (2.0 * atoms.T) @ r (test oracle)."""
+    written (2.0 * atoms.T) @ r and the exact step (test oracle)."""
     return _ref_ista
 
 
