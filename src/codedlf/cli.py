@@ -2,11 +2,13 @@
 
 Exit codes, decided in `main` alone by the kind of exception a handler raises:
 0 success; 1 bad input or usage (`ValueError`, which covers every malformed
-container, `FileNotFoundError`, argparse errors); 2 numerical failure
-(`ArithmeticError`, such as a solver's `FloatingPointError` at a non-finite
-objective, and `np.linalg.LinAlgError`, matched first: `LinAlgError` and
-`tensor.NonFiniteWriteError` are ValueErrors too); 3 internal error, any other
-exception (a fault in the program; the traceback goes to stderr).
+container, an `OSError` such as `FileNotFoundError` or `PermissionError` on a
+path the user gave, argparse errors); 2 numerical failure
+(`FloatingPointError`, such as a solver's at a non-finite objective or
+`tensor.NonFiniteWriteError`, and `np.linalg.LinAlgError`, matched first:
+both of the last are ValueErrors too); 3 internal error, any other exception,
+`ZeroDivisionError` and `OverflowError` among them (a fault in the program;
+the traceback goes to stderr).
 
 The CLI checks only what the library cannot know: before it reads any
 input, the output paths (each in an existing directory and not one
@@ -663,10 +665,10 @@ def main(argv=None) -> int:
         _require_out_dirs(args)
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     # LinAlgError and NonFiniteWriteError are ValueErrors: match them first.
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

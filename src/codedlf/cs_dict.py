@@ -13,42 +13,43 @@ Sparse coding minimizes  ||x - D a||_2^2 + lam * ||a||_1  (that scaling
 makes the identity-dictionary solution the soft threshold at lam / 2).
 One monotone FISTA kernel (Beck & Teboulle 2009) serves training,
 `fista_encode` and reconstruction.  It works on groups of patches that
-share their observed rows D_m of D, in a (groups, patches, atoms) layout,
-and runs two GEMMs per group and iteration on buffers allocated once per
-solve: the gradient (D_m y - x_m) D_m and D_m z.  D_m y is the momentum
-combination of the cached D_m z of the last two iterates, D_m z gives the
-objective, and the residual and objective come from the final D_m a.
-Forming D y that way rounds differently from D @ y: on float64 atoms the
-codes stay within about 1e-15 relative of the three-GEMM solve, with the
-same zeros and restarts.  Momentum and the monotone restart are shared by
-all groups; each group takes its own step.
+share their observed rows D_m of D: a (groups, rows, atoms) float32 stack
+of the D_m, gathered once per solve, and the codes in a (groups, patches,
+atoms) layout.  Each iteration runs two GEMMs, each one batched `matmul`
+over the groups on buffers allocated once per solve: the gradient
+(D_m y - x_m) D_m and D_m z.  D_m y is the momentum combination of the
+cached D_m z of the last two iterates, D_m z gives the objective, and the
+residual and objective come from the final D_m a.  Momentum and the
+monotone restart are shared by all groups; each group takes its own step.
+
+Precision: both GEMMs run in float32, and everything else (codes,
+momentum, soft threshold, objectives, restart test and stop rule, the atom
+update) in float64.  The float64 operand of each GEMM is scaled by a power
+of two before its cast and the product scaled back, so codes and atoms do
+not depend on the scale of the data.  LFDC atoms are float32 values, so
+their stack is exact; an atom set in memory is rounded to float32 once.
+Against the float64 three-GEMM kernel on the same atoms and step, per
+training batch of the dict-fista benchmark set-up the codes are within
+4e-7 and the per-patch objectives within 2e-7 (relative), and ten epochs
+of a small set-up end within 4e-8.  Masked reconstructions of its test
+scenes run the same iterations and end within 2.3e-4 of their peak, with
+final objectives within 1.1e-6 (relative).
 
 Training and `fista_encode` are the case of one group that holds all rows:
 the batch is passed as (B, atom_len) rows, with the step 1/(2 L(D)) and a
 fixed iteration count.  `fista_encode` takes L(D) exactly; training takes
 it per batch from `lipschitz_bound`, a power iteration started from the
 last batch's vector, the first from the top eigenvector (one `eigh`).
-Training passes a float32 copy of the atoms, made after each update, and
-the kernel then runs both GEMMs in float32, on that copy and a C-contiguous
-copy of its transpose; the float64 operand of each is scaled by a power of
-two before its cast, so the atoms do not depend on the scale of the data.
-Momentum, soft threshold, objective, restart test and the atom update stay
-in float64.
-On the dict-fista benchmark set-up the float32 kernel's codes are within
-5e-7 and its per-patch objectives within 2e-7 (relative) of the float64
-kernel's on the same atoms and step, and ten epochs of a small set-up end
-within 4e-8 of the float64 three-GEMM training loop, with the same
-restarts.  `fista_encode` keeps the float64 atoms.  Reconstruction from coded
+Training casts the atoms after each update.  Reconstruction from coded
 measurements keeps only the observed entries of each patch:
 ||x_m - D_m a||_2^2 + lam * ||a||_1,  with D_m the rows of D that the
 one-hot mask selects.  The mask depends on the spatial position alone, so
 all patches with one spatial origin share D_m and form one group (masked
 overcomplete-dictionary reconstruction as in Marwah et al. 2013).  Spatial
 origins run fastest in grid order, so with n of them group k holds patches
-k, k + n, k + 2n, ...  D_m is gathered into one reused buffer per group and
-iteration.  Group m steps by 1/(2 L(D_m)), with L(D_m) the exact largest
-eigenvalue of the small Gram D_m D_m^T: a few times larger than the global
-step, since L(D_m) <= L(D).
+k, k + n, k + 2n, ...  Group m steps by 1/(2 L(D_m)), with L(D_m) the
+exact largest eigenvalue of the small float64 Gram D_m D_m^T: a few times
+larger than the global step, since L(D_m) <= L(D).
 The solve stops after a non-restart iteration in which the objective
 summed over all patches fell by at most STOP_REL_DECREASE (1e-3) of its new
 value, so the iteration count is a cap.
@@ -105,8 +106,6 @@ class PatchGrid:
 def _axis_origins(dim: int, atom: int, overlap: int) -> list[int]:
     if atom > dim:
         raise ValueError(f"atom extent {atom} exceeds source extent {dim}")
-    if overlap >= atom:
-        raise ValueError(f"overlap {overlap} must be smaller than atom {atom}")
     stride = atom - overlap
     origins = list(range(0, dim - atom + 1, stride))
     if origins[-1] != dim - atom:
@@ -290,16 +289,13 @@ STOP_REL_DECREASE = 1e-3
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, a32, out32) -> None:
-    """out = a @ b for a float64 `a`.
+    """out = a @ b in float32 for a float64 `a` and a float32 `b`, through
+    the float32 buffers a32 and out32.
 
-    A float32 `b` makes it a GEMM in float32, through the float32 buffers
-    a32 and out32: `a` is scaled by 2**-e, with max|a| < 2**e, before its
-    cast, and the product by 2**e in float64.  Neither leaves the float32
-    range whatever the scale of `a`, and `out` scales exactly with `a`.
+    `a` is scaled by 2**-e, with max|a| < 2**e, before its cast, and the
+    product by 2**e in float64.  Neither leaves the float32 range whatever
+    the scale of `a`, and `out` scales exactly with `a`.
     """
-    if b.dtype != np.float32:
-        np.matmul(a, b, out=out)
-        return
     e = math.frexp(max(float(a.max()), -float(a.min())))[1]  # 0 for zeros, inf and nan
     np.ldexp(a, -e, out=a32)
     np.matmul(a32, b, out=out32)
@@ -307,9 +303,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, a32, out32) -> None:
 
 
 def _fista(
-    atoms: np.ndarray,
+    d_rows: np.ndarray,
     x: np.ndarray,
-    rows: np.ndarray | None,
     steps: np.ndarray,
     lam: float,
     iters: int,
@@ -317,36 +312,36 @@ def _fista(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Monotone FISTA on groups of patches that share their observed rows.
 
-    x[k] (n, R) holds the n patches of group k, observed on rows[k] of the
-    patch vector; with rows None, one group observes every row.  Group k steps
-    by steps[k], at most 1/(2 L(D_m)).  Whenever a candidate step would
-    increase some patch's objective, that patch keeps its iterate (and its
-    cached D_m a) and the shared momentum restarts, so every patch's objective
-    is non-increasing.  With rel_decrease, the solve stops after a non-restart
-    iteration in which the summed objective fell by at most rel_decrease times
-    its new value; otherwise it runs all `iters` iterations.  A non-finite
-    summed objective raises FloatingPointError.
+    d_rows[k] (R, n_atoms), float32, holds the rows D_m of the dictionary
+    that group k observes, and x[k] (n, R) its n patches on those rows.
+    Group k steps by steps[k], at most 1/(2 L(D_m)).  Whenever a candidate
+    step would increase some patch's objective, that patch keeps its iterate
+    (and its cached D_m a) and the shared momentum restarts, so every
+    patch's objective is non-increasing.  With rel_decrease, the solve stops
+    after a non-restart iteration in which the summed objective fell by at
+    most rel_decrease times its new value; otherwise it runs all `iters`
+    iterations.  A non-finite summed objective raises FloatingPointError.
 
-    float32 `atoms` (training: rows None) run both GEMMs in float32 through
-    `_matmul`, on the atoms and a C-contiguous copy of their transpose;
-    everything else stays in float64.
+    Both GEMMs run batched over the groups in float32 through `_matmul`;
+    everything else stays in float64.  One group (training, `fista_encode`)
+    multiplies by a C-contiguous copy of its transpose, more groups by the
+    transposed view.
 
     Returns the codes (G, n, n_atoms), D_m a (G, n, R), the per-patch
     objective (G, n), the per-patch restart counts (G, n), the iterations
     run and the iterations in which some patch restarted.
     """
-    shape = (*x.shape[:2], atoms.shape[1])
-    a, a_prev = np.zeros(shape), np.zeros(shape)
-    y_buf, z, work = np.empty(shape), np.empty(shape), np.empty(shape[1:])
-    da, da_prev = np.zeros(x.shape), np.zeros(x.shape)
-    dz, resid = np.empty(x.shape), np.empty(x.shape)
-    d_rows = atoms if rows is None else np.empty((x.shape[2], atoms.shape[1]))
-    if atoms.dtype == np.float32:
-        d_cols = np.ascontiguousarray(atoms.T)
-        x32, z32 = np.empty(x.shape[1:], np.float32), np.empty(shape[1:], np.float32)
-    else:
-        d_cols, x32, z32 = d_rows.T, None, None
-    thresh = lam * steps
+    shape = (*x.shape[:2], d_rows.shape[2])
+    # Each candidate z and D_m z are written into the buffers of the
+    # iterate before last, which the momentum step has used by then.
+    a, a_prev, y_buf = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    da, da_prev, resid = np.zeros(x.shape), np.zeros(x.shape), np.empty(x.shape)
+    x32, z32 = np.empty(x.shape, np.float32), np.empty(shape, np.float32)
+    d_cols = d_rows.transpose(0, 2, 1)
+    if len(d_rows) == 1:
+        d_cols = np.ascontiguousarray(d_cols)
+    steps2 = (2.0 * steps)[:, None, None]
+    thresh = (lam * steps)[:, None, None]
     f_a = np.multiply(x, x, out=resid).sum(axis=2)
     f_sum = float(f_a.sum())
     restarts = np.zeros(f_a.shape, dtype=np.int64)
@@ -367,26 +362,21 @@ def _fista(
             resid *= momentum
             resid += da
             resid -= x
-        for k in range(len(x)):
-            if rows is not None:
-                # The rows are in range; mode="clip" writes straight into
-                # d_rows, where mode="raise" fills a temporary copy first.
-                np.take(atoms, rows[k], axis=0, out=d_rows, mode="clip")
-            z_k = z[k]
-            _matmul(resid[k], d_rows, work, x32, z32)
-            work *= 2.0 * steps[k]  # rounds as step * (2.0 * g): doubling is exact
-            np.subtract(y[k], work, out=z_k)
-            # soft threshold in place: copysign(max(|z| - thresh, 0), z)
-            np.abs(z_k, out=work)
-            work -= thresh[k]
-            np.maximum(work, 0.0, out=work)
-            np.copysign(work, z_k, out=z_k)
-            _matmul(z_k, d_cols, dz[k], z32, x32)
+        z, dz = a_prev, da_prev
+        _matmul(resid, d_rows, z, x32, z32)
+        z *= steps2  # rounds as step * (2.0 * g): doubling is exact
+        np.subtract(y, z, out=z)
+        # y_buf is free until the next iteration: the soft threshold in
+        # place, copysign(max(|z| - thresh, 0), z), and the objective's
+        # |z| use it, so the loop makes no large temporaries, whose cost
+        # depends on the state of the allocator.
+        np.abs(z, out=y_buf)
+        y_buf -= thresh
+        np.maximum(y_buf, 0.0, out=y_buf)
+        np.copysign(y_buf, z, out=z)
+        _matmul(z, d_cols, dz, z32, x32)
         np.subtract(x, dz, out=resid)
         resid *= resid
-        # y_buf is free until the next iteration.  Like the gather above,
-        # this keeps the loop free of large temporaries, whose cost depends
-        # on the state of the allocator (a fresh mapping and page faults).
         f_z = resid.sum(axis=2) + lam * np.abs(z, out=y_buf).sum(axis=2)
         worse = f_z > f_a
         restarted = bool(worse.any())
@@ -402,8 +392,8 @@ def _fista(
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             momentum = (t - 1.0) / t_new
-        a_prev, a, z = a, z, a_prev
-        da_prev, da, dz = da, dz, da_prev
+        a_prev, a = a, z
+        da_prev, da = da, dz
         f_a, t = f_z, t_new
         f_prev, f_sum = f_sum, float(f_z.sum())
         if not math.isfinite(f_sum):
@@ -460,7 +450,7 @@ def fista_encode(d: Dictionary, x: np.ndarray, lam: float, iters: int) -> np.nda
     if x.shape[2] != d.atom_len:
         raise ValueError(f"patch length {x.shape[2]} != atom length {d.atom_len}")
     steps = 1.0 / (2.0 * _group_lipschitz(d.atoms, np.arange(d.atom_len)[None]))
-    return _fista(d.atoms, x, None, steps, lam, iters)[0][0, 0]
+    return _fista(d.atoms.astype(np.float32)[None], x, steps, lam, iters)[0][0, 0]
 
 
 def init_dictionary(atom_len: int, n_atoms: int, seed: int) -> Dictionary:
@@ -517,10 +507,9 @@ def train_dictionary(
         for start in range(0, len(order), batch_size):
             x = all_patches[order[start : start + batch_size]]  # (B, atom_len)
             steps = np.array([1.0 / (2.0 * lipschitz_bound(d, power))])
-            # float32 atoms: the kernel's GEMMs run in float32.  The atoms
-            # have unit-norm columns, so their cast needs no scale.
+            # The atoms have unit-norm columns, so their cast needs no scale.
             a, da, f, patch_restarts, _, _ = _fista(
-                d.atoms.astype(np.float32), x[None], None, steps, lam, fista_iters,
+                d.atoms.astype(np.float32)[None], x[None], steps, lam, fista_iters,
             )
             batch_objs.append(float(f.sum()) / x.shape[0])
             restarts += int(patch_restarts.sum())
@@ -542,11 +531,14 @@ def _masked_codes(
     mask keeps.  Returns the codes (n_atoms, n_patches) and the per-patch
     final objectives, both in grid order, and the solve report."""
     cols, rows = _spatial_groups(g, m)
-    x = patch(lifted, g)
+    # Only the observed entries of the patch matrix outlive this line.
+    x = patch(lifted, g)[cols[:, :, None], rows[:, None, :]]
     lips = _group_lipschitz(d.atoms, rows)
+    # LFDC atoms are float32 values, so the float32 stack of the D_m is
+    # exact.  Gathered from a float32 copy: a cast of a float64 gather would
+    # make a transient twice the stack's size.
     codes, _, f, _, iterations, restarts = _fista(
-        d.atoms, x[cols[:, :, None], rows[:, None, :]], rows, 1.0 / (2.0 * lips), lam, iters,
-        STOP_REL_DECREASE,
+        d.atoms.astype(np.float32)[rows], x, 1.0 / (2.0 * lips), lam, iters, STOP_REL_DECREASE,
     )
     lip = float(lips.max())
     report = SolveReport(

@@ -54,7 +54,7 @@ class NonFiniteError(LF5DError):
     """Payload or input contains NaN or Inf values."""
 
 
-class NonFiniteWriteError(NonFiniteError, ArithmeticError):
+class NonFiniteWriteError(NonFiniteError, FloatingPointError):
     """Values to be written are not finite in float32.  Inputs are checked
     when read, so these were computed: a numerical failure as well."""
 

@@ -779,9 +779,9 @@ def two_loop():
 # plain ISTA with the same scaled copy.  The training loop starts its power
 # vector at the top eigenvector and takes its step from the same warm
 # `lipschitz_bound` as `train_dictionary`; the others step by 1/(2 L) with L
-# the exact largest eigenvalue, as `fista_encode` does.  Test oracles for
-# cs_dict._fista and cs_dict.train_dictionary, and the baseline FISTA must
-# beat.
+# the exact largest eigenvalue, as `fista_encode` does, unless the FISTA one
+# is given a step.  Test oracles for cs_dict._fista, fista_encode and
+# train_dictionary, and the baseline FISTA must beat.
 
 
 def _exact_lipschitz(d):
@@ -789,13 +789,13 @@ def _exact_lipschitz(d):
     return np.linalg.eigvalsh(d.atoms @ d.atoms.T)[-1]
 
 
-def _ref_fista(d, x, lam, iters, power=None):
+def _ref_fista(d, x, lam, iters, step=None):
     """Codes of the columns of x, and a bool (iters, n_columns) array of
-    the columns each iteration restarted.  L is `lipschitz_bound(d, power)`
-    when a power vector is given, otherwise the exact eigenvalue."""
+    the columns each iteration restarted.  The step defaults to 1/(2 L),
+    L the exact eigenvalue."""
     atoms = d.atoms
-    lip = _exact_lipschitz(d) if power is None else cs_dict.lipschitz_bound(d, power)
-    step = 1.0 / (2.0 * lip)
+    if step is None:
+        step = 1.0 / (2.0 * _exact_lipschitz(d))
     thresh = lam * step
 
     def objective(a):
@@ -825,11 +825,11 @@ def _ref_fista(d, x, lam, iters, power=None):
     return a, restarted
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def unmasked_fista_oracle():
-    """unmasked_fista_oracle(d, x, lam, iters) -> (codes, restarted columns
-    per iteration) of the three-GEMM training FISTA with the exact step
-    (test oracle)."""
+    """unmasked_fista_oracle(d, x, lam, iters, step=None) -> (codes,
+    restarted columns per iteration) of the three-GEMM float64 training
+    FISTA, by default with the exact step (test oracle)."""
     return _ref_fista
 
 
@@ -847,7 +847,8 @@ def _ref_train_dictionary(dataset, g, k, lam, lr, batch_size, fista_iters, epoch
         batch_objs, restarts = [], 0
         for start in range(0, len(order), batch_size):
             x = all_patches[order[start : start + batch_size]].T
-            a, restarted = _ref_fista(d, x, lam, fista_iters, power)
+            step = 1.0 / (2.0 * cs_dict.lipschitz_bound(d, power))
+            a, restarted = _ref_fista(d, x, lam, fista_iters, step)
             resid = x - d.atoms @ a
             batch_objs.append(float(np.sum(resid * resid) + lam * np.abs(a).sum()) / x.shape[1])
             restarts += int(restarted.sum())

@@ -1,5 +1,7 @@
 """Network forward/backward against the closure-graph oracle, and LFNN persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,10 @@ def test_losses_wired_through_autodiff_match_fd():
     (lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(), "non-finite"),
     (lambda raw: raw[:20], "incomplete header"),
     (lambda raw: raw.replace(b'"hidden"', b'"hiddeN"'), "malformed network spec"),
-], ids=["truncated", "trailing", "nan", "short-spec", "bad-spec"])
+    # JSON allows the blank padding, so the spec keeps its length
+    (lambda raw: raw.replace(b'"dims": [3, 3, 4, 4, 2]', b'"dims": [3, 3, 4, 4]   '),
+     re.escape("malformed network spec (dims (3, 3, 4, 4) must be five sizes)")),
+], ids=["truncated", "trailing", "nan", "short-spec", "bad-spec", "four-dims"])
 def test_lfnn_malformed_file_rejected(tmp_path, edit, message):
     path = tmp_path / "n.lfnn"
     ad.save_net(make_net(seed=5), path)

@@ -1,5 +1,6 @@
 """Radiometric calibration: dark fit, blooming mask, factorized fit."""
 
+import re
 import time
 import tracemalloc
 
@@ -503,6 +504,51 @@ def test_global_dark_model_is_the_per_pixel_model_with_constant_maps():
     for t in (data["times"], 0.3):
         dark_pixel = dm_pixel.evaluate(t)
         assert np.array_equal(np.broadcast_to(dm_global.evaluate(t), dark_pixel.shape), dark_pixel)
+
+
+def _series(mu_shape=(2, 2, 1, 3), n_times=3, bayer_shape=(2, 2)):
+    return calib.ExposureSeries(
+        mu=np.full(mu_shape, 0.5), times=np.geomspace(0.1, 0.4, n_times),
+        bayer=np.zeros(bayer_shape, dtype=int),
+    )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _series(mu_shape=(2, 2, 3)), "series must be (I, J, K, L), got (2, 2, 3)"),
+    (lambda: _series(n_times=2), "exposure times do not match the series"),
+    (lambda: _series(bayer_shape=(2, 3)), "Bayer map does not match the spatial dims"),
+    (lambda: calib.fit_dark(np.zeros((2, 3)), np.array([0.1, 0.2, 0.4])),
+     "dark stack and exposure times are inconsistent"),
+    (lambda: calib.fit_dark(np.zeros((2, 2, 3)), np.array([0.1, 0.2])),
+     "dark stack and exposure times are inconsistent"),
+    (lambda: calib.fit_dark(np.zeros((2, 2, 3)), np.full(3, 0.2)),
+     "exposure times are all equal; slope is unidentifiable"),
+    (lambda: calib.fit_vignetting_responsivity(
+        _series(), calib.DarkModel(0.0, 0.0), np.zeros((2, 2, 1, 2), dtype=bool)),
+     "mask does not match the series"),
+], ids=["series-rank", "series-times", "series-bayer", "dark-rank", "dark-times",
+        "dark-equal-times", "mask-shape"])
+def test_inconsistent_shapes_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_degenerate_gauge_warns_and_leaves_the_fit_unscaled():
+    # One bright pixel seen at every exposure and two darkening ones seen
+    # at the first only: the weighted fit gives r > 0, so the darkening
+    # pixels get v < 0 and the mean vignetting is negative.
+    times = np.array([0.1, 0.2, 0.4, 0.8])
+    mu = np.empty((1, 3, 1, 4))
+    mu[0, 0, 0] = 0.5 + 0.4 * times
+    mu[0, 1:, 0] = 0.5 - 0.3 * times
+    mask = np.zeros(mu.shape, dtype=bool)
+    mask[0, 1:, 0, 1:] = True
+    series = calib.ExposureSeries(mu=mu, times=times, bayer=np.zeros((1, 3), dtype=int))
+    with pytest.warns(UserWarning, match="^degenerate vignetting scale; gauge not applied$"):
+        res = calib.fit_vignetting_responsivity(series, calib.DarkModel(0.5, 0.0), mask)
+    assert np.mean(res.vignetting) <= 0
+    # unscaled: the fitted products v * r are the per-pixel slopes
+    np.testing.assert_allclose(res.vignetting * res.responsivity[0, 0], [[0.4, -0.3, -0.3]])
 
 
 def test_fit_without_recoverable_pixel_raises():

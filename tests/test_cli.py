@@ -135,6 +135,33 @@ def test_gen_scene_rejects_non_finite_disparity(tmp_path, capsys, disparity):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("disparity", ["constant:abc", "step:0.1,x", "linear-ramp:,"])
+def test_gen_scene_rejects_unparsable_disparity(tmp_path, capsys, disparity):
+    assert run(["gen-scene", "--dims", "3,3,8,8,3", "--disparity", disparity,
+                "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: bad disparity parameters in {disparity!r}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train-toy"])
+def test_report_goes_to_stdout_without_a_path(scene, tmp_path, capsys, command):
+    # Without --out (evaluate) or --log (train-toy) the JSON goes to stdout,
+    # byte-equal to the file that the flag would write.
+    if command == "evaluate":
+        argv = ["evaluate", "--pred", scene + ".cv.lf5d", "--truth", scene + ".cv.lf5d",
+                "--kind", "cv", "--no-timestamp"]
+        flag = "--out"
+    else:
+        argv = ["train-toy", "--strategy", "naive", "--dims", "3,3,6,6,5", "--epochs", "1",
+                "--scenes", "10", "--hidden", "4", "--head-hidden", "4"]
+        flag = "--log"
+    path = tmp_path / "report.json"
+    assert run([*argv, flag, str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
     ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
@@ -771,9 +798,14 @@ def test_train_toy_naive_trains_below_the_ssim_window(tmp_path):
 @pytest.mark.parametrize("exc, code, prefix", [
     (TypeError("boom"), 3, "internal error: TypeError: boom"),
     (KeyError("boom"), 3, "internal error: KeyError: 'boom'"),
-    (ZeroDivisionError("boom"), 2, "numerical failure: boom"),
+    (FloatingPointError("boom"), 2, "numerical failure: boom"),
     (np.linalg.LinAlgError("boom"), 2, "numerical failure: boom"),
     (ValueError("boom"), 1, "error: boom"),
+    # An arithmetic fault in the program is not a numerical failure.
+    (ZeroDivisionError("boom"), 3, "internal error: ZeroDivisionError: boom"),
+    (OverflowError("boom"), 3, "internal error: OverflowError: boom"),
+    (PermissionError(13, "Permission denied", "in.lf5d"), 1,
+     "error: [Errno 13] Permission denied: 'in.lf5d'"),
 ])
 def test_exit_code_by_exception_kind(tmp_path, monkeypatch, capsys, exc, code, prefix):
     def broken(args):

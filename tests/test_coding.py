@@ -11,6 +11,12 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (1, 4, 4, 1)], ids=["1d", "2d", "4d"])
+def test_is_one_hot_false_for_a_mask_that_is_not_3d(shape):
+    # Each is one-hot along its last axis, but a coding mask is (S, T, C).
+    assert not coding.is_one_hot(np.ones(shape))
+
+
 class TestRandomMask:
     def test_one_hot_everywhere(self):
         for seed in range(25):

@@ -184,16 +184,20 @@ class TestDepatch:
             cs_dict.depatch(np.zeros((3, 4)), g)
 
 
-# _fista caches D z and forms D y from it; the three-GEMM oracle in
-# tests/conftest.py forms D y from y.  On float64 atoms the codes agree to
-# this relative l2 tolerance.
-FISTA_CODES_REL_TOL = 1e-12
+# _fista runs its GEMMs in float32, caches D z and forms D y from it; the
+# three-GEMM oracle in tests/conftest.py runs in float64 and forms D y from
+# y.  Relative l2 distance of the codes (largest seen 1.7e-7), and the
+# distance of the kernel's D a and objective from those recomputed in
+# float64 from its codes, relative to max|x| (4.1e-7) and to each patch's
+# objective at the zero code (4.6e-8).
+FISTA_CODES_REL_TOL = 1e-6
+FISTA_PRODUCT_REL_TOL = 2e-6
 # Training runs the kernel's GEMMs in float32 (float32 atoms), the oracle
 # in float64.  Atoms and epoch objectives agree to this relative tolerance.
 TRAIN_REL_TOL = 1e-6
 # Per batch of the dict-fista benchmark set-up, the float32 kernel against
-# the float64 kernel on the same atoms and step: relative l2 distance of
-# the codes, and relative distance of each patch's objective.
+# the float64 three-GEMM oracle on the same atoms and step: relative l2
+# distance of the codes, and relative distance of each patch's objective.
 BATCH_CODES_REL_TOL = 2e-6
 BATCH_OBJECTIVE_REL_TOL = 1e-6
 # Training's power iterations end this close (relative) below the largest
@@ -243,11 +247,12 @@ class TestFista:
 
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
     def test_training_fista_equals_old_gradient_expression(self, unmasked_fista_oracle, lam):
-        # Two GEMMs, with D y the momentum combination of cached products,
-        # against the three-GEMM oracle.  They round differently, so at
-        # every iteration count the codes agree to FISTA_CODES_REL_TOL
-        # (largest seen 3.1e-15), with the same zeros and the same columns
-        # restarted in the same iterations.
+        # Two float32 GEMMs, with D y the momentum combination of cached
+        # products, against the three-GEMM float64 oracle.  At every
+        # iteration count the codes agree to FISTA_CODES_REL_TOL, and the
+        # same columns restart in the same iterations.  An entry that is
+        # zero in one and not in the other lies within that distance of
+        # the threshold (one seen, 4.1e-8 against codes up to 2.9).
         rng = np.random.default_rng(6)
         atoms = rng.normal(size=(40, 80))
         atoms /= np.linalg.norm(atoms, axis=0)
@@ -258,17 +263,20 @@ class TestFista:
         for iters in range(61):
             ref, restarted = unmasked_fista_oracle(d, x, lam, iters)
             # training's layout: one group holding every row, patches as rows
-            a, da, f, restarts, ran, _ = cs_dict._fista(atoms, x.T[None], None, steps, lam, iters)
+            a, da, f, restarts, ran, _ = cs_dict._fista(
+                atoms.astype(np.float32)[None], x.T[None], steps, lam, iters,
+            )
             a, da, f, restarts = a[0].T, da[0].T, f[0], restarts[0]
             assert ran == iters
             assert np.linalg.norm(a - ref) <= FISTA_CODES_REL_TOL * np.linalg.norm(ref)
-            assert np.array_equal(a == 0, ref == 0)
+            flipped = (a == 0) != (ref == 0)
+            assert np.all(np.abs(a - ref)[flipped] <= FISTA_CODES_REL_TOL * np.abs(ref).max())
             assert np.array_equal(restarts, restarted.sum(axis=0))
             # D a and the objective it hands back are those of its codes
-            assert np.abs(da - atoms @ a).max() <= 1e-14 * np.abs(x).max()
+            assert np.abs(da - atoms @ a).max() <= FISTA_PRODUCT_REL_TOL * np.abs(x).max()
             r = x - atoms @ a
             f_codes = np.sum(r * r, axis=0) + lam * np.abs(a).sum(axis=0)
-            assert np.all(np.abs(f - f_codes) <= 1e-14 * f_codes)
+            assert np.all(np.abs(f - f_codes) <= FISTA_PRODUCT_REL_TOL * np.sum(x * x, axis=0))
 
     def test_length_mismatch(self):
         d = cs_dict.Dictionary(atoms=np.eye(4))
@@ -285,14 +293,20 @@ class TestFista:
         seen = []
         fista = cs_dict._fista
 
-        def spy(atoms, x, rows, steps, lam, iters):
+        def spy(d_rows, x, steps, lam, iters):
             seen.append(steps.copy())
-            return fista(atoms, x, rows, steps, lam, iters)
+            return fista(d_rows, x, steps, lam, iters)
 
         monkeypatch.setattr(cs_dict, "_fista", spy)
         cs_dict.fista_encode(d, np.ones(shape[0]), 0.1, iters=3)
         assert len(seen) == 1 and seen[0].shape == (1,)
         assert seen[0][0] == pytest.approx(1.0 / (2.0 * exact), rel=1e-12)
+
+    def test_zero_dictionary_takes_any_step(self):
+        # D^T D = 0 bounds nothing: the bound is 1, and the start is kept.
+        v = np.full(6, 1.0 / np.sqrt(6.0))
+        assert cs_dict.lipschitz_bound(cs_dict.Dictionary(atoms=np.zeros((4, 6))), v) == 1.0
+        assert np.array_equal(v, np.full(6, 1.0 / np.sqrt(6.0)))
 
     def test_warm_lipschitz_bound_leaves_its_vector(self):
         d = cs_dict.init_dictionary(40, 80, seed=1)
@@ -426,12 +440,12 @@ class TestTraining:
 
 
 @pytest.fixture(scope="module")
-def benchmark_training():
+def benchmark_training(unmasked_fista_oracle):
     """One epoch of training on the dict-fista benchmark set-up: four
     5x5x16x16x5 scenes, (2, 2, 4, 4, 5) atoms and k = 2, so a 320 x 640
     dictionary, 57 batches of 16 and 50 FISTA iterations.  Spies record, per
     batch, the power-iteration estimate and the exact eigenvalue, and the
-    float32 kernel's codes and objectives against the float64 kernel's on
+    float32 kernel's codes and objectives against the float64 oracle's on
     the live atoms (those of `lipschitz_bound`'s call) and the same step."""
     dims = (5, 5, 16, 16, 5)
     profiles = (("random-smooth", "linear-ramp", (-0.5, 0.5)), ("checker", "constant", (0.5,)),
@@ -453,12 +467,16 @@ def benchmark_training():
         bounds.append((estimate, np.linalg.eigvalsh(d.atoms @ d.atoms.T)[-1]))
         return estimate
 
-    def fista_spy(atoms, x, rows, steps, lam, iters):
-        out = fista(atoms, x, rows, steps, lam, iters)
-        ref = fista(live["atoms"], x, rows, steps, lam, iters)
-        codes = np.linalg.norm(out[0] - ref[0]) / np.linalg.norm(ref[0])
-        objective = np.max(np.abs(out[2] - ref[2]) / ref[2])
-        batches.append((atoms.dtype, codes, objective))
+    def fista_spy(d_rows, x, steps, lam, iters):
+        out = fista(d_rows, x, steps, lam, iters)
+        d = cs_dict.Dictionary(atoms=live["atoms"])
+        ref, _ = unmasked_fista_oracle(d, x[0].T, lam, iters, steps[0])
+        r = x[0].T - d.atoms @ ref
+        f_ref = np.sum(r * r, axis=0) + lam * np.abs(ref).sum(axis=0)
+        codes = np.linalg.norm(out[0][0].T - ref) / np.linalg.norm(ref)
+        objective = np.max(np.abs(out[2][0] - f_ref) / f_ref)
+        same_atoms = np.array_equal(d_rows, d.atoms.astype(np.float32)[None])
+        batches.append((same_atoms, codes, objective))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -471,13 +489,13 @@ def benchmark_training():
 
 class TestBenchmarkTraining:
     def test_float32_kernel_matches_float64_kernel_per_batch(self, benchmark_training):
-        # Largest seen over the 57 batches: codes 4.6e-7, objectives 1.1e-7.
+        # Largest seen over the 57 batches: codes 3.8e-7, objectives 1.1e-7.
         # A transposed or float32 copy of the atoms left over from an
         # earlier batch fails this.
         _, batches = benchmark_training
         assert len(batches) == 57
-        for dtype, codes, objective in batches:
-            assert dtype == np.float32
+        for same_atoms, codes, objective in batches:
+            assert same_atoms
             assert codes <= BATCH_CODES_REL_TOL
             assert objective <= BATCH_OBJECTIVE_REL_TOL
 
@@ -589,6 +607,18 @@ class TestKnobs:
         with pytest.raises(ValueError, match=re.escape(message)):
             cs_dict.fista_encode(d, np.ones(8), lam, iters)
 
+    def test_dict_reconstruct_rejects_a_measurement_off_the_grid(self, monkeypatch):
+        # 3 x 3 views lift to (3, 3, 4, 4, 2); the grid is of one view with
+        # the same atom length.
+        monkeypatch.setattr(cs_dict, "_fista", lambda *args: pytest.fail("solved"))
+        g = cs_dict.make_patch_grid((1, 1, 4, 4, 2), (1, 1, 4, 4, 2), (0, 0), (0, 0))
+        d = cs_dict.init_dictionary(g.atom_len, 2 * g.atom_len, seed=0)
+        message = "lifted measurement (3, 3, 4, 4, 2) does not match grid (1, 1, 4, 4, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs_dict.dict_reconstruct(
+                np.zeros((3, 3, 4, 4, 1)), coding.random_mask(4, 4, 2, 0), d, g, 0.1, 10,
+            )
+
     def test_dict_reconstruct_checks_the_atom_length_before_solving(self, monkeypatch):
         # The masked gathers clip their row indices, so a short dictionary
         # used to run the whole solve before depatch refused its codes.
@@ -653,13 +683,19 @@ class TestReconstruct:
         assert consistency <= 1e-3
 
 
-# Observed-row solve against the full-height masked FISTA oracle
-# (tests/conftest.py), which takes the same per-patch steps and stop rule:
-# the two sum in different orders, so they agree to these tolerances rather
-# than bit for bit, and run the same number of iterations.
-REC_ABS_TOL = 1e-6  # float32 reconstruction, max abs difference
-CODES_REL_TOL = 1e-7  # codes, relative l2 (Frobenius) difference
-OBJECTIVE_REL_TOL = 1e-9  # final masked objective, per patch
+# Observed-row solve, its GEMMs in float32, against the full-height masked
+# float64 FISTA oracle (tests/conftest.py), which takes the same per-patch
+# steps and stop rule: they agree to these tolerances rather than bit for
+# bit, and run the same number of iterations.  Each is about four times
+# the largest difference seen on these cases with scene and mask seeds 0-3
+# (seed 0 is tested), all on the benchmark scene: reconstruction 2.6e-5,
+# codes 4.0e-5, objectives 1.7e-5.
+REC_ABS_TOL = 1e-4  # float32 reconstruction, max abs difference
+CODES_REL_TOL = 1e-4  # codes, relative l2 (Frobenius) difference
+OBJECTIVE_REL_TOL = 5e-5  # final masked objective, per patch
+# The kernel's per-patch objective against the float64 objective of its
+# codes (largest seen 2.9e-7).
+KEPT_OBJECTIVE_REL_TOL = 1e-6
 
 # (source dims, atom dims, spatial overlap, angular overlap, iterations)
 ORACLE_CASES = {
@@ -726,6 +762,22 @@ class TestObservedRowSolve:
         assert rep.step == 1.0 / (2.0 * rep.lipschitz_bound)
         assert rep.final_objective == pytest.approx(f.sum(), rel=1e-12)
 
+    def test_codes_do_not_depend_on_the_scale_of_the_data(self):
+        # Both float32 GEMMs scale their float64 operand by a power of two
+        # before the cast, so data and lam times 2**k give 2**k times the
+        # codes and 4**k times the objectives of k = 0, bit for bit, in
+        # float32's range or far outside it, restarts included.
+        dims, atom, spatial, angular, iters = ORACLE_CASES["clamped-origin"]
+        lp, m, g, d = _coded_case(dims, atom, spatial, angular)
+        lifted = coding.lift(lp, m).astype(np.float64)
+        a_ref, f_ref, rep_ref = cs_dict._masked_codes(lifted, m, d, g, LAM, iters)
+        assert rep_ref.restarts > 0
+        for k in (-120, -60, 60, 126):
+            a, f, rep = cs_dict._masked_codes(lifted * 2.0**k, m, d, g, LAM * 2.0**k, iters)
+            assert np.array_equal(a * 2.0**-k, a_ref), k
+            assert np.array_equal(f * 4.0**-k, f_ref), k
+            assert (rep.iterations, rep.restarts) == (rep_ref.iterations, rep_ref.restarts)
+
     def test_group_steps_within_dense_bound(self):
         # Each group steps by 1/(2 L(D_m)), L(D_m) from the small Gram
         # D_m D_m^T; it may not exceed the bound that a dense eigvalsh of
@@ -779,7 +831,7 @@ class TestObservedRowSolve:
             # the objective the solver keeps is that of its codes
             r = masks * (x - d.atoms @ a)
             recomputed = np.sum(r * r, axis=0) + LAM * np.abs(a).sum(axis=0)
-            assert np.all(np.abs(f - recomputed) <= OBJECTIVE_REL_TOL * recomputed)
+            assert np.all(np.abs(f - recomputed) <= KEPT_OBJECTIVE_REL_TOL * recomputed)
             if previous is not None:
                 assert np.all(f <= previous), f"objective rose at iteration {iters}"
             previous = f

@@ -1,5 +1,7 @@
 """Loss values, analytic gradients, and metric anchors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,13 @@ class TestMetrics:
         truth = RNG.uniform(0.1, 1.0, size=(4, 4, 5))
         assert lm.spectral_angle(2.0 * truth, truth) == pytest.approx(0.0, abs=1e-5)
         assert lm.sid(2.0 * truth, truth) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("metric", [lm.spectral_angle, lm.sid])
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4, 3)])
+    def test_spectral_metrics_reject_other_ranks(self, metric, shape):
+        a = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"expected (S, T, C) spectra, got {shape}")):
+            metric(a, a)
 
     def test_spectral_angle_orthogonal(self):
         pred = np.zeros((2, 2, 2))

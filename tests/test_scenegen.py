@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,18 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         scenegen.SceneSpec(dims=DIMS, disparity_profile="step",
                            disparity_params=(0.5,))  # wrong arity
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: scenegen.SceneSpec(dims=DIMS, disparity_profile="sine"), "unknown profile 'sine'"),
+    (lambda: scenegen.render_lightfield(np.zeros((4, 4)), np.zeros((4, 4)), 3, 3),
+     "central view (4, 4) and disparity (4, 4) are inconsistent"),
+    (lambda: scenegen.render_lightfield(np.zeros((4, 4, 3)), np.zeros((4, 5)), 3, 3),
+     "central view (4, 4, 3) and disparity (4, 5) are inconsistent"),
+], ids=["unknown-profile", "view-rank", "disparity-shape"])
+def test_inconsistent_inputs_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("profile, params", [

@@ -1,5 +1,6 @@
 """LF5D container and tensor convention tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -107,6 +108,39 @@ def test_index_linearization_bijection():
         rem, s2 = divmod(rem, n_s)
         u2, v2 = divmod(rem, n_v)
         assert (u2, v2, s2, t2, c2) == idx
+
+
+def _zero_axis_file(path):
+    """An LF5D header with a zero-sized S axis and no payload."""
+    path.write_bytes(tensor._HEADER.pack(tensor.MAGIC, tensor.VERSION, 1, 1, 0, 2, 3))
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: tensor.as_tensor5(np.zeros((2, 2, 2)), "field"),
+     "field must be 5-dimensional, got shape (2, 2, 2)"),
+    (lambda p: tensor.as_tensor5(np.zeros((1, 1, 0, 2, 3))),
+     "tensor has zero-sized axis: (1, 1, 0, 2, 3)"),
+    (lambda p: tensor.write_lf5d(np.zeros((2, 2, 2)), p),
+     "cannot write an LF5D tensor of shape (2, 2, 2)"),
+    (lambda p: tensor.write_lf5d(np.zeros((1, 1, 0, 2, 3)), p),
+     "cannot write an LF5D tensor of shape (1, 1, 0, 2, 3)"),
+    (lambda p: tensor.read_lf5d(_zero_axis_file(p)), "zero-sized axis in dims (1, 1, 0, 2, 3)"),
+    (lambda p: tensor.cv_to_tensor5(np.zeros((4, 4))), "central view must be (S, T, C), got (4, 4)"),
+    (lambda p: tensor.disp_to_tensor5(np.zeros((4, 4, 1))),
+     "disparity map must be (S, T), got (4, 4, 1)"),
+    (lambda p: tensor.tensor5_to_disp(np.zeros((4, 4))),
+     "disparity tensor must be 5-dimensional, got shape (4, 4)"),
+    (lambda p: tensor.tensor5_to_disp(np.zeros((1, 1, 4, 4, 2))),
+     "expected U = V = C = 1, got shape (1, 1, 4, 4, 2)"),
+], ids=["rank", "zero-axis", "write-rank", "write-zero-axis", "read-zero-axis", "cv-rank",
+        "disp-rank", "disp-tensor-rank", "disp-tensor-channels"])
+def test_malformed_shapes_rejected(tmp_path, call, message):
+    path = tmp_path / "t.lf5d"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(path)
+    if message.startswith("cannot write"):
+        assert not path.exists()  # refused before the file was opened
 
 
 def test_cv_disp_wrappers():

@@ -1,6 +1,7 @@
 """Separable 5D DCT and fidelity-gradient tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestFidelityGradient:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             transforms.ObservedFidelity(self.l_star, coding.random_mask(5, 4, 3, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transforms.dct5_forward(np.zeros((4, 4, 3))), "expected a 5D tensor, got shape (4, 4, 3)"),
+    (lambda: transforms.dct5_inverse(np.zeros((1, 2, 2, 4, 4, 3))),
+     "expected a 5D tensor, got shape (1, 2, 2, 4, 4, 3)"),
+    (lambda: transforms.ObservedFidelity(np.zeros((4, 4, 3)), coding.random_mask(4, 4, 3, 0)),
+     "expected a 5D coded light field, got shape (4, 4, 3)"),
+], ids=["forward", "inverse", "fidelity"])
+def test_rank_other_than_five_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("shape, zero", [
