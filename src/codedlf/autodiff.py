@@ -144,12 +144,6 @@ class ToyNet:
         )
 
 
-def forward(net: ToyNet, coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run one coded light field through the net."""
-    cv, disp, _ = net.forward_batch(np.asarray(coded, dtype=np.float64)[None])
-    return cv[0].copy(), disp[0].copy()
-
-
 def batched_loss(pred: np.ndarray, loss_fn, truths) -> tuple[float, np.ndarray]:
     """Mean of a loss over the leading batch axis of pred, and its gradient
     with respect to pred, from one call of loss_fn on the batch."""

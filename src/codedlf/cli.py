@@ -13,7 +13,9 @@ the traceback goes to stderr).
 The CLI checks only what the library cannot know: before it reads any
 input, the output paths (each in an existing directory and not one
 itself), then the knobs, then that each input is present; after, the
-layouts of its containers.
+layouts of its containers.  `lift` and the two solves read --in and --mask in
+one step (`_read_measurement`), and the solves write --out, --report and the
+central view's --png-preview in another (`_write_reconstruction`).
 The library checks the rest (shapes that must agree, Bayer values, a
 dictionary's atom length, a network's dims, finite disparities), with its
 own messages.  All randomness derives from explicit --seed flags.  The
@@ -119,6 +121,27 @@ def _read_mask(path):
     return mask[0, 0]
 
 
+def _read_measurement(args, *more_inputs):
+    """The projected measurement of --in and the mask of --mask, once these
+    and `more_inputs` are known to exist."""
+    from . import tensor
+
+    _require_files(args.infile, args.mask, *more_inputs)
+    return tensor.read_lf5d(args.infile), _read_mask(args.mask)
+
+
+def _write_reconstruction(args, rec, rep) -> None:
+    """Write a solve's light field to --out, its report to --report and its
+    central view to --out + ".png" with --png-preview."""
+    from . import tensor
+
+    tensor.write_lf5d(rec, args.out)
+    if args.report:
+        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
+    if args.png_preview:
+        _png_preview(rec[tensor.central_indices(*rec.shape[:2])], args.out + ".png")
+
+
 # The flags that name a file a subcommand writes (for --out-prefix, the stem
 # of the files it writes); `main` checks them all before any work.
 _OUTPUT_FLAGS = ("out", "out_prefix", "out_coded", "out_mask", "out_cv", "out_disp",
@@ -140,14 +163,8 @@ def _report(payload: dict | list, path: str | None, no_timestamp: bool) -> None:
 
 
 def _json_float(x: float):
-    # JSON has no inf/nan; report them as strings.
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return x
+    # JSON has no inf: the PSNR of identical inputs is reported as "inf".
+    return "inf" if x == math.inf else x
 
 
 def _write_png(path: str, rgb) -> None:
@@ -249,15 +266,12 @@ def _cmd_project(args) -> int:
 def _cmd_lift(args) -> int:
     from . import coding, tensor
 
-    _require_files(args.infile, args.mask)
-    lp = tensor.read_lf5d(args.infile)
-    mask = _read_mask(args.mask)
-    tensor.write_lf5d(coding.lift(lp, mask), args.out)
+    tensor.write_lf5d(coding.lift(*_read_measurement(args)), args.out)
     return 0
 
 
 def _cmd_reconstruct_dct(args) -> int:
-    from . import cs_dct, tensor
+    from . import cs_dct
 
     opts = cs_dct.OwlqnOptions(
         lam=args.lam,
@@ -265,15 +279,7 @@ def _cmd_reconstruct_dct(args) -> int:
         memory=args.memory,
         grad_tol=args.grad_tol,
     )
-    _require_files(args.infile, args.mask)
-    lp = tensor.read_lf5d(args.infile)
-    mask = _read_mask(args.mask)
-    rec, rep = cs_dct.owlqn_reconstruct(lp, mask, opts)
-    tensor.write_lf5d(rec, args.out)
-    if args.report:
-        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
-    if args.png_preview:
-        _png_preview(rec[rec.shape[0] // 2, rec.shape[1] // 2], args.out + ".png")
+    _write_reconstruction(args, *cs_dct.owlqn_reconstruct(*_read_measurement(args), opts))
     return 0
 
 
@@ -307,23 +313,14 @@ def _cmd_train_dict(args) -> int:
 
 
 def _cmd_reconstruct_dict(args) -> int:
-    from . import cs_dict, tensor
+    from . import cs_dict
 
     atom, spatial, angular = _parse_patching(args)
     cs_dict.check_reconstruct_knobs(args.lam, args.iters)
-    _require_files(args.infile, args.mask, args.dictionary)
-    lp = tensor.read_lf5d(args.infile)
-    mask = _read_mask(args.mask)
+    lp, mask = _read_measurement(args, args.dictionary)
     d = cs_dict.read_dictionary(args.dictionary)
-    u, v, s, t, _ = lp.shape
-    source = (u, v, s, t, mask.shape[2])
-    grid = cs_dict.make_patch_grid(source, atom, spatial, angular)
-    rec, rep = cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters)
-    tensor.write_lf5d(rec, args.out)
-    if args.report:
-        _report(dataclasses.asdict(rep), args.report, args.no_timestamp)
-    if args.png_preview:
-        _png_preview(rec[rec.shape[0] // 2, rec.shape[1] // 2], args.out + ".png")
+    grid = cs_dict.make_patch_grid(lp.shape[:4] + mask.shape[2:], atom, spatial, angular)
+    _write_reconstruction(args, *cs_dict.dict_reconstruct(lp, mask, d, grid, args.lam, args.iters))
     return 0
 
 
@@ -365,15 +362,15 @@ def _cmd_predict_toy(args) -> int:
 
     _require_files(args.net, args.infile)
     net = autodiff.load_net(args.net)
-    cv, disp = autodiff.forward(net, tensor.read_lf5d(args.infile))
+    cv, disp, _ = net.forward_batch(tensor.read_lf5d(args.infile)[None])
     # Convert and check both maps before the first write, so a refusal
     # writes nothing.
-    (cv32,) = tensor.float32_payload(args.out_cv, cv)
-    (disp32,) = tensor.float32_payload(args.out_disp, disp)
+    cv32 = tensor.float32_payload(args.out_cv, cv[0])
+    disp32 = tensor.float32_payload(args.out_disp, disp[0])
     tensor.write_lf5d(tensor.cv_to_tensor5(cv32), args.out_cv)
     tensor.write_lf5d(tensor.disp_to_tensor5(disp32), args.out_disp)
     if args.png_preview:
-        _png_preview(cv, args.out_cv + ".png")
+        _png_preview(cv[0], args.out_cv + ".png")
     return 0
 
 
@@ -383,7 +380,7 @@ def _cmd_evaluate(args) -> int:
     from . import losses_metrics as lm
     from . import tensor
 
-    tensor.require_real("--peak", args.peak, 0, strict=True)
+    lm.check_peak("--peak", args.peak)
     tensor.require_real("--badpix-tau", args.badpix_tau, 0)
     _require_files(args.pred, args.truth)
     pred_t = tensor.read_lf5d(args.pred)
@@ -468,7 +465,7 @@ def _cmd_calibrate(args) -> int:
         maps[stem + ".dark_current.lf5d"] = dark.current
     # Convert and check every map before the first write, so a refusal
     # writes nothing.
-    maps = {path: tensor.float32_payload(path, a)[0] for path, a in maps.items()}
+    maps = {path: tensor.float32_payload(path, a) for path, a in maps.items()}
     for path, a in maps.items():
         tensor.write_lf5d(a[None, None, :, :, None], path)
     payload = {
@@ -488,10 +485,8 @@ def _cmd_calibrate(args) -> int:
         ),
         "residual": result.residual,
         "unrecoverable": {
-            "pixels": [list(p) for p in result.unrecoverable_pixels],
-            "responsivity_entries": [
-                list(p) for p in result.unrecoverable_responsivities
-            ],
+            "pixels": result.unrecoverable_pixels,
+            "responsivity_entries": result.unrecoverable_responsivities,
         },
     }
     _report(payload, args.out, args.no_timestamp)
@@ -514,6 +509,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="cap BLAS worker threads")
     sub = p.add_subparsers(dest="command", required=True)
+    # The patching flags of the dictionary commands, read by _parse_patching.
+    patching = argparse.ArgumentParser(add_help=False)
+    patching.add_argument("--atom", required=True, help="u,v,s,t,C atom shape")
+    patching.add_argument("--spatial-overlap", default="4,4")
+    patching.add_argument("--angular-overlap", default="1,1")
 
     sp = sub.add_parser("gen-scene", help="generate a synthetic scene")
     sp.add_argument("--pattern", default="checker")
@@ -557,12 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default=None)
     sp.add_argument("--png-preview", action="store_true")
 
-    sp = sub.add_parser("train-dict", help="learn a patch dictionary")
+    sp = sub.add_parser("train-dict", parents=[patching], help="learn a patch dictionary")
     sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--scenes", nargs="+", required=True)
-    sp.add_argument("--atom", required=True, help="u,v,s,t,C atom shape")
-    sp.add_argument("--spatial-overlap", default="4,4")
-    sp.add_argument("--angular-overlap", default="1,1")
     sp.add_argument("--k", type=float, default=2.0)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--lr", type=float, default=1e-2)
@@ -573,14 +570,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", default=None)
 
-    sp = sub.add_parser("reconstruct-dict", help="dictionary solve")
+    sp = sub.add_parser("reconstruct-dict", parents=[patching], help="dictionary solve")
     sp.add_argument("--no-timestamp", action="store_true")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--mask", required=True)
     sp.add_argument("--dict", dest="dictionary", required=True)
-    sp.add_argument("--atom", required=True)
-    sp.add_argument("--spatial-overlap", default="4,4")
-    sp.add_argument("--angular-overlap", default="1,1")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--iters", type=int, default=300, metavar="N",
                     help="at most N FISTA iterations (0: zero codes)")

@@ -38,6 +38,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def derive_seed(*parts: int) -> int:
+    """Fold integer parts into one 64-bit seed by SplitMix64 mixing; sums wrap
+    modulo 2**64, so a negative part counts as its two's complement."""
+    acc = _GOLDEN
+    for p in parts:
+        acc = _mix64((acc + int(p)) & _MASK64)
+    return acc
+
+
 def random_mask(n_s: int, n_t: int, n_channels: int, seed: int) -> np.ndarray:
     """Draw a deterministic one-hot coding mask of shape (S, T, C).
 
@@ -80,7 +89,8 @@ def is_one_hot(m: np.ndarray) -> bool:
     return bool(binary and np.all(m.sum(axis=-1) == 1.0))
 
 
-def _check_mask(m: np.ndarray) -> np.ndarray:
+def check_mask(m: np.ndarray) -> np.ndarray:
+    """`m` as float32, if it is a one-hot (S, T, C) mask; else ValueError."""
     m = np.asarray(m, dtype=np.float32)
     if not is_one_hot(m):
         raise ValueError("coding mask must be one-hot along the channel axis")
@@ -93,7 +103,7 @@ def encode(l: np.ndarray, m: np.ndarray) -> np.ndarray:
     Selected entries are copied, all others are exactly +0.
     """
     l = as_tensor5(l, "light field")
-    m = _check_mask(m)
+    m = check_mask(m)
     if l.shape[2:] != m.shape:
         raise ValueError(
             f"spatial/spectral dims {l.shape[2:]} do not match mask {m.shape}"
@@ -129,7 +139,7 @@ def lift(lp: np.ndarray, m: np.ndarray) -> np.ndarray:
     lp = as_tensor5(lp, "projected measurement")
     if lp.shape[4] != 1:
         raise ValueError(f"projected measurement must have C = 1, got {lp.shape}")
-    m = _check_mask(m)
+    m = check_mask(m)
     if lp.shape[2:4] != m.shape[:2]:
         raise ValueError(
             f"spatial dims {lp.shape[2:4]} do not match mask {m.shape[:2]}"

@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding, transforms
-from .tensor import as_tensor5, require_count, require_real
+from .tensor import require_count, require_real
 
 # Line-search constants of Andrew & Gao (2007).
 ARMIJO_C1 = 1e-4
@@ -333,7 +333,6 @@ def owlqn_reconstruct(
     terminates the solve with a report entry, never an exception; a non-finite
     starting objective raises FloatingPointError.
     """
-    l_star_p = as_tensor5(l_star_p, "projected measurement")
     x, report = _solve(l_star_p, m, opts, _iterate_hook)
     # The solve's buffers are free again, and the synthesis reuses their memory.
     return transforms.dct5_inverse(x).astype(np.float32), report

@@ -473,8 +473,9 @@ class TrainReport:
 def train_dictionary(
     dataset: list[np.ndarray],
     g: PatchGrid,
+    *,
+    lam: float,
     k: float = 2.0,
-    lam: float = 0.05,
     lr: float = 1e-2,
     batch_size: int = 16,
     fista_iters: int = 50,
@@ -568,7 +569,6 @@ def dict_reconstruct(
     check_reconstruct_knobs(lam, iters)
     if d.atom_len != g.atom_len:
         raise ValueError(f"dictionary atom length {d.atom_len} != grid {g.atom_len}")
-    l_star_p = tensor.as_tensor5(l_star_p, "projected measurement")
     lifted = coding.lift(l_star_p, m)
     if lifted.shape != g.source_dims:
         raise ValueError(

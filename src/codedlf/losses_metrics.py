@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import require_real
+
 EPS = 1e-8
 
 HUBER_DELTA = 1.0
@@ -40,6 +42,19 @@ SSIM_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 BADPIX_TAU = 0.07
+# SSIM and PSNR stay finite over this range for float32 inputs on [0, peak].
+# The stabilizers c = (K peak)^2 set its ends: an all-zero window scores
+# c1 c2 / (c1 c2), and c1 c2 is 9e-308 at 1e-75, still a normal float64,
+# and 9e304 at 1e78, to which float32 moments (below 1.2e77) add nearly nothing.
+PEAK_RANGE = (1e-75, 1e78)
+
+
+def check_peak(name: str, peak) -> None:
+    """Raise ValueError naming `name` unless `peak` lies in PEAK_RANGE."""
+    lo, hi = PEAK_RANGE
+    require_real(name, peak, lo)
+    if peak > hi:
+        raise ValueError(f"{name} must be finite and <= {hi:g}, got {peak!r}")
 
 
 @dataclass
@@ -150,6 +165,7 @@ def ssim(a, b, peak: float = 1.0) -> float:
     Accepts (S, T, C) arrays with values on a [0, peak] scale, scored as
     a batch of one.
     """
+    check_peak("peak", peak)
     x, y = _ssim_batch(np.expand_dims(a, 0), np.expand_dims(b, 0))
     s, _ = _ssim_windows(x, y, SSIM_WINDOW, (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2)
     return float(np.mean(_per_sample(s[0], np.mean)))
@@ -196,14 +212,20 @@ def ssim_loss(pred, truth) -> LossValue:
     return _batch_mean(vals, np.ascontiguousarray(g.transpose(0, 2, 3, 1)))
 
 
-def spectral_cos_loss(pred, truth) -> LossValue:
-    """(1 - cosine)/2 of per-pixel spectra, averaged over pixels."""
-    pred, truth = _as_batch(pred, truth, 3, "(S, T, C) spectra")
+def _spectral_cos(pred: np.ndarray, truth: np.ndarray):
+    """Per-pixel cosine of the spectra on the last axis, with its dot
+    product, the norm of pred and the EPS-guarded denominator."""
     dot = (pred * truth).sum(axis=-1)
     np_ = np.sqrt((pred * pred).sum(axis=-1))
     nt = np.sqrt((truth * truth).sum(axis=-1))
     denom = np.maximum(np_ * nt, EPS)
-    cos = dot / denom
+    return dot / denom, dot, np_, denom
+
+
+def spectral_cos_loss(pred, truth) -> LossValue:
+    """(1 - cosine)/2 of per-pixel spectra, averaged over pixels."""
+    pred, truth = _as_batch(pred, truth, 3, "(S, T, C) spectra")
+    cos, dot, np_, denom = _spectral_cos(pred, truth)
     safe_np = np.maximum(np_, EPS)
     dcos = truth / denom[..., None] - (dot / (safe_np * safe_np * denom))[..., None] * pred
     grad = -0.5 * dcos / cos[0].size
@@ -241,20 +263,13 @@ def tv_smoothness(pred_disp, truth_disp) -> LossValue:
     return _batch_mean(val / n_sites, grad)
 
 
-def _pixel_grads(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel forward differences, zero at the far edges."""
-    gx = np.zeros_like(d)
-    gy = np.zeros_like(d)
-    gx[..., :-1] = d[..., 1:] - d[..., :-1]
-    gy[..., :-1, :] = d[..., 1:, :] - d[..., :-1, :]
-    return gx, gy
-
-
 def normal_similarity(pred_disp, truth_disp) -> LossValue:
     """(1 - cosine)/2 between surface normals (-dx, -dy, 1), pixel-averaged."""
     pred, truth = _as_batch(pred_disp, truth_disp, 2, "(S, T) disparity maps")
-    gx_p, gy_p = _pixel_grads(pred)
-    gx_t, gy_t = _pixel_grads(truth)
+    # Per-pixel forward differences, zero at the far edges.
+    gx_p, gy_p, gx_t, gy_t = (np.zeros_like(pred) for _ in range(4))
+    gx_p[..., :-1], gy_p[..., :-1, :] = _forward_diffs(pred)
+    gx_t[..., :-1], gy_t[..., :-1, :] = _forward_diffs(truth)
     # cos = (gx_p*gx_t + gy_p*gy_t + 1) / (|n_pred| * |n_truth|)
     dot = gx_p * gx_t + gy_p * gy_t + 1.0
     n_p = np.sqrt(gx_p * gx_p + gy_p * gy_p + 1.0)
@@ -290,6 +305,7 @@ def mae(pred, truth) -> float:
 
 def psnr(pred, truth, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs."""
+    check_peak("peak", peak)
     err = mse(pred, truth)
     if err == 0.0:
         return float("inf")
@@ -301,11 +317,7 @@ def spectral_angle(pred, truth) -> float:
     pred, truth = _check_same_shape(pred, truth)
     if pred.ndim != 3:
         raise ValueError(f"expected (S, T, C) spectra, got {pred.shape}")
-    dot = (pred * truth).sum(axis=-1)
-    denom = np.maximum(
-        np.sqrt((pred * pred).sum(-1)) * np.sqrt((truth * truth).sum(-1)), EPS
-    )
-    cos = np.clip(dot / denom, -1.0, 1.0)
+    cos = np.clip(_spectral_cos(pred, truth)[0], -1.0, 1.0)
     return float(np.degrees(np.arccos(cos)).mean())
 
 

@@ -11,10 +11,10 @@ else of the name:
   st-disp and (0.5, 0.5) for the rest.  A task of weight 0 is not trained.
 * weighting: None keeps the fixed weights.  "mtu" (mtu, mtu+al) uses
   per-task trainable log-variances s_i; total = sum_i exp(-s_i)/2 * L_i
-  + s_i/2 (Kendall et al. 2018); the s_i take the same optimizer step as
-  the network weights.  "gradnorm" chases the task weights toward
-  equalized, rate-adjusted shared gradient norms (Chen et al. 2018),
-  renormalized to sum to the task count.
+  + s_i/2 (Kendall et al. 2018); the s_i take the network weights'
+  momentum step (lr, momentum) but no weight decay.  "gradnorm" chases
+  the task weights toward equalized, rate-adjusted shared gradient norms
+  (Chen et al. 2018), renormalized to sum to the task count.
 * aux: None trains the main losses alone.  "gradsim" weights each
   auxiliary loss per batch by the truncated cosine between main and
   auxiliary shared-trunk gradients (Du et al. 2018).  "normgradsim"
@@ -307,15 +307,6 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-def _derive_seed(*parts: int) -> int:
-    # Fold parts into one 64-bit seed with SplitMix-style mixing; every sum
-    # wraps modulo 2**64, so a negative part counts as its two's complement.
-    acc = coding._GOLDEN
-    for p in parts:
-        acc = coding._mix64((acc + int(p)) & coding._MASK64)
-    return acc
-
-
 @dataclass
 class EpochLog:
     epoch: int
@@ -368,10 +359,8 @@ def train(
     # The validation masks depend on (seed, 1, i) alone: code the split once
     # and keep only the coded copy.
     val_lf, val_cv, val_disp = _stack(val_set)
-    val_coded = coding.encode_batch(
-        val_lf,
-        coding.random_masks(n_s, n_t, n_c, [_derive_seed(config.seed, 1, i) for i in range(n_val)]),
-    )
+    val_seeds = [coding.derive_seed(config.seed, 1, i) for i in range(n_val)]
+    val_coded = coding.encode_batch(val_lf, coding.random_masks(n_s, n_t, n_c, val_seeds))
     del val_lf
     weights, weighting, aux = STRATEGIES[config.strategy]
     # Auxiliary gates and scales per task.  gradsim keeps its last
@@ -380,7 +369,7 @@ def train(
     beta = {t: np.ones(len(AUX_LOSSES[t])) for t in TASKS}
     mtu_state = MtuState.initial()
     gn_state = GradNormState.initial(gamma=config.gradnorm_gamma)
-    rng = np.random.default_rng(_derive_seed(config.seed, 0xD5))
+    rng = np.random.default_rng(coding.derive_seed(config.seed, 0xD5))
     total = np.empty_like(net.flat)
     velocity = np.zeros_like(net.flat) if config.momentum else None
     update = total if velocity is None else velocity
@@ -392,7 +381,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idxs = order[start : start + config.batch_size]
             masks = coding.random_masks(
-                n_s, n_t, n_c, [_derive_seed(config.seed, 2, epoch, int(i)) for i in idxs]
+                n_s, n_t, n_c, [coding.derive_seed(config.seed, 2, epoch, int(i)) for i in idxs]
             )
             lightfields, cv, disp = _stack([train_set[i] for i in idxs])
             coded = coding.encode_batch(lightfields, masks).astype(np.float64)
@@ -435,7 +424,7 @@ def train(
             elif weighting == "mtu":
                 _, ds = mtu_loss(task_losses, mtu_state)
                 task_weights = mtu_effective_weights(mtu_state)
-                # the log-variances take the same optimizer step as the net
+                # the net's momentum step, without its weight decay
                 velocity_s = config.momentum * velocity_s + ds
                 mtu_state.s -= config.lr * velocity_s
 

@@ -17,8 +17,8 @@ LF5D container layout (little-endian, normative):
 LF5D, the LFDC dictionaries of `cs_dict` and the LFNN networks of
 `autodiff` share one codec (`read_container`, `read_payload`,
 `float32_payload`, `write_container`): four magic bytes, the format's own
-header, then a float32 payload of exactly the length the header implies,
-every value finite, checked on read and on write.
+header, then one array as a float32 payload of exactly the length the
+header implies, every value finite, checked on read and on write.
 
 Every numeric knob passes one of two rules, so all modules reject a bad one
 alike: `require_count` (an integer, never a bool) and `require_real` (a finite
@@ -126,29 +126,28 @@ def read_payload(path, raw: bytes, offset: int, n: int) -> np.ndarray:
     return vals if vals.flags.aligned else vals.copy()
 
 
-def float32_payload(path, *arrays) -> list[np.ndarray]:
-    """`arrays` as little-endian float32, as they would be written to `path`.
+def float32_payload(path, a) -> np.ndarray:
+    """`a` as little-endian float32, as it would be written to `path`.
 
     Raises NonFiniteWriteError, naming `path`, if a value is not finite in
     float32.
     """
     with np.errstate(over="ignore"):
-        data = [np.asarray(a, dtype="<f4") for a in arrays]
-    if not all(np.all(np.isfinite(a)) for a in data):
+        data = np.asarray(a, dtype="<f4")
+    if not np.all(np.isfinite(data)):
         raise NonFiniteWriteError(f"{path}: cannot write non-finite float32 values")
     return data
 
 
-def write_container(path, header: bytes, *arrays) -> None:
-    """Write `header`, then each array as float32 in C order (overwrites).
+def write_container(path, header: bytes, a) -> None:
+    """Write `header`, then `a` as float32 in C order (overwrites).
 
     Refuses, before opening the file, values that are not finite in float32.
     """
-    data = float32_payload(path, *arrays)
+    data = float32_payload(path, a)
     with open(path, "wb") as fh:
         fh.write(header)
-        for a in data:
-            fh.write(a.tobytes())
+        fh.write(data.tobytes())
 
 
 def write_lf5d(t: np.ndarray, path) -> None:

@@ -127,7 +127,7 @@ class ObservedFidelity:
         l_star = np.asarray(l_star, dtype=np.float64)
         if l_star.ndim != 5:
             raise ValueError(f"expected a 5D coded light field, got shape {l_star.shape}")
-        m = coding._check_mask(m)
+        m = coding.check_mask(m)
         if m.shape != l_star.shape[2:]:
             raise ValueError(
                 f"mask shape {m.shape} does not match tensor dims {l_star.shape[2:]}"

@@ -448,7 +448,7 @@ def _ref_train(net, dataset, config):
     beta = {t: np.ones(n) for t, n in n_aux.items()}
     mtu_state = mt.MtuState.initial()
     gn_state = mt.GradNormState.initial(gamma=config.gradnorm_gamma)
-    rng = np.random.default_rng(mt._derive_seed(config.seed, 0xD5))
+    rng = np.random.default_rng(coding.derive_seed(config.seed, 0xD5))
     params = net.all_params()
     n_params = sum(p.size for p in params)
     loss_grads = {
@@ -474,7 +474,7 @@ def _ref_train(net, dataset, config):
             coded = np.stack([
                 coding.encode(
                     train_set[i].lightfield,
-                    coding.random_mask(n_s, n_t, n_c, mt._derive_seed(config.seed, 2, epoch, int(i))),
+                    coding.random_mask(n_s, n_t, n_c, coding.derive_seed(config.seed, 2, epoch, int(i))),
                 )
                 for i in idxs
             ]).astype(np.float64)
@@ -559,10 +559,10 @@ def _ref_validate(net, val, base_seed):
     n_s, n_t, n_c = net.dims[2:]
     cv_losses, disp_losses = [], []
     for i, sample in enumerate(val):
-        m = coding.random_mask(n_s, n_t, n_c, mt._derive_seed(base_seed, 1, i))
-        cv_hat, disp_hat = ad.forward(net, coding.encode(sample.lightfield, m))
-        cv_losses.append(lm.huber(cv_hat[None], sample.cv[None]).value)
-        disp_losses.append(lm.huber(disp_hat[None], sample.disp[None]).value)
+        m = coding.random_mask(n_s, n_t, n_c, coding.derive_seed(base_seed, 1, i))
+        cv_hat, disp_hat, _ = net.forward_batch(coding.encode(sample.lightfield, m)[None])
+        cv_losses.append(lm.huber(cv_hat, sample.cv[None]).value)
+        disp_losses.append(lm.huber(disp_hat, sample.disp[None]).value)
     return float(np.mean(cv_losses)), float(np.mean(disp_losses))
 
 
@@ -1004,7 +1004,7 @@ def calib_oracles():
 # Seed mixing, mask drawing and rendering as they were before: SplitMix64 on
 # one-element uint64 arrays, one part at a time; one mask per seed, set by
 # fancy indexing; and one bilinear sampling call per view.  Test oracles for
-# multitask._derive_seed, coding.random_masks and scenegen.render_lightfield,
+# coding.derive_seed, coding.random_masks and scenegen.render_lightfield,
 # with a per-sample coding by boolean indexing for coding.encode_batch.
 
 

@@ -33,22 +33,22 @@ def full_loss(net, coded, cv_t, d_t):
 class TestToyNet:
     def test_output_shapes(self):
         net = make_net()
-        cv, disp = ad.forward(net, RNG.normal(size=DIMS))
-        assert cv.shape == (4, 4, 2)
-        assert disp.shape == (4, 4)
+        cv, disp, _ = net.forward_batch(RNG.normal(size=(1, *DIMS)))
+        assert cv.shape == (1, 4, 4, 2)
+        assert disp.shape == (1, 4, 4)
 
     def test_zero_weights_zero_outputs(self):
         net = make_net()
         for p in net.all_params():
             p[:] = 0.0
-        cv, disp = ad.forward(net, RNG.normal(size=DIMS))
+        cv, disp, _ = net.forward_batch(RNG.normal(size=(1, *DIMS)))
         assert np.all(cv == 0.0) and np.all(disp == 0.0)
 
     def test_forward_deterministic(self):
         net = make_net()
-        x = RNG.normal(size=DIMS)
-        a = ad.forward(net, x)
-        b = ad.forward(net, x)
+        x = RNG.normal(size=(1, *DIMS))
+        a = net.forward_batch(x)
+        b = net.forward_batch(x)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_nan_preactivation_relu_gives_zero(self):
@@ -56,15 +56,15 @@ class TestToyNet:
         # np.where(z > 0, z, 0), so they become 0 and the zero-bias net
         # outputs zeros instead of NaN.
         net = make_net()
-        coded = RNG.normal(size=DIMS)
-        coded[0, 0, 0, 0, 0] = np.nan
-        cv, disp = ad.forward(net, coded)
+        coded = RNG.normal(size=(1, *DIMS))
+        coded[0, 0, 0, 0, 0, 0] = np.nan
+        cv, disp, _ = net.forward_batch(coded)
         assert np.all(cv == 0.0) and np.all(disp == 0.0)
 
     def test_dim_mismatch(self):
         net = make_net()
         with pytest.raises(ValueError):
-            ad.forward(net, RNG.normal(size=(3, 3, 5, 4, 2)))
+            net.forward_batch(RNG.normal(size=(1, 3, 3, 5, 4, 2)))
 
     def test_full_network_fd_per_group(self):
         net = make_net()
@@ -294,9 +294,9 @@ def test_lfnn_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"LFNN"
     back = ad.load_net(path)
     assert back.dims == net.dims
-    x = RNG.normal(size=DIMS)
-    a = ad.forward(net, x)
-    b = ad.forward(back, x)
+    x = RNG.normal(size=(1, *DIMS))
+    a = net.forward_batch(x)
+    b = back.forward_batch(x)
     # parameters pass through float32 storage
     np.testing.assert_allclose(a[0], b[0], atol=1e-4)
     np.testing.assert_allclose(a[1], b[1], atol=1e-4)

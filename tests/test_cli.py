@@ -1,10 +1,13 @@
 """CLI contract tests: files, reports, exit codes, determinism."""
 
+import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,35 @@ def test_evaluate_ssim_scales_with_peak(tmp_path):
         ssim[peak] = json.loads(out.read_text())["ssim"]
     assert 0.5 < ssim[1] < 1.0
     assert ssim[255] == pytest.approx(ssim[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["cv", "disp"])
+@pytest.mark.parametrize("peak", ["1e-200", "1e-100", "1e-75", "1e78", "1e150", "1e200", "1e300"])
+def test_evaluate_scores_finitely_or_rejects_the_peak(tmp_path, monkeypatch, capsys, peak, kind):
+    # On two scenes, 1e-200 used to write a PSNR of "-inf", 1e150 a NaN SSIM
+    # that the JSON writer refused as bad input, and 1e200 and 1e300 to raise
+    # OverflowError (exit 3).
+    prefixes = [str(tmp_path / name) for name in ("a", "b")]
+    for seed, prefix in enumerate(prefixes, start=1):
+        assert run(["gen-scene", "--dims", "3,3,16,16,4", "--seed", str(seed),
+                    "--disparity", f"constant:{seed / 4}", "--out-prefix", prefix]) == 0
+    suffix = ".lf.lf5d" if kind == "cv" else ".disp.lf5d"
+    reads = []
+    read = tensor.read_lf5d
+    monkeypatch.setattr(tensor, "read_lf5d", lambda path: reads.append(path) or read(path))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run(["evaluate", "--pred", prefixes[0] + suffix, "--truth", prefixes[1] + suffix,
+                    "--kind", kind, "--peak", peak, "--no-timestamp", "--out", str(out)])
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    if code == 0:
+        report = json.loads(out.read_text())
+        assert math.isfinite(report["psnr_db"])
+        assert kind == "disp" or math.isfinite(report["ssim"])
+    else:
+        assert code == 1 and reads == [] and not out.exists()
+        assert "error: --peak must be finite and " in capsys.readouterr().err
 
 
 def test_validation_error_on_even_angular(tmp_path):
@@ -872,6 +904,150 @@ def test_parser_defaults_restate_the_library_defaults():
     defaults = inspect.signature(cs_dict.train_dictionary).parameters
     for name in ("k", "lr", "batch_size", "fista_iters", "epochs"):
         assert getattr(td, name) == defaults[name].default, name
+
+
+# Every flag of every subcommand ("" is the top-level parser), as the parser
+# had it before the dictionary commands took their patching flags from one
+# parent: option string: (dest, type, default, required, choices, nargs).
+FLAG_SURFACE = {
+    '': {
+        '--threads': ('threads', '_thread_count', None, False, None, None),
+    },
+    'gen-scene': {
+        '--pattern': ('pattern', None, 'checker', False, None, None),
+        '--disparity': ('disparity', None, 'constant:0.5', False, None, None),
+        '--dims': ('dims', None, None, True, None, None),
+        '--seed': ('seed', '_seed', 0, False, None, None),
+        '--noise-sigma': ('noise_sigma', 'float', 0.0, False, None, None),
+        '--out-prefix': ('out_prefix', None, None, True, None, None),
+        '--png-preview': ('png_preview', None, False, False, None, 0),
+    },
+    'mask-gen': {
+        '--dims': ('dims', None, None, True, None, None),
+        '--seed': ('seed', 'int', 0, False, None, None),
+        '--out': ('out', None, None, True, None, None),
+    },
+    'encode': {
+        '--in': ('infile', None, None, True, None, None),
+        '--mask': ('mask', None, None, False, None, None),
+        '--seed': ('seed', 'int', 0, False, None, None),
+        '--out-coded': ('out_coded', None, None, True, None, None),
+        '--out-mask': ('out_mask', None, None, False, None, None),
+    },
+    'project': {
+        '--in': ('infile', None, None, True, None, None),
+        '--out': ('out', None, None, True, None, None),
+    },
+    'lift': {
+        '--in': ('infile', None, None, True, None, None),
+        '--mask': ('mask', None, None, True, None, None),
+        '--out': ('out', None, None, True, None, None),
+    },
+    'reconstruct-dct': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--in': ('infile', None, None, True, None, None),
+        '--mask': ('mask', None, None, True, None, None),
+        '--lambda': ('lam', 'float', None, True, None, None),
+        '--max-iters': ('max_iters', 'int', 500, False, None, None),
+        '--memory': ('memory', 'int', 10, False, None, None),
+        '--grad-tol': ('grad_tol', 'float', None, False, None, None),
+        '--out': ('out', None, None, True, None, None),
+        '--report': ('report', None, None, False, None, None),
+        '--png-preview': ('png_preview', None, False, False, None, 0),
+    },
+    'train-dict': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--scenes': ('scenes', None, None, True, None, '+'),
+        '--atom': ('atom', None, None, True, None, None),
+        '--spatial-overlap': ('spatial_overlap', None, '4,4', False, None, None),
+        '--angular-overlap': ('angular_overlap', None, '1,1', False, None, None),
+        '--k': ('k', 'float', 2.0, False, None, None),
+        '--lambda': ('lam', 'float', None, True, None, None),
+        '--lr': ('lr', 'float', 0.01, False, None, None),
+        '--batch-size': ('batch_size', 'int', 16, False, None, None),
+        '--fista-iters': ('fista_iters', 'int', 50, False, None, None),
+        '--epochs': ('epochs', 'int', 5, False, None, None),
+        '--seed': ('seed', '_seed', 0, False, None, None),
+        '--out': ('out', None, None, True, None, None),
+        '--report': ('report', None, None, False, None, None),
+    },
+    'reconstruct-dict': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--in': ('infile', None, None, True, None, None),
+        '--mask': ('mask', None, None, True, None, None),
+        '--dict': ('dictionary', None, None, True, None, None),
+        '--atom': ('atom', None, None, True, None, None),
+        '--spatial-overlap': ('spatial_overlap', None, '4,4', False, None, None),
+        '--angular-overlap': ('angular_overlap', None, '1,1', False, None, None),
+        '--lambda': ('lam', 'float', None, True, None, None),
+        '--iters': ('iters', 'int', 300, False, None, None),
+        '--out': ('out', None, None, True, None, None),
+        '--report': ('report', None, None, False, None, None),
+        '--png-preview': ('png_preview', None, False, False, None, 0),
+    },
+    'train-toy': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--strategy': ('strategy', None, None, True, None, None),
+        '--epochs': ('epochs', 'int', 20, False, None, None),
+        '--seed': ('seed', '_seed', 0, False, None, None),
+        '--data-seed': ('data_seed', '_seed', 99, False, None, None),
+        '--scenes': ('scenes', 'int', 200, False, None, None),
+        '--dims': ('dims', None, '3,3,8,8,5', False, None, None),
+        '--hidden': ('hidden', 'int', 64, False, None, None),
+        '--head-hidden': ('head_hidden', 'int', 64, False, None, None),
+        '--batch-size': ('batch_size', 'int', 16, False, None, None),
+        '--lr': ('lr', 'float', 0.1, False, None, None),
+        '--momentum': ('momentum', 'float', 0.9, False, None, None),
+        '--weight-decay': ('weight_decay', 'float', 0.0, False, None, None),
+        '--gradnorm-gamma': ('gradnorm_gamma', 'float', 1.5, False, None, None),
+        '--normgradsim-step': ('normgradsim_step', 'float', 0.1, False, None, None),
+        '--log': ('log', None, None, False, None, None),
+        '--out': ('out', None, None, False, None, None),
+    },
+    'predict-toy': {
+        '--net': ('net', None, None, True, None, None),
+        '--in': ('infile', None, None, True, None, None),
+        '--out-cv': ('out_cv', None, None, True, None, None),
+        '--out-disp': ('out_disp', None, None, True, None, None),
+        '--png-preview': ('png_preview', None, False, False, None, 0),
+    },
+    'evaluate': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--pred': ('pred', None, None, True, None, None),
+        '--truth': ('truth', None, None, True, None, None),
+        '--kind': ('kind', None, None, True, ('cv', 'disp'), None),
+        '--peak': ('peak', 'float', 1.0, False, None, None),
+        '--badpix-tau': ('badpix_tau', 'float', 0.07, False, None, None),
+        '--out': ('out', None, None, False, None, None),
+    },
+    'calibrate': {
+        '--no-timestamp': ('no_timestamp', None, False, False, None, 0),
+        '--dark': ('dark', None, None, True, None, None),
+        '--bright': ('bright', None, None, True, None, None),
+        '--times': ('times', None, None, True, None, None),
+        '--bayer': ('bayer', None, None, True, None, None),
+        '--dark-mode': ('dark_mode', None, 'per-pixel', False, ('per-pixel', 'global'), None),
+        '--threshold': ('threshold', 'float', 0.985, False, None, None),
+        '--line-reach': ('line_reach', 'int', 5, False, None, None),
+        '--line-axis': ('line_axis', None, 'row', False, ('row', 'col'), None),
+        '--out': ('out', None, None, True, None, None),
+    },
+}
+
+
+def test_flag_surface_is_unchanged():
+    def surface(parser):
+        return {
+            a.option_strings[0]: (a.dest, getattr(a.type, "__name__", None), a.default,
+                                  a.required, a.choices and tuple(a.choices), a.nargs)
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+
+    parser = cli._build_parser.__wrapped__()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {"": surface(parser), **{name: surface(sp) for name, sp in sub.choices.items()}}
+    assert got == FLAG_SURFACE
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["reconstruct-dct", "--help"]])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from codedlf import coding
-from codedlf import multitask as mt
 
 
 def bits(a):
@@ -141,9 +140,9 @@ class TestEncodeProjectLift:
 # its validation seeds (seed, 1, sample).
 MASK_SEEDS = (
     [0, 1, 2**63, 2**64 - 1]
-    + [mt._derive_seed(seed, 2, epoch, i)
+    + [coding.derive_seed(seed, 2, epoch, i)
        for seed in (0, 4243) for epoch in range(5) for i in range(0, 160, 9)]
-    + [mt._derive_seed(0, 1, i) for i in range(40)]
+    + [coding.derive_seed(0, 1, i) for i in range(40)]
 )
 
 

@@ -379,7 +379,7 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         g = cs_dict.make_patch_grid((1, 1, 4, 4, 2), (1, 1, 4, 4, 2), (0, 0), (0, 0))
         with pytest.raises(ValueError):
-            cs_dict.train_dictionary([], g)
+            cs_dict.train_dictionary([], g, lam=0.05)
 
     def test_objective_decreases_over_first_epochs(self):
         dataset, g = _smooth_scenes()
@@ -577,7 +577,7 @@ class TestKnobs:
         monkeypatch.setattr(cs_dict, "patch", no_patch)
         g = cs_dict.make_patch_grid((1, 1, 4, 4, 2), (1, 1, 4, 4, 2), (0, 0), (0, 0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            cs_dict.train_dictionary([np.zeros((1, 1, 4, 4, 2))], g, **knobs)
+            cs_dict.train_dictionary([np.zeros((1, 1, 4, 4, 2))], g, **{"lam": 0.05, **knobs})
 
     def test_largest_atom_count_an_lfdc_file_holds(self):
         assert cs_dict.check_training_knobs(32, (2**32 - 1) / 32, 0.1, 0.1, 16, 10, 1) == 2**32 - 1

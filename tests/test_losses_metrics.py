@@ -1,5 +1,6 @@
 """Loss values, analytic gradients, and metric anchors."""
 
+import math
 import re
 
 import numpy as np
@@ -218,6 +219,29 @@ class TestMetrics:
         a = np.full(shape, 0.5)
         with pytest.raises(ValueError, match=re.escape(f"expected (S, T, C) spectra, got {shape}")):
             metric(a, a)
+
+    @pytest.mark.parametrize("peak", lm.PEAK_RANGE)
+    def test_ssim_and_psnr_finite_at_the_ends_of_the_peak_range(self, peak):
+        # Views on [0, peak] as float32 holds them: zero, constant at the top
+        # and random.  At the low end float32 holds zero alone, whose windows
+        # score c1 c2 / (c1 c2).
+        top = float(np.float32(min(peak, float(np.finfo(np.float32).max))))
+        views = [np.zeros((8, 8, 3)), np.full((8, 8, 3), top),
+                 (top * np.random.default_rng(0).uniform(size=(8, 8, 3))).astype(np.float32)]
+        with np.errstate(all="raise"):
+            for a in views:
+                for b in views:
+                    assert math.isfinite(lm.ssim(a, b, peak=peak))
+                    db = lm.psnr(a, b, peak=peak)
+                    assert math.isfinite(db) or db == math.inf and np.array_equal(a, b)
+        assert lm.ssim(views[0], views[0], peak=peak) == 1.0
+
+    @pytest.mark.parametrize("peak", [0.0, 1e-76, 1e79, float("nan"), float("inf"), True])
+    def test_peak_outside_the_range_rejected(self, peak):
+        a = np.full((8, 8, 3), 0.5)
+        for metric in (lm.ssim, lm.psnr):
+            with pytest.raises(ValueError, match=r"^peak must be finite and "):
+                metric(a, a, peak=peak)
 
     def test_spectral_angle_orthogonal(self):
         pred = np.zeros((2, 2, 2))

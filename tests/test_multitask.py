@@ -341,7 +341,7 @@ def test_derive_seed_matches_numpy_oracle(seed_oracle):
     cases += [(seed, 2, epoch, i) for seed in (0, 1, 4243) for epoch in range(5)
               for i in range(0, 200, 7)]
     for parts in cases:
-        got = mt._derive_seed(*parts)
+        got = coding.derive_seed(*parts)
         assert type(got) is int and 0 <= got < 2**64
         assert got == seed_oracle(*parts), parts
 
@@ -359,7 +359,7 @@ def _assert_validation_close(actual, expected):
 def test_validate_matches_per_sample_oracle(toy_dataset, validate_oracle):
     val = toy_dataset[-12:]
     lightfields, cv, disp = mt._stack(val)
-    masks = coding.random_masks(*DIMS[2:], [mt._derive_seed(7, 1, i) for i in range(len(val))])
+    masks = coding.random_masks(*DIMS[2:], [coding.derive_seed(7, 1, i) for i in range(len(val))])
     coded = coding.encode_batch(lightfields, masks)
     for net_seed in (1, 2):
         net = ad.ToyNet(dims=DIMS, seed=net_seed)
