@@ -666,9 +666,10 @@ def _soft_threshold(x, t):
 
 
 def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
-    """Codes (n_atoms, n_patches), per-patch final objectives and the
-    iterations run of the full-height masked FISTA on the columns of x,
-    column j stepping by step[j].  It stops after a non-restart iteration
+    """Codes (n_atoms, n_patches), per-patch final objectives, the
+    iterations run and the iterations in which some column restarted, of
+    the full-height masked FISTA on the columns of x, column j stepping by
+    step[j].  It stops after a non-restart iteration
     in which the summed objective fell by at most rel_decrease times its
     new value."""
     atoms = d.atoms
@@ -683,7 +684,7 @@ def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
     y = a.copy()
     t = 1.0
     f_a = objective(a)
-    it = 0
+    it = restarts = 0
     for it in range(1, iters + 1):
         r = atoms @ y - x
         r = mask * r
@@ -695,6 +696,7 @@ def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
             f_z = np.where(worse, f_a, f_z)
             t_new = 1.0
             y = z.copy()
+            restarts += 1
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = z + ((t - 1.0) / t_new) * (z - a)
@@ -702,14 +704,15 @@ def _ref_masked_fista(d, x, lam, iters, mask, step, rel_decrease):
         a, f_a, t = z, f_z, t_new
         if not np.any(worse) and decrease <= rel_decrease * f_a.sum():
             break
-    return a, f_a, it
+    return a, f_a, it, restarts
 
 
 def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
     """(reconstruction, codes, per-patch final objectives, iterations run,
-    per-patch Lipschitz bounds) of the full-height masked solve, patches in
-    grid order.  Patch j steps by 1/(2 L_j), L_j the largest eigenvalue of
-    the Gram matrix of the dictionary rows its mask keeps."""
+    restart iterations, per-patch Lipschitz bounds) of the full-height
+    masked solve, patches in grid order.  Patch j steps by 1/(2 L_j), L_j
+    the largest eigenvalue of the Gram matrix of the dictionary rows its
+    mask keeps."""
     lifted = coding.lift(l_star_p, m)
     mask5 = np.broadcast_to(np.asarray(m, dtype=np.float64)[None, None], g.source_dims)
     x = _ref_patch(lifted, g).T
@@ -719,10 +722,10 @@ def _ref_dict_reconstruct(l_star_p, m, d, g, lam, iters):
         rows = d.atoms[keep]
         lips.append(np.linalg.eigvalsh(rows @ rows.T)[-1])
     lips = np.array(lips)
-    a, f, it = _ref_masked_fista(
+    a, f, it, restarts = _ref_masked_fista(
         d, x, lam, iters, masks, 1.0 / (2.0 * lips), cs_dict.STOP_REL_DECREASE
     )
-    return _ref_depatch((d.atoms @ a).T, g), a, f, it, lips
+    return _ref_depatch((d.atoms @ a).T, g), a, f, it, restarts, lips
 
 
 @pytest.fixture
@@ -731,9 +734,10 @@ def masked_dict_oracle():
 
     masked_dict_oracle(l_star_p, m, d, g, lam, iters) returns the
     reconstruction, the codes (n_atoms, n_patches), the per-patch final
-    masked objectives, the iterations run and the per-patch Lipschitz
-    bounds of FISTA with the mask folded into a full-height residual, as
-    `dict_reconstruct` ran before it used observed rows only.
+    masked objectives, the iterations run, the iterations in which some
+    patch restarted and the per-patch Lipschitz bounds of FISTA with the
+    mask folded into a full-height residual, as `dict_reconstruct` ran
+    before it used observed rows only.
     """
     return _ref_dict_reconstruct
 

@@ -1385,7 +1385,10 @@ def test_dict_commands_reject_bad_knobs(tmp_path, monkeypatch, capsys, command, 
     assert not out.exists()
 
 
-def test_reconstruct_dict_zero_iters_gives_zero_codes(tmp_path, scene):
+def _reconstruct_dict(tmp_path, scene, *knobs):
+    """Train a dictionary on the scene, code and project it, and run
+    reconstruct-dict with `knobs`, which must exit 0; returns the path of
+    the reconstruction."""
     dict_p = str(tmp_path / "d.lfdc")
     assert run(["train-dict", "--scenes", scene + ".lf.lf5d", "--atom", "2,2,4,4,5",
                 "--spatial-overlap", "1,1", "--angular-overlap", "0,0", "--lambda", "0.05",
@@ -1398,7 +1401,21 @@ def test_reconstruct_dict_zero_iters_gives_zero_codes(tmp_path, scene):
     rec = str(tmp_path / "rec.lf5d")
     assert run(["reconstruct-dict", "--in", proj, "--mask", mask, "--dict", dict_p,
                 "--atom", "2,2,4,4,5", "--spatial-overlap", "1,1", "--angular-overlap",
-                "0,0", "--lambda", "0.001", "--iters", "0", "--out", rec]) == 0
+                "0,0", *knobs, "--out", rec]) == 0
+    return rec
+
+
+def test_reconstruct_dict_zero_iters_gives_zero_codes(tmp_path, scene):
+    rec = _reconstruct_dict(tmp_path, scene, "--lambda", "0.001", "--iters", "0")
+    assert not tensor.read_lf5d(rec).any()
+
+
+def test_reconstruct_dict_huge_lambda_gives_zero_codes(tmp_path, scene):
+    # Its float32 threshold is clamped to the largest float32, which still
+    # zeroes every code; an overflow in the cast would be an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = _reconstruct_dict(tmp_path, scene, "--lambda", "1e300")
     assert not tensor.read_lf5d(rec).any()
 
 

@@ -1,6 +1,7 @@
 """Patching, FISTA sparse coding and dictionary-learning tests."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,22 +185,24 @@ class TestDepatch:
             cs_dict.depatch(np.zeros((3, 4)), g)
 
 
-# _fista runs its GEMMs in float32, caches D z and forms D y from it; the
-# three-GEMM oracle in tests/conftest.py runs in float64 and forms D y from
-# y.  Relative l2 distance of the codes (largest seen 1.7e-7), and the
-# distance of the kernel's D a and objective from those recomputed in
-# float64 from its codes, relative to max|x| (4.1e-7) and to each patch's
-# objective at the zero code (4.6e-8).
-FISTA_CODES_REL_TOL = 1e-6
+# _fista runs in float32 (state and GEMMs), caches D z and forms D y from
+# it; the three-GEMM oracle in tests/conftest.py runs in float64 and forms
+# D y from y.  Relative l2 distance of the codes (largest seen 4.6e-6 on
+# the tested seed 6, 5.0e-6 on seeds 6-9), and the distance of the
+# kernel's D a and objective from those recomputed in float64 from its
+# codes, relative to max|x| (4.9e-7) and to each patch's objective at the
+# zero code (6.9e-8).
+FISTA_CODES_REL_TOL = 2e-5
 FISTA_PRODUCT_REL_TOL = 2e-6
-# Training runs the kernel's GEMMs in float32 (float32 atoms), the oracle
-# in float64.  Atoms and epoch objectives agree to this relative tolerance.
+# Training runs the kernel in float32 (float32 atoms), the oracle in
+# float64.  Atoms and epoch objectives agree to this relative tolerance
+# (largest seen 1.5e-7 on the tested seed 4, 3.9e-7 on seeds 4-7).
 TRAIN_REL_TOL = 1e-6
 # Per batch of the dict-fista benchmark set-up, the float32 kernel against
 # the float64 three-GEMM oracle on the same atoms and step: relative l2
 # distance of the codes, and relative distance of each patch's objective.
-BATCH_CODES_REL_TOL = 2e-6
-BATCH_OBJECTIVE_REL_TOL = 1e-6
+BATCH_CODES_REL_TOL = 3e-5
+BATCH_OBJECTIVE_REL_TOL = 1e-5
 # Training's power iterations end this close (relative) below the largest
 # eigenvalue.
 POWER_REL_TOL = 1e-5
@@ -277,6 +280,32 @@ class TestFista:
             r = x - atoms @ a
             f_codes = np.sum(r * r, axis=0) + lam * np.abs(a).sum(axis=0)
             assert np.all(np.abs(f - f_codes) <= FISTA_PRODUCT_REL_TOL * np.sum(x * x, axis=0))
+
+    def test_codes_do_not_depend_on_the_scale_of_the_data(self):
+        # The one group of training and fista_encode: x and lam times 2**k
+        # give 2**k times the codes and D a and 4**k times the objectives
+        # of k = 0, bit for bit, in float32's range or far outside it,
+        # restarts included.  The kernel scales x by one power of two.
+        rng = np.random.default_rng(6)
+        atoms = rng.normal(size=(40, 80))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        d = cs_dict.Dictionary(atoms=atoms)
+        x = rng.normal(size=(1, 16, 40))
+        steps = np.array([1.0 / (2.0 * np.linalg.eigvalsh(atoms @ atoms.T)[-1])])
+        d32 = atoms.astype(np.float32)[None]
+        ref = cs_dict._fista(d32, x, steps, 0.05, 60)
+        assert ref[3].sum() > 0  # the restart path ran
+        code_ref = cs_dict.fista_encode(d, x[0, 0], 0.05, 60)
+        for k in (-300, -120, -60, 60, 126, 300):
+            a, da, f, restarts, ran, restart_iters = cs_dict._fista(
+                d32, x * 2.0**k, steps, 0.05 * 2.0**k, 60,
+            )
+            assert np.array_equal(a * 2.0**-k, ref[0]), k
+            assert np.array_equal(da * 2.0**-k, ref[1]), k
+            assert np.array_equal(f * 4.0**-k, ref[2]), k
+            assert np.array_equal(restarts, ref[3]) and (ran, restart_iters) == ref[4:]
+            code = cs_dict.fista_encode(d, x[0, 0] * 2.0**k, 0.05 * 2.0**k, 60)
+            assert np.array_equal(code * 2.0**-k, code_ref), k
 
     def test_length_mismatch(self):
         d = cs_dict.Dictionary(atoms=np.eye(4))
@@ -420,8 +449,8 @@ class TestTraining:
         assert sum(rep.restarts) > 0  # the restart path ran
 
     def test_atoms_do_not_depend_on_the_scale_of_the_data(self):
-        # The float32 GEMMs scale their float64 operand by a power of two
-        # before the cast, so data * 2**k with lam * 2**k and lr * 2**-2k
+        # The kernel scales the data and lam by a power of two before its
+        # float32 state, so data * 2**k with lam * 2**k and lr * 2**-2k
         # trains bit-equal atoms, in range or far outside float32's.  The
         # data lie in [1/4, 1] so that the float32 input container holds
         # every scaled value exactly.
@@ -489,7 +518,8 @@ def benchmark_training(unmasked_fista_oracle):
 
 class TestBenchmarkTraining:
     def test_float32_kernel_matches_float64_kernel_per_batch(self, benchmark_training):
-        # Largest seen over the 57 batches: codes 3.8e-7, objectives 1.1e-7.
+        # Largest seen over the 57 batches: codes 6.6e-6, objectives 2.5e-6
+        # (6.9e-6 and 2.7e-6 with training seeds 1-4).
         # A transposed or float32 copy of the atoms left over from an
         # earlier batch fails this.
         _, batches = benchmark_training
@@ -683,18 +713,21 @@ class TestReconstruct:
         assert consistency <= 1e-3
 
 
-# Observed-row solve, its GEMMs in float32, against the full-height masked
-# float64 FISTA oracle (tests/conftest.py), which takes the same per-patch
-# steps and stop rule: they agree to these tolerances rather than bit for
-# bit, and run the same number of iterations.  Each is about four times
-# the largest difference seen on these cases with scene and mask seeds 0-3
-# (seed 0 is tested), all on the benchmark scene: reconstruction 2.6e-5,
-# codes 4.0e-5, objectives 1.7e-5.
-REC_ABS_TOL = 1e-4  # float32 reconstruction, max abs difference
-CODES_REL_TOL = 1e-4  # codes, relative l2 (Frobenius) difference
-OBJECTIVE_REL_TOL = 5e-5  # final masked objective, per patch
+# Observed-row solve, in float32, against the full-height masked float64
+# FISTA oracle (tests/conftest.py), which takes the same per-patch steps
+# and stop rule: they agree to these tolerances rather than bit for bit,
+# and run the same iterations with the same restarts.  Each is about four
+# times the largest difference seen on these cases with scene and mask
+# seeds 0-3 (seed 0 is tested), at one and two BLAS threads alike:
+# reconstruction 1.05e-4, codes 3.4e-4 and per-patch objectives 6.3e-5,
+# all on the benchmark scene, and the summed objective, which the stop
+# rule reads, 3.6e-6 (single-patch; 2.2e-6 on the benchmark scene).
+REC_ABS_TOL = 4e-4  # float32 reconstruction, max abs difference
+CODES_REL_TOL = 1.5e-3  # codes, relative l2 (Frobenius) difference
+OBJECTIVE_REL_TOL = 2.5e-4  # final masked objective, per patch
+OBJECTIVE_SUM_REL_TOL = 1.5e-5  # final masked objective, summed over patches
 # The kernel's per-patch objective against the float64 objective of its
-# codes (largest seen 2.9e-7).
+# codes (largest seen 4.6e-7).
 KEPT_OBJECTIVE_REL_TOL = 1e-6
 
 # (source dims, atom dims, spatial overlap, angular overlap, iterations)
@@ -745,7 +778,9 @@ class TestObservedRowSolve:
     def test_matches_full_height_oracle(self, masked_dict_oracle, case):
         dims, atom, spatial, angular, iters = ORACLE_CASES[case]
         lp, m, g, d = _coded_case(dims, atom, spatial, angular)
-        rec_ref, a_ref, f_ref, iters_ref, lips_ref = masked_dict_oracle(lp, m, d, g, LAM, iters)
+        rec_ref, a_ref, f_ref, iters_ref, restarts_ref, lips_ref = masked_dict_oracle(
+            lp, m, d, g, LAM, iters
+        )
         rec, rep = cs_dict.dict_reconstruct(lp, m, d, g, LAM, iters)
         a, f, rep_codes = cs_dict._masked_codes(coding.lift(lp, m), m, d, g, LAM, iters)
         assert rep == rep_codes
@@ -753,9 +788,16 @@ class TestObservedRowSolve:
         assert np.abs(rec - rec_ref).max() <= REC_ABS_TOL
         if iters == 0:
             assert not a.any() and not rec.any()
+            # ||x_m||^2 of float32 values: each square rounds by at most
+            # 2**-24 of itself, and the float64 sums add next to nothing
+            # (largest seen 1.4e-8).  Sums in float32 would add up to
+            # log2(R) such roundings.
+            assert np.all(np.abs(f - f_ref) <= 2.0**-24 * f_ref)
         assert np.linalg.norm(a - a_ref) <= CODES_REL_TOL * np.linalg.norm(a_ref)
         assert np.all(np.abs(f - f_ref) <= OBJECTIVE_REL_TOL * f_ref)
+        assert abs(f.sum() - f_ref.sum()) <= OBJECTIVE_SUM_REL_TOL * f_ref.sum()
         assert rep.iterations == iters_ref <= iters
+        assert rep.restarts == restarts_ref
         if case == "benchmark-scene":
             assert rep.iterations < iters  # the stop rule fired
         assert rep.lipschitz_bound == lips_ref.max()
@@ -763,16 +805,16 @@ class TestObservedRowSolve:
         assert rep.final_objective == pytest.approx(f.sum(), rel=1e-12)
 
     def test_codes_do_not_depend_on_the_scale_of_the_data(self):
-        # Both float32 GEMMs scale their float64 operand by a power of two
-        # before the cast, so data and lam times 2**k give 2**k times the
+        # The kernel scales the data and lam by one power of two before its
+        # float32 state, so data and lam times 2**k give 2**k times the
         # codes and 4**k times the objectives of k = 0, bit for bit, in
-        # float32's range or far outside it, restarts included.
+        # float32's range or far outside it (k = +-300), restarts included.
         dims, atom, spatial, angular, iters = ORACLE_CASES["clamped-origin"]
         lp, m, g, d = _coded_case(dims, atom, spatial, angular)
         lifted = coding.lift(lp, m).astype(np.float64)
         a_ref, f_ref, rep_ref = cs_dict._masked_codes(lifted, m, d, g, LAM, iters)
         assert rep_ref.restarts > 0
-        for k in (-120, -60, 60, 126):
+        for k in (-300, -120, -60, 60, 126, 300):
             a, f, rep = cs_dict._masked_codes(lifted * 2.0**k, m, d, g, LAM * 2.0**k, iters)
             assert np.array_equal(a * 2.0**-k, a_ref), k
             assert np.array_equal(f * 4.0**-k, f_ref), k
@@ -836,3 +878,62 @@ class TestObservedRowSolve:
                 assert np.all(f <= previous), f"objective rose at iteration {iters}"
             previous = f
         assert rep.restarts > 0  # the restart path ran
+
+
+# A lam so large that its threshold passes float32's range zeroes every code
+# in one iteration, as at any lam past the largest |D^T x|: the kernel clamps
+# the threshold to the largest float32, and caps lam where its scale by the
+# data's power of two would leave float32's range.  Warnings are errors, so
+# an overflow in a cast fails these.  Data scaled by 2**-100 or 2**-300 put
+# the two larger lams past float64's range after that scale.
+HUGE_LAMS = (1e30, 1e300, float(np.finfo(np.float64).max))
+
+
+class TestHugeLam:
+    @pytest.mark.parametrize("lam", HUGE_LAMS)
+    @pytest.mark.parametrize("k", [0, -300])
+    def test_masked_codes(self, lam, k):
+        dims, atom, spatial, angular, iters = ORACLE_CASES["clamped-origin"]
+        lp, m, g, d = _coded_case(dims, atom, spatial, angular)
+        lifted = coding.lift(lp, m).astype(np.float64) * 2.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, f, rep = cs_dict._masked_codes(lifted, m, d, g, lam, iters)
+        assert not a.any() and rep.iterations == 1 and rep.restarts == 0
+        x = cs_dict.patch(lifted, g)
+        kept = np.broadcast_to(m[None, None], dims).reshape(-1)[g.index] != 0
+        np.testing.assert_allclose(f, np.sum(np.where(kept, x * x, 0.0), axis=1), rtol=1e-6)
+
+    @pytest.mark.parametrize("lam", HUGE_LAMS)
+    @pytest.mark.parametrize("k", [0, -300])
+    @pytest.mark.parametrize("atom_scale", [1.0, 2.0**-20])
+    def test_fista_encode(self, lam, k, atom_scale):
+        # Atoms of norm 2**-20 step by about 2**40 / L: the threshold would
+        # pass the largest float32 even at a lam that the kernel capped.
+        d = cs_dict.init_dictionary(40, 80, seed=1)
+        d.atoms *= atom_scale
+        x = np.random.default_rng(2).normal(size=40) * 2.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not cs_dict.fista_encode(d, x, lam, iters=20).any()
+
+    @pytest.mark.parametrize("lam", HUGE_LAMS)
+    @pytest.mark.parametrize("k", [0, -100])
+    def test_one_training_batch(self, lam, k):
+        # One batch of all 24 patches: zero codes leave the atoms as they
+        # start, up to the renormalization, and the batch objective is that
+        # of the zero code.
+        rng = np.random.default_rng(12)
+        dims = (1, 1, 6, 6, 3)
+        dataset = [rng.uniform(0.25, 1.0, size=dims) * 2.0**k for _ in range(6)]
+        g = cs_dict.make_patch_grid(dims, (1, 1, 4, 4, 3), (2, 2), (0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, rep = cs_dict.train_dictionary(
+                dataset, g, lam=lam, lr=0.1, batch_size=24, fista_iters=5, epochs=1, seed=5,
+            )
+        start = cs_dict.init_dictionary(g.atom_len, d.n_atoms, seed=5)
+        np.testing.assert_allclose(d.atoms, start.atoms, rtol=0, atol=1e-15)
+        x = np.concatenate([cs_dict.patch(t.astype(np.float32), g) for t in dataset])
+        assert x.shape[0] == 24 and rep.restarts == (0,)
+        assert rep.epoch_objectives[0] == pytest.approx(np.sum(x * x) / 24, rel=1e-6)
